@@ -13,12 +13,9 @@ from .model import (
     IntervalMapping,
     InvalidMappingError,
     MappingMetrics,
-    PeriodBreakdown,
     PipelineSpec,
     Platform,
-    evaluate_latency,
     evaluate_metrics,
-    evaluate_period,
     jpeg_preset,
     meets_threshold,
     metrics_close,
@@ -65,7 +62,6 @@ __all__ = [
     "IntervalMapping",
     "InvalidMappingError",
     "MappingMetrics",
-    "PeriodBreakdown",
     "PipelineSpec",
     "Platform",
     "PlatformGenSpec",
@@ -78,9 +74,7 @@ __all__ = [
     "compare_with_analytic",
     "count_mappings",
     "enumerate_mappings",
-    "evaluate_latency",
     "evaluate_metrics",
-    "evaluate_period",
     "export_ilp",
     "generate_platform",
     "jpeg_preset",

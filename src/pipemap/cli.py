@@ -86,12 +86,21 @@ def _load_pipeline(args) -> PipelineSpec:
     return files.read_pipeline(args.pipeline)
 
 
-def _query_from_args(args) -> BicriteriaQuery:
+def _threshold_flag(args) -> tuple[str, float | str]:
+    """The objective and raw value of the one given ``--period``/``--latency``.
+
+    ``--period`` bounds the period, so latency is minimized, and vice versa.
+    """
     if (args.period is None) == (args.latency is None):
         raise ValueError("exactly one of --period/--latency is required")
     if args.period is not None:
-        return BicriteriaQuery.minimize_latency(args.period)
-    return BicriteriaQuery.minimize_period(args.latency)
+        return "latency", args.period
+    return "period", args.latency
+
+
+def _query_from_args(args) -> BicriteriaQuery:
+    objective, threshold = _threshold_flag(args)
+    return BicriteriaQuery(objective=objective, threshold=threshold)
 
 
 def _add_instance_flags(sub, with_platform: bool = True) -> None:
@@ -223,14 +232,9 @@ def _cmd_simulate(args) -> int:
 def _cmd_sweep(args) -> int:
     spec = _load_pipeline(args)
     platform = files.read_platform(args.platform)
-    if (args.period is None) == (args.latency is None):
-        raise ValueError("exactly one of --period/--latency is required")
-    if args.period is not None:
-        thresholds = _parse_thresholds(args.period)
-        query = BicriteriaQuery.minimize_latency(thresholds[0])
-    else:
-        thresholds = _parse_thresholds(args.latency)
-        query = BicriteriaQuery.minimize_period(thresholds[0])
+    objective, text = _threshold_flag(args)
+    thresholds = _parse_thresholds(text)
+    query = BicriteriaQuery(objective=objective, threshold=thresholds[0])
     report = run_sweep_report(spec, platform, query, thresholds)
     print(f"sweep: minimize {report.objective} over {len(thresholds)} thresholds")
     for row in report.rows:

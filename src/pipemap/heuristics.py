@@ -1,36 +1,37 @@
 """Greedy interval-splitting heuristics for the two bi-criteria queries.
 
-All six heuristics start from the whole chain on the fastest processor and
-repeatedly split the interval of the current bottleneck (the used processor
-with the largest cycle time), handing parts to the fastest still-unused
-processors.  A split is accepted only if it strictly decreases the global
-period, so every run terminates after at most ``p - 1`` splits.
+All six heuristics are one greedy loop.  It starts from the whole chain on
+the fastest processor and repeatedly splits the interval of the current
+bottleneck (the used processor with the largest cycle time), handing parts
+to the fastest still-unused processors.  A split is accepted only if it
+strictly decreases the global period, so every run terminates after at most
+``p - 1`` splits.
 
-They differ along two axes:
+The variants differ along the columns of the ``_VARIANTS`` table:
 
-* *selection rule* -- ``h1``/``h3``/``h5`` pick the candidate minimizing the
+* *fixed criterion* -- ``h1``..``h4`` work under a fixed period (they stop as
+  soon as the period meets it), ``h5``/``h6`` work under a fixed latency
+  (every candidate must keep the global latency within it, and the run
+  continues while the period can still be decreased);
+* *ratio rule* -- ``h1``/``h3``/``h5`` pick the candidate minimizing the
   largest cycle among the split parties; ``h2``/``h4``/``h6`` pick the
   candidate minimizing ``max_i delta_latency / delta_period(i)`` over the
   parties and discard candidates that do not decrease every party's cycle
   below the old bottleneck;
-* *query* -- ``h1``..``h4`` work under a fixed period (they stop as soon as
-  the period meets it), ``h5``/``h6`` work under a fixed latency (every
-  candidate must keep the global latency within it, and the run continues
-  while the period can still be decreased).
+* *three-way split* -- ``h3``/``h4`` split the bottleneck three ways when its
+  interval has at least three stages and two unused processors remain,
+  falling back to a two-way split otherwise.
 
-``h3``/``h4`` split the bottleneck three ways when its interval has at least
-three stages and two unused processors remain, falling back to a two-way
-split otherwise.  ``h2`` wraps its rule in a binary search over the latency
-increase it is willing to authorize on top of the start state's latency,
-returning the outcome of the smallest authorized increase that reaches the
-fixed period.
+``h2`` alone adds a step: it wraps its loop in a binary search over the
+latency increase it is willing to authorize on top of the start state's
+latency, returning the outcome of the smallest authorized increase that
+reaches the fixed period.  :func:`run_heuristic` is the single entry point.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable
 
 from .model import (
     IntervalMapping,
@@ -50,31 +51,26 @@ __all__ = [
     "SplitChoice",
     "SplitEvent",
     "fixed_criterion_of",
-    "h1",
-    "h2",
-    "h3",
-    "h4",
-    "h5",
-    "h6",
     "run_heuristic",
 ]
 
-HEURISTIC_NAMES = ("h1", "h2", "h3", "h4", "h5", "h6")
-
-_FIXED_CRITERION = {
-    "h1": "period",
-    "h2": "period",
-    "h3": "period",
-    "h4": "period",
-    "h5": "latency",
-    "h6": "latency",
+# name -> (fixed criterion, ratio rule, three-way split)
+_VARIANTS: dict[str, tuple[str, bool, bool]] = {
+    "h1": ("period", False, False),
+    "h2": ("period", True, False),
+    "h3": ("period", False, True),
+    "h4": ("period", True, True),
+    "h5": ("latency", False, False),
+    "h6": ("latency", True, False),
 }
+
+HEURISTIC_NAMES = tuple(_VARIANTS)
 
 
 def fixed_criterion_of(name: str) -> str:
     """Which criterion (``"period"``/``"latency"``) a heuristic's threshold bounds."""
     try:
-        return _FIXED_CRITERION[name]
+        return _VARIANTS[name][0]
     except KeyError:
         raise ValueError(f"unknown heuristic {name!r}, expected one of {HEURISTIC_NAMES}")
 
@@ -381,42 +377,22 @@ def _check_threshold(threshold: float, what: str) -> float:
     return value
 
 
-def h1(spec: PipelineSpec, platform: Platform, fixed_period: float) -> HeuristicOutcome:
-    """Two-way splits picking the smallest worst party cycle, fixed period."""
-    fixed_period = _check_threshold(fixed_period, "fixed_period")
-    mapping, metrics, trace, _ = _run_greedy(
-        spec,
-        platform,
-        ratio_rule=False,
-        three_way=False,
-        latency_cap=None,
-        period_goal=fixed_period,
-    )
-    return HeuristicOutcome(
-        heuristic="h1",
-        fixed_criterion="period",
-        threshold=fixed_period,
-        mapping=mapping,
-        metrics=metrics,
-        feasible=meets_threshold(metrics.period, fixed_period),
-        trace=trace,
-    )
-
-
-def h2(
+def _search_allowance(
     spec: PipelineSpec,
     platform: Platform,
     fixed_period: float,
-    search: BinarySearchConfig | None = None,
-) -> HeuristicOutcome:
-    """Ratio-rule splits under a searched latency allowance, fixed period.
+    cfg: BinarySearchConfig,
+    *,
+    ratio_rule: bool,
+    three_way: bool,
+) -> tuple[IntervalMapping, MappingMetrics, tuple[SplitEvent, ...], H2SearchReport]:
+    """``h2``'s binary search over the authorized latency increase ``A``.
 
-    Candidates must keep the global latency within ``base + A`` where ``base``
-    is the start state's latency; ``A`` is binary-searched and the smallest
-    value that reaches the fixed period wins.
+    Every trial runs the greedy loop with candidates capped at latency
+    ``base + A``, where ``base`` is the start state's latency.  Returns the
+    run of the smallest ``A`` that reaches the fixed period, or the failed
+    upper-bound run (with ``chosen_increase=None``) when even that does not.
     """
-    fixed_period = _check_threshold(fixed_period, "fixed_period")
-    cfg = search if search is not None else BinarySearchConfig()
     order = _speed_order(platform)
     base_latency = evaluate_metrics(
         spec, platform, IntervalMapping.single_interval(spec.n, order[0])
@@ -428,8 +404,8 @@ def h2(
         mapping, metrics, trace, _ = _run_greedy(
             spec,
             platform,
-            ratio_rule=True,
-            three_way=False,
+            ratio_rule=ratio_rule,
+            three_way=three_way,
             latency_cap=base_latency + allowance,
             period_goal=fixed_period,
         )
@@ -442,39 +418,20 @@ def h2(
                 latency=metrics.latency,
             )
         )
-        return ok, mapping, metrics, trace
+        return ok, (mapping, metrics, trace)
 
-    lo = cfg.lower
-    hi = upper
-    ok, mapping, metrics, trace = run_trial(hi)
-    if not ok:
-        report = H2SearchReport(
-            config=cfg,
-            base_latency=base_latency,
-            upper_bound=upper,
-            chosen_increase=None,
-            trials=tuple(trials),
-        )
-        return HeuristicOutcome(
-            heuristic="h2",
-            fixed_criterion="period",
-            threshold=fixed_period,
-            mapping=mapping,
-            metrics=metrics,
-            feasible=False,
-            trace=trace,
-            search=report,
-        )
-    best = (hi, mapping, metrics, trace)
-    for _ in range(cfg.iterations):
-        mid = (lo + hi) / 2.0
-        ok, mapping, metrics, trace = run_trial(mid)
-        if ok:
-            hi = mid
-            best = (mid, mapping, metrics, trace)
-        else:
-            lo = mid
-    chosen, mapping, metrics, trace = best
+    lo, hi = cfg.lower, upper
+    ok, best = run_trial(hi)
+    chosen = hi if ok else None
+    if ok:
+        for _ in range(cfg.iterations):
+            mid = (lo + hi) / 2.0
+            ok, run = run_trial(mid)
+            if ok:
+                hi = chosen = mid
+                best = run
+            else:
+                lo = mid
     report = H2SearchReport(
         config=cfg,
         base_latency=base_latency,
@@ -482,118 +439,7 @@ def h2(
         chosen_increase=chosen,
         trials=tuple(trials),
     )
-    return HeuristicOutcome(
-        heuristic="h2",
-        fixed_criterion="period",
-        threshold=fixed_period,
-        mapping=mapping,
-        metrics=metrics,
-        feasible=True,
-        trace=trace,
-        search=report,
-    )
-
-
-def h3(spec: PipelineSpec, platform: Platform, fixed_period: float) -> HeuristicOutcome:
-    """Three-way splits picking the smallest worst party cycle, fixed period."""
-    fixed_period = _check_threshold(fixed_period, "fixed_period")
-    mapping, metrics, trace, _ = _run_greedy(
-        spec,
-        platform,
-        ratio_rule=False,
-        three_way=True,
-        latency_cap=None,
-        period_goal=fixed_period,
-    )
-    return HeuristicOutcome(
-        heuristic="h3",
-        fixed_criterion="period",
-        threshold=fixed_period,
-        mapping=mapping,
-        metrics=metrics,
-        feasible=meets_threshold(metrics.period, fixed_period),
-        trace=trace,
-    )
-
-
-def h4(spec: PipelineSpec, platform: Platform, fixed_period: float) -> HeuristicOutcome:
-    """Three-way ratio-rule splits, fixed period, no latency allowance."""
-    fixed_period = _check_threshold(fixed_period, "fixed_period")
-    mapping, metrics, trace, _ = _run_greedy(
-        spec,
-        platform,
-        ratio_rule=True,
-        three_way=True,
-        latency_cap=None,
-        period_goal=fixed_period,
-    )
-    return HeuristicOutcome(
-        heuristic="h4",
-        fixed_criterion="period",
-        threshold=fixed_period,
-        mapping=mapping,
-        metrics=metrics,
-        feasible=meets_threshold(metrics.period, fixed_period),
-        trace=trace,
-    )
-
-
-def h5(spec: PipelineSpec, platform: Platform, fixed_latency: float) -> HeuristicOutcome:
-    """Two-way worst-cycle splits that never exceed the fixed latency.
-
-    Runs until no admissible split improves the period.  Infeasible exactly
-    when the start state already violates the fixed latency.
-    """
-    fixed_latency = _check_threshold(fixed_latency, "fixed_latency")
-    mapping, metrics, trace, start = _run_greedy(
-        spec,
-        platform,
-        ratio_rule=False,
-        three_way=False,
-        latency_cap=fixed_latency,
-        period_goal=None,
-    )
-    return HeuristicOutcome(
-        heuristic="h5",
-        fixed_criterion="latency",
-        threshold=fixed_latency,
-        mapping=mapping,
-        metrics=metrics,
-        feasible=meets_threshold(start.latency, fixed_latency),
-        trace=trace,
-    )
-
-
-def h6(spec: PipelineSpec, platform: Platform, fixed_latency: float) -> HeuristicOutcome:
-    """Two-way ratio-rule splits that never exceed the fixed latency."""
-    fixed_latency = _check_threshold(fixed_latency, "fixed_latency")
-    mapping, metrics, trace, start = _run_greedy(
-        spec,
-        platform,
-        ratio_rule=True,
-        three_way=False,
-        latency_cap=fixed_latency,
-        period_goal=None,
-    )
-    return HeuristicOutcome(
-        heuristic="h6",
-        fixed_criterion="latency",
-        threshold=fixed_latency,
-        mapping=mapping,
-        metrics=metrics,
-        feasible=meets_threshold(start.latency, fixed_latency),
-        trace=trace,
-    )
-
-
-_RUNNERS: dict[str, Callable[..., HeuristicOutcome]] = {
-    "h1": h1,
-    "h2": h2,
-    "h3": h3,
-    "h4": h4,
-    "h5": h5,
-    "h6": h6,
-}
+    return (*best, report)
 
 
 def run_heuristic(
@@ -604,8 +450,43 @@ def run_heuristic(
     *,
     search: BinarySearchConfig | None = None,
 ) -> HeuristicOutcome:
-    """Run one heuristic by name; ``search`` only applies to ``h2``."""
-    fixed_criterion_of(name)
+    """Run one heuristic by name; ``search`` only applies to ``h2``.
+
+    Under a fixed period the run is feasible when its final period meets the
+    threshold (for ``h2``: when some authorized increase reaches it).  Under
+    a fixed latency it is infeasible exactly when the start state already
+    violates the threshold.
+    """
+    fixed_criterion = fixed_criterion_of(name)
+    _, ratio_rule, three_way = _VARIANTS[name]
+    threshold = _check_threshold(threshold, f"fixed_{fixed_criterion}")
+    report = None
     if name == "h2":
-        return h2(spec, platform, threshold, search=search)
-    return _RUNNERS[name](spec, platform, threshold)
+        cfg = search if search is not None else BinarySearchConfig()
+        mapping, metrics, trace, report = _search_allowance(
+            spec, platform, threshold, cfg, ratio_rule=ratio_rule, three_way=three_way
+        )
+        feasible = report.chosen_increase is not None
+    else:
+        fixed_period = fixed_criterion == "period"
+        mapping, metrics, trace, start = _run_greedy(
+            spec,
+            platform,
+            ratio_rule=ratio_rule,
+            three_way=three_way,
+            latency_cap=None if fixed_period else threshold,
+            period_goal=threshold if fixed_period else None,
+        )
+        feasible = meets_threshold(
+            metrics.period if fixed_period else start.latency, threshold
+        )
+    return HeuristicOutcome(
+        heuristic=name,
+        fixed_criterion=fixed_criterion,
+        threshold=threshold,
+        mapping=mapping,
+        metrics=metrics,
+        feasible=feasible,
+        trace=trace,
+        search=report,
+    )

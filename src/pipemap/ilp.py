@@ -30,8 +30,7 @@ from .model import (
     IntervalMapping,
     PipelineSpec,
     Platform,
-    evaluate_latency,
-    evaluate_period,
+    evaluate_metrics,
     require_valid,
 )
 from .exact import BicriteriaQuery
@@ -466,8 +465,9 @@ def assignment_from_mapping(
         else:
             assign[f"first_p{u}"] = 1.0
             assign[f"last_p{u}"] = float(n)
+    metrics = evaluate_metrics(spec, platform, mapping)
     if query is not None and query.objective == "latency":
-        assign["Topt"] = evaluate_latency(spec, platform, mapping)
+        assign["Topt"] = metrics.latency
     else:
-        assign["Topt"] = evaluate_period(spec, platform, mapping).period
+        assign["Topt"] = metrics.period
     return assign

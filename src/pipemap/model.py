@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -29,12 +29,9 @@ __all__ = [
     "InvalidMappingError",
     "IntervalMapping",
     "MappingMetrics",
-    "PeriodBreakdown",
     "PipelineSpec",
     "Platform",
-    "evaluate_latency",
     "evaluate_metrics",
-    "evaluate_period",
     "jpeg_preset",
     "meets_threshold",
     "metrics_close",
@@ -260,13 +257,6 @@ class IntervalMapping:
         )
 
 
-class PeriodBreakdown(NamedTuple):
-    """Per-processor cycle times plus their maximum."""
-
-    cycles: tuple[float, ...]
-    period: float
-
-
 @dataclass(frozen=True)
 class MappingMetrics:
     """Evaluated period and latency of one mapping.
@@ -371,30 +361,6 @@ def _chain_terms(
         t_comp.append(float(acc / s[u - 1]))
         t_out.append(float(delta[e] / b[u, succ]))
     return t_in, t_comp, t_out
-
-
-def evaluate_period(
-    spec: PipelineSpec, platform: Platform, mapping: IntervalMapping
-) -> PeriodBreakdown:
-    """Cycle time of every used processor and the resulting period."""
-    require_valid(spec, platform, mapping)
-    t_in, t_comp, t_out = _chain_terms(spec, platform, mapping)
-    cycles = tuple(t_in[j] + t_comp[j] + t_out[j] for j in range(mapping.m))
-    return PeriodBreakdown(cycles=cycles, period=max(cycles))
-
-
-def evaluate_latency(
-    spec: PipelineSpec, platform: Platform, mapping: IntervalMapping
-) -> float:
-    """End-to-end time of a single item through the mapped chain."""
-    require_valid(spec, platform, mapping)
-    t_in, t_comp, t_out = _chain_terms(spec, platform, mapping)
-    latency = 0.0
-    for j in range(mapping.m):
-        latency += t_in[j]
-        latency += t_comp[j]
-    latency += t_out[mapping.m - 1]
-    return latency
 
 
 def evaluate_metrics(

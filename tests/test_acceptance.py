@@ -29,7 +29,7 @@ from pipemap import (
     solve,
     validate,
 )
-from pipemap.heuristics import fixed_criterion_of, h1, h2, h5
+from pipemap.heuristics import fixed_criterion_of
 from pipemap.workbench import run_sweep_report
 
 import lp_grammar
@@ -194,7 +194,7 @@ class TestCriterion4HeuristicQuality:
             l_min = free_lat.metrics.latency
 
             started = time.perf_counter()
-            h1_out = h1(spec, platform, 1.05 * p_min)
+            h1_out = run_heuristic("h1", spec, platform, 1.05 * p_min)
             h1_seconds = time.perf_counter() - started
             assert h1_seconds < 1.0, f"h1 took {h1_seconds:.2f}s on seed {seed}"
             h1_excess = (h1_out.metrics.period - p_min) / p_min
@@ -205,7 +205,7 @@ class TestCriterion4HeuristicQuality:
                 spec, platform, BicriteriaQuery.minimize_period(latency_cap)
             )
             started = time.perf_counter()
-            h5_out = h5(spec, platform, latency_cap)
+            h5_out = run_heuristic("h5", spec, platform, latency_cap)
             h5_seconds = time.perf_counter() - started
             assert h5_seconds < 1.0, f"h5 took {h5_seconds:.2f}s on seed {seed}"
             h5_excess = (
@@ -248,7 +248,7 @@ class TestCriterion5H2Infeasibility:
             ).metrics.period
             for factor in (1.01, 0.90):
                 threshold = factor * p_min
-                outcome = h2(spec, platform, threshold)
+                outcome = run_heuristic("h2", spec, platform, threshold)
                 # the flag must agree with the actual final period
                 assert outcome.feasible == meets_threshold(
                     outcome.metrics.period, threshold

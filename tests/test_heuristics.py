@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -14,7 +16,7 @@ from pipemap import (
     solve,
     validate,
 )
-from pipemap.heuristics import fixed_criterion_of, h1, h2, h3, h4, h5, h6
+from pipemap.heuristics import fixed_criterion_of
 
 from util import random_instance
 
@@ -54,8 +56,12 @@ class TestConfig:
             BinarySearchConfig(iterations=-1)
 
     def test_zero_iterations_means_single_trial(self, tiny_spec, tiny_platform):
-        outcome = h2(
-            tiny_spec, tiny_platform, 7.0, search=BinarySearchConfig(iterations=0)
+        outcome = run_heuristic(
+            "h2",
+            tiny_spec,
+            tiny_platform,
+            7.0,
+            search=BinarySearchConfig(iterations=0),
         )
         assert outcome.feasible
         assert len(outcome.search.trials) == 1
@@ -66,7 +72,7 @@ class TestTinyPeriodGoal:
     """Start state is the whole chain on the fastest processor (period 8)."""
 
     def test_h1_splits_to_six(self, tiny_spec, tiny_platform):
-        outcome = h1(tiny_spec, tiny_platform, 7.0)
+        outcome = run_heuristic("h1", tiny_spec, tiny_platform, 7.0)
         assert outcome.feasible
         assert outcome.mapping.signature() == "1-1@p2;2-3@p1"
         assert outcome.metrics.period == 6.0
@@ -78,26 +84,26 @@ class TestTinyPeriodGoal:
         assert event.choice.recipients == (2,)
 
     def test_h1_trivial_when_start_meets_goal(self, tiny_spec, tiny_platform):
-        outcome = h1(tiny_spec, tiny_platform, 8.0)
+        outcome = run_heuristic("h1", tiny_spec, tiny_platform, 8.0)
         assert outcome.feasible
         assert outcome.mapping.signature() == "1-3@p1"
         assert outcome.trace == ()
 
     def test_h1_infeasible_goal(self, tiny_spec, tiny_platform):
-        outcome = h1(tiny_spec, tiny_platform, 5.0)
+        outcome = run_heuristic("h1", tiny_spec, tiny_platform, 5.0)
         assert not outcome.feasible
         # the run still reports its best state and how it got there
         assert outcome.metrics.period == 6.0
         assert validate(tiny_spec, tiny_platform, outcome.mapping) is None
 
     def test_h3_two_processors_matches_h1(self, tiny_spec, tiny_platform):
-        a = h1(tiny_spec, tiny_platform, 7.0)
-        b = h3(tiny_spec, tiny_platform, 7.0)
+        a = run_heuristic("h1", tiny_spec, tiny_platform, 7.0)
+        b = run_heuristic("h3", tiny_spec, tiny_platform, 7.0)
         assert b.mapping == a.mapping
         assert b.metrics.period == a.metrics.period
 
     def test_h3_three_processors_three_way(self, tiny_spec, tiny3_platform):
-        outcome = h3(tiny_spec, tiny3_platform, 6.0)
+        outcome = run_heuristic("h3", tiny_spec, tiny3_platform, 6.0)
         assert outcome.feasible
         assert outcome.mapping.signature() == "1-1@p2;2-2@p1;3-3@p3"
         assert outcome.metrics.period == 6.0
@@ -105,7 +111,7 @@ class TestTinyPeriodGoal:
         assert outcome.trace[0].choice.recipients == (2, 3)
 
     def test_h4_ratio_rule_on_tiny(self, tiny_spec, tiny_platform):
-        outcome = h4(tiny_spec, tiny_platform, 7.0)
+        outcome = run_heuristic("h4", tiny_spec, tiny_platform, 7.0)
         assert outcome.feasible
         assert outcome.metrics.period <= 7.0 + 1e-9
         assert validate(tiny_spec, tiny_platform, outcome.mapping) is None
@@ -113,7 +119,7 @@ class TestTinyPeriodGoal:
 
 class TestTinyLatencyCap:
     def test_h5_cap_ten(self, tiny_spec, tiny_platform):
-        outcome = h5(tiny_spec, tiny_platform, 10.0)
+        outcome = run_heuristic("h5", tiny_spec, tiny_platform, 10.0)
         assert outcome.feasible
         assert outcome.mapping.signature() == "1-2@p1;3-3@p2"
         assert outcome.metrics.period == 7.0
@@ -122,26 +128,26 @@ class TestTinyLatencyCap:
     def test_h5_cap_below_start_latency(self, tiny_spec, tiny_platform):
         # the start state (all on the fastest) has latency 8; a cap of 7 is
         # unreachable and the run reports infeasible without splitting
-        outcome = h5(tiny_spec, tiny_platform, 7.0)
+        outcome = run_heuristic("h5", tiny_spec, tiny_platform, 7.0)
         assert not outcome.feasible
         assert outcome.trace == ()
         assert outcome.mapping.signature() == "1-3@p1"
 
     def test_h6_loose_cap_reaches_best_period(self, tiny_spec, tiny_platform):
-        outcome = h6(tiny_spec, tiny_platform, 11.0)
+        outcome = run_heuristic("h6", tiny_spec, tiny_platform, 11.0)
         assert outcome.feasible
         assert outcome.metrics.period == 6.0
         assert outcome.metrics.latency <= 11.0 + 1e-9
 
     def test_h5_h6_objective_value_is_period(self, tiny_spec, tiny_platform):
-        outcome = h5(tiny_spec, tiny_platform, 10.0)
+        outcome = run_heuristic("h5", tiny_spec, tiny_platform, 10.0)
         assert outcome.fixed_criterion == "latency"
         assert outcome.objective_value == outcome.metrics.period
 
 
 class TestTinyBisection:
     def test_h2_tight_goal(self, tiny_spec, tiny_platform):
-        outcome = h2(tiny_spec, tiny_platform, 7.0)
+        outcome = run_heuristic("h2", tiny_spec, tiny_platform, 7.0)
         assert outcome.feasible
         assert outcome.mapping.signature() == "1-2@p1;3-3@p2"
         assert outcome.metrics.period == 7.0
@@ -154,19 +160,19 @@ class TestTinyBisection:
         assert len(outcome.search.trials) == 21
 
     def test_h2_loose_goal_no_splits(self, tiny_spec, tiny_platform):
-        outcome = h2(tiny_spec, tiny_platform, 8.0)
+        outcome = run_heuristic("h2", tiny_spec, tiny_platform, 8.0)
         assert outcome.feasible
         assert outcome.mapping.signature() == "1-3@p1"
         assert outcome.trace == ()
 
     def test_h2_impossible_goal(self, tiny_spec, tiny_platform):
-        outcome = h2(tiny_spec, tiny_platform, 5.0)
+        outcome = run_heuristic("h2", tiny_spec, tiny_platform, 5.0)
         assert not outcome.feasible
         assert outcome.search.chosen_increase is None
         assert len(outcome.search.trials) == 1  # upper bound failed, no bisection
 
     def test_h2_trials_recorded_with_shrinking_allowance(self, tiny_spec, tiny_platform):
-        outcome = h2(tiny_spec, tiny_platform, 7.0)
+        outcome = run_heuristic("h2", tiny_spec, tiny_platform, 7.0)
         increases = [t.authorized_increase for t in outcome.search.trials]
         assert increases[0] == outcome.search.upper_bound
         # bisection narrows monotonically around the answer
@@ -176,7 +182,7 @@ class TestTinyBisection:
 
     def test_h2_custom_config_respected(self, tiny_spec, tiny_platform):
         cfg = BinarySearchConfig(lower=0.0, upper_factor=2.0, iterations=5)
-        outcome = h2(tiny_spec, tiny_platform, 7.0, search=cfg)
+        outcome = run_heuristic("h2", tiny_spec, tiny_platform, 7.0, search=cfg)
         assert outcome.search.config == cfg
         assert outcome.search.upper_bound == 16.0
         assert len(outcome.search.trials) == 6
@@ -277,8 +283,8 @@ class TestRoundBound:
         rng = np.random.default_rng(1100)
         for _ in range(30):
             spec, platform = random_instance(rng, n_range=(3, 6), p_range=(3, 5))
-            for runner in (h3, h4):
-                outcome = runner(spec, platform, 1e-6)  # unreachable goal
+            for name in ("h3", "h4"):
+                outcome = run_heuristic(name, spec, platform, 1e-6)  # unreachable goal
                 full_rounds = sum(
                     1 for e in outcome.trace if len(e.choice.recipients) == 2
                 )
@@ -287,3 +293,51 @@ class TestRoundBound:
                 )
                 assert full_rounds + half_rounds == len(outcome.trace)
                 assert 2 * full_rounds + half_rounds <= platform.p - 1
+
+
+# sha256 over every outcome and error message of ``_golden_records``; it pins
+# full traces and h2 search reports, so any change to a heuristic's output
+# shows up here.  Re-record it only for a deliberate change of that output.
+GOLDEN_SHA256 = "9dfd99e0a7b9057e6d01e254598803f6a4507592855e174eed99e9b08bd5dfc1"
+
+
+def _golden_records():
+    """Canonical JSON of every heuristic outcome across seeded random cases."""
+    rng = np.random.default_rng(2024)
+    narrow = BinarySearchConfig(lower=0.5, upper_factor=1.5, iterations=7)
+    for _ in range(40):
+        spec, platform = random_instance(rng, n_range=(1, 10), p_range=(1, 6))
+        fastest = int(np.argmax(platform.s)) + 1
+        start = evaluate_metrics(
+            spec, platform, IntervalMapping.single_interval(spec.n, fastest)
+        )
+        factors = {
+            "period": (0.3, 0.6, 0.85, 1.0, math.inf),
+            "latency": (0.9, 1.0, 1.15, 1.5, math.inf),
+        }
+        for name in HEURISTIC_NAMES:
+            criterion = fixed_criterion_of(name)
+            anchor = start.period if criterion == "period" else start.latency
+            for factor in factors[criterion]:
+                threshold = anchor * factor
+                yield run_heuristic(name, spec, platform, threshold).to_dict()
+                if name == "h2":
+                    yield run_heuristic(
+                        name, spec, platform, threshold, search=narrow
+                    ).to_dict()
+            for bad in (0.0, -1.0):
+                with pytest.raises(ValueError) as err:
+                    run_heuristic(name, spec, platform, bad)
+                yield str(err.value)
+        with pytest.raises(ValueError) as err:
+            run_heuristic("h7", spec, platform, 1.0)
+        yield str(err.value)
+
+
+class TestGolden:
+    def test_outcomes_match_recorded_digest(self):
+        digest = hashlib.sha256()
+        for record in _golden_records():
+            digest.update(json.dumps(record, sort_keys=True).encode("utf-8"))
+            digest.update(b"\n")
+        assert digest.hexdigest() == GOLDEN_SHA256

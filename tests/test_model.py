@@ -11,9 +11,7 @@ from pipemap import (
     InvalidMappingError,
     PipelineSpec,
     Platform,
-    evaluate_latency,
     evaluate_metrics,
-    evaluate_period,
     jpeg_preset,
     meets_threshold,
     validate,
@@ -117,9 +115,7 @@ class TestValidate:
     def test_evaluators_reject_invalid(self, tiny_spec, tiny_platform):
         mapping = IntervalMapping(intervals=((1, 1), (3, 3)), assignees=(1, 2))
         with pytest.raises(InvalidMappingError, match="gap"):
-            evaluate_period(tiny_spec, tiny_platform, mapping)
-        with pytest.raises(InvalidMappingError):
-            evaluate_latency(tiny_spec, tiny_platform, mapping)
+            evaluate_metrics(tiny_spec, tiny_platform, mapping)
 
 
 class TestEvaluation:
@@ -132,26 +128,26 @@ class TestEvaluation:
     """
 
     def test_single_interval_period(self, tiny_spec, tiny_platform, tiny_all_on_p1):
-        breakdown = evaluate_period(tiny_spec, tiny_platform, tiny_all_on_p1)
-        assert breakdown.cycles == (8.0,)
-        assert breakdown.period == 8.0
+        metrics = evaluate_metrics(tiny_spec, tiny_platform, tiny_all_on_p1)
+        assert metrics.per_processor_period == (8.0,)
+        assert metrics.period == 8.0
 
     def test_two_interval_period(self, tiny_spec, tiny_platform, tiny_two_intervals):
-        breakdown = evaluate_period(tiny_spec, tiny_platform, tiny_two_intervals)
-        assert breakdown.cycles == (7.0, 4.0)
-        assert breakdown.period == 7.0
+        metrics = evaluate_metrics(tiny_spec, tiny_platform, tiny_two_intervals)
+        assert metrics.per_processor_period == (7.0, 4.0)
+        assert metrics.period == 7.0
 
     def test_reversed_split_period(self, tiny_spec, tiny_platform):
         mapping = IntervalMapping.from_signature("1-1@p2;2-3@p1")
-        breakdown = evaluate_period(tiny_spec, tiny_platform, mapping)
-        assert breakdown.cycles == (6.0, 6.0)
-        assert breakdown.period == 6.0
+        metrics = evaluate_metrics(tiny_spec, tiny_platform, mapping)
+        assert metrics.per_processor_period == (6.0, 6.0)
+        assert metrics.period == 6.0
 
     def test_latencies(self, tiny_spec, tiny_platform, tiny_all_on_p1, tiny_two_intervals):
-        assert evaluate_latency(tiny_spec, tiny_platform, tiny_all_on_p1) == 8.0
-        assert evaluate_latency(tiny_spec, tiny_platform, tiny_two_intervals) == 10.0
+        assert evaluate_metrics(tiny_spec, tiny_platform, tiny_all_on_p1).latency == 8.0
+        assert evaluate_metrics(tiny_spec, tiny_platform, tiny_two_intervals).latency == 10.0
         reversed_split = IntervalMapping.from_signature("1-1@p2;2-3@p1")
-        assert evaluate_latency(tiny_spec, tiny_platform, reversed_split) == 11.0
+        assert evaluate_metrics(tiny_spec, tiny_platform, reversed_split).latency == 11.0
 
     def test_metrics_bundle(self, tiny_spec, tiny_platform, tiny_two_intervals):
         metrics = evaluate_metrics(tiny_spec, tiny_platform, tiny_two_intervals)
