@@ -1,7 +1,8 @@
 """Benchmark the numba scan kernel against the pure-numpy fallback.
 
 Runs the exhaustive bi-criteria solver end to end on a couple of workload
-sizes, once per backend, and reports mean/std wall times and the speedup.
+sizes, once per backend, and reports the median wall time of 5 runs, the
+spread between its quartiles and the speedup of the medians.
 Both backends accumulate floats in the same order, so the script also
 cross-checks that their results agree bit for bit.
 
@@ -16,9 +17,8 @@ path still compiles and wins on the large scan).
 
 from __future__ import annotations
 
+import statistics
 import time
-
-import numpy as np
 
 from pipemap import (
     BicriteriaQuery,
@@ -31,14 +31,15 @@ from pipemap import _kernels
 
 
 def time_solve(spec, platform, query, n_runs=5):
-    """Return (mean, std, result) for repeated solve() calls."""
+    """Return (median, quartile spread, result) for repeated solve() calls."""
     times = []
     result = None
     for _ in range(n_runs):
         started = time.perf_counter()
         result = solve(spec, platform, query)
         times.append(time.perf_counter() - started)
-    return float(np.mean(times)), float(np.std(times)), result
+    q1, median, q3 = statistics.quantiles(times, n=4)
+    return median, q3 - q1, result
 
 
 def run_backend(backend, spec, platform, query, n_runs):
@@ -71,27 +72,27 @@ def main():
         run_backend("numba", spec, tiny, query, n_runs=1)
         print("warmup complete.\n")
 
-    header = f"{'workload':<28} {'backend':<8} {'mean':>9} {'std':>9} {'speedup':>8}"
+    header = f"{'workload':<28} {'backend':<8} {'median':>9} {'q3-q1':>9} {'speedup':>8}"
     print(header)
     print("-" * len(header))
     for label, platform in workloads:
-        numpy_mean, numpy_std, numpy_result = run_backend(
+        numpy_median, numpy_spread, numpy_result = run_backend(
             "numpy", spec, platform, query, n_runs=5
         )
-        rows = [("numpy", numpy_mean, numpy_std)]
+        rows = [("numpy", numpy_median, numpy_spread)]
         if _kernels.HAS_NUMBA:
-            numba_mean, numba_std, numba_result = run_backend(
+            numba_median, numba_spread, numba_result = run_backend(
                 "numba", spec, platform, query, n_runs=5
             )
-            rows.insert(0, ("numba", numba_mean, numba_std))
+            rows.insert(0, ("numba", numba_median, numba_spread))
             # identical op order means identical floats, not just close ones
             assert numba_result.metrics.period == numpy_result.metrics.period
             assert numba_result.metrics.latency == numpy_result.metrics.latency
             assert numba_result.evaluated == numpy_result.evaluated
-        for backend, mean, std in rows:
-            speedup = numpy_mean / mean if mean else float("inf")
+        for backend, median, spread in rows:
+            speedup = numpy_median / median if median else float("inf")
             print(
-                f"{label:<28} {backend:<8} {mean:>8.3f}s {std:>8.3f}s {speedup:>7.1f}x"
+                f"{label:<28} {backend:<8} {median:>8.3f}s {spread:>8.3f}s {speedup:>7.1f}x"
             )
         print()
 

@@ -7,8 +7,9 @@ partition, evaluates every ordered tuple of ``m`` distinct processors with a
 vectorized kernel (see :mod:`pipemap._kernels`).  That enumeration order is
 the canonical order used for tie-breaking and by :func:`enumerate_mappings`.
 
-Optima are compared with exact float equality when breaking ties: among
-feasible mappings the solver picks the smallest objective, then the smallest
+One scan builds the (period, latency) Pareto front; each query, and each
+row of a :func:`sweep`, is a lookup on it.  Ties are broken with exact float
+equality: among feasible mappings the smallest objective, then the smallest
 value of the other criterion, then the canonically first mapping.
 """
 
@@ -86,8 +87,8 @@ class SolveResult:
 
     ``mapping``/``metrics`` are ``None`` when no mapping satisfies the
     threshold; ``min_period`` and ``min_latency`` always carry the
-    unconstrained minima seen during the scan, so an infeasible result still
-    reports the best achievable bound on each criterion.
+    unconstrained minima (the two ends of the Pareto front), so an infeasible
+    result still reports the best achievable bound on each criterion.
     """
 
     query: BicriteriaQuery
@@ -109,16 +110,6 @@ class SolveResult:
             self.metrics.latency
             if self.query.objective == "latency"
             else self.metrics.period
-        )
-
-    @property
-    def fixed_value(self) -> float | None:
-        if self.metrics is None:
-            return None
-        return (
-            self.metrics.period
-            if self.query.objective == "latency"
-            else self.metrics.latency
         )
 
     def to_dict(self) -> dict:
@@ -214,21 +205,27 @@ def _partition_arrays(
     return wsum, bvol
 
 
-def solve(
-    spec: PipelineSpec, platform: Platform, query: BicriteriaQuery
-) -> SolveResult:
-    """Exhaustively find the optimal mapping for a bi-criteria query."""
+class _Front(NamedTuple):
+    """The (period, latency) Pareto front of one instance.
+
+    Periods strictly rise and latencies strictly fall along the front; each
+    point holds the canonically first mapping that reaches it exactly.
+    """
+
+    period: np.ndarray
+    latency: np.ndarray
+    mappings: list[IntervalMapping]
+    evaluated: int
+
+
+def _scan_front(spec: PipelineSpec, platform: Platform) -> _Front:
+    """Evaluate every mapping once and keep the non-dominated ones."""
     n, p = spec.n, platform.p
     s, b = platform.s, platform.b
-    padded = padded_threshold(query.threshold)
-    want_latency = query.objective == "latency"
-
+    front_per = np.empty(0, dtype=np.float64)
+    front_lat = np.empty(0, dtype=np.float64)
+    front_maps: list[IntervalMapping] = []
     evaluated = 0
-    min_period = math.inf
-    min_latency = math.inf
-    best_obj = math.inf
-    best_sec = math.inf
-    best_mapping: IntervalMapping | None = None
 
     for m in range(1, min(n, p) + 1):
         perms = _perm_table(p, m)
@@ -240,51 +237,64 @@ def solve(
             wsum, bvol = _partition_arrays(spec, intervals)
             _kernels.scan_perms(wsum, bvol, s, b, perms, periods, latencies)
             evaluated += count
-
-            part_min_period = float(periods.min())
-            part_min_latency = float(latencies.min())
-            if part_min_period < min_period:
-                min_period = part_min_period
-            if part_min_latency < min_latency:
-                min_latency = part_min_latency
-
-            obj_arr, fix_arr = (
-                (latencies, periods) if want_latency else (periods, latencies)
-            )
-            feasible_obj = np.where(fix_arr <= padded, obj_arr, math.inf)
-            i = int(np.argmin(feasible_obj))
-            if math.isinf(feasible_obj[i]):
+            rows = np.arange(count)
+            if front_maps:
+                # Drop rows an earlier point weakly dominates.  The prefilter
+                # tests point 0 (the largest latency); point k has the lowest
+                # latency among the points with period <= the row's.
+                rows = rows[(latencies < front_lat[0]) | (periods < front_per[0])]
+                k = np.searchsorted(front_per, periods[rows], side="right") - 1
+                rows = rows[(k < 0) | (latencies[rows] < front_lat[k])]
+            if not rows.size:
                 continue
-            # Secondary tie-break inside the partition: among rows sharing the
-            # exact optimal objective, take the smallest other criterion; the
-            # first row wins remaining ties (canonical order).
-            ties = np.flatnonzero(feasible_obj == feasible_obj[i])
-            if ties.size > 1:
-                i = int(ties[int(np.argmin(fix_arr[ties]))])
-            cand_obj = float(obj_arr[i])
-            cand_sec = float(fix_arr[i])
-            if cand_obj < best_obj or (
-                cand_obj == best_obj and cand_sec < best_sec
-            ):
-                best_obj = cand_obj
-                best_sec = cand_sec
-                best_mapping = IntervalMapping(
-                    intervals=intervals, assignees=tuple(int(u) for u in perms[i])
-                )
+            per = np.concatenate((front_per, periods[rows]))
+            lat = np.concatenate((front_lat, latencies[rows]))
+            maps = front_maps + [
+                IntervalMapping(intervals, procs) for procs in perms[rows].tolist()
+            ]
+            # lexsort is stable and candidates are in canonical order, so exact
+            # ties keep the canonically first; a point joins the front only if
+            # its latency is strictly below every one sorted before it
+            order = np.lexsort((lat, per))
+            lat_sorted = lat[order]
+            keep = np.empty(order.size, dtype=bool)
+            keep[0] = True
+            keep[1:] = lat_sorted[1:] < np.minimum.accumulate(lat_sorted)[:-1]
+            order = order[keep]
+            front_per, front_lat = per[order], lat[order]
+            front_maps = [maps[i] for i in order.tolist()]
+    return _Front(front_per, front_lat, front_maps, evaluated)
 
-    metrics = (
-        evaluate_metrics(spec, platform, best_mapping)
-        if best_mapping is not None
-        else None
-    )
+
+def _lookup(
+    spec: PipelineSpec, platform: Platform, front: _Front, query: BicriteriaQuery
+) -> SolveResult:
+    """The optimum of ``query``: the feasible front point best in its objective."""
+    padded = padded_threshold(query.threshold)
+    if query.objective == "latency":
+        best = np.flatnonzero(front.period <= padded)[-1:]
+    else:
+        best = np.flatnonzero(front.latency <= padded)[:1]
+    mapping = front.mappings[int(best[0])] if best.size else None
     return SolveResult(
         query=query,
-        mapping=best_mapping,
-        metrics=metrics,
-        evaluated=evaluated,
-        min_period=min_period,
-        min_latency=min_latency,
+        mapping=mapping,
+        metrics=None if mapping is None else evaluate_metrics(spec, platform, mapping),
+        evaluated=front.evaluated,
+        min_period=float(front.period[0]),
+        min_latency=float(front.latency[-1]),
     )
+
+
+def solve(
+    spec: PipelineSpec, platform: Platform, query: BicriteriaQuery
+) -> SolveResult:
+    """Exhaustively find the optimal mapping for a bi-criteria query.
+
+    One scan builds the Pareto front and the answer is looked up on it: the
+    last point within a period bound, or the first within a latency bound.
+    """
+    return _lookup(spec, platform, _scan_front(spec, platform), query)
 
 
 def sweep(
@@ -293,7 +303,7 @@ def sweep(
     query: BicriteriaQuery,
     thresholds: Sequence[float],
 ) -> list[SweepPoint]:
-    """Run one solve per threshold; ``query`` supplies the objective.
+    """One scan, then one front lookup per threshold; ``query`` supplies the objective.
 
     ``thresholds`` must be sorted ascending; the returned rows preserve input
     order, one per threshold, infeasible rows included.
@@ -304,7 +314,8 @@ def sweep(
     for a, b_ in zip(values, values[1:]):
         if b_ < a:
             raise ValueError("sweep thresholds must be sorted ascending")
+    front = _scan_front(spec, platform)
     return [
-        SweepPoint(t, solve(spec, platform, replace(query, threshold=t)))
+        SweepPoint(t, _lookup(spec, platform, front, replace(query, threshold=t)))
         for t in values
     ]

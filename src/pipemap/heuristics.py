@@ -320,18 +320,16 @@ def _candidates(
 def _run_greedy(
     spec: PipelineSpec,
     platform: Platform,
+    start: tuple[IntervalMapping, MappingMetrics],
     *,
     ratio_rule: bool,
     three_way: bool,
     latency_cap: float | None,
     period_goal: float | None,
-) -> tuple[IntervalMapping, MappingMetrics, tuple[SplitEvent, ...], MappingMetrics]:
-    """Run the splitting loop; returns (mapping, metrics, trace, start metrics)."""
-    order = _speed_order(platform)
-    mapping = IntervalMapping.single_interval(spec.n, order[0])
-    metrics = evaluate_metrics(spec, platform, mapping)
-    start_metrics = metrics
-    unused = order[1:]
+) -> tuple[IntervalMapping, MappingMetrics, tuple[SplitEvent, ...]]:
+    """Run the splitting loop from ``start``; returns (mapping, metrics, trace)."""
+    mapping, metrics = start
+    unused = _speed_order(platform)[1:]
     trace: list[SplitEvent] = []
     while True:
         if period_goal is not None and meets_threshold(metrics.period, period_goal):
@@ -367,7 +365,7 @@ def _run_greedy(
         for u in best.choice.recipients:
             unused.remove(u)
         mapping, metrics = best.mapping, best.metrics
-    return mapping, metrics, tuple(trace), start_metrics
+    return mapping, metrics, tuple(trace)
 
 
 def _check_threshold(threshold: float, what: str) -> float:
@@ -380,6 +378,7 @@ def _check_threshold(threshold: float, what: str) -> float:
 def _search_allowance(
     spec: PipelineSpec,
     platform: Platform,
+    start: tuple[IntervalMapping, MappingMetrics],
     fixed_period: float,
     cfg: BinarySearchConfig,
     *,
@@ -393,17 +392,15 @@ def _search_allowance(
     run of the smallest ``A`` that reaches the fixed period, or the failed
     upper-bound run (with ``chosen_increase=None``) when even that does not.
     """
-    order = _speed_order(platform)
-    base_latency = evaluate_metrics(
-        spec, platform, IntervalMapping.single_interval(spec.n, order[0])
-    ).latency
+    base_latency = start[1].latency
     upper = cfg.upper_factor * base_latency
     trials: list[H2SearchTrial] = []
 
     def run_trial(allowance: float):
-        mapping, metrics, trace, _ = _run_greedy(
+        mapping, metrics, trace = _run_greedy(
             spec,
             platform,
+            start,
             ratio_rule=ratio_rule,
             three_way=three_way,
             latency_cap=base_latency + allowance,
@@ -460,25 +457,28 @@ def run_heuristic(
     fixed_criterion = fixed_criterion_of(name)
     _, ratio_rule, three_way = _VARIANTS[name]
     threshold = _check_threshold(threshold, f"fixed_{fixed_criterion}")
+    first = IntervalMapping.single_interval(spec.n, _speed_order(platform)[0])
+    start = (first, evaluate_metrics(spec, platform, first))
     report = None
     if name == "h2":
         cfg = search if search is not None else BinarySearchConfig()
         mapping, metrics, trace, report = _search_allowance(
-            spec, platform, threshold, cfg, ratio_rule=ratio_rule, three_way=three_way
+            spec, platform, start, threshold, cfg, ratio_rule=ratio_rule, three_way=three_way
         )
         feasible = report.chosen_increase is not None
     else:
         fixed_period = fixed_criterion == "period"
-        mapping, metrics, trace, start = _run_greedy(
+        mapping, metrics, trace = _run_greedy(
             spec,
             platform,
+            start,
             ratio_rule=ratio_rule,
             three_way=three_way,
             latency_cap=None if fixed_period else threshold,
             period_goal=threshold if fixed_period else None,
         )
         feasible = meets_threshold(
-            metrics.period if fixed_period else start.latency, threshold
+            metrics.period if fixed_period else start[1].latency, threshold
         )
     return HeuristicOutcome(
         heuristic=name,

@@ -166,16 +166,6 @@ class Platform:
     def p(self) -> int:
         return int(self.s.size)
 
-    @property
-    def in_index(self) -> int:
-        """Row/column of the input gateway in ``b``."""
-        return 0
-
-    @property
-    def out_index(self) -> int:
-        """Row/column of the output gateway in ``b``."""
-        return self.p + 1
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Platform):
             return NotImplemented
@@ -248,13 +238,6 @@ class IntervalMapping:
             "intervals": [[d, e] for d, e in self.intervals],
             "assignees": list(self.assignees),
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "IntervalMapping":
-        return cls(
-            intervals=tuple((d, e) for d, e in data["intervals"]),
-            assignees=tuple(data["assignees"]),
-        )
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,11 @@
 """Experiment workbench: platform generation, campaigns and sweep reports.
 
 A *campaign* runs the exhaustive solver and a set of heuristics over a list
-of platforms for one query and tabulates the outcomes; a *sweep report* runs
-one exhaustive solve per threshold and checks that the resulting trade-off
-curve is a non-increasing step function, exposing the thresholds where the
-optimum changes.  Both tables round-trip through CSV.
+of platforms for one query and tabulates the outcomes; a *sweep report*
+answers every threshold by a lookup on one exhaustive scan's Pareto front and
+checks that the resulting trade-off curve is a non-increasing step function,
+exposing the thresholds where the optimum changes.  Both tables round-trip
+through CSV.
 
 Per-platform campaign failures are captured in the row's ``error`` column
 instead of aborting the run.  Set ``PIPEMAP_THREADS`` to parallelize campaign
@@ -374,7 +375,7 @@ def run_sweep_report(
     query: BicriteriaQuery,
     thresholds: Sequence[float],
 ) -> SweepReport:
-    """One exhaustive solve per threshold, checked to be a proper step curve.
+    """Answer every threshold from one exhaustive scan, checked to be a step curve.
 
     Raises :class:`WorkbenchError` if feasibility is not monotone in the
     threshold or the optimal objective ever increases -- those cannot happen

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -7,12 +9,15 @@ import pipemap._kernels as kernels
 from pipemap import (
     BicriteriaQuery,
     IntervalMapping,
+    PipelineSpec,
+    Platform,
     count_mappings,
     enumerate_mappings,
     evaluate_metrics,
     solve,
     sweep,
 )
+from pipemap.exact import _scan_front
 
 import oracle
 from conftest import uniform_bandwidth
@@ -367,3 +372,131 @@ class TestMappingHygiene:
         assert isinstance(result.mapping, IntervalMapping)
         assert isinstance(result.mapping.intervals, tuple)
         assert isinstance(result.mapping.assignees, tuple)
+
+
+def _integer_instance(rng, n_range=(3, 7), p_range=(3, 6)):
+    """Every w, delta, s and b drawn from {1, 2, 3}, so exact metric ties occur."""
+    n = int(rng.integers(n_range[0], n_range[1] + 1))
+    p = int(rng.integers(p_range[0], p_range[1] + 1))
+    b = rng.integers(1, 4, (p + 2, p + 2)).astype(float)
+    np.fill_diagonal(b, 0.0)
+    spec = PipelineSpec(
+        stage_names=tuple(f"stage{k}" for k in range(1, n + 1)),
+        w=rng.integers(1, 4, n).astype(float),
+        delta=rng.integers(1, 4, n + 1).astype(float),
+    )
+    return spec, Platform(s=rng.integers(1, 4, p).astype(float), b=b)
+
+
+def _golden_instances(count):
+    """Seeded instances, alternately real-valued and integer-valued."""
+    rng = np.random.default_rng(4242)
+    for k in range(count):
+        if k % 2:
+            yield _integer_instance(rng)
+        else:
+            yield random_instance(rng, n_range=(1, 7), p_range=(1, 6))
+
+
+def _result_record(result):
+    record = result.to_dict()
+    record["metrics"] = result.metrics.to_dict() if result.metrics else None
+    return record
+
+
+# sha256 over every record of ``_golden_exact_records``: it pins each optimum,
+# its canonically first mapping and bitwise metrics, the scan bounds and the
+# sweep error messages.  Re-record it only for a deliberate change of output.
+GOLDEN_EXACT_SHA256 = "49fe08f35dd7577c7d296d37ba52bef40dd9d5f1a184537c11fbe6415da29150"
+
+
+def _golden_exact_records():
+    """Canonical JSON of solves and sweeps around each binding range."""
+    for spec, platform in _golden_instances(24):
+        free = {
+            sense: solve(spec, platform, BicriteriaQuery(sense, math.inf))
+            for sense in ("latency", "period")
+        }
+        for sense, result in free.items():
+            yield _result_record(result)
+        # the bounded criterion binds between its own unconstrained minimum
+        # and its value at the unconstrained optimum of the objective
+        ranges = {
+            "latency": (free["period"].min_period, free["latency"].metrics.period),
+            "period": (free["latency"].min_latency, free["period"].metrics.latency),
+        }
+        for sense, (lo, hi) in ranges.items():
+            thresholds = [lo * 0.9, lo, lo, (lo + hi) / 2, hi, hi * 1.25, math.inf]
+            query = BicriteriaQuery(sense, math.inf)
+            for t in thresholds:
+                yield _result_record(solve(spec, platform, BicriteriaQuery(sense, t)))
+            for t, result in sweep(spec, platform, query, thresholds):
+                yield [t, _result_record(result)]
+    spec, platform = next(_golden_instances(1))
+    for bad in ([], [2.0, 1.0]):
+        with pytest.raises(ValueError) as err:
+            sweep(spec, platform, BicriteriaQuery.minimize_latency(), bad)
+        yield str(err.value)
+
+
+class TestFront:
+    """The scan's Pareto front against plain enumeration and the model."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_front_covers_every_mapping(self, seed):
+        rng = np.random.default_rng(3000 + seed)
+        for k in range(8):
+            if k % 2:
+                spec, platform = _integer_instance(rng, (1, 6), (1, 5))
+            else:
+                spec, platform = random_instance(rng, n_range=(1, 6), p_range=(1, 5))
+            front = _scan_front(spec, platform)
+            assert np.all(np.diff(front.period) > 0)
+            assert np.all(np.diff(front.latency) < 0)
+            assert front.evaluated == count_mappings(spec.n, platform.p)
+            for i, mapping in enumerate(front.mappings):
+                metrics = evaluate_metrics(spec, platform, mapping)
+                assert metrics.period == front.period[i]
+                assert metrics.latency == front.latency[i]
+            on_front = set(front.mappings)
+            seen = set()
+            for mapping in enumerate_mappings(spec, platform):
+                if mapping in on_front:
+                    seen.add(mapping)
+                    continue
+                metrics = evaluate_metrics(spec, platform, mapping)
+                # the last point with period <= this one's has the lowest latency
+                i = np.searchsorted(front.period, metrics.period, side="right") - 1
+                assert i >= 0 and front.latency[i] <= metrics.latency
+                if (front.period[i], front.latency[i]) == (
+                    metrics.period,
+                    metrics.latency,
+                ):
+                    # an exact tie: the front holds a canonically earlier mapping
+                    assert front.mappings[i] in seen
+
+    @pytest.mark.parametrize("k", [1, 4, 9])
+    def test_sweep_scans_each_partition_once(self, monkeypatch, k):
+        rng = np.random.default_rng(5)
+        spec, platform = random_instance(rng, n_range=(5, 5), p_range=(4, 4))
+        calls = []
+        scan = kernels.scan_perms
+        monkeypatch.setattr(
+            kernels, "scan_perms", lambda *args: calls.append(1) or scan(*args)
+        )
+        thresholds = [1.0 + 0.5 * j for j in range(k)]
+        points = sweep(spec, platform, BicriteriaQuery.minimize_latency(), thresholds)
+        assert len(points) == k
+        partitions = sum(
+            math.comb(spec.n - 1, m - 1) for m in range(1, min(spec.n, platform.p) + 1)
+        )
+        assert len(calls) == partitions
+
+
+class TestGolden:
+    def test_results_match_recorded_digest(self):
+        digest = hashlib.sha256()
+        for record in _golden_exact_records():
+            digest.update(json.dumps(record, sort_keys=True).encode("utf-8"))
+            digest.update(b"\n")
+        assert digest.hexdigest() == GOLDEN_EXACT_SHA256

@@ -16,6 +16,7 @@ from pipemap import (
     solve,
     validate,
 )
+from pipemap import heuristics
 from pipemap.heuristics import fixed_criterion_of
 
 from util import random_instance
@@ -187,6 +188,21 @@ class TestTinyBisection:
         assert outcome.search.upper_bound == 16.0
         assert len(outcome.search.trials) == 6
         assert outcome.feasible
+
+    def test_h2_evaluates_start_once(self, monkeypatch, tiny_spec, tiny_platform):
+        # the start state is shared by every trial of the allowance search
+        start = IntervalMapping.single_interval(tiny_spec.n, 1)
+        evaluate = heuristics.evaluate_metrics
+        on_start = []
+
+        def counting(spec, platform, mapping):
+            on_start.append(mapping == start)
+            return evaluate(spec, platform, mapping)
+
+        monkeypatch.setattr(heuristics, "evaluate_metrics", counting)
+        outcome = run_heuristic("h2", tiny_spec, tiny_platform, 7.0)
+        assert len(outcome.search.trials) == 21
+        assert sum(on_start) == 1
 
 
 class TestThresholdValidation:
