@@ -20,7 +20,8 @@ Array contract, shared by both:
                    ``bvol[0]`` entering the chain and ``bvol[m]`` leaving it
 * ``s``         -- (p,)   processor speeds, ``s[u-1]`` for processor ``u``
 * ``b``         -- (p+2, p+2) link bandwidths over ``[in, 1..p, out]``
-* ``perms``     -- (count, m) int64 processor tuples (1-based entries)
+* ``perms``     -- (count, m) integer processor tuples (1-based entries);
+                   the scan passes them column-major as ``intp``
 * ``periods``   -- (count,) output buffer
 * ``latencies`` -- (count,) output buffer
 """

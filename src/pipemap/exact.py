@@ -168,24 +168,21 @@ def enumerate_mappings(
                 yield IntervalMapping(intervals=intervals, assignees=procs)
 
 
-_PERM_TABLES: dict[tuple[int, int], np.ndarray] = {}
+def _extend_perms(prev: np.ndarray, p: int) -> np.ndarray:
+    """Extend each ``(m-1)``-tuple by every processor it does not hold.
 
-
-def _perm_table(p: int, m: int) -> np.ndarray:
-    """All ordered ``m``-tuples of distinct processors, lexicographic, cached."""
-    key = (p, m)
-    table = _PERM_TABLES.get(key)
-    if table is None:
-        flat = np.fromiter(
-            itertools.chain.from_iterable(
-                itertools.permutations(range(1, p + 1), m)
-            ),
-            dtype=np.int64,
-            count=math.perm(p, m) * m,
-        )
-        table = flat.reshape(-1, m)
-        table.setflags(write=False)
-        _PERM_TABLES[key] = table
+    Every row has ``p - k`` free processors; its extensions follow it in
+    ascending order, so a lexicographic table stays lexicographic.  The
+    result is column-major ``intp``: the kernels read one column at a time.
+    """
+    count, k = prev.shape
+    free = np.ones((count, p + 1), dtype=bool)
+    free[:, 0] = False
+    free[np.arange(count)[:, None], prev] = False
+    table = np.empty((count * (p - k), k + 1), dtype=np.intp, order="F")
+    for j in range(k):
+        table[:, j] = np.repeat(prev[:, j], p - k)
+    table[:, k] = np.nonzero(free)[1]
     return table
 
 
@@ -226,9 +223,9 @@ def _scan_front(spec: PipelineSpec, platform: Platform) -> _Front:
     front_lat = np.empty(0, dtype=np.float64)
     front_maps: list[IntervalMapping] = []
     evaluated = 0
-
+    perms = np.zeros((1, 0), dtype=np.intp)
     for m in range(1, min(n, p) + 1):
-        perms = _perm_table(p, m)
+        perms = _extend_perms(perms, p)
         count = perms.shape[0]
         periods = np.empty(count, dtype=np.float64)
         latencies = np.empty(count, dtype=np.float64)

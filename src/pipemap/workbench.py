@@ -7,9 +7,9 @@ checks that the resulting trade-off curve is a non-increasing step function,
 exposing the thresholds where the optimum changes.  Both tables round-trip
 through CSV.
 
-Per-platform campaign failures are captured in the row's ``error`` column
-instead of aborting the run.  Set ``PIPEMAP_THREADS`` to parallelize campaign
-rows; results are identical to the sequential run.
+Rejected input (a ``ValueError``) on one platform becomes that row's ``error``
+cell; any other exception aborts the run.  Set ``PIPEMAP_THREADS`` to
+parallelize campaign rows; results are identical to the sequential run.
 """
 
 from __future__ import annotations
@@ -270,9 +270,7 @@ def _campaign_row(
             exact_seconds=exact_seconds,
             cells=cells,
         )
-    except WorkbenchError:
-        raise
-    except Exception as exc:  # propagate the failure as data, keep the campaign going
+    except ValueError as exc:  # bad input becomes data, the campaign goes on
         return CampaignRow(
             label=entry.label,
             seed=entry.seed,
@@ -298,8 +296,8 @@ def run_campaign(
 
     Every requested heuristic must bound the same criterion as the query
     (``h1``..``h4`` for a fixed period, ``h5``/``h6`` for a fixed latency).
-    Rows keep the input platform order; a failing platform yields a row with
-    its ``error`` field set rather than aborting the campaign.
+    Rows keep the input platform order; a ``ValueError`` on one platform
+    sets that row's ``error`` field, any other exception aborts the run.
     """
     names = tuple(heuristic_names)
     for name in names:

@@ -189,9 +189,8 @@ class TestCriterion4HeuristicQuality:
                 )
             )
             free_per = solve(spec, platform, BicriteriaQuery.minimize_period())
-            free_lat = solve(spec, platform, BicriteriaQuery.minimize_latency())
             p_min = free_per.metrics.period
-            l_min = free_lat.metrics.latency
+            l_min = free_per.min_latency  # the front's other end, bit for bit
 
             started = time.perf_counter()
             h1_out = run_heuristic("h1", spec, platform, 1.05 * p_min)

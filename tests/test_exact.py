@@ -1,6 +1,10 @@
 import hashlib
+import itertools
 import json
 import math
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -17,7 +21,7 @@ from pipemap import (
     solve,
     sweep,
 )
-from pipemap.exact import _scan_front
+from pipemap.exact import _extend_perms, _scan_front
 
 import oracle
 from conftest import uniform_bandwidth
@@ -273,17 +277,18 @@ class TestBackends:
     def test_kernel_outputs_bitwise_equal(self):
         if not kernels.HAS_NUMBA:
             pytest.skip("numba unavailable; only one backend present")
-        from pipemap.exact import _cuts_to_intervals, _partition_arrays, _perm_table
+        from pipemap.exact import _cuts_to_intervals, _partition_arrays
 
         rng = np.random.default_rng(13)
         for _ in range(8):
             spec, platform = random_instance(rng, n_range=(2, 6), p_range=(2, 4))
             n, p = spec.n, platform.p
+            perms = np.zeros((1, 0), dtype=np.intp)
             for m in range(1, min(n, p) + 1):
                 cuts = tuple(range(1, m))  # first partition of size m
                 intervals = _cuts_to_intervals(n, cuts)
                 wsum, bvol = _partition_arrays(spec, intervals)
-                perms = _perm_table(p, m)
+                perms = _extend_perms(perms, p)  # column-major, as the scan passes it
                 count = perms.shape[0]
                 per_a = np.empty(count)
                 lat_a = np.empty(count)
@@ -297,6 +302,52 @@ class TestBackends:
                 )
                 assert np.array_equal(per_a, per_b)
                 assert np.array_equal(lat_a, lat_b)
+
+
+class TestPermTables:
+    def test_extension_chain_matches_itertools(self):
+        for p in range(1, 8):
+            perms = np.zeros((1, 0), dtype=np.intp)
+            for m in range(1, p + 1):
+                perms = _extend_perms(perms, p)
+                assert perms.dtype == np.intp
+                assert perms.flags.f_contiguous
+                assert perms.tolist() == [
+                    list(t) for t in itertools.permutations(range(1, p + 1), m)
+                ]
+
+    def test_solve_keeps_no_tables(self):
+        """Nothing allocated in exact.py outlives a solve: no table cache.
+
+        A fresh interpreter runs the solve, so no earlier test can have
+        filled a cache before tracing starts.
+        """
+        probe = textwrap.dedent(
+            """
+            import tracemalloc
+            import numpy as np
+            import pipemap.exact as exact
+            from pipemap import BicriteriaQuery, PipelineSpec, Platform, solve
+
+            spec = PipelineSpec(stage_names=tuple("abcdefg"), w=[1.0] * 7, delta=[1.0] * 8)
+            b = np.full((9, 9), 2.0)
+            np.fill_diagonal(b, 0.0)
+            platform = Platform(s=[1.0] * 7, b=b)
+            only_exact = [tracemalloc.Filter(True, exact.__file__)]
+            tracemalloc.start()
+            before = tracemalloc.take_snapshot().filter_traces(only_exact)
+            result = solve(spec, platform, BicriteriaQuery.minimize_latency())
+            after = tracemalloc.take_snapshot().filter_traces(only_exact)
+            print(result.evaluated)
+            print(sum(s.size_diff for s in after.compare_to(before, "filename")))
+            """
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+        )
+        evaluated, held = map(int, proc.stdout.split())
+        assert evaluated == count_mappings(7, 7)
+        assert held < 16 * 1024, f"{held} bytes allocated in exact.py still held"
 
 
 class TestDeterminism:

@@ -207,7 +207,7 @@ class TestCampaign:
 
             @property
             def platform(self):
-                raise RuntimeError("synthetic failure")
+                raise ValueError("synthetic failure")
 
         result = run_campaign(
             tiny_spec,
@@ -223,6 +223,26 @@ class TestCampaign:
         assert "synthetic failure" in result.rows[1].error
         # summary still works with an error row present
         assert result.summary()["h1"].compared == 1
+
+    def test_programming_errors_propagate(self, tiny_spec, tiny_platform):
+        class Broken:
+            label = "broken"
+            seed = None
+
+            @property
+            def platform(self):
+                raise RuntimeError("synthetic bug")
+
+        with pytest.raises(RuntimeError, match="synthetic bug"):
+            run_campaign(
+                tiny_spec,
+                [
+                    CampaignPlatform(label="ok", platform=tiny_platform, seed=None),
+                    Broken(),
+                ],
+                BicriteriaQuery.minimize_latency(7.0),
+                ["h1"],
+            )
 
     def test_generated_batch_campaign(self):
         from pipemap import jpeg_preset
@@ -288,7 +308,7 @@ class TestCampaignCsv:
 
             @property
             def platform(self):
-                raise RuntimeError("synthetic failure")
+                raise ValueError("synthetic failure")
 
         result = run_campaign(
             tiny_spec,
