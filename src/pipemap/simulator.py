@@ -182,6 +182,6 @@ def write_event_log(report: SimulationReport, path: str) -> None:
         raise ValueError("simulation was run without record_events=True")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["time_start", "time_end", "processor", "item", "phase"])
+        writer.writerow(SimEvent._fields)
         for ev in report.events:
             writer.writerow([repr(ev.time_start), repr(ev.time_end), ev.processor, ev.item, ev.phase])

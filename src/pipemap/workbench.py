@@ -5,7 +5,11 @@ of platforms for one query and tabulates the outcomes; a *sweep report*
 answers every threshold by a lookup on one exhaustive scan's Pareto front and
 checks that the resulting trade-off curve is a non-increasing step function,
 exposing the thresholds where the optimum changes.  Both tables round-trip
-through CSV.
+through CSV: a ``# sweep objective=...`` or ``# campaign objective=...
+threshold=... heuristics=...`` line, a header of the row dataclass's field
+names (``<heuristic>_<HeuristicCell field>`` for each campaign heuristic) and
+one record per row.  Cells are ``""`` for ``None``, ``true``/``false``, ``repr``
+of floats and plain text otherwise; a malformed file raises ``ValueError``.
 
 Rejected input (a ``ValueError``) on one platform becomes that row's ``error``
 cell; any other exception aborts the run.  Set ``PIPEMAP_THREADS`` to
@@ -18,8 +22,8 @@ import csv
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from dataclasses import Field, dataclass, fields
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -381,203 +385,168 @@ def run_sweep_report(
     """
     points = sweep(spec, platform, query, thresholds)
     rows: list[SweepRow] = []
-    prev_feasible = False
-    prev_obj: float | None = None
+    prev_obj: float | None = None  # the optimum at the last feasible threshold
     for threshold, result in points:
-        if result.feasible:
-            assert result.metrics is not None
-            row = SweepRow(
-                threshold=threshold,
-                feasible=True,
-                objective=result.objective_value,
-                period=result.metrics.period,
-                latency=result.metrics.latency,
-                mapping=result.mapping.signature() if result.mapping else None,
-            )
-        else:
-            row = SweepRow(
-                threshold=threshold,
-                feasible=False,
-                objective=None,
-                period=None,
-                latency=None,
-                mapping=None,
-            )
-        if prev_feasible and not row.feasible:
-            raise WorkbenchError(
-                f"feasibility lost at threshold {threshold} after a feasible lower threshold"
-            )
-        if row.feasible and prev_obj is not None:
-            slack = EPS_CMP * max(1.0, abs(prev_obj))
-            if row.objective > prev_obj + slack:
+        row = SweepRow(
+            threshold=threshold,
+            feasible=result.feasible,
+            objective=result.objective_value,
+            period=result.metrics.period if result.metrics else None,
+            latency=result.metrics.latency if result.metrics else None,
+            mapping=result.mapping.signature() if result.mapping else None,
+        )
+        if prev_obj is not None:
+            if not row.feasible:
+                raise WorkbenchError(
+                    f"feasibility lost at threshold {threshold} after a feasible lower threshold"
+                )
+            if row.objective > prev_obj + EPS_CMP * max(1.0, abs(prev_obj)):
                 raise WorkbenchError(
                     f"optimal {query.objective} increased from {prev_obj!r} to "
                     f"{row.objective!r} at threshold {threshold}"
                 )
         if row.feasible:
-            prev_feasible = True
             prev_obj = row.objective
         rows.append(row)
     return SweepReport(objective=query.objective, rows=tuple(rows))
 
 
-def _bool_text(value: bool | None) -> str:
+def _cell_text(value: object) -> str:
     if value is None:
         return ""
-    return "true" if value else "false"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(value) if isinstance(value, float) else str(value)
 
 
-def _num_text(value: float | None) -> str:
-    return "" if value is None else repr(value)
-
-
-def _parse_bool(text: str) -> bool | None:
-    if text == "":
-        return None
+def _flag(text: str) -> bool:
+    if text not in ("true", "false"):
+        raise ValueError(f"expected true or false, got {text!r}")
     return text == "true"
 
 
-def _parse_num(text: str) -> float | None:
-    return None if text == "" else float(text)
+_Parse = Callable[[str], Any]
+_PARSERS: dict[str, _Parse] = {"bool": _flag, "float": float, "int": int, "str": str}
+
+
+def _nullable(parse: _Parse) -> _Parse:
+    return lambda text: None if text == "" else parse(text)
+
+
+def _columns(fs: Sequence[Field]) -> tuple[list[str], list[_Parse]]:
+    """Column names and cell parsers of dataclass fields, read from their annotations."""
+    names, parsers = [], []
+    for f in fs:
+        kind, _, none = f.type.partition(" | ")
+        names.append(f.name)
+        parsers.append(_nullable(_PARSERS[kind]) if none else _PARSERS[kind])
+    return names, parsers
+
+
+_SWEEP_NAMES, _SWEEP_PARSERS = _columns(fields(SweepRow))
+_ROW_NAMES, _ROW_PARSERS = _columns(fields(CampaignRow)[:-1])  # all but ``cells``
+_CELL_NAMES, _CELL_PARSERS = _columns(fields(HeuristicCell))
+
+
+def _record(obj: object, names: Sequence[str]) -> list[str]:
+    return [_cell_text(getattr(obj, name)) for name in names]
+
+
+def _parse(parsers: Sequence[_Parse], texts: Sequence[str]) -> list[Any]:
+    return [parse(text) for parse, text in zip(parsers, texts)]
+
+
+def _write_table(
+    path: str, kind: str, meta: dict[str, str], header: list[str], records: Iterable[list[str]]
+) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(" ".join(["#", kind, *(f"{key}={value}" for key, value in meta.items())]) + "\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(records)
+
+
+def _read_table(
+    path: str, kind: str, keys: Sequence[str], header_of: Callable[[dict[str, str]], list[str]]
+) -> tuple[dict[str, str], list[list[str]]]:
+    """The ``#`` line's metadata and the raw records of a ``kind`` table.
+
+    Raises ``ValueError`` if one of ``keys`` is missing, the header is not
+    ``header_of(meta)`` or a record has another width.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        words = fh.readline().split()
+        if words[:2] != ["#", kind]:
+            raise ValueError(f"{path} is not a {kind} CSV")
+        meta = dict(word.partition("=")[::2] for word in words[2:])
+        missing = [key for key in keys if key not in meta]
+        if missing:
+            raise ValueError(f"{path}: the '# {kind}' line lacks {', '.join(missing)}")
+        expected = header_of(meta)
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != expected:
+            raise ValueError(f"{path}: expected the header {expected}, got {header}")
+        records = list(reader)
+    for rec in records:
+        if len(rec) != len(expected):
+            raise ValueError(f"{path}: {len(rec)} cells in {rec}, expected {len(expected)}")
+    return meta, records
 
 
 def write_sweep_csv(report: SweepReport, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# sweep objective={report.objective}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["threshold", "feasible", "objective", "period", "latency", "mapping"])
-        for row in report.rows:
-            writer.writerow(
-                [
-                    repr(row.threshold),
-                    _bool_text(row.feasible),
-                    _num_text(row.objective),
-                    _num_text(row.period),
-                    _num_text(row.latency),
-                    row.mapping or "",
-                ]
-            )
+    records = (_record(row, _SWEEP_NAMES) for row in report.rows)
+    _write_table(path, "sweep", {"objective": report.objective}, _SWEEP_NAMES, records)
 
 
 def read_sweep_csv(path: str) -> SweepReport:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        first = fh.readline().strip()
-        if not first.startswith("# sweep objective="):
-            raise ValueError(f"{path} is not a sweep CSV")
-        objective = first.split("=", 1)[1]
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["threshold", "feasible", "objective", "period", "latency", "mapping"]:
-            raise ValueError(f"unexpected sweep CSV header: {header}")
-        rows = []
-        for rec in reader:
-            rows.append(
-                SweepRow(
-                    threshold=float(rec[0]),
-                    feasible=rec[1] == "true",
-                    objective=_parse_num(rec[2]),
-                    period=_parse_num(rec[3]),
-                    latency=_parse_num(rec[4]),
-                    mapping=rec[5] or None,
-                )
-            )
-    return SweepReport(objective=objective, rows=tuple(rows))
+    meta, records = _read_table(path, "sweep", ["objective"], lambda meta: _SWEEP_NAMES)
+    rows = tuple(SweepRow(*_parse(_SWEEP_PARSERS, rec)) for rec in records)
+    return SweepReport(objective=meta["objective"], rows=rows)
+
+
+def _campaign_header(heuristics: Sequence[str]) -> list[str]:
+    return _ROW_NAMES + [f"{h}_{name}" for h in heuristics for name in _CELL_NAMES]
+
+
+def _campaign_record(row: CampaignRow, heuristics: Sequence[str]) -> list[str]:
+    rec = _record(row, _ROW_NAMES)
+    for name in heuristics:
+        cell = row.cells.get(name)
+        rec += [""] * len(_CELL_NAMES) if cell is None else _record(cell, _CELL_NAMES)
+    return rec
 
 
 def write_campaign_csv(result: CampaignResult, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(
-            f"# campaign objective={result.query.objective} "
-            f"threshold={result.query.threshold!r} "
-            f"heuristics={','.join(result.heuristics)}\n"
-        )
-        writer = csv.writer(fh)
-        header = [
-            "label",
-            "seed",
-            "error",
-            "exact_feasible",
-            "exact_objective",
-            "exact_period",
-            "exact_latency",
-            "exact_seconds",
-        ]
-        for name in result.heuristics:
-            header += [
-                f"{name}_feasible",
-                f"{name}_objective",
-                f"{name}_period",
-                f"{name}_latency",
-                f"{name}_seconds",
-            ]
-        writer.writerow(header)
-        for row in result.rows:
-            rec = [
-                row.label,
-                "" if row.seed is None else str(row.seed),
-                row.error or "",
-                _bool_text(row.exact_feasible),
-                _num_text(row.exact_objective),
-                _num_text(row.exact_period),
-                _num_text(row.exact_latency),
-                _num_text(row.exact_seconds),
-            ]
-            for name in result.heuristics:
-                cell = row.cells.get(name)
-                if cell is None:
-                    rec += ["", "", "", "", ""]
-                else:
-                    rec += [
-                        _bool_text(cell.feasible),
-                        repr(cell.objective),
-                        repr(cell.period),
-                        repr(cell.latency),
-                        repr(cell.seconds),
-                    ]
-            writer.writerow(rec)
+    meta = {
+        "objective": result.query.objective,
+        "threshold": repr(result.query.threshold),
+        "heuristics": ",".join(result.heuristics),
+    }
+    records = (_campaign_record(row, result.heuristics) for row in result.rows)
+    _write_table(path, "campaign", meta, _campaign_header(result.heuristics), records)
+
+
+def _heuristics(meta: dict[str, str]) -> tuple[str, ...]:
+    return tuple(h for h in meta["heuristics"].split(",") if h)
 
 
 def read_campaign_csv(path: str) -> CampaignResult:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        first = fh.readline().strip()
-        if not first.startswith("# campaign "):
-            raise ValueError(f"{path} is not a campaign CSV")
-        meta: dict[str, str] = {}
-        for token in first[len("# campaign ") :].split(" "):
-            key, _, value = token.partition("=")
-            meta[key] = value
-        query = BicriteriaQuery(
-            objective=meta["objective"], threshold=float(meta["threshold"])
-        )
-        heuristics = tuple(h for h in meta["heuristics"].split(",") if h)
-        reader = csv.reader(fh)
-        next(reader)  # header
-        rows = []
-        for rec in reader:
-            base = rec[:8]
-            cells: dict[str, HeuristicCell] = {}
-            for idx, name in enumerate(heuristics):
-                chunk = rec[8 + idx * 5 : 8 + (idx + 1) * 5]
-                if chunk[0] == "":
-                    continue
-                cells[name] = HeuristicCell(
-                    feasible=chunk[0] == "true",
-                    objective=float(chunk[1]),
-                    period=float(chunk[2]),
-                    latency=float(chunk[3]),
-                    seconds=float(chunk[4]),
-                )
-            rows.append(
-                CampaignRow(
-                    label=base[0],
-                    seed=None if base[1] == "" else int(base[1]),
-                    error=base[2] or None,
-                    exact_feasible=_parse_bool(base[3]),
-                    exact_objective=_parse_num(base[4]),
-                    exact_period=_parse_num(base[5]),
-                    exact_latency=_parse_num(base[6]),
-                    exact_seconds=_parse_num(base[7]),
-                    cells=cells,
-                )
-            )
+    meta, records = _read_table(
+        path,
+        "campaign",
+        ["objective", "threshold", "heuristics"],
+        lambda meta: _campaign_header(_heuristics(meta)),
+    )
+    query = BicriteriaQuery(objective=meta["objective"], threshold=float(meta["threshold"]))
+    heuristics = _heuristics(meta)
+    base, width = len(_ROW_NAMES), len(_CELL_NAMES)
+    rows = []
+    for rec in records:
+        cells = {}
+        for i, name in enumerate(heuristics):
+            chunk = rec[base + i * width : base + (i + 1) * width]
+            if any(chunk):
+                cells[name] = HeuristicCell(*_parse(_CELL_PARSERS, chunk))
+        rows.append(CampaignRow(*_parse(_ROW_PARSERS, rec[:base]), cells=cells))
     return CampaignResult(query=query, heuristics=heuristics, rows=tuple(rows))

@@ -1,3 +1,7 @@
+import hashlib
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,8 +10,10 @@ from pipemap import (
     CampaignPlatform,
     PlatformGenSpec,
     generate_platform,
+    jpeg_preset,
     run_campaign,
 )
+from pipemap import workbench
 from pipemap.workbench import (
     WorkbenchError,
     generator_provenance,
@@ -120,6 +126,21 @@ class TestSweepReport:
         assert row.objective == row.latency == 10.0
         assert row.period == 7.0
         assert row.mapping == "1-2@p1;3-3@p2"
+
+    @pytest.mark.parametrize(
+        "order, match",
+        [((7.0, 5.0), "feasibility lost"), ((8.0, 7.0), "increased from 8.0 to 10.0")],
+    )
+    def test_non_step_curve_is_an_internal_error(
+        self, tiny_spec, tiny_platform, monkeypatch, order, match
+    ):
+        query = BicriteriaQuery.minimize_latency()
+        results = dict(workbench.sweep(tiny_spec, tiny_platform, query, [5.0, 7.0, 8.0]))
+        monkeypatch.setattr(
+            workbench, "sweep", lambda *args: [(t, results[t]) for t in order]
+        )
+        with pytest.raises(WorkbenchError, match=match):
+            run_sweep_report(tiny_spec, tiny_platform, query, list(order))
 
 
 class TestSweepCsv:
@@ -321,3 +342,141 @@ class TestCampaignCsv:
         loaded = read_campaign_csv(str(path))
         assert loaded.rows[1].error is not None
         assert "synthetic failure" in loaded.rows[1].error
+
+
+class _BadPlatform:
+    """A campaign entry whose platform is rejected input: it becomes an error row."""
+
+    label = "bad"
+    seed = 99
+
+    @property
+    def platform(self):
+        raise ValueError("synthetic failure")
+
+
+def _fixed_seconds(result):
+    """``result`` with every ``*_seconds`` field pinned, so its CSV bytes are deterministic."""
+    rows = tuple(
+        row
+        if row.error is not None
+        else replace(
+            row,
+            exact_seconds=0.25,
+            cells={name: replace(cell, seconds=0.125) for name, cell in row.cells.items()},
+        )
+        for row in result.rows
+    )
+    return replace(result, rows=rows)
+
+
+def _golden_tables(tiny_spec, tiny_platform):
+    """``(name, table, writer, reader)`` for every table the golden CSV test writes."""
+    jpeg = jpeg_preset()
+    tiny = CampaignPlatform(label='tiny, "quoted"', platform=tiny_platform, seed=None)
+    tables = []
+    for spec, platforms, sweeps in (
+        (
+            tiny_spec,
+            seeded_platforms([1, 2], p=3) + [tiny],
+            {"latency": [0.05, 0.072, 0.08, 0.1, math.inf], "period": [0.05, 0.1, 0.12, 0.2]},
+        ),
+        (
+            jpeg,
+            seeded_platforms([3, 4, 5], p=4),
+            {"latency": [1.0, 1.9, 2.5, 3.0, math.inf], "period": [2.0, 2.8, 3.0, 3.7, math.inf]},
+        ),
+    ):
+        for sense, thresholds in sweeps.items():
+            query = BicriteriaQuery(sense, math.inf)
+            report = run_sweep_report(spec, platforms[0].platform, query, thresholds)
+            tables.append((f"sweep-{sense}", report, write_sweep_csv, read_sweep_csv))
+        entries = platforms + [_BadPlatform()]
+        for query, names in (
+            (BicriteriaQuery.minimize_latency(), ["h1", "h2", "h3", "h4"]),
+            (BicriteriaQuery.minimize_latency(0.3), ["h1", "h2", "h3", "h4"]),
+            (BicriteriaQuery.minimize_period(), ["h5", "h6"]),
+            (BicriteriaQuery.minimize_period(2.0), ["h5", "h6"]),
+            (BicriteriaQuery.minimize_latency(7.0), []),
+        ):
+            result = _fixed_seconds(run_campaign(spec, entries, query, names))
+            tables.append(("campaign", result, write_campaign_csv, read_campaign_csv))
+            if names:
+                first = result.rows[0]
+                missing = {k: v for k, v in first.cells.items() if k != names[-1]}
+                result = replace(result, rows=(replace(first, cells=missing),) + result.rows[1:])
+                tables.append(("campaign-missing-cell", result, write_campaign_csv, read_campaign_csv))
+    return tables
+
+
+class TestGoldenCsv:
+    """The CSV bytes of fixed sweeps and campaigns, pinned by one sha256.
+
+    Covers both query senses, ``inf`` thresholds, error rows, a missing
+    heuristic cell, a label holding ``,`` and ``"`` and an empty heuristic
+    list; each file must also read back and re-write to the same bytes.
+    """
+
+    DIGEST = "280fad4cfaa12a51c45d0ecbf74c8b4215e0d0839e35da64a7e8ce4595f809c0"
+
+    def test_bytes(self, tiny_spec, tiny_platform, tmp_path):
+        digest = hashlib.sha256()
+        for i, (name, table, write, read) in enumerate(_golden_tables(tiny_spec, tiny_platform)):
+            path = tmp_path / f"{i}-{name}.csv"
+            write(table, str(path))
+            data = path.read_bytes()
+            digest.update(f"{name} {len(data)}\n".encode())
+            digest.update(data)
+            again = tmp_path / f"{i}-{name}-again.csv"
+            write(read(str(path)), str(again))
+            assert again.read_bytes() == data, name
+        assert digest.hexdigest() == self.DIGEST
+
+
+_SWEEP_HEADER = "threshold,feasible,objective,period,latency,mapping\n"
+_CAMPAIGN_H1 = "# campaign objective=latency threshold=inf heuristics=h1\n"
+_CAMPAIGN_HEADER = (
+    "label,seed,error,exact_feasible,exact_objective,exact_period,exact_latency,"
+    "exact_seconds,{h}_feasible,{h}_objective,{h}_period,{h}_latency,{h}_seconds\n"
+)
+_CAMPAIGN_RECORD = "tiny,,,true,10.0,7.0,10.0,0.25,true,10.0,7.0,10.0,0.125\n"
+
+MALFORMED = {
+    "campaign-without-threshold": (
+        read_campaign_csv,
+        "# campaign objective=latency heuristics=h1\n"
+        + _CAMPAIGN_HEADER.format(h="h1")
+        + _CAMPAIGN_RECORD,
+    ),
+    "sweep-without-header": (read_sweep_csv, "# sweep objective=latency\n"),
+    "campaign-without-header": (read_campaign_csv, _CAMPAIGN_H1),
+    "sweep-short-record": (
+        read_sweep_csv,
+        "# sweep objective=latency\n" + _SWEEP_HEADER + "5.0,false\n",
+    ),
+    "campaign-short-record": (
+        read_campaign_csv,
+        _CAMPAIGN_H1 + _CAMPAIGN_HEADER.format(h="h1") + "tiny,,,true,10.0,7.0,10.0,0.25\n",
+    ),
+    "campaign-header-mismatch": (
+        read_campaign_csv,
+        _CAMPAIGN_H1 + _CAMPAIGN_HEADER.format(h="h2") + _CAMPAIGN_RECORD,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_csv_rejected(case, tmp_path):
+    read, text = MALFORMED[case]
+    path = tmp_path / f"{case}.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError):
+        read(str(path))
+
+
+def test_well_formed_csv_fixture_reads(tmp_path):
+    path = tmp_path / "campaign.csv"
+    path.write_text(_CAMPAIGN_H1 + _CAMPAIGN_HEADER.format(h="h1") + _CAMPAIGN_RECORD)
+    row = read_campaign_csv(str(path)).rows[0]
+    assert row.label == "tiny" and row.seed is None and row.error is None
+    assert row.exact_objective == 10.0 and row.cells["h1"].seconds == 0.125
