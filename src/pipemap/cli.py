@@ -256,7 +256,7 @@ def _cmd_campaign(args) -> int:
         raise ValueError("use either --platform files or --seeds, not both")
     if args.platform:
         entries = [
-            CampaignPlatform(label=path, platform=files.read_platform(path))
+            CampaignPlatform(path, *files._read_platform_and_seed(path))
             for path in args.platform
         ]
     elif args.seeds:

@@ -173,7 +173,7 @@ def _extend_perms(prev: np.ndarray, p: int) -> np.ndarray:
 
     Every row has ``p - k`` free processors; its extensions follow it in
     ascending order, so a lexicographic table stays lexicographic.  The
-    result is column-major ``intp``: the kernels read one column at a time.
+    result is column-major ``intp``: the kernel reads one column at a time.
     """
     count, k = prev.shape
     free = np.ones((count, p + 1), dtype=bool)

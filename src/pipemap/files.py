@@ -10,8 +10,9 @@ where ``w`` has ``n`` entries and ``delta`` has ``n+1``.  Platform files::
 
 where ``b`` is the row-major flattening of the ``(p+2) x (p+2)`` bandwidth
 matrix over the node order ``[in, 1..p, out]``; a nested list of ``p+2`` rows
-is accepted as well.  Unknown top-level keys (for example a ``generator``
-provenance block written by the platform generator) are ignored on read.
+is accepted as well.  Unknown top-level keys are ignored on read.  The
+platform generator writes a ``generator`` provenance block; a campaign over
+platform files takes each row's seed from it.
 """
 
 from __future__ import annotations
@@ -94,7 +95,10 @@ def pipeline_to_json(spec: PipelineSpec) -> str:
 
 
 def platform_from_json(text: str) -> Platform:
-    data = _load(text, "platform")
+    return _platform_from_data(_load(text, "platform"))
+
+
+def _platform_from_data(data: dict) -> Platform:
     p = _require(data, "p", "platform")
     s = _require(data, "s", "platform")
     b = _require(data, "b", "platform")
@@ -149,6 +153,17 @@ def write_pipeline(spec: PipelineSpec, path: str) -> None:
 def read_platform(path: str) -> Platform:
     with open(path, "r", encoding="utf-8") as fh:
         return platform_from_json(fh.read())
+
+
+def _read_platform_and_seed(path: str) -> tuple[Platform, int | None]:
+    """A platform file and the integer seed its ``generator`` block records."""
+    with open(path, "r", encoding="utf-8") as fh:
+        data = _load(fh.read(), "platform")
+    generator = data.get("generator")
+    seed = generator.get("seed") if isinstance(generator, dict) else None
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        seed = None
+    return _platform_from_data(data), seed
 
 
 def write_platform(

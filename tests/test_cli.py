@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 
@@ -391,6 +390,40 @@ class TestCampaign:
         result = read_campaign_csv(str(out_path))
         assert len(result.rows) == 3
 
+    def test_platform_file_seed_recorded(self, tiny_files, tiny_platform, tmp_path):
+        pipeline, plain = tiny_files
+        generated = str(tmp_path / "plat4.json")
+        assert main(["gen-platform", "--seed", "4", "--p", "3", "--out", generated]) == 0
+        odd = str(tmp_path / "odd.json")
+        write_platform(tiny_platform, odd, generator={"seed": "4"})
+        out_path = tmp_path / "campaign.csv"
+        code = main(
+            [
+                "campaign",
+                "--pipeline",
+                pipeline,
+                "--platform",
+                generated,
+                "--platform",
+                plain,
+                "--platform",
+                odd,
+                "--latency",
+                "1000",
+                "--out",
+                str(out_path),
+            ]
+        )
+        assert code == 0
+        from pipemap.workbench import read_campaign_csv
+
+        rows = read_campaign_csv(str(out_path)).rows
+        assert [(row.label, row.seed) for row in rows] == [
+            (generated, 4),
+            (plain, None),
+            (odd, None),
+        ]
+
     def test_platform_files_and_seeds_exclusive(self, tiny_files, capsys):
         pipeline, platform = tiny_files
         code = main(
@@ -459,23 +492,6 @@ class TestEntryPoints:
         )
         assert proc.returncode == 0
         assert "1-2@p1;3-3@p2" in proc.stdout
-
-    def test_numpy_fallback_env_flag(self, tiny_files):
-        pipeline, platform = tiny_files
-        env = dict(os.environ, PIPEMAP_NO_NUMBA="1")
-        probe = (
-            "import pipemap._kernels as k; print(k.ACTIVE_BACKEND);"
-            "import sys; from pipemap.cli import main;"
-            f"sys.exit(main(['solve','--pipeline',{pipeline!r},"
-            f"'--platform',{platform!r},'--period','7']))"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", probe], capture_output=True, text=True, env=env
-        )
-        assert proc.returncode == 0
-        lines = proc.stdout.splitlines()
-        assert lines[0] == "numpy"
-        assert any("1-2@p1;3-3@p2" in line for line in lines)
 
     def test_no_arguments_usage_error(self, capsys):
         assert main([]) == 1

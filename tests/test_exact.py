@@ -21,7 +21,12 @@ from pipemap import (
     solve,
     sweep,
 )
-from pipemap.exact import _extend_perms, _scan_front
+from pipemap.exact import (
+    _cuts_to_intervals,
+    _extend_perms,
+    _partition_arrays,
+    _scan_front,
+)
 
 import oracle
 from conftest import uniform_bandwidth
@@ -256,52 +261,35 @@ class TestAgainstOracle:
                     assert ours == (tuple(mapping[0]), tuple(mapping[1]))
 
 
-class TestBackends:
-    def test_numpy_twin_matches_active_backend(self, monkeypatch):
+class TestKernel:
+    def test_every_row_matches_evaluate_metrics(self):
+        """The kernel accumulates in ``evaluate_metrics`` order: rows are exact."""
         rng = np.random.default_rng(77)
-        for _ in range(10):
-            spec, platform = random_instance(rng, n_range=(2, 5), p_range=(2, 4))
-            bound = solve(spec, platform, BicriteriaQuery.minimize_period())
-            query = BicriteriaQuery.minimize_latency(bound.metrics.period * 1.1)
-            default = solve(spec, platform, query)
-            monkeypatch.setattr(kernels, "ACTIVE_BACKEND", "numpy")
-            forced = solve(spec, platform, query)
-            monkeypatch.undo()
-            assert forced.feasible == default.feasible
-            if default.feasible:
-                assert forced.mapping == default.mapping
-                # same arithmetic order on both paths: bitwise equality, not approx
-                assert forced.metrics.period == default.metrics.period
-                assert forced.metrics.latency == default.metrics.latency
-
-    def test_kernel_outputs_bitwise_equal(self):
-        if not kernels.HAS_NUMBA:
-            pytest.skip("numba unavailable; only one backend present")
-        from pipemap.exact import _cuts_to_intervals, _partition_arrays
-
-        rng = np.random.default_rng(13)
-        for _ in range(8):
-            spec, platform = random_instance(rng, n_range=(2, 6), p_range=(2, 4))
+        for k in range(40):
+            if k % 2:
+                spec, platform = _integer_instance(rng, n_range=(1, 7), p_range=(1, 6))
+            else:
+                spec, platform = random_instance(rng, n_range=(1, 7), p_range=(1, 6))
+            delta = spec.delta.copy()
+            delta[int(rng.integers(0, spec.n + 1))] = 0.0
+            spec = PipelineSpec(stage_names=spec.stage_names, w=spec.w, delta=delta)
             n, p = spec.n, platform.p
             perms = np.zeros((1, 0), dtype=np.intp)
             for m in range(1, min(n, p) + 1):
-                cuts = tuple(range(1, m))  # first partition of size m
-                intervals = _cuts_to_intervals(n, cuts)
-                wsum, bvol = _partition_arrays(spec, intervals)
-                perms = _extend_perms(perms, p)  # column-major, as the scan passes it
-                count = perms.shape[0]
-                per_a = np.empty(count)
-                lat_a = np.empty(count)
-                per_b = np.empty(count)
-                lat_b = np.empty(count)
-                kernels.scan_perms_numba(
-                    wsum, bvol, platform.s, platform.b, perms, per_a, lat_a
-                )
-                kernels.scan_perms_numpy(
-                    wsum, bvol, platform.s, platform.b, perms, per_b, lat_b
-                )
-                assert np.array_equal(per_a, per_b)
-                assert np.array_equal(lat_a, lat_b)
+                perms = _extend_perms(perms, p)
+                periods = np.empty(perms.shape[0])
+                latencies = np.empty(perms.shape[0])
+                for cuts in itertools.combinations(range(1, n), m - 1):
+                    intervals = _cuts_to_intervals(n, cuts)
+                    wsum, bvol = _partition_arrays(spec, intervals)
+                    kernels.scan_perms(
+                        wsum, bvol, platform.s, platform.b, perms, periods, latencies
+                    )
+                    for i, procs in enumerate(perms.tolist()):
+                        mapping = IntervalMapping(intervals, tuple(procs))
+                        metrics = evaluate_metrics(spec, platform, mapping)
+                        assert periods[i] == metrics.period
+                        assert latencies[i] == metrics.latency
 
 
 class TestPermTables:
