@@ -22,7 +22,7 @@ from .heuristics import (
     fixed_criterion_of,
     run_heuristic,
 )
-from .ilp import build_instance
+from .ilp import write_lp
 from .model import (
     InvalidMappingError,
     PipelineSpec,
@@ -76,8 +76,12 @@ def _parse_thresholds(text: str) -> list[float]:
 def _parse_seeds(text: str) -> list[int]:
     if ":" in text:
         lo, hi = text.split(":")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(v) for v in text.split(",")]
+        seeds = list(range(int(lo), int(hi) + 1))
+    else:
+        seeds = [int(v) for v in text.split(",")]
+    if not seeds:
+        raise ValueError(f"seed range {text!r} is empty")
+    return seeds
 
 
 def _load_pipeline(args) -> PipelineSpec:
@@ -300,9 +304,7 @@ def _cmd_export_lp(args) -> int:
     spec = _load_pipeline(args)
     platform = files.read_platform(args.platform)
     query = _query_from_args(args)
-    instance = build_instance(spec, platform, query)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(instance.to_lp_text())
+    instance = write_lp(spec, platform, query, args.out)
     print(
         f"wrote program with {len(instance.variables)} variables and "
         f"{len(instance.rows)} rows to {args.out}"

@@ -64,7 +64,7 @@ def pipeline_from_json(text: str) -> PipelineSpec:
     names = _require(data, "stage_names", "pipeline")
     w = _require(data, "w", "pipeline")
     delta = _require(data, "delta", "pipeline")
-    if not isinstance(n, int):
+    if isinstance(n, bool) or not isinstance(n, int):
         raise SchemaError("pipeline key 'n' must be an integer")
     if not isinstance(names, list) or not isinstance(w, list) or not isinstance(delta, list):
         raise SchemaError("pipeline keys 'stage_names', 'w' and 'delta' must be lists")
@@ -102,7 +102,7 @@ def _platform_from_data(data: dict) -> Platform:
     p = _require(data, "p", "platform")
     s = _require(data, "s", "platform")
     b = _require(data, "b", "platform")
-    if not isinstance(p, int):
+    if isinstance(p, bool) or not isinstance(p, int):
         raise SchemaError("platform key 'p' must be an integer")
     if not isinstance(s, list) or not isinstance(b, list):
         raise SchemaError("platform keys 's' and 'b' must be lists")

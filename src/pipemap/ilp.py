@@ -12,13 +12,15 @@ The encoding introduces, over the node set ``{in, p1..pP, out}``:
   each processor (free when the processor is unused);
 * continuous ``Topt >= 0`` -- the minimized criterion.
 
-Constraint families: ``assign_k`` (every stage runs somewhere, ``n+2`` rows),
-``route_k`` (every boundary is either a link crossing or a same-processor
-hand-off, ``n+1`` rows), ``link``/``same`` (connect ``x`` to ``z``/``y``),
-``firstb``/``lastb``/``cutl``/``cutf`` (interval consistency), one ``latency``
-row and ``p`` ``period_*`` rows.  The minimized criterion's row compares
-against ``Topt``; the fixed criterion's row gets the query threshold as a
-constant right-hand side.
+Constraint families, in the order they are emitted: ``assign_k`` (every
+stage runs somewhere, ``n+2`` rows), ``route_k`` (every boundary is either a
+link crossing or a same-processor hand-off, ``n+1`` rows), ``link``/``same``
+(connect ``x`` to ``z``/``y``), ``firstb``/``lastb`` and ``cutl``/``cutf``
+(interval consistency), then the cost rows: one ``latency`` row and ``p``
+``period_*`` rows.  Both query senses emit that one cost-row list: the
+minimized criterion's rows compare against ``Topt``; the fixed criterion's
+rows get the query threshold as a constant right-hand side, and are dropped
+when the threshold is infinite.
 """
 
 from __future__ import annotations
@@ -91,25 +93,34 @@ class IlpInstance:
         return [r for r in self.rows if r.name == prefix or r.name.startswith(prefix + "_")]
 
     def to_lp_text(self) -> str:
-        return _render_lp(self)
+        query = self.query
+        threshold = (
+            _fmt(query.threshold) if math.isfinite(query.threshold) else "none (unconstrained)"
+        )
+        out = [
+            f"\\ bi-criteria mapping program: minimize {query.objective}",
+            f"\\ fixed {query.fixed_criterion} threshold: {threshold}",
+            f"\\ stages: {self.n}, processors: {self.p}",
+            "Minimize",
+            f" obj: {self.objective_var}",
+            "Subject To",
+        ]
+        for row in self.rows:
+            body = f"{row.name}: {_fmt_terms(row.terms)} {row.sense} {_fmt(row.rhs)}"
+            out += [" " + line for line in _wrap(body)]
+        out.append("Bounds")
+        out += [f" {var} = {_fmt(value)}" for var, value in self.pins]
+        out += [f" 1 <= {var} <= {self.n}" for var in self.generals]
+        out += [f" {self.objective_var} >= 0", "Binary"]
+        out += [" " + chunk for chunk in _wrap(" ".join(self.binaries), indent="")]
+        out.append("General")
+        out += [" " + chunk for chunk in _wrap(" ".join(self.generals), indent="")]
+        out.append("End")
+        return "\n".join(out) + "\n"
 
 
 def _labels(p: int) -> list[str]:
     return ["in"] + [f"p{u}" for u in range(1, p + 1)] + ["out"]
-
-
-def _node_index(label: str, p: int) -> int:
-    if label == "in":
-        return 0
-    if label == "out":
-        return p + 1
-    return int(label[1:])
-
-
-def _link_exists(u: str, v: str) -> bool:
-    # No traffic ever flows towards the input gateway or out of the output
-    # gateway, so those variables are not part of the model.
-    return u != v and u != "out" and v != "in"
 
 
 def build_instance(
@@ -118,100 +129,61 @@ def build_instance(
     n, p = spec.n, platform.p
     w, delta = spec.w, spec.delta
     s, b = platform.s, platform.b
-    nodes = _labels(p)
-    procs = nodes[1 : p + 1]
+    label = _labels(p)
+    out = p + 1
+    nodes = range(p + 2)
+    procs = range(1, out)
+    # Nodes are indexed 0 (in), 1..p, p+1 (out).  No traffic ever flows
+    # towards the input gateway or out of the output gateway, so only these
+    # links carry z variables.
+    links = [(u, v) for u in nodes for v in nodes if u != v and u != out and v != 0]
 
-    def x(k: int, u: str) -> str:
-        return f"x_{k}_{u}"
+    def x(k: int, u: int) -> str:
+        return f"x_{k}_{label[u]}"
 
-    def z(k: int, u: str, v: str) -> str:
-        return f"z_{k}_{u}_{v}"
+    def z(k: int, u: int, v: int) -> str:
+        return f"z_{k}_{label[u]}_{label[v]}"
 
-    def y(k: int, u: str) -> str:
-        return f"y_{k}_{u}"
+    def y(k: int, u: int) -> str:
+        return f"y_{k}_{label[u]}"
 
-    binaries: list[str] = []
-    for k in range(0, n + 2):
-        for u in nodes:
-            binaries.append(x(k, u))
-    z_vars: list[tuple[int, str, str]] = []
-    for k in range(0, n + 1):
-        for u in nodes:
-            for v in nodes:
-                if _link_exists(u, v):
-                    z_vars.append((k, u, v))
-                    binaries.append(z(k, u, v))
-    for k in range(0, n + 1):
-        for u in nodes:
-            binaries.append(y(k, u))
-    generals: list[str] = []
-    for u in procs:
-        generals.append(f"first_{u}")
-    for u in procs:
-        generals.append(f"last_{u}")
+    binaries = [x(k, u) for k in range(n + 2) for u in nodes]
+    binaries += [z(k, u, v) for k in range(n + 1) for u, v in links]
+    binaries += [y(k, u) for k in range(n + 1) for u in nodes]
+    generals = [f"first_{label[u]}" for u in procs] + [f"last_{label[u]}" for u in procs]
 
     rows: list[Row] = []
 
     # Every stage, virtual gateways included, runs on exactly one node.
-    for k in range(0, n + 2):
-        rows.append(
-            Row(
-                name=f"assign_{k}",
-                terms=tuple((1.0, x(k, u)) for u in nodes),
-                sense="=",
-                rhs=1.0,
-            )
-        )
+    for k in range(n + 2):
+        rows.append(Row(f"assign_{k}", tuple((1.0, x(k, u)) for u in nodes), "=", 1.0))
 
     # Every stage boundary is either one link crossing or one hand-off.
-    for k in range(0, n + 1):
-        terms = [(1.0, z(k, u, v)) for u in nodes for v in nodes if _link_exists(u, v)]
-        terms += [(1.0, y(k, u)) for u in nodes]
-        rows.append(Row(name=f"route_{k}", terms=tuple(terms), sense="=", rhs=1.0))
+    for k in range(n + 1):
+        terms = [(1.0, z(k, u, v)) for u, v in links] + [(1.0, y(k, u)) for u in nodes]
+        rows.append(Row(f"route_{k}", tuple(terms), "=", 1.0))
 
     # x -> z: placing consecutive stages on linked nodes forces the crossing.
-    for k in range(0, n + 1):
-        for u in nodes:
-            for v in nodes:
-                if _link_exists(u, v):
-                    rows.append(
-                        Row(
-                            name=f"link_{k}_{u}_{v}",
-                            terms=((1.0, x(k, u)), (1.0, x(k + 1, v)), (-1.0, z(k, u, v))),
-                            sense="<=",
-                            rhs=1.0,
-                        )
-                    )
+    for k in range(n + 1):
+        for u, v in links:
+            terms = [(1.0, x(k, u)), (1.0, x(k + 1, v)), (-1.0, z(k, u, v))]
+            rows.append(Row(f"link_{k}_{label[u]}_{label[v]}", tuple(terms), "<=", 1.0))
 
     # x -> y: placing consecutive stages on the same node forces the hand-off.
-    for k in range(0, n + 1):
+    for k in range(n + 1):
         for u in nodes:
-            rows.append(
-                Row(
-                    name=f"same_{k}_{u}",
-                    terms=((1.0, x(k, u)), (1.0, x(k + 1, u)), (-1.0, y(k, u))),
-                    sense="<=",
-                    rhs=1.0,
-                )
-            )
+            terms = [(1.0, x(k, u)), (1.0, x(k + 1, u)), (-1.0, y(k, u))]
+            rows.append(Row(f"same_{k}_{label[u]}", tuple(terms), "<=", 1.0))
 
     # Interval bounds: first_u <= k and last_u >= k for every stage k on u.
     for k in range(1, n + 1):
         for u in procs:
-            terms: list[tuple[float, str]] = [(1.0, f"first_{u}")]
+            terms = [(1.0, f"first_{label[u]}")]
             if n - k:
                 terms.append((float(n - k), x(k, u)))
-            rows.append(
-                Row(name=f"firstb_{k}_{u}", terms=tuple(terms), sense="<=", rhs=float(n))
-            )
-            rows.append(
-                Row(
-                    name=f"lastb_{k}_{u}",
-                    terms=((1.0, f"last_{u}"), (-float(k), x(k, u))),
-                    sense=">=",
-                    rhs=0.0,
-                )
-            )
+            rows.append(Row(f"firstb_{k}_{label[u]}", tuple(terms), "<=", float(n)))
+            terms = [(1.0, f"last_{label[u]}"), (-float(k), x(k, u))]
+            rows.append(Row(f"lastb_{k}_{label[u]}", tuple(terms), ">=", 0.0))
 
     # A crossing after stage k closes u's interval and opens v's.
     for k in range(1, n):
@@ -219,117 +191,57 @@ def build_instance(
             for v in procs:
                 if u == v:
                     continue
-                terms = [(1.0, f"last_{u}")]
+                name = f"{k}_{label[u]}_{label[v]}"
+                terms = [(1.0, f"last_{label[u]}")]
                 if n - k:
                     terms.append((float(n - k), z(k, u, v)))
-                rows.append(
-                    Row(name=f"cutl_{k}_{u}_{v}", terms=tuple(terms), sense="<=", rhs=float(n))
-                )
-                rows.append(
-                    Row(
-                        name=f"cutf_{k}_{u}_{v}",
-                        terms=((1.0, f"first_{v}"), (-float(k + 1), z(k, u, v))),
-                        sense=">=",
-                        rhs=0.0,
-                    )
-                )
+                rows.append(Row(f"cutl_{name}", tuple(terms), "<=", float(n)))
+                terms = [(1.0, f"first_{label[v]}"), (-float(k + 1), z(k, u, v))]
+                rows.append(Row(f"cutf_{name}", tuple(terms), ">=", 0.0))
 
     # Cost rows.  Stage k received on u costs delta[k-1]/b[t][u] over the
     # incoming link and w[k-1]/s[u] to compute; the final boundary leaves the
-    # last processor towards the output gateway.
-    in_nodes = ["in"] + procs
+    # last processor towards the output gateway.  A period row also charges u
+    # for every boundary it sends.
+    def receive_compute(k: int, u: int) -> list[tuple[float, str]]:
+        terms = [(float(delta[k - 1] / b[t, u]), z(k - 1, t, u)) for t in range(out) if t != u]
+        terms.append((float(w[k - 1] / s[u - 1]), x(k, u)))
+        return terms
 
-    latency_terms: list[tuple[float, str]] = []
-    for k in range(1, n + 1):
-        for u in procs:
-            ui = _node_index(u, p)
-            for t in in_nodes:
-                if t == u:
-                    continue
-                ti = _node_index(t, p)
-                latency_terms.append(
-                    (float(delta[k - 1] / b[ti, ui]), z(k - 1, t, u))
-                )
-            latency_terms.append((float(w[k - 1] / s[ui - 1]), x(k, u)))
-    for u in in_nodes:
-        ui = _node_index(u, p)
-        latency_terms.append((float(delta[n] / b[ui, p + 1]), z(n, u, "out")))
+    def leave(u: int) -> tuple[float, str]:
+        return (float(delta[n] / b[u, out]), z(n, u, out))
 
-    period_rows: list[Row] = []
+    latency = [term for k in range(1, n + 1) for u in procs for term in receive_compute(k, u)]
+    cost_rows = [("latency", "latency", latency + [leave(u) for u in range(out)])]
     for u in procs:
-        ui = _node_index(u, p)
         terms = []
         for k in range(1, n + 1):
-            for t in in_nodes:
-                if t == u:
-                    continue
-                ti = _node_index(t, p)
-                terms.append((float(delta[k - 1] / b[ti, ui]), z(k - 1, t, u)))
-            terms.append((float(w[k - 1] / s[ui - 1]), x(k, u)))
-            for v in procs:
-                if v == u:
-                    continue
-                vi = _node_index(v, p)
-                terms.append((float(delta[k] / b[ui, vi]), z(k, u, v)))
-        terms.append((float(delta[n] / b[ui, p + 1]), z(n, u, "out")))
-        period_rows.append(Row(name=f"period_{u}", terms=tuple(terms), sense="<=", rhs=0.0))
+            terms += receive_compute(k, u)
+            terms += [(float(delta[k] / b[u, v]), z(k, u, v)) for v in procs if v != u]
+        cost_rows.append(("period", f"period_{label[u]}", terms + [leave(u)]))
 
-    # An infinite threshold makes the fixed-criterion rows vacuous, and no LP
-    # format accepts an infinite RHS, so those rows are simply not emitted.
-    bounded = math.isfinite(query.threshold)
-    if query.objective == "latency":
-        rows.append(
-            Row(
-                name="latency",
-                terms=tuple(latency_terms) + ((-1.0, "Topt"),),
-                sense="<=",
-                rhs=0.0,
-            )
-        )
-        if bounded:
-            for row in period_rows:
-                rows.append(
-                    Row(name=row.name, terms=row.terms, sense="<=", rhs=query.threshold)
-                )
-    else:
-        if bounded:
-            rows.append(
-                Row(
-                    name="latency",
-                    terms=tuple(latency_terms),
-                    sense="<=",
-                    rhs=query.threshold,
-                )
-            )
-        for row in period_rows:
-            rows.append(
-                Row(
-                    name=row.name,
-                    terms=row.terms + ((-1.0, "Topt"),),
-                    sense="<=",
-                    rhs=0.0,
-                )
-            )
+    # The minimized criterion's rows compare against Topt; the fixed
+    # criterion's rows take the threshold as right-hand side.  An infinite
+    # threshold makes those vacuous, and no LP format accepts an infinite
+    # RHS, so they are simply not emitted.
+    for criterion, name, terms in cost_rows:
+        if criterion == query.objective:
+            rows.append(Row(name, tuple(terms) + ((-1.0, "Topt"),), "<=", 0.0))
+        elif math.isfinite(query.threshold):
+            rows.append(Row(name, tuple(terms), "<=", query.threshold))
 
     # Boundary pins: the virtual stages sit on the gateways, real stages never
     # do, and gateway hand-offs or out-of-order gateway crossings cannot occur.
-    pins: dict[str, float] = {}
-    pins[x(0, "in")] = 1.0
-    pins[x(n + 1, "out")] = 1.0
-    for k in range(1, n + 1):
-        pins[x(k, "in")] = 0.0
-        pins[x(k, "out")] = 0.0
-    for k in range(0, n + 1):
-        pins[y(k, "in")] = 0.0
-        pins[y(k, "out")] = 0.0
-    for u in procs:
-        pins[y(0, u)] = 0.0
-        pins[y(n, u)] = 0.0
-    for k, u, v in z_vars:
-        if u == "in" and k != 0:
-            pins[z(k, u, v)] = 0.0
-        elif v == "out" and k != n:
-            pins[z(k, u, v)] = 0.0
+    pins = [(x(0, 0), 1.0), (x(n + 1, out), 1.0)]
+    pins += [(x(k, u), 0.0) for k in range(1, n + 1) for u in (0, out)]
+    pins += [(y(k, u), 0.0) for k in range(n + 1) for u in (0, out)]
+    pins += [(y(k, u), 0.0) for u in procs for k in (0, n)]
+    pins += [
+        (z(k, u, v), 0.0)
+        for k in range(n + 1)
+        for u, v in links
+        if (u == 0 and k != 0) or (v == out and k != n)
+    ]
 
     return IlpInstance(
         query=query,
@@ -338,7 +250,7 @@ def build_instance(
         binaries=tuple(binaries),
         generals=tuple(generals),
         rows=tuple(rows),
-        pins=tuple(pins.items()),
+        pins=tuple(pins),
         objective_var="Topt",
     )
 
@@ -350,18 +262,8 @@ def _fmt(value: float) -> str:
 
 
 def _fmt_terms(terms: tuple[tuple[float, str], ...]) -> str:
-    parts: list[str] = []
-    for idx, (coef, var) in enumerate(terms):
-        if idx == 0:
-            if coef < 0:
-                parts.append(f"- {_fmt(-coef)} {var}")
-            else:
-                parts.append(f"{_fmt(coef)} {var}")
-        elif coef < 0:
-            parts.append(f"- {_fmt(-coef)} {var}")
-        else:
-            parts.append(f"+ {_fmt(coef)} {var}")
-    return " ".join(parts)
+    text = " ".join(f"{'-' if coef < 0 else '+'} {_fmt(abs(coef))} {var}" for coef, var in terms)
+    return text.removeprefix("+ ")
 
 
 def _wrap(text: str, width: int = 72, indent: str = "   ") -> list[str]:
@@ -379,38 +281,6 @@ def _wrap(text: str, width: int = 72, indent: str = "   ") -> list[str]:
     return lines
 
 
-def _render_lp(inst: IlpInstance) -> str:
-    out: list[str] = []
-    out.append(f"\\ bi-criteria mapping program: minimize {inst.query.objective}")
-    threshold = (
-        _fmt(inst.query.threshold)
-        if math.isfinite(inst.query.threshold)
-        else "none (unconstrained)"
-    )
-    out.append(f"\\ fixed {inst.query.fixed_criterion} threshold: {threshold}")
-    out.append(f"\\ stages: {inst.n}, processors: {inst.p}")
-    out.append("Minimize")
-    out.append(f" obj: {inst.objective_var}")
-    out.append("Subject To")
-    for row in inst.rows:
-        body = f"{row.name}: {_fmt_terms(row.terms)} {row.sense} {_fmt(row.rhs)}"
-        out.extend(" " + line for line in _wrap(body))
-    out.append("Bounds")
-    for var, value in inst.pins:
-        out.append(f" {var} = {_fmt(value)}")
-    for var in inst.generals:
-        out.append(f" 1 <= {var} <= {inst.n}")
-    out.append(f" {inst.objective_var} >= 0")
-    out.append("Binary")
-    for chunk in _wrap(" ".join(inst.binaries), width=72, indent=""):
-        out.append(" " + chunk)
-    out.append("General")
-    for chunk in _wrap(" ".join(inst.generals), width=72, indent=""):
-        out.append(" " + chunk)
-    out.append("End")
-    return "\n".join(out) + "\n"
-
-
 def export_ilp(
     spec: PipelineSpec, platform: Platform, query: BicriteriaQuery
 ) -> str:
@@ -420,9 +290,12 @@ def export_ilp(
 
 def write_lp(
     spec: PipelineSpec, platform: Platform, query: BicriteriaQuery, path: str
-) -> None:
+) -> IlpInstance:
+    """Write the LP text for one query to ``path`` and return its program."""
+    instance = build_instance(spec, platform, query)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(export_ilp(spec, platform, query))
+        fh.write(instance.to_lp_text())
+    return instance
 
 
 def assignment_from_mapping(

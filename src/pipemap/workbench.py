@@ -38,6 +38,7 @@ from .model import (
     EPS_CMP,
     PipelineSpec,
     Platform,
+    meets_threshold,
     metrics_close,
 )
 
@@ -400,7 +401,7 @@ def run_sweep_report(
                 raise WorkbenchError(
                     f"feasibility lost at threshold {threshold} after a feasible lower threshold"
                 )
-            if row.objective > prev_obj + EPS_CMP * max(1.0, abs(prev_obj)):
+            if not meets_threshold(row.objective, prev_obj):
                 raise WorkbenchError(
                     f"optimal {query.objective} increased from {prev_obj!r} to "
                     f"{row.objective!r} at threshold {threshold}"

@@ -424,6 +424,28 @@ class TestCampaign:
             (odd, None),
         ]
 
+    def test_empty_seed_range_exit_one(self, tiny_files, tmp_path, capsys):
+        pipeline, _ = tiny_files
+        out_path = tmp_path / "campaign.csv"
+        code = main(
+            [
+                "campaign",
+                "--pipeline",
+                pipeline,
+                "--seeds",
+                "5:1",
+                "--p",
+                "3",
+                "--period",
+                "3.0",
+                "--out",
+                str(out_path),
+            ]
+        )
+        assert code == 1
+        assert "empty" in capsys.readouterr().err
+        assert not out_path.exists()
+
     def test_platform_files_and_seeds_exclusive(self, tiny_files, capsys):
         pipeline, platform = tiny_files
         code = main(

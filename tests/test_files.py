@@ -142,6 +142,17 @@ class TestErrorMessages:
         with pytest.raises(SchemaError):
             pipeline_from_json("{nope")
 
+    def test_boolean_n_rejected(self):
+        # JSON true is a Python bool, which isinstance(..., int) accepts
+        with pytest.raises(SchemaError, match="'n'"):
+            pipeline_from_json(
+                json.dumps({"n": True, "w": [1.0], "delta": [1, 1], "stage_names": ["a"]})
+            )
+
+    def test_boolean_p_rejected(self):
+        with pytest.raises(SchemaError, match="'p'"):
+            platform_from_json(json.dumps({"p": True, "s": [100.0], "b": [1.0] * 9}))
+
     def test_bad_value_type(self):
         with pytest.raises(SchemaError):
             pipeline_from_json(

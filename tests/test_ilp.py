@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from pipemap import (
     BicriteriaQuery,
     IntervalMapping,
+    PipelineSpec,
     Platform,
     assignment_from_mapping,
     build_instance,
@@ -18,8 +20,6 @@ from pipemap import (
 
 import lp_grammar
 from util import random_instance
-
-scipy = pytest.importorskip("scipy")
 
 
 def _tiny_query():
@@ -195,7 +195,8 @@ class TestLpRendering:
 
     def test_written_file_round_trips(self, tiny_spec, tiny_platform, tmp_path):
         path = tmp_path / "tiny.lp"
-        write_lp(tiny_spec, tiny_platform, _tiny_query(), str(path))
+        inst = write_lp(tiny_spec, tiny_platform, _tiny_query(), str(path))
+        assert path.read_text() == inst.to_lp_text()
         parsed = lp_grammar.parse_lp(path.read_text())
         assert parsed.diagnostics == []
 
@@ -217,7 +218,50 @@ class TestLpRendering:
             assert len(line) <= 80
 
 
+def _golden_programs():
+    rng = np.random.default_rng(2008)
+    one = (
+        PipelineSpec(stage_names=("a",), w=[3.0], delta=[2.0, 5.0]),
+        Platform(s=[2.0], b=[[0.0, 1.0, 4.0], [3.0, 0.0, 2.0], [1.0, 5.0, 0.0]]),
+    )
+    spec, platform = random_instance(rng, (5, 5), (3, 3), allow_zero_delta=False)
+    delta = spec.delta.copy()
+    delta[[0, 2, 5]] = 0.0
+    zero = (PipelineSpec(stage_names=spec.stage_names, w=spec.w, delta=delta), platform)
+    instances = [
+        ("n1p1", one, 9.0),
+        ("zero-delta", zero, 1.2345),
+        ("n7p10", random_instance(rng, (7, 7), (10, 10), allow_zero_delta=False), 3.75),
+        ("n24p14", random_instance(rng, (24, 24), (14, 14), allow_zero_delta=False), 21.0),
+    ]
+    for label, (spec, platform), threshold in instances:
+        for objective in ("latency", "period"):
+            for bound in (threshold, math.inf):
+                query = BicriteriaQuery(objective=objective, threshold=bound)
+                yield f"{label} {objective} {bound!r}", export_ilp(spec, platform, query)
+
+
+class TestGoldenLp:
+    """The LP text of fixed seeded programs, pinned by one sha256.
+
+    Covers ``n = p = 1``, a pipeline with zero volumes, ``n=7, p=10`` and
+    ``n=24, p=14``, each in both senses with a finite and an infinite
+    threshold.
+    """
+
+    DIGEST = "47543daf331ce4829cfcefe8cf9f29b2ca34b4598ef4e777fb21c232731a8bb2"
+
+    def test_bytes(self):
+        digest = hashlib.sha256()
+        for name, text in _golden_programs():
+            data = text.encode("utf-8")
+            digest.update(f"{name} {len(data)}\n".encode())
+            digest.update(data)
+        assert digest.hexdigest() == self.DIGEST
+
+
 def _milp_optimum(spec, platform, query):
+    pytest.importorskip("scipy")
     text = export_ilp(spec, platform, query)
     parsed = lp_grammar.parse_lp(text)
     assert parsed.diagnostics == []
