@@ -75,8 +75,10 @@ def _parse_thresholds(text: str) -> list[float]:
 
 def _parse_seeds(text: str) -> list[int]:
     if ":" in text:
-        lo, hi = text.split(":")
-        seeds = list(range(int(lo), int(hi) + 1))
+        parts = text.split(":")
+        if len(parts) != 2:
+            raise ValueError(f"expected 'low:high', got {text!r}")
+        seeds = list(range(int(parts[0]), int(parts[1]) + 1))
     else:
         seeds = [int(v) for v in text.split(",")]
     if not seeds:

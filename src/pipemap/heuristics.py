@@ -22,16 +22,22 @@ The variants differ along the columns of the ``_VARIANTS`` table:
   interval has at least three stages and two unused processors remain,
   falling back to a two-way split otherwise.
 
-``h2`` alone adds a step: it wraps its loop in a binary search over the
-latency increase it is willing to authorize on top of the start state's
-latency, returning the outcome of the smallest authorized increase that
-reaches the fixed period.  :func:`run_heuristic` is the single entry point.
+One enumerator serves every split width: a ``k``-way split of the
+bottleneck's interval tries every ``k - 1`` cut points and every placement
+of the bottleneck and the ``k - 1`` fastest unused processors, keeping the
+first lowest-scoring candidate.
+
+:func:`run_heuristic` is the single entry point.  For ``h2`` it also runs a
+binary search over the latency increase authorized on top of the start
+state's latency, returning the outcome of the smallest authorized increase
+that reaches the fixed period.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .model import (
     IntervalMapping,
@@ -115,17 +121,6 @@ class SplitChoice:
     delta_latency: float
     delta_period: tuple[float, ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "target": self.target,
-            "recipients": list(self.recipients),
-            "cuts": list(self.cuts),
-            "placement": list(self.placement),
-            "score": self.score,
-            "delta_latency": self.delta_latency,
-            "delta_period": list(self.delta_period),
-        }
-
 
 @dataclass(frozen=True)
 class SplitEvent:
@@ -139,7 +134,7 @@ class SplitEvent:
 
     def to_dict(self) -> dict:
         return {
-            "choice": self.choice.to_dict(),
+            "choice": asdict(self.choice),
             "period_before": self.period_before,
             "latency_before": self.latency_before,
             "period_after": self.metrics_after.period,
@@ -165,27 +160,6 @@ class H2SearchReport:
     upper_bound: float
     chosen_increase: float | None
     trials: tuple[H2SearchTrial, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "config": {
-                "lower": self.config.lower,
-                "upper_factor": self.config.upper_factor,
-                "iterations": self.config.iterations,
-            },
-            "base_latency": self.base_latency,
-            "upper_bound": self.upper_bound,
-            "chosen_increase": self.chosen_increase,
-            "trials": [
-                {
-                    "authorized_increase": t.authorized_increase,
-                    "feasible": t.feasible,
-                    "period": t.period,
-                    "latency": t.latency,
-                }
-                for t in self.trials
-            ],
-        }
 
 
 @dataclass(frozen=True)
@@ -225,15 +199,8 @@ class HeuristicOutcome:
             "latency": self.metrics.latency,
             "feasible": self.feasible,
             "trace": [event.to_dict() for event in self.trace],
-            "search": self.search.to_dict() if self.search else None,
+            "search": asdict(self.search) if self.search else None,
         }
-
-
-@dataclass(frozen=True)
-class _Candidate:
-    choice: SplitChoice
-    mapping: IntervalMapping
-    metrics: MappingMetrics
 
 
 def _speed_order(platform: Platform) -> list[int]:
@@ -242,66 +209,60 @@ def _speed_order(platform: Platform) -> list[int]:
     return sorted(range(1, platform.p + 1), key=lambda u: (-s[u - 1], u))
 
 
-def _candidates(
+def _best_split(
     spec: PipelineSpec,
     platform: Platform,
     mapping: IntervalMapping,
     metrics: MappingMetrics,
-    jidx: int,
     unused: list[int],
     three_way: bool,
     ratio_rule: bool,
     latency_cap: float | None,
-) -> list[_Candidate]:
+) -> tuple[SplitChoice, IntervalMapping, MappingMetrics] | None:
+    """The first lowest-scoring split of the bottleneck's interval, or ``None``.
+
+    The interval splits into ``k`` parts: three when ``three_way`` holds, it
+    has at least three stages and two processors are unused, else two.  Cut
+    points run in lexicographic order and, for each, the placements of the
+    bottleneck and the ``k - 1`` fastest unused processors in permutation
+    order; the first candidate wins a tie.
+    """
+    cycles = metrics.per_processor_period
+    jidx = cycles.index(max(cycles))
     d, e = mapping.intervals[jidx]
     target = mapping.assignees[jidx]
-    length = e - d + 1
-    if length < 2 or not unused:
-        return []
-    period_before = metrics.period
-    latency_before = metrics.latency
-
-    plans: list[tuple[tuple[int, ...], tuple[tuple[int, int], ...], tuple[int, ...], tuple[int, ...]]] = []
-    if three_way and length >= 3 and len(unused) >= 2:
-        j1, j2 = unused[0], unused[1]
-        for c1 in range(d, e):
-            for c2 in range(c1 + 1, e):
-                parts = ((d, c1), (c1 + 1, c2), (c2 + 1, e))
-                for placement in itertools.permutations((target, j1, j2)):
-                    plans.append(((c1, c2), parts, placement, (j1, j2)))
-    else:
-        j1 = unused[0]
-        for c in range(d, e):
-            parts = ((d, c), (c + 1, e))
-            for placement in ((target, j1), (j1, target)):
-                plans.append(((c,), parts, placement, (j1,)))
-
-    out: list[_Candidate] = []
-    for cuts, parts, placement, recipients in plans:
+    if d == e or not unused:
+        return None
+    k = 3 if three_way and e - d >= 2 and len(unused) >= 2 else 2
+    recipients = tuple(unused[: k - 1])
+    best = None
+    for cuts in itertools.combinations(range(d, e), k - 1):
+        bounds = (d - 1, *cuts, e)
+        parts = tuple((lo + 1, hi) for lo, hi in zip(bounds, bounds[1:]))
         new_intervals = (
             mapping.intervals[:jidx] + parts + mapping.intervals[jidx + 1 :]
         )
-        new_assignees = (
-            mapping.assignees[:jidx] + placement + mapping.assignees[jidx + 1 :]
-        )
-        cand_mapping = IntervalMapping(intervals=new_intervals, assignees=new_assignees)
-        cand_metrics = evaluate_metrics(spec, platform, cand_mapping)
-        if latency_cap is not None and not meets_threshold(
-            cand_metrics.latency, latency_cap
-        ):
-            continue
-        party_cycles = cand_metrics.per_processor_period[jidx : jidx + len(parts)]
-        delta_latency = cand_metrics.latency - latency_before
-        delta_period = tuple(period_before - c for c in party_cycles)
-        if ratio_rule:
-            if any(dp <= 0 for dp in delta_period):
+        for placement in itertools.permutations((target, *recipients)):
+            new_assignees = (
+                mapping.assignees[:jidx] + placement + mapping.assignees[jidx + 1 :]
+            )
+            cand_mapping = IntervalMapping(intervals=new_intervals, assignees=new_assignees)
+            cand_metrics = evaluate_metrics(spec, platform, cand_mapping)
+            if latency_cap is not None and not meets_threshold(
+                cand_metrics.latency, latency_cap
+            ):
                 continue
-            score = max(delta_latency / dp for dp in delta_period)
-        else:
-            score = max(party_cycles)
-        out.append(
-            _Candidate(
-                choice=SplitChoice(
+            party_cycles = cand_metrics.per_processor_period[jidx : jidx + k]
+            delta_latency = cand_metrics.latency - metrics.latency
+            delta_period = tuple(metrics.period - c for c in party_cycles)
+            if ratio_rule:
+                if any(dp <= 0 for dp in delta_period):
+                    continue
+                score = max(delta_latency / dp for dp in delta_period)
+            else:
+                score = max(party_cycles)
+            if best is None or score < best[0].score:
+                choice = SplitChoice(
                     target=target,
                     recipients=recipients,
                     cuts=cuts,
@@ -309,12 +270,9 @@ def _candidates(
                     score=score,
                     delta_latency=delta_latency,
                     delta_period=delta_period,
-                ),
-                mapping=cand_mapping,
-                metrics=cand_metrics,
-            )
-        )
-    return out
+                )
+                best = (choice, cand_mapping, cand_metrics)
+    return best
 
 
 def _run_greedy(
@@ -324,8 +282,8 @@ def _run_greedy(
     *,
     ratio_rule: bool,
     three_way: bool,
-    latency_cap: float | None,
-    period_goal: float | None,
+    latency_cap: float | None = None,
+    period_goal: float | None = None,
 ) -> tuple[IntervalMapping, MappingMetrics, tuple[SplitEvent, ...]]:
     """Run the splitting loop from ``start``; returns (mapping, metrics, trace)."""
     mapping, metrics = start
@@ -334,37 +292,33 @@ def _run_greedy(
     while True:
         if period_goal is not None and meets_threshold(metrics.period, period_goal):
             break
-        cycles = metrics.per_processor_period
-        jidx = cycles.index(max(cycles))
-        cands = _candidates(
+        best = _best_split(
             spec,
             platform,
             mapping,
             metrics,
-            jidx,
             unused,
             three_way,
             ratio_rule,
             latency_cap,
         )
-        best: _Candidate | None = None
-        for cand in cands:
-            if best is None or cand.choice.score < best.choice.score:
-                best = cand
-        if best is None or not (best.metrics.period < metrics.period):
+        if best is None:
+            break
+        choice, best_mapping, best_metrics = best
+        if not best_metrics.period < metrics.period:
             break
         trace.append(
             SplitEvent(
-                choice=best.choice,
+                choice=choice,
                 period_before=metrics.period,
                 latency_before=metrics.latency,
-                metrics_after=best.metrics,
-                signature_after=best.mapping.signature(),
+                metrics_after=best_metrics,
+                signature_after=best_mapping.signature(),
             )
         )
-        for u in best.choice.recipients:
+        for u in choice.recipients:
             unused.remove(u)
-        mapping, metrics = best.mapping, best.metrics
+        mapping, metrics = best_mapping, best_metrics
     return mapping, metrics, tuple(trace)
 
 
@@ -373,70 +327,6 @@ def _check_threshold(threshold: float, what: str) -> float:
     if not value > 0:
         raise ValueError(f"{what} must be positive, got {threshold!r}")
     return value
-
-
-def _search_allowance(
-    spec: PipelineSpec,
-    platform: Platform,
-    start: tuple[IntervalMapping, MappingMetrics],
-    fixed_period: float,
-    cfg: BinarySearchConfig,
-    *,
-    ratio_rule: bool,
-    three_way: bool,
-) -> tuple[IntervalMapping, MappingMetrics, tuple[SplitEvent, ...], H2SearchReport]:
-    """``h2``'s binary search over the authorized latency increase ``A``.
-
-    Every trial runs the greedy loop with candidates capped at latency
-    ``base + A``, where ``base`` is the start state's latency.  Returns the
-    run of the smallest ``A`` that reaches the fixed period, or the failed
-    upper-bound run (with ``chosen_increase=None``) when even that does not.
-    """
-    base_latency = start[1].latency
-    upper = cfg.upper_factor * base_latency
-    trials: list[H2SearchTrial] = []
-
-    def run_trial(allowance: float):
-        mapping, metrics, trace = _run_greedy(
-            spec,
-            platform,
-            start,
-            ratio_rule=ratio_rule,
-            three_way=three_way,
-            latency_cap=base_latency + allowance,
-            period_goal=fixed_period,
-        )
-        ok = meets_threshold(metrics.period, fixed_period)
-        trials.append(
-            H2SearchTrial(
-                authorized_increase=allowance,
-                feasible=ok,
-                period=metrics.period,
-                latency=metrics.latency,
-            )
-        )
-        return ok, (mapping, metrics, trace)
-
-    lo, hi = cfg.lower, upper
-    ok, best = run_trial(hi)
-    chosen = hi if ok else None
-    if ok:
-        for _ in range(cfg.iterations):
-            mid = (lo + hi) / 2.0
-            ok, run = run_trial(mid)
-            if ok:
-                hi = chosen = mid
-                best = run
-            else:
-                lo = mid
-    report = H2SearchReport(
-        config=cfg,
-        base_latency=base_latency,
-        upper_bound=upper,
-        chosen_increase=chosen,
-        trials=tuple(trials),
-    )
-    return (*best, report)
 
 
 def run_heuristic(
@@ -459,27 +349,55 @@ def run_heuristic(
     threshold = _check_threshold(threshold, f"fixed_{fixed_criterion}")
     first = IntervalMapping.single_interval(spec.n, _speed_order(platform)[0])
     start = (first, evaluate_metrics(spec, platform, first))
+    base_latency = start[1].latency
+
+    greedy = functools.partial(
+        _run_greedy, spec, platform, start, ratio_rule=ratio_rule, three_way=three_way
+    )
     report = None
-    if name == "h2":
-        cfg = search if search is not None else BinarySearchConfig()
-        mapping, metrics, trace, report = _search_allowance(
-            spec, platform, start, threshold, cfg, ratio_rule=ratio_rule, three_way=three_way
-        )
-        feasible = report.chosen_increase is not None
+    if fixed_criterion == "latency":
+        mapping, metrics, trace = greedy(latency_cap=threshold)
+        feasible = meets_threshold(base_latency, threshold)
+    elif name != "h2":
+        mapping, metrics, trace = greedy(period_goal=threshold)
+        feasible = meets_threshold(metrics.period, threshold)
     else:
-        fixed_period = fixed_criterion == "period"
-        mapping, metrics, trace = _run_greedy(
-            spec,
-            platform,
-            start,
-            ratio_rule=ratio_rule,
-            three_way=three_way,
-            latency_cap=None if fixed_period else threshold,
-            period_goal=threshold if fixed_period else None,
+        # Binary search over the latency increase authorized on top of the
+        # start state's: the upper bound runs first and, when it fails, its
+        # run is the outcome; else every trial that reaches the period
+        # replaces the outcome and lowers the bound.
+        cfg = search if search is not None else BinarySearchConfig()
+        upper = cfg.upper_factor * base_latency
+        lo, hi, chosen = cfg.lower, upper, None
+        trials: list[H2SearchTrial] = []
+        for step in range(cfg.iterations + 1):
+            allowance = hi if step == 0 else (lo + hi) / 2.0
+            run = greedy(latency_cap=base_latency + allowance, period_goal=threshold)
+            ok = meets_threshold(run[1].period, threshold)
+            trials.append(
+                H2SearchTrial(
+                    authorized_increase=allowance,
+                    feasible=ok,
+                    period=run[1].period,
+                    latency=run[1].latency,
+                )
+            )
+            if ok or step == 0:
+                mapping, metrics, trace = run
+            if ok:
+                hi = chosen = allowance
+            elif chosen is None:
+                break
+            else:
+                lo = allowance
+        report = H2SearchReport(
+            config=cfg,
+            base_latency=base_latency,
+            upper_bound=upper,
+            chosen_increase=chosen,
+            trials=tuple(trials),
         )
-        feasible = meets_threshold(
-            metrics.period if fixed_period else start[1].latency, threshold
-        )
+        feasible = chosen is not None
     return HeuristicOutcome(
         heuristic=name,
         fixed_criterion=fixed_criterion,

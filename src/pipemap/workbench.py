@@ -29,13 +29,8 @@ import numpy as np
 
 from . import files
 from .exact import BicriteriaQuery, SolveResult, solve, sweep
-from .heuristics import (
-    BinarySearchConfig,
-    fixed_criterion_of,
-    run_heuristic,
-)
+from .heuristics import fixed_criterion_of, run_heuristic
 from .model import (
-    EPS_CMP,
     PipelineSpec,
     Platform,
     meets_threshold,
@@ -239,7 +234,6 @@ def _campaign_row(
     entry: CampaignPlatform,
     query: BicriteriaQuery,
     heuristic_names: Sequence[str],
-    search: BinarySearchConfig | None,
 ) -> CampaignRow:
     try:
         t0 = time.perf_counter()
@@ -248,11 +242,10 @@ def _campaign_row(
         cells: dict[str, HeuristicCell] = {}
         for name in heuristic_names:
             t0 = time.perf_counter()
-            outcome = run_heuristic(name, spec, entry.platform, query.threshold, search=search)
+            outcome = run_heuristic(name, spec, entry.platform, query.threshold)
             seconds = time.perf_counter() - t0
             if exact.feasible and outcome.feasible:
-                slack = EPS_CMP * max(1.0, abs(exact.objective_value))
-                if outcome.objective_value < exact.objective_value - slack:
+                if not meets_threshold(exact.objective_value, outcome.objective_value):
                     raise WorkbenchError(
                         f"{name} reported {outcome.objective_value!r} on {entry.label}, "
                         f"better than the exhaustive optimum {exact.objective_value!r}"
@@ -294,8 +287,6 @@ def run_campaign(
     platforms: Sequence[CampaignPlatform],
     query: BicriteriaQuery,
     heuristic_names: Sequence[str],
-    *,
-    search: BinarySearchConfig | None = None,
 ) -> CampaignResult:
     """Exhaustive solver plus heuristics over every platform, one row each.
 
@@ -316,12 +307,12 @@ def run_campaign(
         with ThreadPoolExecutor(max_workers=workers) as pool:
             rows = list(
                 pool.map(
-                    lambda entry: _campaign_row(spec, entry, query, names, search),
+                    lambda entry: _campaign_row(spec, entry, query, names),
                     platforms,
                 )
             )
     else:
-        rows = [_campaign_row(spec, entry, query, names, search) for entry in platforms]
+        rows = [_campaign_row(spec, entry, query, names) for entry in platforms]
     return CampaignResult(query=query, heuristics=names, rows=tuple(rows))
 
 

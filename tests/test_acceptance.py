@@ -311,7 +311,7 @@ class TestCriterion7IlpExport:
             assert len(inst.rows_named("period")) == p
             assert len(inst.rows_named("latency")) == 1
 
-        scipy_spec = pytest.importorskip("scipy")
+        scipy_spec = pytest.importorskip("scipy", exc_type=ImportError)
         solved = 0
         shape_rng = np.random.default_rng(78)
         for n in range(1, 5):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -254,6 +255,47 @@ class TestHeuristic:
         assert payload["heuristic"] == "h5"
         assert payload["period"] == 7.0
 
+    # sha256 over the three ``--out`` files below; it pins the key order and
+    # float text the CLI writes, which a ``sort_keys`` digest does not see.
+    OUT_SHA256 = "d938bb78e39b123a1cf2616f8b98ae93f412fb722c544a34e3892a00efb09519"
+
+    def test_out_bytes(self, tiny_spec, tiny_platform, tiny3_platform, tmp_path, capsys):
+        pipeline = tmp_path / "pipeline.json"
+        write_pipeline(tiny_spec, str(pipeline))
+        cases = [
+            # a feasible h2 whose allowance search runs 21 trials
+            ("h2", tiny_platform, "--period", "7"),
+            # an h3 trace whose one split is three-way
+            ("h3", tiny3_platform, "--period", "6"),
+            ("h6", tiny_platform, "--latency", "10"),
+        ]
+        digest = hashlib.sha256()
+        for i, (name, plat, flag, value) in enumerate(cases):
+            platform = tmp_path / f"platform{i}.json"
+            write_platform(plat, str(platform))
+            out_path = tmp_path / f"{name}.json"
+            code = main(
+                [
+                    "heuristic",
+                    "--heuristic",
+                    name,
+                    "--pipeline",
+                    str(pipeline),
+                    "--platform",
+                    str(platform),
+                    flag,
+                    value,
+                    "--out",
+                    str(out_path),
+                ]
+            )
+            assert code == 0, name
+            data = out_path.read_bytes()
+            digest.update(f"{name} {len(data)}\n".encode())
+            digest.update(data)
+        capsys.readouterr()
+        assert digest.hexdigest() == self.OUT_SHA256
+
 
 class TestSimulate:
     def test_inline_mapping(self, tiny_files, capsys):
@@ -445,6 +487,24 @@ class TestCampaign:
         assert code == 1
         assert "empty" in capsys.readouterr().err
         assert not out_path.exists()
+
+    def test_three_part_seed_range_exit_one(self, tiny_files, capsys):
+        pipeline, _ = tiny_files
+        code = main(
+            [
+                "campaign",
+                "--pipeline",
+                pipeline,
+                "--seeds",
+                "1:2:3",
+                "--p",
+                "3",
+                "--period",
+                "3.0",
+            ]
+        )
+        assert code == 1
+        assert "expected 'low:high', got '1:2:3'" in capsys.readouterr().err
 
     def test_platform_files_and_seeds_exclusive(self, tiny_files, capsys):
         pipeline, platform = tiny_files

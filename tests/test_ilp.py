@@ -261,7 +261,7 @@ class TestGoldenLp:
 
 
 def _milp_optimum(spec, platform, query):
-    pytest.importorskip("scipy")
+    pytest.importorskip("scipy", exc_type=ImportError)
     text = export_ilp(spec, platform, query)
     parsed = lp_grammar.parse_lp(text)
     assert parsed.diagnostics == []
