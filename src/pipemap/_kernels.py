@@ -14,8 +14,7 @@ Array contract:
                    ``bvol[0]`` entering the chain and ``bvol[m]`` leaving it
 * ``s``         -- (p,)   processor speeds, ``s[u-1]`` for processor ``u``
 * ``b``         -- (p+2, p+2) link bandwidths over ``[in, 1..p, out]``
-* ``perms``     -- (count, m) integer processor tuples (1-based entries);
-                   the scan passes them column-major as ``intp``
+* ``perms``     -- (count, m) integer processor tuples (1-based entries)
 * ``periods``   -- (count,) output buffer
 * ``latencies`` -- (count,) output buffer
 """

@@ -148,6 +148,10 @@ def _cmd_solve(args) -> int:
     result = solve(spec, platform, query)
     print(f"objective: minimize {query.objective} ({query.fixed_criterion} <= {query.threshold})")
     print(f"evaluated: {result.evaluated} mappings")
+    print(
+        f"scored: {result.scored} of {result.evaluated} mappings"
+        f" ({result.pruned} pruned)"
+    )
     if result.feasible:
         print(f"mapping: {result.mapping.signature()}")
         print(f"period: {result.metrics.period!r}")

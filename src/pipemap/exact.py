@@ -3,14 +3,33 @@
 A query fixes one criterion under a threshold and minimizes the other.  The
 solver walks every partition of the stage chain into ``m`` consecutive
 intervals (``m`` ascending, cut positions lexicographic) and, for each
-partition, evaluates every ordered tuple of ``m`` distinct processors with a
-vectorized kernel (see :mod:`pipemap._kernels`).  That enumeration order is
-the canonical order used for tie-breaking and by :func:`enumerate_mappings`.
+partition, every ordered tuple of ``m`` distinct processors (lexicographic).
+That enumeration order is the canonical order used for tie-breaking and by
+:func:`enumerate_mappings`.
 
 One scan builds the (period, latency) Pareto front; each query, and each
 row of a :func:`sweep`, is a lookup on it.  Ties are broken with exact float
 equality: among feasible mappings the smallest objective, then the smallest
 value of the other criterion, then the canonically first mapping.
+
+The scan is a branch and bound.  Inside a partition it grows processor
+prefixes one interval at a time and drops a prefix when a point of the front
+built so far weakly dominates the prefix's lower bounds:
+
+* period >= the max of its closed cycles, its open interval's
+  ``t_in + t_comp``, and ``wsum[j] / max(s)`` over the intervals not yet
+  placed;
+* latency >= its partial latency, plus ``bvol[j] / max(b) + wsum[j] / max(s)``
+  for each interval not yet placed, plus ``bvol[m] / max(b)``.
+
+Both bounds are summed in the kernel's order, and rounded ``+``, ``/`` and
+``max`` are monotone, so no bound exceeds the exact float value of any
+completion.  Every front point is canonically earlier than the prefix, so
+dropping a tie keeps the canonically first mapping, as the merge does.  The
+survivors are scored by one vectorized kernel call per partition (see
+:mod:`pipemap._kernels`; more only when they exceed a row budget) and merged
+into the front.  ``evaluated`` counts
+every mapping the scan decided, scored or bounded out.
 """
 
 from __future__ import annotations
@@ -89,6 +108,9 @@ class SolveResult:
     threshold; ``min_period`` and ``min_latency`` always carry the
     unconstrained minima (the two ends of the Pareto front), so an infeasible
     result still reports the best achievable bound on each criterion.
+    ``evaluated`` counts every mapping the scan decided; ``scored`` those the
+    kernel evaluated, and ``pruned`` those bounded out unscored.  Neither of
+    the last two is part of :meth:`to_dict`.
     """
 
     query: BicriteriaQuery
@@ -97,10 +119,15 @@ class SolveResult:
     evaluated: int
     min_period: float
     min_latency: float
+    scored: int
 
     @property
     def feasible(self) -> bool:
         return self.mapping is not None
+
+    @property
+    def pruned(self) -> int:
+        return self.evaluated - self.scored
 
     @property
     def objective_value(self) -> float | None:
@@ -202,65 +229,141 @@ def _partition_arrays(
     return wsum, bvol
 
 
+# Prefix rows one expansion step may build.  The scan grows prefixes depth
+# first in blocks of this size, so its tables stay bounded however few
+# prefixes the bounds prune; it also caps the survivors awaiting the kernel.
+_ROW_BUDGET = 1 << 15
+
+
 class _Front(NamedTuple):
     """The (period, latency) Pareto front of one instance.
 
     Periods strictly rise and latencies strictly fall along the front; each
     point holds the canonically first mapping that reaches it exactly.
+    ``evaluated`` counts the mappings the scan decided and ``scored`` the
+    ones the kernel evaluated; the rest were bounded out.
     """
 
     period: np.ndarray
     latency: np.ndarray
     mappings: list[IntervalMapping]
     evaluated: int
+    scored: int
+
+
+def _dominated(
+    front_per: np.ndarray, front_lat: np.ndarray, period: np.ndarray, latency: np.ndarray
+) -> np.ndarray:
+    """Mask of the rows that some point of the front weakly dominates."""
+    if not front_per.size:
+        return np.zeros(period.shape, dtype=bool)
+    # the last point with period <= the row's has the lowest such latency
+    k = np.searchsorted(front_per, period, side="right") - 1
+    return (k >= 0) & (front_lat[k] <= latency)
 
 
 def _scan_front(spec: PipelineSpec, platform: Platform) -> _Front:
-    """Evaluate every mapping once and keep the non-dominated ones."""
+    """Build the Pareto front, scoring only the prefixes it cannot yet beat."""
     n, p = spec.n, platform.p
     s, b = platform.s, platform.b
+    s_max, b_max = s.max(), b.max()
     front_per = np.empty(0, dtype=np.float64)
     front_lat = np.empty(0, dtype=np.float64)
     front_maps: list[IntervalMapping] = []
-    evaluated = 0
-    perms = np.zeros((1, 0), dtype=np.intp)
+    evaluated = scored = 0
+
+    def score(intervals, wsum, bvol, pending):
+        """Score the pending prefixes with the kernel and merge them into the front."""
+        nonlocal front_per, front_lat, front_maps, scored
+        perms = np.concatenate(pending or [np.empty((0, len(intervals)), np.intp)])
+        periods = np.empty(perms.shape[0], dtype=np.float64)
+        latencies = np.empty(perms.shape[0], dtype=np.float64)
+        _kernels.scan_perms(wsum, bvol, s, b, perms, periods, latencies)
+        scored += perms.shape[0]
+        per = np.concatenate((front_per, periods))
+        lat = np.concatenate((front_lat, latencies))
+        # lexsort is stable and candidates are in canonical order, so exact
+        # ties keep the canonically first; a point joins the front only if
+        # its latency is strictly below every one sorted before it
+        order = np.lexsort((lat, per))
+        lat_sorted = lat[order]
+        keep = np.empty(order.size, dtype=bool)
+        keep[:1] = True
+        keep[1:] = lat_sorted[1:] < np.minimum.accumulate(lat_sorted)[:-1]
+        order = order[keep]
+        old = len(front_maps)
+        front_maps = [
+            front_maps[i]
+            if i < old
+            else IntervalMapping(intervals, perms[i - old].tolist())
+            for i in order.tolist()
+        ]
+        front_per, front_lat = per[order], lat[order]
+
     for m in range(1, min(n, p) + 1):
-        perms = _extend_perms(perms, p)
-        count = perms.shape[0]
-        periods = np.empty(count, dtype=np.float64)
-        latencies = np.empty(count, dtype=np.float64)
         for cuts in itertools.combinations(range(1, n), m - 1):
             intervals = _cuts_to_intervals(n, cuts)
             wsum, bvol = _partition_arrays(spec, intervals)
-            _kernels.scan_perms(wsum, bvol, s, b, perms, periods, latencies)
-            evaluated += count
-            rows = np.arange(count)
-            if front_maps:
-                # Drop rows an earlier point weakly dominates.  The prefilter
-                # tests point 0 (the largest latency); point k has the lowest
-                # latency among the points with period <= the row's.
-                rows = rows[(latencies < front_lat[0]) | (periods < front_per[0])]
-                k = np.searchsorted(front_per, periods[rows], side="right") - 1
-                rows = rows[(k < 0) | (latencies[rows] < front_lat[k])]
-            if not rows.size:
-                continue
-            per = np.concatenate((front_per, periods[rows]))
-            lat = np.concatenate((front_lat, latencies[rows]))
-            maps = front_maps + [
-                IntervalMapping(intervals, procs) for procs in perms[rows].tolist()
-            ]
-            # lexsort is stable and candidates are in canonical order, so exact
-            # ties keep the canonically first; a point joins the front only if
-            # its latency is strictly below every one sorted before it
-            order = np.lexsort((lat, per))
-            lat_sorted = lat[order]
-            keep = np.empty(order.size, dtype=bool)
-            keep[0] = True
-            keep[1:] = lat_sorted[1:] < np.minimum.accumulate(lat_sorted)[:-1]
-            order = order[keep]
-            front_per, front_lat = per[order], lat[order]
-            front_maps = [maps[i] for i in order.tolist()]
-    return _Front(front_per, front_lat, front_maps, evaluated)
+            evaluated += math.perm(p, m)
+            # Lower bounds on the terms of the intervals not yet placed: the
+            # fastest processor and the widest link.
+            link_lb, comp_lb = bvol / b_max, wsum / s_max
+            comp_tail = np.append(np.maximum.accumulate(comp_lb[::-1])[::-1], 0.0)
+            # A prefix of k intervals carries the max of its closed cycles,
+            # the open interval's t_in + t_comp and its partial latency.
+            # Blocks are grown depth first in lexicographic order, so the
+            # survivors reach the kernel in canonical order.
+            zero = np.zeros(1)
+            stack = [(np.zeros((1, 0), dtype=np.intp), zero, zero, zero)]
+            pending: list[np.ndarray] = []
+            waiting = 0
+            while stack:
+                procs, closed, open_, lat = stack.pop()
+                k = procs.shape[1]
+                if not len(procs):
+                    continue
+                if k == m:
+                    pending.append(procs)
+                    waiting += len(procs)
+                    if waiting >= _ROW_BUDGET:
+                        score(intervals, wsum, bvol, pending)
+                        pending, waiting = [], 0
+                    continue
+                step = max(1, _ROW_BUDGET // (p - k))
+                if len(procs) > step:
+                    stack.append(
+                        (procs[step:], closed[step:], open_[step:], lat[step:])
+                    )
+                    procs, closed, open_, lat = (
+                        procs[:step], closed[:step], open_[:step], lat[:step]
+                    )
+                ext = _extend_perms(procs, p)
+                u = ext[:, k - 1] if k else 0
+                v = ext[:, k]
+                # the kernel's operations in its order: every value is exact
+                link = bvol[k] / b[u, v]
+                comp = wsum[k] / s[v - 1]
+                # t_out closes the open interval (at k == 0 it is the input
+                # link alone, which the new open term covers)
+                closed = np.maximum(
+                    np.repeat(closed, p - k), np.repeat(open_, p - k) + link
+                )
+                open_ = link + comp
+                lat = np.repeat(lat, p - k) + link
+                lat += comp
+                # Rounded +, / and max are monotone, so adding the lower
+                # bounds in the kernel's order keeps each bound at or below
+                # the value of every completion, with no ulp to spare.
+                per_lb = np.maximum(np.maximum(closed, open_), comp_tail[k + 1])
+                lat_lb = lat
+                for j in range(k + 1, m):
+                    lat_lb = lat_lb + link_lb[j]
+                    lat_lb += comp_lb[j]
+                lat_lb = lat_lb + link_lb[m]
+                keep = ~_dominated(front_per, front_lat, per_lb, lat_lb)
+                stack.append((ext[keep], closed[keep], open_[keep], lat[keep]))
+            score(intervals, wsum, bvol, pending)
+    return _Front(front_per, front_lat, front_maps, evaluated, scored)
 
 
 def _lookup(
@@ -280,6 +383,7 @@ def _lookup(
         evaluated=front.evaluated,
         min_period=float(front.period[0]),
         min_latency=float(front.latency[-1]),
+        scored=front.scored,
     )
 
 

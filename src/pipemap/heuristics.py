@@ -342,9 +342,12 @@ def run_heuristic(
     Under a fixed period the run is feasible when its final period meets the
     threshold (for ``h2``: when some authorized increase reaches it).  Under
     a fixed latency it is infeasible exactly when the start state already
-    violates the threshold.
+    violates the threshold.  Passing ``search`` to any other heuristic raises
+    ``ValueError``.
     """
     fixed_criterion = fixed_criterion_of(name)
+    if search is not None and name != "h2":
+        raise ValueError(f"search applies only to h2, not to {name}")
     _, ratio_rule, three_way = _VARIANTS[name]
     threshold = _check_threshold(threshold, f"fixed_{fixed_criterion}")
     first = IntervalMapping.single_interval(spec.n, _speed_order(platform)[0])

@@ -28,7 +28,13 @@ class TestSolve:
         assert code == 0
         assert "1-2@p1;3-3@p2" in out
         assert "latency" in out
-        assert "evaluated" in out
+        lines = out.splitlines()
+        at = lines.index("evaluated: 6 mappings")
+        scored = lines[at + 1]
+        assert scored.startswith("scored: ") and scored.endswith(" pruned)")
+        count, of, total, _, pruned, _ = scored.split()[1:]
+        assert (of, total) == ("of", "6")
+        assert int(count) + int(pruned.lstrip("(")) == 6
 
     def test_infeasible_exit_two(self, tiny_files, capsys):
         pipeline, platform = tiny_files

@@ -10,14 +10,18 @@ import numpy as np
 import pytest
 
 import pipemap._kernels as kernels
+import pipemap.exact as exact
 from pipemap import (
     BicriteriaQuery,
     IntervalMapping,
     PipelineSpec,
     Platform,
+    PlatformGenSpec,
     count_mappings,
     enumerate_mappings,
     evaluate_metrics,
+    generate_platform,
+    jpeg_preset,
     solve,
     sweep,
 )
@@ -539,3 +543,154 @@ class TestGolden:
             digest.update(json.dumps(record, sort_keys=True).encode("utf-8"))
             digest.update(b"\n")
         assert digest.hexdigest() == GOLDEN_EXACT_SHA256
+
+
+def _keep_every_prefix(front_per, front_lat, period, latency):
+    """Stands in for ``exact._dominated``: the scan with its bounds off."""
+    return np.zeros(period.shape, dtype=bool)
+
+
+def _front_key(front):
+    return (
+        front.period.tolist(),
+        front.latency.tolist(),
+        [(m.intervals, m.assignees) for m in front.mappings],
+        front.evaluated,
+    )
+
+
+class TestBranchAndBound:
+    """The pruned scan against the scan with its bounds off and the oracle."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_pruned_matches_unpruned_and_oracle(self, monkeypatch, seed):
+        rng = np.random.default_rng(6000 + seed)
+        for k in range(12):
+            if k % 2:
+                spec, platform = _integer_instance(rng, (1, 7), (1, 7))
+            else:
+                spec, platform = random_instance(rng, n_range=(1, 7), p_range=(1, 7))
+            pruned = _scan_front(spec, platform)
+            with monkeypatch.context() as patch:
+                patch.setattr(exact, "_dominated", _keep_every_prefix)
+                full = _scan_front(spec, platform)
+            assert _front_key(pruned) == _front_key(full)
+            assert full.scored == full.evaluated
+            assert pruned.scored <= full.scored
+            if count_mappings(spec.n, platform.p) > 1100:
+                continue  # the pure-Python oracle stays on small instances
+            w, delta, s, b = as_lists(spec, platform)
+            for sense in ("latency", "period"):
+                ends = (pruned.period, pruned.latency)
+                fixed = ends[0] if sense == "latency" else ends[1]
+                for threshold in (math.inf, float(np.median(fixed)), fixed.min() * 0.9):
+                    result = solve(spec, platform, BicriteriaQuery(sense, threshold))
+                    mapping, obj, _, _, _, evaluated = oracle.solve_naive(
+                        w, delta, s, b, sense, threshold
+                    )
+                    assert result.evaluated == evaluated
+                    assert result.feasible == (mapping is not None)
+                    if mapping is None:
+                        continue
+                    assert result.objective_value == pytest.approx(obj, rel=1e-12)
+                    if k % 2 == 0:
+                        # real-valued: no ties, so the optimum is one mapping
+                        ours = (result.mapping.intervals, result.mapping.assignees)
+                        assert ours == (tuple(mapping[0]), tuple(mapping[1]))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_tight_bounds_prune_nothing_better(self, monkeypatch, seed):
+        # One speed and one bandwidth: each bound term is then the exact term
+        # of every completion.  Costs close together make mappings differ by
+        # well under 1%, so even a slightly inflated bound prunes a better one.
+        rng = np.random.default_rng(6500 + seed)
+        for _ in range(12):
+            n, p = (int(x) for x in rng.integers(2, 8, 2))
+            spec = PipelineSpec(
+                stage_names=tuple(f"s{k}" for k in range(n)),
+                w=rng.integers(500, 510, n).astype(float),
+                delta=rng.integers(0, 3, n + 1).astype(float),
+            )
+            speed, link = (float(x) for x in rng.choice([1.0, 2.0, 4.0], 2))
+            platform = Platform(s=[speed] * p, b=uniform_bandwidth(p, link))
+            pruned = _scan_front(spec, platform)
+            with monkeypatch.context() as patch:
+                patch.setattr(exact, "_dominated", _keep_every_prefix)
+                assert _front_key(_scan_front(spec, platform)) == _front_key(pruned)
+
+    def test_counters_add_up(self):
+        spec = jpeg_preset()
+        for p in (3, 6, 10):
+            platform = generate_platform(PlatformGenSpec(seed=p, p=p))
+            result = solve(spec, platform, BicriteriaQuery.minimize_latency())
+            assert result.scored + result.pruned == result.evaluated
+            assert result.evaluated == count_mappings(spec.n, p)
+            assert 0 < result.scored < result.evaluated
+            assert set(result.to_dict()).isdisjoint({"scored", "pruned"})
+
+    def test_exact_tie_with_a_front_point(self, monkeypatch):
+        # every term is exact in binary: 1-1@p1;2-3@p2 and, one partition
+        # later, 1-2@p1;3-3@p2 both reach period 3.0 and latency 4.5.  The
+        # bounds of the later one equal its true values, and the earlier
+        # point weakly dominates them, so it is bounded out unscored.
+        spec = PipelineSpec(stage_names=("a", "b", "c"), w=[1, 1, 1], delta=[1, 1, 1, 1])
+        platform = Platform(s=[1.0, 1.0, 1.0], b=uniform_bandwidth(3))
+        first = IntervalMapping.from_signature("1-1@p1;2-3@p2")
+        later = IntervalMapping.from_signature("1-2@p1;3-3@p2")
+        tie = evaluate_metrics(spec, platform, first)
+        twin = evaluate_metrics(spec, platform, later)
+        assert (tie.period, tie.latency) == (twin.period, twin.latency) == (3.0, 4.5)
+        scored = []
+        scan = kernels.scan_perms
+
+        def spy(wsum, bvol, s, b, perms, periods, latencies):
+            scored.extend((tuple(wsum), tuple(row)) for row in perms.tolist())
+            return scan(wsum, bvol, s, b, perms, periods, latencies)
+
+        monkeypatch.setattr(kernels, "scan_perms", spy)
+        front = _scan_front(spec, platform)
+        assert (3.0, 4.5) in zip(front.period.tolist(), front.latency.tolist())
+        assert first in front.mappings and later not in front.mappings
+        assert front.scored == len(scored) < front.evaluated
+        assert ((1.0, 2.0), (1, 2)) in scored and ((2.0, 1.0), (1, 2)) not in scored
+        result = solve(spec, platform, BicriteriaQuery.minimize_latency(3.0))
+        assert result.mapping == first and result.metrics == tie
+        monkeypatch.setattr(exact, "_dominated", _keep_every_prefix)
+        assert _front_key(_scan_front(spec, platform)) == _front_key(front)
+
+    @pytest.mark.parametrize("budget", [1, 7])
+    def test_tiny_row_budget_gives_the_same_front(self, monkeypatch, budget):
+        rng = np.random.default_rng(7000 + budget)
+        instances = [_integer_instance(rng, (4, 6), (4, 6)) for _ in range(3)]
+        instances += [random_instance(rng, (4, 6), (4, 6)) for _ in range(3)]
+        fronts = [_front_key(_scan_front(spec, pl)) for spec, pl in instances]
+        monkeypatch.setattr(exact, "_ROW_BUDGET", budget)
+        assert [_front_key(_scan_front(spec, pl)) for spec, pl in instances] == fronts
+
+    def test_p14_peak_memory_stays_bounded(self):
+        """A fresh interpreter solves n=7, p=14: 34.4 M mappings.
+
+        Scoring them all at once would build a 924 MiB processor table; the
+        traced peak of the whole solve must stay under 64 MiB.
+        """
+        probe = textwrap.dedent(
+            """
+            import tracemalloc
+            from pipemap import (
+                BicriteriaQuery, PlatformGenSpec, generate_platform, jpeg_preset, solve
+            )
+
+            spec = jpeg_preset()
+            platform = generate_platform(PlatformGenSpec(seed=14, p=14))
+            tracemalloc.start()
+            result = solve(spec, platform, BicriteriaQuery.minimize_period())
+            print(result.evaluated, result.scored, tracemalloc.get_traced_memory()[1])
+            """
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+        )
+        evaluated, scored, peak = map(int, proc.stdout.split())
+        assert evaluated == count_mappings(7, 14) == 34_388_186
+        assert scored < evaluated
+        assert peak < 64 * 1024 * 1024, f"peak traced memory {peak} bytes"

@@ -32,6 +32,17 @@ class TestNaming:
         with pytest.raises(ValueError, match="heuristic"):
             run_heuristic("h7", tiny_spec, tiny_platform, 5.0)
 
+    @pytest.mark.parametrize("name", ["h1", "h3", "h4", "h5", "h6"])
+    def test_search_rejected_outside_h2(self, name, tiny_spec, tiny_platform):
+        with pytest.raises(ValueError, match="only to h2"):
+            run_heuristic(
+                name,
+                tiny_spec,
+                tiny_platform,
+                50.0,
+                search=BinarySearchConfig(iterations=3),
+            )
+
     def test_fixed_criteria(self):
         assert fixed_criterion_of("h1") == "period"
         assert fixed_criterion_of("h2") == "period"
