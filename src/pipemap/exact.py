@@ -22,14 +22,15 @@ built so far weakly dominates the prefix's lower bounds:
 * latency >= its partial latency, plus ``bvol[j] / max(b) + wsum[j] / max(s)``
   for each interval not yet placed, plus ``bvol[m] / max(b)``.
 
-Both bounds are summed in the kernel's order, and rounded ``+``, ``/`` and
-``max`` are monotone, so no bound exceeds the exact float value of any
-completion.  Every front point is canonically earlier than the prefix, so
-dropping a tie keeps the canonically first mapping, as the merge does.  The
-survivors are scored by one vectorized kernel call per partition (see
-:mod:`pipemap._kernels`; more only when they exceed a row budget) and merged
-into the front.  ``evaluated`` counts
-every mapping the scan decided, scored or bounded out.
+Prefix values and bounds are summed in the order of
+:func:`pipemap.model.evaluate_metrics`, and rounded ``+``, ``/`` and ``max``
+are monotone, so no bound exceeds the exact float value of any completion.
+Every front point is canonically earlier than the prefix, so dropping a tie
+keeps the canonically first mapping, as the merge does.  At the last interval
+the output link closes each row, giving its period and latency bit for bit as
+``evaluate_metrics`` would, and the rows the front does not weakly dominate
+are merged into it.  ``evaluated`` counts every mapping the scan decided,
+``scored`` the full mappings it completed and ``pruned`` the rest.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from . import _kernels
 from .model import (
     IntervalMapping,
     MappingMetrics,
@@ -108,9 +108,10 @@ class SolveResult:
     threshold; ``min_period`` and ``min_latency`` always carry the
     unconstrained minima (the two ends of the Pareto front), so an infeasible
     result still reports the best achievable bound on each criterion.
-    ``evaluated`` counts every mapping the scan decided; ``scored`` those the
-    kernel evaluated, and ``pruned`` those bounded out unscored.  Neither of
-    the last two is part of :meth:`to_dict`.
+    ``evaluated`` counts every mapping the scan decided; ``scored`` the full
+    mappings whose metrics it computed, and ``pruned`` those bounded out as
+    prefixes before their last interval.  Neither of the last two is part of
+    :meth:`to_dict`.
     """
 
     query: BicriteriaQuery
@@ -200,7 +201,7 @@ def _extend_perms(prev: np.ndarray, p: int) -> np.ndarray:
 
     Every row has ``p - k`` free processors; its extensions follow it in
     ascending order, so a lexicographic table stays lexicographic.  The
-    result is column-major ``intp``: the kernel reads one column at a time.
+    result is column-major ``intp``: the scan reads one column at a time.
     """
     count, k = prev.shape
     free = np.ones((count, p + 1), dtype=bool)
@@ -231,7 +232,7 @@ def _partition_arrays(
 
 # Prefix rows one expansion step may build.  The scan grows prefixes depth
 # first in blocks of this size, so its tables stay bounded however few
-# prefixes the bounds prune; it also caps the survivors awaiting the kernel.
+# prefixes the bounds prune.
 _ROW_BUDGET = 1 << 15
 
 
@@ -241,7 +242,8 @@ class _Front(NamedTuple):
     Periods strictly rise and latencies strictly fall along the front; each
     point holds the canonically first mapping that reaches it exactly.
     ``evaluated`` counts the mappings the scan decided and ``scored`` the
-    ones the kernel evaluated; the rest were bounded out.
+    full mappings whose metrics it computed; the rest were bounded out as
+    prefixes before their last interval.
     """
 
     period: np.ndarray
@@ -262,8 +264,39 @@ def _dominated(
     return (k >= 0) & (front_lat[k] <= latency)
 
 
+def _grow(
+    block: tuple, wsum: np.ndarray, bvol: np.ndarray, s: np.ndarray, b: np.ndarray
+) -> tuple:
+    """Extend prefixes of ``k`` intervals by every free processor for interval ``k``.
+
+    A block is ``(procs, closed, open_, lat)``, one row per prefix: processor
+    tuples, the max of the closed cycles, the open interval's
+    ``t_in + t_comp`` and the partial latency, each exact.
+    """
+    procs, closed, open_, lat = block
+    k, p = procs.shape[1], s.shape[0]
+    ext = _extend_perms(procs, p)
+    u = ext[:, k - 1] if k else 0
+    v = ext[:, k]
+    link = bvol[k] / b[u, v]
+    comp = wsum[k] / s[v - 1]
+    # t_out closes the open interval (at k == 0 it is the input link alone,
+    # which never exceeds the first cycle)
+    closed = np.maximum(np.repeat(closed, p - k), np.repeat(open_, p - k) + link)
+    lat = np.repeat(lat, p - k) + link
+    lat += comp
+    return ext, closed, link + comp, lat
+
+
+def _complete(block: tuple, bvol: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Period and latency of full mappings: the output link closes the last interval."""
+    procs, closed, open_, lat = block
+    t_out = bvol[-1] / b[procs[:, -1], b.shape[0] - 1]
+    return np.maximum(closed, open_ + t_out), lat + t_out
+
+
 def _scan_front(spec: PipelineSpec, platform: Platform) -> _Front:
-    """Build the Pareto front, scoring only the prefixes it cannot yet beat."""
+    """Build the Pareto front, completing only the prefixes it cannot yet beat."""
     n, p = spec.n, platform.p
     s, b = platform.s, platform.b
     s_max, b_max = s.max(), b.max()
@@ -271,35 +304,6 @@ def _scan_front(spec: PipelineSpec, platform: Platform) -> _Front:
     front_lat = np.empty(0, dtype=np.float64)
     front_maps: list[IntervalMapping] = []
     evaluated = scored = 0
-
-    def score(intervals, wsum, bvol, pending):
-        """Score the pending prefixes with the kernel and merge them into the front."""
-        nonlocal front_per, front_lat, front_maps, scored
-        perms = np.concatenate(pending or [np.empty((0, len(intervals)), np.intp)])
-        periods = np.empty(perms.shape[0], dtype=np.float64)
-        latencies = np.empty(perms.shape[0], dtype=np.float64)
-        _kernels.scan_perms(wsum, bvol, s, b, perms, periods, latencies)
-        scored += perms.shape[0]
-        per = np.concatenate((front_per, periods))
-        lat = np.concatenate((front_lat, latencies))
-        # lexsort is stable and candidates are in canonical order, so exact
-        # ties keep the canonically first; a point joins the front only if
-        # its latency is strictly below every one sorted before it
-        order = np.lexsort((lat, per))
-        lat_sorted = lat[order]
-        keep = np.empty(order.size, dtype=bool)
-        keep[:1] = True
-        keep[1:] = lat_sorted[1:] < np.minimum.accumulate(lat_sorted)[:-1]
-        order = order[keep]
-        old = len(front_maps)
-        front_maps = [
-            front_maps[i]
-            if i < old
-            else IntervalMapping(intervals, perms[i - old].tolist())
-            for i in order.tolist()
-        ]
-        front_per, front_lat = per[order], lat[order]
-
     for m in range(1, min(n, p) + 1):
         for cuts in itertools.combinations(range(1, n), m - 1):
             intervals = _cuts_to_intervals(n, cuts)
@@ -309,51 +313,47 @@ def _scan_front(spec: PipelineSpec, platform: Platform) -> _Front:
             # fastest processor and the widest link.
             link_lb, comp_lb = bvol / b_max, wsum / s_max
             comp_tail = np.append(np.maximum.accumulate(comp_lb[::-1])[::-1], 0.0)
-            # A prefix of k intervals carries the max of its closed cycles,
-            # the open interval's t_in + t_comp and its partial latency.
-            # Blocks are grown depth first in lexicographic order, so the
-            # survivors reach the kernel in canonical order.
+            # Blocks are grown depth first in lexicographic order, so full
+            # mappings reach the front in canonical order.
             zero = np.zeros(1)
             stack = [(np.zeros((1, 0), dtype=np.intp), zero, zero, zero)]
-            pending: list[np.ndarray] = []
-            waiting = 0
             while stack:
-                procs, closed, open_, lat = stack.pop()
-                k = procs.shape[1]
-                if not len(procs):
-                    continue
-                if k == m:
-                    pending.append(procs)
-                    waiting += len(procs)
-                    if waiting >= _ROW_BUDGET:
-                        score(intervals, wsum, bvol, pending)
-                        pending, waiting = [], 0
-                    continue
+                block = stack.pop()
+                k = block[0].shape[1]
                 step = max(1, _ROW_BUDGET // (p - k))
-                if len(procs) > step:
-                    stack.append(
-                        (procs[step:], closed[step:], open_[step:], lat[step:])
+                if len(block[0]) > step:
+                    stack.append(tuple(a[step:] for a in block))
+                    block = tuple(a[:step] for a in block)
+                block = _grow(block, wsum, bvol, s, b)
+                procs, closed, open_, lat = block
+                if k + 1 == m:
+                    period, latency = _complete(block, bvol, b)
+                    scored += len(procs)
+                    rows = np.flatnonzero(
+                        ~_dominated(front_per, front_lat, period, latency)
                     )
-                    procs, closed, open_, lat = (
-                        procs[:step], closed[:step], open_[:step], lat[:step]
-                    )
-                ext = _extend_perms(procs, p)
-                u = ext[:, k - 1] if k else 0
-                v = ext[:, k]
-                # the kernel's operations in its order: every value is exact
-                link = bvol[k] / b[u, v]
-                comp = wsum[k] / s[v - 1]
-                # t_out closes the open interval (at k == 0 it is the input
-                # link alone, which the new open term covers)
-                closed = np.maximum(
-                    np.repeat(closed, p - k), np.repeat(open_, p - k) + link
-                )
-                open_ = link + comp
-                lat = np.repeat(lat, p - k) + link
-                lat += comp
+                    if rows.size:
+                        period = np.concatenate((front_per, period[rows]))
+                        latency = np.concatenate((front_lat, latency[rows]))
+                        # lexsort is stable and the rows follow the front in
+                        # canonical order, so exact ties keep the canonically
+                        # first; a point stays only if its latency is strictly
+                        # below every one sorted before it
+                        order = np.lexsort((latency, period))
+                        low = np.minimum.accumulate(latency[order])
+                        order = order[np.append(True, low[1:] < low[:-1])]
+                        old = len(front_maps)
+                        front_maps = [
+                            front_maps[i]
+                            if i < old
+                            else IntervalMapping(intervals, procs[rows[i - old]].tolist())
+                            for i in order.tolist()
+                        ]
+                        front_per, front_lat = period[order], latency[order]
+                    continue
                 # Rounded +, / and max are monotone, so adding the lower
-                # bounds in the kernel's order keeps each bound at or below
-                # the value of every completion, with no ulp to spare.
+                # bounds in evaluate_metrics' order keeps each bound at or
+                # below the value of every completion, with no ulp to spare.
                 per_lb = np.maximum(np.maximum(closed, open_), comp_tail[k + 1])
                 lat_lb = lat
                 for j in range(k + 1, m):
@@ -361,8 +361,8 @@ def _scan_front(spec: PipelineSpec, platform: Platform) -> _Front:
                     lat_lb += comp_lb[j]
                 lat_lb = lat_lb + link_lb[m]
                 keep = ~_dominated(front_per, front_lat, per_lb, lat_lb)
-                stack.append((ext[keep], closed[keep], open_[keep], lat[keep]))
-            score(intervals, wsum, bvol, pending)
+                if keep.any():
+                    stack.append(tuple(a[keep] for a in block))
     return _Front(front_per, front_lat, front_maps, evaluated, scored)
 
 

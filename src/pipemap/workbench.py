@@ -12,16 +12,13 @@ one record per row.  Cells are ``""`` for ``None``, ``true``/``false``, ``repr``
 of floats and plain text otherwise; a malformed file raises ``ValueError``.
 
 Rejected input (a ``ValueError``) on one platform becomes that row's ``error``
-cell; any other exception aborts the run.  Set ``PIPEMAP_THREADS`` to
-parallelize campaign rows; results are identical to the sequential run.
+cell; any other exception aborts the run.
 """
 
 from __future__ import annotations
 
 import csv
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import Field, dataclass, fields
 from typing import Any, Callable, Iterable, Sequence
 
@@ -54,7 +51,6 @@ __all__ = [
     "run_campaign",
     "run_sweep_report",
     "seeded_platforms",
-    "thread_count",
     "write_campaign_csv",
     "write_generated_platform",
     "write_sweep_csv",
@@ -217,18 +213,6 @@ class CampaignResult:
         return out
 
 
-def thread_count() -> int:
-    """Worker count for campaigns, from ``PIPEMAP_THREADS`` (default 1)."""
-    raw = os.environ.get("PIPEMAP_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"PIPEMAP_THREADS must be an integer, got {raw!r}")
-    return max(1, value)
-
-
 def _campaign_row(
     spec: PipelineSpec,
     entry: CampaignPlatform,
@@ -302,18 +286,8 @@ def run_campaign(
                 f"heuristic {name} bounds the {fixed_criterion_of(name)} but the "
                 f"query fixes the {query.fixed_criterion}"
             )
-    workers = thread_count()
-    if workers > 1 and len(platforms) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(
-                pool.map(
-                    lambda entry: _campaign_row(spec, entry, query, names),
-                    platforms,
-                )
-            )
-    else:
-        rows = [_campaign_row(spec, entry, query, names) for entry in platforms]
-    return CampaignResult(query=query, heuristics=names, rows=tuple(rows))
+    rows = tuple(_campaign_row(spec, entry, query, names) for entry in platforms)
+    return CampaignResult(query=query, heuristics=names, rows=rows)
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,7 @@ def _report(number: int, text: str) -> None:
     print(f"ACCEPTANCE {number} PASS — {text}")
 
 
-def _warm_kernel() -> None:
+def _warm_scan() -> None:
     spec, platform = random_instance(np.random.default_rng(0))
     solve(spec, platform, BicriteriaQuery.minimize_period())
 
@@ -53,7 +53,7 @@ class TestCriterion1OracleCorrectness:
         """200 seeded random instances (n <= 5, p <= 4), both query senses,
         solver output equal to an independently coded direct enumeration
         within 1e-9 relative; total runtime under 30 s."""
-        _warm_kernel()
+        _warm_scan()
         started = time.perf_counter()
         rng = np.random.default_rng(20260818)
         checked = 0
@@ -99,7 +99,7 @@ class TestCriterion2Scale:
     def test_criterion_2_full_scan_count_and_speed(self):
         """The seven-stage preset on a 10-processor platform enumerates
         exactly 2,077,750 mappings and each query finishes in under 10 s."""
-        _warm_kernel()
+        _warm_scan()
         spec = jpeg_preset()
         platform = generate_platform(PlatformGenSpec(seed=1, p=10))
         timings = []
@@ -174,7 +174,7 @@ class TestCriterion4HeuristicQuality:
         greedy splitting provably tracks the exact front on neighbouring seed
         ranges as well, unlike wide-spread networks where single catastrophic
         greedy dead-ends appear."""
-        _warm_kernel()
+        _warm_scan()
         spec = jpeg_preset()
         matches = 0
         excesses: list[str] = []

@@ -9,7 +9,6 @@ import textwrap
 import numpy as np
 import pytest
 
-import pipemap._kernels as kernels
 import pipemap.exact as exact
 from pipemap import (
     BicriteriaQuery,
@@ -26,8 +25,10 @@ from pipemap import (
     sweep,
 )
 from pipemap.exact import (
+    _complete,
     _cuts_to_intervals,
     _extend_perms,
+    _grow,
     _partition_arrays,
     _scan_front,
 )
@@ -267,7 +268,7 @@ class TestAgainstOracle:
 
 class TestKernel:
     def test_every_row_matches_evaluate_metrics(self):
-        """The kernel accumulates in ``evaluate_metrics`` order: rows are exact."""
+        """The scan accumulates in ``evaluate_metrics`` order: full rows are exact."""
         rng = np.random.default_rng(77)
         for k in range(40):
             if k % 2:
@@ -278,18 +279,21 @@ class TestKernel:
             delta[int(rng.integers(0, spec.n + 1))] = 0.0
             spec = PipelineSpec(stage_names=spec.stage_names, w=spec.w, delta=delta)
             n, p = spec.n, platform.p
-            perms = np.zeros((1, 0), dtype=np.intp)
+            zero = np.zeros(1)
             for m in range(1, min(n, p) + 1):
-                perms = _extend_perms(perms, p)
-                periods = np.empty(perms.shape[0])
-                latencies = np.empty(perms.shape[0])
                 for cuts in itertools.combinations(range(1, n), m - 1):
                     intervals = _cuts_to_intervals(n, cuts)
                     wsum, bvol = _partition_arrays(spec, intervals)
-                    kernels.scan_perms(
-                        wsum, bvol, platform.s, platform.b, perms, periods, latencies
-                    )
-                    for i, procs in enumerate(perms.tolist()):
+                    # the scan's own steps, with no prefix bounded out
+                    block = (np.zeros((1, 0), dtype=np.intp), zero, zero, zero)
+                    for _ in range(m):
+                        block = _grow(block, wsum, bvol, platform.s, platform.b)
+                    periods, latencies = _complete(block, bvol, platform.b)
+                    perms = block[0].tolist()
+                    assert perms == [
+                        list(t) for t in itertools.permutations(range(1, p + 1), m)
+                    ]
+                    for i, procs in enumerate(perms):
                         mapping = IntervalMapping(intervals, tuple(procs))
                         metrics = evaluate_metrics(spec, platform, mapping)
                         assert periods[i] == metrics.period
@@ -523,9 +527,9 @@ class TestFront:
         rng = np.random.default_rng(5)
         spec, platform = random_instance(rng, n_range=(5, 5), p_range=(4, 4))
         calls = []
-        scan = kernels.scan_perms
+        prep = exact._partition_arrays
         monkeypatch.setattr(
-            kernels, "scan_perms", lambda *args: calls.append(1) or scan(*args)
+            exact, "_partition_arrays", lambda *args: calls.append(1) or prep(*args)
         )
         thresholds = [1.0 + 0.5 * j for j in range(k)]
         points = sweep(spec, platform, BicriteriaQuery.minimize_latency(), thresholds)
@@ -631,8 +635,8 @@ class TestBranchAndBound:
     def test_exact_tie_with_a_front_point(self, monkeypatch):
         # every term is exact in binary: 1-1@p1;2-3@p2 and, one partition
         # later, 1-2@p1;3-3@p2 both reach period 3.0 and latency 4.5.  The
-        # bounds of the later one equal its true values, and the earlier
-        # point weakly dominates them, so it is bounded out unscored.
+        # earlier point weakly dominates the later one, so the later one
+        # never joins the front.
         spec = PipelineSpec(stage_names=("a", "b", "c"), w=[1, 1, 1], delta=[1, 1, 1, 1])
         platform = Platform(s=[1.0, 1.0, 1.0], b=uniform_bandwidth(3))
         first = IntervalMapping.from_signature("1-1@p1;2-3@p2")
@@ -640,23 +644,15 @@ class TestBranchAndBound:
         tie = evaluate_metrics(spec, platform, first)
         twin = evaluate_metrics(spec, platform, later)
         assert (tie.period, tie.latency) == (twin.period, twin.latency) == (3.0, 4.5)
-        scored = []
-        scan = kernels.scan_perms
-
-        def spy(wsum, bvol, s, b, perms, periods, latencies):
-            scored.extend((tuple(wsum), tuple(row)) for row in perms.tolist())
-            return scan(wsum, bvol, s, b, perms, periods, latencies)
-
-        monkeypatch.setattr(kernels, "scan_perms", spy)
         front = _scan_front(spec, platform)
         assert (3.0, 4.5) in zip(front.period.tolist(), front.latency.tolist())
         assert first in front.mappings and later not in front.mappings
-        assert front.scored == len(scored) < front.evaluated
-        assert ((1.0, 2.0), (1, 2)) in scored and ((2.0, 1.0), (1, 2)) not in scored
         result = solve(spec, platform, BicriteriaQuery.minimize_latency(3.0))
         assert result.mapping == first and result.metrics == tie
         monkeypatch.setattr(exact, "_dominated", _keep_every_prefix)
-        assert _front_key(_scan_front(spec, platform)) == _front_key(front)
+        unbounded = _scan_front(spec, platform)
+        assert first in unbounded.mappings and later not in unbounded.mappings
+        assert _front_key(unbounded) == _front_key(front)
 
     @pytest.mark.parametrize("budget", [1, 7])
     def test_tiny_row_budget_gives_the_same_front(self, monkeypatch, budget):

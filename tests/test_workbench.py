@@ -21,7 +21,6 @@ from pipemap.workbench import (
     read_sweep_csv,
     run_sweep_report,
     seeded_platforms,
-    thread_count,
     write_campaign_csv,
     write_generated_platform,
     write_sweep_csv,
@@ -279,31 +278,6 @@ class TestCampaign:
             for cell in row.cells.values():
                 # never better than the exhaustive optimum
                 assert cell.objective >= row.exact_objective - 1e-9
-
-    def test_parallel_equals_serial(self, tiny_spec, monkeypatch):
-        batch = seeded_platforms([1, 2, 3, 4], p=3)
-        query = BicriteriaQuery.minimize_latency()
-        monkeypatch.delenv("PIPEMAP_THREADS", raising=False)
-        serial = run_campaign(tiny_spec, batch, query, ["h1", "h2"])
-        monkeypatch.setenv("PIPEMAP_THREADS", "4")
-        parallel = run_campaign(tiny_spec, batch, query, ["h1", "h2"])
-        for a, b in zip(serial.rows, parallel.rows):
-            assert a.label == b.label
-            assert a.exact_objective == b.exact_objective
-            for name in ("h1", "h2"):
-                assert a.cells[name].objective == b.cells[name].objective
-                assert a.cells[name].feasible == b.cells[name].feasible
-
-    def test_thread_count_parsing(self, monkeypatch):
-        monkeypatch.delenv("PIPEMAP_THREADS", raising=False)
-        assert thread_count() == 1
-        monkeypatch.setenv("PIPEMAP_THREADS", "6")
-        assert thread_count() == 6
-        monkeypatch.setenv("PIPEMAP_THREADS", "0")
-        assert thread_count() == 1
-        monkeypatch.setenv("PIPEMAP_THREADS", "soup")
-        with pytest.raises(ValueError, match="PIPEMAP_THREADS"):
-            thread_count()
 
 
 class TestCampaignCsv:
