@@ -42,6 +42,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
+from . import _kernels
 from .model import (
     IntervalMapping,
     MappingMetrics,
@@ -271,21 +272,12 @@ def _grow(
 
     A block is ``(procs, closed, open_, lat)``, one row per prefix: processor
     tuples, the max of the closed cycles, the open interval's
-    ``t_in + t_comp`` and the partial latency, each exact.
+    ``t_in + t_comp`` and the partial latency, each exact
+    (:func:`pipemap._kernels.scan_perms` computes them).
     """
     procs, closed, open_, lat = block
-    k, p = procs.shape[1], s.shape[0]
-    ext = _extend_perms(procs, p)
-    u = ext[:, k - 1] if k else 0
-    v = ext[:, k]
-    link = bvol[k] / b[u, v]
-    comp = wsum[k] / s[v - 1]
-    # t_out closes the open interval (at k == 0 it is the input link alone,
-    # which never exceeds the first cycle)
-    closed = np.maximum(np.repeat(closed, p - k), np.repeat(open_, p - k) + link)
-    lat = np.repeat(lat, p - k) + link
-    lat += comp
-    return ext, closed, link + comp, lat
+    ext = _extend_perms(procs, s.shape[0])
+    return (ext, *_kernels.scan_perms(wsum, bvol, s, b, ext, closed, open_, lat))
 
 
 def _complete(block: tuple, bvol: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

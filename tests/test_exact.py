@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import pipemap.exact as exact
+from pipemap import _kernels
 from pipemap import (
     BicriteriaQuery,
     IntervalMapping,
@@ -298,6 +299,25 @@ class TestKernel:
                         metrics = evaluate_metrics(spec, platform, mapping)
                         assert periods[i] == metrics.period
                         assert latencies[i] == metrics.latency
+
+    def test_scan_places_every_interval_through_the_kernel(self, monkeypatch):
+        """With bounds off, the kernel sees every prefix of every partition once."""
+        rng = np.random.default_rng(78)
+        spec, platform = random_instance(rng, n_range=(5, 5), p_range=(4, 4))
+        rows = []
+        kernel = _kernels.scan_perms
+        monkeypatch.setattr(
+            _kernels, "scan_perms", lambda *args: rows.append(len(args[4])) or kernel(*args)
+        )
+        monkeypatch.setattr(exact, "_dominated", _keep_every_prefix)
+        front = _scan_front(spec, platform)
+        n, p = spec.n, platform.p
+        assert sum(rows) == sum(
+            math.comb(n - 1, m - 1) * math.perm(p, j)
+            for m in range(1, min(n, p) + 1)
+            for j in range(1, m + 1)
+        )
+        assert front.scored == front.evaluated == count_mappings(n, p)
 
 
 class TestPermTables:
