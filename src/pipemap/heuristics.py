@@ -25,7 +25,13 @@ The variants differ along the columns of the ``_VARIANTS`` table:
 One enumerator serves every split width: a ``k``-way split of the
 bottleneck's interval tries every ``k - 1`` cut points and every placement
 of the bottleneck and the ``k - 1`` fastest unused processors, keeping the
-first lowest-scoring candidate.
+first lowest-scoring candidate.  Candidates are scored incrementally: a
+split changes only its parts' terms, the predecessor's send and the
+successor's receive, so each candidate's latency and party cycles are
+summed from per-run tables of Python floats in :func:`evaluate_metrics`
+order, bit for bit equal to a full evaluation, with no mapping built.
+Only the winner of each split becomes an :class:`IntervalMapping` and runs
+through :func:`evaluate_metrics`.
 
 :func:`run_heuristic` is the single entry point.  For ``h2`` it also runs a
 binary search over the latency increase authorized on top of the start
@@ -37,7 +43,9 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import asdict, dataclass
+from typing import Iterator, NamedTuple
 
 from .model import (
     IntervalMapping,
@@ -46,6 +54,7 @@ from .model import (
     Platform,
     evaluate_metrics,
     meets_threshold,
+    padded_threshold,
 )
 
 __all__ = [
@@ -209,9 +218,93 @@ def _speed_order(platform: Platform) -> list[int]:
     return sorted(range(1, platform.p + 1), key=lambda u: (-s[u - 1], u))
 
 
+class _Tables(NamedTuple):
+    """Python-float views of one instance, shared by every split of a run.
+
+    ``W[d][e]`` folds ``w[d-1..e-1]`` left to right from ``0.0``, as
+    :func:`~pipemap.model.evaluate_metrics` does, so every term built from
+    these tables has the bits that function gives it.
+    """
+
+    delta: list[float]
+    s: list[float]
+    b: list[list[float]]
+    W: list[list[float]]
+
+
+def _tables(spec: PipelineSpec, platform: Platform) -> _Tables:
+    w = spec.w.tolist()
+    n = len(w)
+    W = [[0.0] * (n + 1) for _ in range(n + 1)]
+    for d in range(1, n + 1):
+        acc = 0.0
+        for e in range(d, n + 1):
+            acc += w[e - 1]
+            W[d][e] = acc
+    return _Tables(spec.delta.tolist(), platform.s.tolist(), platform.b.tolist(), W)
+
+
+def _split_candidates(
+    tables: _Tables,
+    mapping: IntervalMapping,
+    jidx: int,
+    recipients: tuple[int, ...],
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], float, tuple[float, ...]]]:
+    """Every split of interval ``jidx`` into ``len(recipients) + 1`` parts.
+
+    Yields ``(cuts, placement, latency, party_cycles)``: cut points in
+    lexicographic order and, for each, the placements of the interval's
+    processor and the ``recipients`` in permutation order.  A split changes
+    only its parts' terms, the predecessor's send and the successor's
+    receive, so the latency starts from the sum over the intervals before
+    ``jidx`` and adds the parts' receive and compute, the successor's new
+    receive and the unchanged rest in :func:`evaluate_metrics` order: the
+    values are those of the candidate mapping's metrics, bit for bit.
+    """
+    delta, s, b, W = tables
+    intervals, assignees = mapping.intervals, mapping.assignees
+    d, e = intervals[jidx]
+    head, pred = 0.0, 0
+    for (lo, hi), u in zip(intervals[:jidx], assignees[:jidx]):
+        head += delta[lo - 1] / b[pred][u]
+        head += W[lo][hi] / s[u - 1]
+        pred = u
+    # the terms after the successor's receive, ending with the last send
+    tail: list[float] = []
+    if jidx + 1 < len(intervals):
+        succ = last = assignees[jidx + 1]
+        lo, hi = intervals[jidx + 1]
+        tail.append(W[lo][hi] / s[last - 1])
+        for (lo, hi), u in zip(intervals[jidx + 2 :], assignees[jidx + 2 :]):
+            tail.append(delta[lo - 1] / b[last][u])
+            tail.append(W[lo][hi] / s[u - 1])
+            last = u
+        tail.append(delta[intervals[-1][1]] / b[last][len(s) + 1])
+    else:
+        succ = len(s) + 1
+    for cuts in itertools.combinations(range(d, e), len(recipients)):
+        spans = tuple(zip((d - 1, *cuts), (*cuts, e)))
+        for placement in itertools.permutations((assignees[jidx], *recipients)):
+            latency = head
+            cycles = []
+            t_in = delta[d - 1] / b[pred][placement[0]]
+            for (lo, hi), u, v in zip(spans, placement, (*placement[1:], succ)):
+                t_comp = W[lo + 1][hi] / s[u - 1]
+                t_out = delta[hi] / b[u][v]
+                latency += t_in
+                latency += t_comp
+                cycles.append(t_in + t_comp + t_out)
+                t_in = t_out
+            latency += t_in
+            for term in tail:
+                latency += term
+            yield cuts, placement, latency, tuple(cycles)
+
+
 def _best_split(
     spec: PipelineSpec,
     platform: Platform,
+    tables: _Tables,
     mapping: IntervalMapping,
     metrics: MappingMetrics,
     unused: list[int],
@@ -222,62 +315,62 @@ def _best_split(
     """The first lowest-scoring split of the bottleneck's interval, or ``None``.
 
     The interval splits into ``k`` parts: three when ``three_way`` holds, it
-    has at least three stages and two processors are unused, else two.  Cut
-    points run in lexicographic order and, for each, the placements of the
-    bottleneck and the ``k - 1`` fastest unused processors in permutation
-    order; the first candidate wins a tie.
+    has at least three stages and two processors are unused, else two.  Each
+    candidate of :func:`_split_candidates` is scored from its latency and
+    party cycles alone, with no mapping built; the first candidate wins a
+    tie.  Only the winner becomes an :class:`IntervalMapping`, and its
+    metrics come from one :func:`evaluate_metrics` call.
     """
     cycles = metrics.per_processor_period
     jidx = cycles.index(max(cycles))
     d, e = mapping.intervals[jidx]
-    target = mapping.assignees[jidx]
     if d == e or not unused:
         return None
     k = 3 if three_way and e - d >= 2 and len(unused) >= 2 else 2
     recipients = tuple(unused[: k - 1])
+    cap = math.inf if latency_cap is None else padded_threshold(latency_cap)
+    period = metrics.period
     best = None
-    for cuts in itertools.combinations(range(d, e), k - 1):
-        bounds = (d - 1, *cuts, e)
-        parts = tuple((lo + 1, hi) for lo, hi in zip(bounds, bounds[1:]))
-        new_intervals = (
-            mapping.intervals[:jidx] + parts + mapping.intervals[jidx + 1 :]
-        )
-        for placement in itertools.permutations((target, *recipients)):
-            new_assignees = (
-                mapping.assignees[:jidx] + placement + mapping.assignees[jidx + 1 :]
-            )
-            cand_mapping = IntervalMapping(intervals=new_intervals, assignees=new_assignees)
-            cand_metrics = evaluate_metrics(spec, platform, cand_mapping)
-            if latency_cap is not None and not meets_threshold(
-                cand_metrics.latency, latency_cap
-            ):
+    for cuts, placement, latency, party_cycles in _split_candidates(
+        tables, mapping, jidx, recipients
+    ):
+        if latency > cap:
+            continue
+        if ratio_rule:
+            delta_period = tuple(period - c for c in party_cycles)
+            if any(dp <= 0 for dp in delta_period):
                 continue
-            party_cycles = cand_metrics.per_processor_period[jidx : jidx + k]
-            delta_latency = cand_metrics.latency - metrics.latency
-            delta_period = tuple(metrics.period - c for c in party_cycles)
-            if ratio_rule:
-                if any(dp <= 0 for dp in delta_period):
-                    continue
-                score = max(delta_latency / dp for dp in delta_period)
-            else:
-                score = max(party_cycles)
-            if best is None or score < best[0].score:
-                choice = SplitChoice(
-                    target=target,
-                    recipients=recipients,
-                    cuts=cuts,
-                    placement=placement,
-                    score=score,
-                    delta_latency=delta_latency,
-                    delta_period=delta_period,
-                )
-                best = (choice, cand_mapping, cand_metrics)
-    return best
+            delta_latency = latency - metrics.latency
+            score = max(delta_latency / dp for dp in delta_period)
+        else:
+            score = max(party_cycles)
+        if best is None or score < best[0]:
+            best = (score, cuts, placement, latency, party_cycles)
+    if best is None:
+        return None
+    score, cuts, placement, latency, party_cycles = best
+    bounds = (d - 1, *cuts, e)
+    parts = tuple((lo + 1, hi) for lo, hi in zip(bounds, bounds[1:]))
+    winner = IntervalMapping(
+        intervals=mapping.intervals[:jidx] + parts + mapping.intervals[jidx + 1 :],
+        assignees=mapping.assignees[:jidx] + placement + mapping.assignees[jidx + 1 :],
+    )
+    choice = SplitChoice(
+        target=mapping.assignees[jidx],
+        recipients=recipients,
+        cuts=cuts,
+        placement=placement,
+        score=score,
+        delta_latency=latency - metrics.latency,
+        delta_period=tuple(period - c for c in party_cycles),
+    )
+    return choice, winner, evaluate_metrics(spec, platform, winner)
 
 
 def _run_greedy(
     spec: PipelineSpec,
     platform: Platform,
+    tables: _Tables,
     start: tuple[IntervalMapping, MappingMetrics],
     *,
     ratio_rule: bool,
@@ -295,6 +388,7 @@ def _run_greedy(
         best = _best_split(
             spec,
             platform,
+            tables,
             mapping,
             metrics,
             unused,
@@ -355,7 +449,13 @@ def run_heuristic(
     base_latency = start[1].latency
 
     greedy = functools.partial(
-        _run_greedy, spec, platform, start, ratio_rule=ratio_rule, three_way=three_way
+        _run_greedy,
+        spec,
+        platform,
+        _tables(spec, platform),
+        start,
+        ratio_rule=ratio_rule,
+        three_way=three_way,
     )
     report = None
     if fixed_criterion == "latency":

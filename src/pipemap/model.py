@@ -325,7 +325,7 @@ def _chain_terms(
     the case here; they are kept separate so callers can follow the exact
     accumulation order used throughout the package.
     """
-    w, delta = spec.w, spec.delta
+    w, delta = spec.w.tolist(), spec.delta
     s, b = platform.s, platform.b
     p = platform.p
     m = mapping.m

@@ -36,7 +36,7 @@ from pipemap.exact import (
 
 import oracle
 from conftest import uniform_bandwidth
-from util import as_lists, random_instance
+from util import as_lists, integer_instance, random_instance, with_zero_delta
 
 
 def _shape_only(n: int, p: int):
@@ -273,12 +273,10 @@ class TestKernel:
         rng = np.random.default_rng(77)
         for k in range(40):
             if k % 2:
-                spec, platform = _integer_instance(rng, n_range=(1, 7), p_range=(1, 6))
+                spec, platform = integer_instance(rng, n_range=(1, 7), p_range=(1, 6))
             else:
                 spec, platform = random_instance(rng, n_range=(1, 7), p_range=(1, 6))
-            delta = spec.delta.copy()
-            delta[int(rng.integers(0, spec.n + 1))] = 0.0
-            spec = PipelineSpec(stage_names=spec.stage_names, w=spec.w, delta=delta)
+            spec = with_zero_delta(rng, spec)
             n, p = spec.n, platform.p
             zero = np.zeros(1)
             for m in range(1, min(n, p) + 1):
@@ -441,26 +439,12 @@ class TestMappingHygiene:
         assert isinstance(result.mapping.assignees, tuple)
 
 
-def _integer_instance(rng, n_range=(3, 7), p_range=(3, 6)):
-    """Every w, delta, s and b drawn from {1, 2, 3}, so exact metric ties occur."""
-    n = int(rng.integers(n_range[0], n_range[1] + 1))
-    p = int(rng.integers(p_range[0], p_range[1] + 1))
-    b = rng.integers(1, 4, (p + 2, p + 2)).astype(float)
-    np.fill_diagonal(b, 0.0)
-    spec = PipelineSpec(
-        stage_names=tuple(f"stage{k}" for k in range(1, n + 1)),
-        w=rng.integers(1, 4, n).astype(float),
-        delta=rng.integers(1, 4, n + 1).astype(float),
-    )
-    return spec, Platform(s=rng.integers(1, 4, p).astype(float), b=b)
-
-
 def _golden_instances(count):
     """Seeded instances, alternately real-valued and integer-valued."""
     rng = np.random.default_rng(4242)
     for k in range(count):
         if k % 2:
-            yield _integer_instance(rng)
+            yield integer_instance(rng)
         else:
             yield random_instance(rng, n_range=(1, 7), p_range=(1, 6))
 
@@ -514,7 +498,7 @@ class TestFront:
         rng = np.random.default_rng(3000 + seed)
         for k in range(8):
             if k % 2:
-                spec, platform = _integer_instance(rng, (1, 6), (1, 5))
+                spec, platform = integer_instance(rng, (1, 6), (1, 5))
             else:
                 spec, platform = random_instance(rng, n_range=(1, 6), p_range=(1, 5))
             front = _scan_front(spec, platform)
@@ -591,7 +575,7 @@ class TestBranchAndBound:
         rng = np.random.default_rng(6000 + seed)
         for k in range(12):
             if k % 2:
-                spec, platform = _integer_instance(rng, (1, 7), (1, 7))
+                spec, platform = integer_instance(rng, (1, 7), (1, 7))
             else:
                 spec, platform = random_instance(rng, n_range=(1, 7), p_range=(1, 7))
             pruned = _scan_front(spec, platform)
@@ -677,7 +661,7 @@ class TestBranchAndBound:
     @pytest.mark.parametrize("budget", [1, 7])
     def test_tiny_row_budget_gives_the_same_front(self, monkeypatch, budget):
         rng = np.random.default_rng(7000 + budget)
-        instances = [_integer_instance(rng, (4, 6), (4, 6)) for _ in range(3)]
+        instances = [integer_instance(rng, (4, 6), (4, 6)) for _ in range(3)]
         instances += [random_instance(rng, (4, 6), (4, 6)) for _ in range(3)]
         fronts = [_front_key(_scan_front(spec, pl)) for spec, pl in instances]
         monkeypatch.setattr(exact, "_ROW_BUDGET", budget)

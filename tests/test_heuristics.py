@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 
@@ -19,7 +20,7 @@ from pipemap import (
 from pipemap import heuristics
 from pipemap.heuristics import fixed_criterion_of
 
-from util import random_instance
+from util import integer_instance, random_instance, with_zero_delta
 
 
 class TestNaming:
@@ -322,6 +323,131 @@ class TestRoundBound:
                 assert 2 * full_rounds + half_rounds <= platform.p - 1
 
 
+def _split_states(seed: int, count: int):
+    """Seeded (spec, platform, mapping, unused) states to split.
+
+    Each instance gives two states: three intervals of at least three stages
+    each, and the whole chain as one interval.  Every other instance is
+    small-integer-valued, so candidate scores tie exactly; every instance has
+    one zero data volume.
+    """
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        sizes = ((9, 14), (5, 8))
+        if k % 2:
+            spec, platform = integer_instance(rng, *sizes)
+        else:
+            spec, platform = random_instance(rng, *sizes, allow_zero_delta=False)
+        spec = with_zero_delta(rng, spec)
+        n, p = spec.n, platform.p
+        # three intervals of at least three stages each
+        c1 = int(rng.integers(3, n - 5))
+        c2 = int(rng.integers(c1 + 3, n - 2))
+        intervals = ((1, c1), (c1 + 1, c2), (c2 + 1, n))
+        procs = [int(u) for u in rng.permutation(np.arange(1, p + 1))]
+        yield spec, platform, IntervalMapping(intervals, tuple(procs[:3])), procs[3:]
+        yield spec, platform, IntervalMapping(((1, n),), (procs[0],)), procs[1:]
+
+
+def _candidate_mapping(mapping, jidx, cuts, placement):
+    """``mapping`` with interval ``jidx`` cut at ``cuts`` and placed on ``placement``."""
+    d, e = mapping.intervals[jidx]
+    bounds = (d - 1, *cuts, e)
+    parts = tuple((lo + 1, hi) for lo, hi in zip(bounds, bounds[1:]))
+    return IntervalMapping(
+        mapping.intervals[:jidx] + parts + mapping.intervals[jidx + 1 :],
+        mapping.assignees[:jidx] + placement + mapping.assignees[jidx + 1 :],
+    )
+
+
+def _reference_best_split(spec, platform, mapping, metrics, unused, three_way, ratio_rule, cap):
+    """``_best_split`` with every candidate mapping built and evaluated in full."""
+    cycles = metrics.per_processor_period
+    jidx = cycles.index(max(cycles))
+    d, e = mapping.intervals[jidx]
+    if d == e or not unused:
+        return None
+    k = 3 if three_way and e - d >= 2 and len(unused) >= 2 else 2
+    recipients = tuple(unused[: k - 1])
+    best = None
+    for cuts in itertools.combinations(range(d, e), k - 1):
+        for placement in itertools.permutations((mapping.assignees[jidx], *recipients)):
+            cand = _candidate_mapping(mapping, jidx, cuts, placement)
+            after = evaluate_metrics(spec, platform, cand)
+            if cap is not None and not meets_threshold(after.latency, cap):
+                continue
+            party = after.per_processor_period[jidx : jidx + k]
+            delta_latency = after.latency - metrics.latency
+            delta_period = tuple(metrics.period - c for c in party)
+            if ratio_rule:
+                if any(dp <= 0 for dp in delta_period):
+                    continue
+                score = max(delta_latency / dp for dp in delta_period)
+            else:
+                score = max(party)
+            if best is None or score < best[0].score:
+                choice = heuristics.SplitChoice(
+                    mapping.assignees[jidx], recipients, cuts, placement,
+                    score, delta_latency, delta_period,
+                )
+                best = (choice, cand, after)
+    return best
+
+
+class TestSplitCandidates:
+    def test_every_candidate_matches_evaluate_metrics(self):
+        """Incremental latency and party cycles equal a full evaluation, bit for bit."""
+        for spec, platform, mapping, unused in _split_states(31, 24):
+            tables = heuristics._tables(spec, platform)
+            for jidx in range(mapping.m):
+                d, e = mapping.intervals[jidx]
+                for k in (2, 3):
+                    recipients = tuple(unused[: k - 1])
+                    seen = []
+                    for cuts, placement, latency, cycles in heuristics._split_candidates(
+                        tables, mapping, jidx, recipients
+                    ):
+                        cand = _candidate_mapping(mapping, jidx, cuts, placement)
+                        full = evaluate_metrics(spec, platform, cand)
+                        assert latency == full.latency
+                        assert cycles == full.per_processor_period[jidx : jidx + k]
+                        seen.append((cuts, placement))
+                    assert seen == [
+                        (cuts, placement)
+                        for cuts in itertools.combinations(range(d, e), k - 1)
+                        for placement in itertools.permutations(
+                            (mapping.assignees[jidx], *recipients)
+                        )
+                    ]
+
+    @pytest.mark.parametrize("three_way", [False, True])
+    @pytest.mark.parametrize("ratio_rule", [False, True])
+    def test_best_split_matches_full_evaluation(self, monkeypatch, three_way, ratio_rule):
+        """Same winner, score and metrics as evaluating every candidate; one evaluation."""
+        calls = []
+        evaluate = heuristics.evaluate_metrics
+
+        def counting(spec, platform, mapping):
+            calls.append(mapping)
+            return evaluate(spec, platform, mapping)
+
+        for spec, platform, mapping, unused in _split_states(37, 16):
+            metrics = evaluate_metrics(spec, platform, mapping)
+            tables = heuristics._tables(spec, platform)
+            for cap in (None, metrics.latency, 1.02 * metrics.latency, 1.3 * metrics.latency):
+                expected = _reference_best_split(
+                    spec, platform, mapping, metrics, unused, three_way, ratio_rule, cap
+                )
+                calls.clear()
+                monkeypatch.setattr(heuristics, "evaluate_metrics", counting)
+                got = heuristics._best_split(
+                    spec, platform, tables, mapping, metrics, unused, three_way, ratio_rule, cap
+                )
+                monkeypatch.setattr(heuristics, "evaluate_metrics", evaluate)
+                assert got == expected
+                assert calls == ([] if got is None else [got[1]])
+
+
 # sha256 over every outcome and error message of ``_golden_records``; it pins
 # full traces and h2 search reports, so any change to a heuristic's output
 # shows up here.  Re-record it only for a deliberate change of that output.
@@ -368,3 +494,46 @@ class TestGolden:
             digest.update(json.dumps(record, sort_keys=True).encode("utf-8"))
             digest.update(b"\n")
         assert digest.hexdigest() == GOLDEN_SHA256
+
+
+# sha256 over the outcome and metrics of every run of ``_wide_golden_records``,
+# recorded before split candidates were scored incrementally.  It reaches the
+# large-instance sizes (n up to 24, p up to 14) and, on every other instance,
+# small integers with a zero data volume, where candidate scores tie exactly.
+GOLDEN_WIDE_SHA256 = "f01c90f8d9d587319a51e6bf219910fdb5d902cd4f8b644e72aa66731ccf3d5f"
+
+
+def _wide_golden_records():
+    """Canonical JSON of all six heuristics over seeded instances up to n=24, p=14."""
+    rng = np.random.default_rng(1124)
+    factors = {
+        "period": (0.01, 0.2, 0.45, 0.7, 1.0),
+        "latency": (0.7, 1.0, 1.1, 1.6, math.inf),
+    }
+    for k in range(14):
+        # the first two instances sit at the largest size
+        sizes = ((24, 24), (14, 14)) if k < 2 else ((3, 24), (3, 14))
+        if k % 2:
+            spec, platform = integer_instance(rng, *sizes)
+            spec = with_zero_delta(rng, spec)
+        else:
+            spec, platform = random_instance(rng, *sizes)
+        fastest = int(np.argmax(platform.s)) + 1
+        start = evaluate_metrics(
+            spec, platform, IntervalMapping.single_interval(spec.n, fastest)
+        )
+        for name in HEURISTIC_NAMES:
+            criterion = fixed_criterion_of(name)
+            anchor = start.period if criterion == "period" else start.latency
+            for factor in factors[criterion]:
+                outcome = run_heuristic(name, spec, platform, anchor * factor)
+                yield {"outcome": outcome.to_dict(), "metrics": outcome.metrics.to_dict()}
+
+
+class TestWideGolden:
+    def test_outcomes_match_recorded_digest(self):
+        digest = hashlib.sha256()
+        for record in _wide_golden_records():
+            digest.update(json.dumps(record, sort_keys=True).encode("utf-8"))
+            digest.update(b"\n")
+        assert digest.hexdigest() == GOLDEN_WIDE_SHA256

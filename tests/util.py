@@ -28,6 +28,31 @@ def random_instance(
     return spec, Platform(s=s, b=b)
 
 
+def integer_instance(
+    rng: np.random.Generator,
+    n_range: tuple[int, int] = (3, 7),
+    p_range: tuple[int, int] = (3, 6),
+) -> tuple[PipelineSpec, Platform]:
+    """Every w, delta, s and b drawn from {1, 2, 3}, so exact metric ties occur."""
+    n = int(rng.integers(n_range[0], n_range[1] + 1))
+    p = int(rng.integers(p_range[0], p_range[1] + 1))
+    b = rng.integers(1, 4, (p + 2, p + 2)).astype(float)
+    np.fill_diagonal(b, 0.0)
+    spec = PipelineSpec(
+        stage_names=tuple(f"stage{k}" for k in range(1, n + 1)),
+        w=rng.integers(1, 4, n).astype(float),
+        delta=rng.integers(1, 4, n + 1).astype(float),
+    )
+    return spec, Platform(s=rng.integers(1, 4, p).astype(float), b=b)
+
+
+def with_zero_delta(rng: np.random.Generator, spec: PipelineSpec) -> PipelineSpec:
+    """``spec`` with one data volume, drawn at random, set to zero."""
+    delta = spec.delta.copy()
+    delta[int(rng.integers(0, spec.n + 1))] = 0.0
+    return PipelineSpec(stage_names=spec.stage_names, w=spec.w, delta=delta)
+
+
 def random_valid_mapping(
     rng: np.random.Generator, n: int, p: int
 ) -> IntervalMapping:
