@@ -31,6 +31,7 @@ from .model import (
 )
 from .simulator import compare_with_analytic, simulate, write_event_log
 from .workbench import (
+    DEFAULT_RANGE,
     CampaignPlatform,
     PlatformGenSpec,
     run_campaign,
@@ -252,7 +253,7 @@ def _cmd_sweep(args) -> int:
             print(f"  {row.threshold!r}: {row.objective!r}  {row.mapping}")
         else:
             print(f"  {row.threshold!r}: infeasible")
-    print(f"step edges: {[t for t in report.edges]}")
+    print(f"step edges: {list(report.edges)}")
     if args.out:
         write_sweep_csv(report, args.out)
         print(f"wrote sweep table to {args.out}")
@@ -324,12 +325,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Bi-criteria period/latency mapping workbench for linear pipelines.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
+    default_range = ",".join(map(repr, DEFAULT_RANGE))  # the 'low,high' form
 
     sub = subs.add_parser("gen-platform", help="generate a random platform file")
     sub.add_argument("--seed", type=int, required=True)
     sub.add_argument("--p", type=int, required=True, help="number of processors")
-    sub.add_argument("--speed-range", default="50,200", help="'low,high' uniform range")
-    sub.add_argument("--bandwidth-range", default="50,200", help="'low,high' uniform range")
+    sub.add_argument("--speed-range", default=default_range, help="'low,high' uniform range")
+    sub.add_argument("--bandwidth-range", default=default_range, help="'low,high' uniform range")
     sub.add_argument("--out", required=True)
     sub.set_defaults(func=_cmd_gen_platform)
 
@@ -343,9 +345,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_instance_flags(sub)
     sub.add_argument("--heuristic", required=True, choices=list(HEURISTIC_NAMES))
     _add_threshold_flags(sub)
-    sub.add_argument("--h2-iterations", type=int, default=20)
-    sub.add_argument("--h2-upper-factor", type=float, default=4.0)
-    sub.add_argument("--h2-lower", type=float, default=0.0)
+    sub.add_argument("--h2-iterations", type=int, default=BinarySearchConfig.iterations)
+    sub.add_argument("--h2-upper-factor", type=float, default=BinarySearchConfig.upper_factor)
+    sub.add_argument("--h2-lower", type=float, default=BinarySearchConfig.lower)
     sub.add_argument("--out", help="also write the outcome as JSON")
     sub.set_defaults(func=_cmd_heuristic)
 
@@ -374,8 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--platform", action="append", help="platform file (repeatable)")
     sub.add_argument("--seeds", help="generate platforms: '1:10' or '1,2,5'")
     sub.add_argument("--p", type=int, help="processor count for --seeds")
-    sub.add_argument("--speed-range", default="50,200")
-    sub.add_argument("--bandwidth-range", default="50,200")
+    sub.add_argument("--speed-range", default=default_range)
+    sub.add_argument("--bandwidth-range", default=default_range)
     _add_threshold_flags(sub)
     sub.add_argument("--heuristics", help="comma list, default: all matching the query")
     sub.add_argument("--out", help="write the table as CSV")

@@ -22,7 +22,8 @@ built so far weakly dominates the prefix's lower bounds:
 * latency >= its partial latency, plus ``bvol[j] / max(b) + wsum[j] / max(s)``
   for each interval not yet placed, plus ``bvol[m] / max(b)``.
 
-Prefix values and bounds are summed in the order of
+Interval costs come from the one stage-cost fold in :mod:`pipemap.model`;
+prefix values and bounds are summed in the order of
 :func:`pipemap.model.evaluate_metrics`, and rounded ``+``, ``/`` and ``max``
 are monotone, so no bound exceeds the exact float value of any completion.
 Every front point is canonically earlier than the prefix, so dropping a tie
@@ -48,6 +49,7 @@ from .model import (
     MappingMetrics,
     PipelineSpec,
     Platform,
+    _interval_costs,
     evaluate_metrics,
     padded_threshold,
 )
@@ -218,16 +220,9 @@ def _extend_perms(prev: np.ndarray, p: int) -> np.ndarray:
 def _partition_arrays(
     spec: PipelineSpec, intervals: tuple[tuple[int, int], ...]
 ) -> tuple[np.ndarray, np.ndarray]:
-    m = len(intervals)
-    wsum = np.empty(m, dtype=np.float64)
-    bvol = np.empty(m + 1, dtype=np.float64)
-    for j, (d, e) in enumerate(intervals):
-        acc = 0.0
-        for k in range(d, e + 1):
-            acc += spec.w[k - 1]
-        wsum[j] = acc
-        bvol[j] = spec.delta[d - 1]
-    bvol[m] = spec.delta[intervals[-1][1]]
+    """``wsum`` and ``bvol`` of one partition (see :mod:`pipemap._kernels`)."""
+    wsum = np.array(_interval_costs(spec, intervals))
+    bvol = spec.delta[[d - 1 for d, _ in intervals] + [spec.n]]
     return wsum, bvol
 
 
@@ -295,12 +290,11 @@ def _scan_front(spec: PipelineSpec, platform: Platform) -> _Front:
     front_per = np.empty(0, dtype=np.float64)
     front_lat = np.empty(0, dtype=np.float64)
     front_maps: list[IntervalMapping] = []
-    evaluated = scored = 0
+    scored = 0
     for m in range(1, min(n, p) + 1):
         for cuts in itertools.combinations(range(1, n), m - 1):
             intervals = _cuts_to_intervals(n, cuts)
             wsum, bvol = _partition_arrays(spec, intervals)
-            evaluated += math.perm(p, m)
             # Lower bounds on the terms of the intervals not yet placed: the
             # fastest processor and the widest link.
             link_lb, comp_lb = bvol / b_max, wsum / s_max
@@ -355,7 +349,7 @@ def _scan_front(spec: PipelineSpec, platform: Platform) -> _Front:
                 keep = ~_dominated(front_per, front_lat, per_lb, lat_lb)
                 if keep.any():
                     stack.append(tuple(a[keep] for a in block))
-    return _Front(front_per, front_lat, front_maps, evaluated, scored)
+    return _Front(front_per, front_lat, front_maps, count_mappings(n, p), scored)
 
 
 def _lookup(

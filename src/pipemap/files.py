@@ -151,8 +151,7 @@ def write_pipeline(spec: PipelineSpec, path: str) -> None:
 
 
 def read_platform(path: str) -> Platform:
-    with open(path, "r", encoding="utf-8") as fh:
-        return platform_from_json(fh.read())
+    return _read_platform_and_seed(path)[0]
 
 
 def _read_platform_and_seed(path: str) -> tuple[Platform, int | None]:

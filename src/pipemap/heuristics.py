@@ -29,7 +29,8 @@ first lowest-scoring candidate.  Candidates are scored incrementally: a
 split changes only its parts' terms, the predecessor's send and the
 successor's receive, so each candidate's latency and party cycles are
 summed from per-run tables of Python floats in :func:`evaluate_metrics`
-order, bit for bit equal to a full evaluation, with no mapping built.
+order, bit for bit equal to a full evaluation, with no mapping built.  The
+tables take their stage costs from :mod:`pipemap.model`'s one fold.
 Only the winner of each split becomes an :class:`IntervalMapping` and runs
 through :func:`evaluate_metrics`.
 
@@ -52,6 +53,7 @@ from .model import (
     MappingMetrics,
     PipelineSpec,
     Platform,
+    _stage_costs,
     evaluate_metrics,
     meets_threshold,
     padded_threshold,
@@ -104,10 +106,10 @@ class BinarySearchConfig:
     iterations: int = 20
 
     def __post_init__(self) -> None:
-        if self.lower < 0:
-            raise ValueError("lower bound of the search must be >= 0")
-        if self.upper_factor <= 0:
-            raise ValueError("upper_factor must be positive")
+        if not (math.isfinite(self.lower) and self.lower >= 0):
+            raise ValueError("lower bound of the search must be finite and >= 0")
+        if not (math.isfinite(self.upper_factor) and self.upper_factor > 0):
+            raise ValueError("upper_factor must be finite and positive")
         if self.iterations < 0:
             raise ValueError("iterations must be >= 0")
 
@@ -221,9 +223,9 @@ def _speed_order(platform: Platform) -> list[int]:
 class _Tables(NamedTuple):
     """Python-float views of one instance, shared by every split of a run.
 
-    ``W[d][e]`` folds ``w[d-1..e-1]`` left to right from ``0.0``, as
-    :func:`~pipemap.model.evaluate_metrics` does, so every term built from
-    these tables has the bits that function gives it.
+    ``W[d][e]`` is the cost of stages ``d..e`` from the fold
+    :func:`evaluate_metrics` uses, ``pipemap.model._stage_costs``, so every
+    term built from these tables has the bits that function gives it.
     """
 
     delta: list[float]
@@ -233,14 +235,8 @@ class _Tables(NamedTuple):
 
 
 def _tables(spec: PipelineSpec, platform: Platform) -> _Tables:
-    w = spec.w.tolist()
-    n = len(w)
-    W = [[0.0] * (n + 1) for _ in range(n + 1)]
-    for d in range(1, n + 1):
-        acc = 0.0
-        for e in range(d, n + 1):
-            acc += w[e - 1]
-            W[d][e] = acc
+    w, n = spec.w.tolist(), spec.n
+    W = [[0.0] * (n + 1)] + [[0.0] * d + _stage_costs(w, d, n) for d in range(1, n + 1)]
     return _Tables(spec.delta.tolist(), platform.s.tolist(), platform.b.tolist(), W)
 
 

@@ -233,12 +233,6 @@ class IntervalMapping:
                 raise ValueError(f"cannot parse mapping chunk {chunk!r}") from exc
         return cls(intervals=tuple(intervals), assignees=tuple(assignees))
 
-    def to_dict(self) -> dict:
-        return {
-            "intervals": [[d, e] for d, e in self.intervals],
-            "assignees": list(self.assignees),
-        }
-
 
 @dataclass(frozen=True)
 class MappingMetrics:
@@ -315,35 +309,46 @@ def require_valid(
         raise InvalidMappingError(message)
 
 
+def _stage_costs(w: list[float], d: int, e: int) -> list[float]:
+    """Compute costs of the stage runs ``[d..d]``, ``[d..d+1]``, ..., ``[d..e]``.
+
+    The package's one stage-cost fold: ``w`` is summed left to right from
+    ``0.0``, not with ``sum`` (it compensates from Python 3.12 on), ``math.fsum``
+    or ``np.sum``, and every scorer takes its stage costs from here, so they
+    all agree bit for bit.
+    """
+    runs: list[float] = []
+    acc = 0.0
+    for k in range(d - 1, e):
+        acc += w[k]
+        runs.append(acc)
+    return runs
+
+
+def _interval_costs(
+    spec: PipelineSpec, intervals: Sequence[tuple[int, int]]
+) -> list[float]:
+    """Compute cost of each interval, the last run of :func:`_stage_costs`."""
+    w = spec.w.tolist()
+    return [_stage_costs(w, d, e)[-1] for d, e in intervals]
+
+
 def _chain_terms(
     spec: PipelineSpec, platform: Platform, mapping: IntervalMapping
-) -> tuple[list[float], list[float], list[float]]:
-    """Per-interval (receive, compute, send) durations, in interval order.
+) -> tuple[list[float], list[float]]:
+    """The ``m + 1`` link times and the ``m`` compute times of a mapping's chain.
 
-    The send duration of interval ``j`` equals the receive duration of
-    interval ``j+1`` only when both endpoints share the link, which is always
-    the case here; they are kept separate so callers can follow the exact
-    accumulation order used throughout the package.
+    ``links[j]`` is the transfer into interval ``j`` (``links[0]`` from the
+    input gateway) and ``links[m]`` the transfer to the output gateway, so
+    interval ``j`` receives for ``links[j]``, computes for ``comps[j]`` and
+    sends for ``links[j + 1]``.
     """
-    w, delta = spec.w.tolist(), spec.delta
-    s, b = platform.s, platform.b
-    p = platform.p
-    m = mapping.m
-    t_in: list[float] = []
-    t_comp: list[float] = []
-    t_out: list[float] = []
-    for j in range(m):
-        d, e = mapping.intervals[j]
-        u = mapping.assignees[j]
-        pred = 0 if j == 0 else mapping.assignees[j - 1]
-        succ = p + 1 if j == m - 1 else mapping.assignees[j + 1]
-        acc = 0.0
-        for k in range(d, e + 1):
-            acc += w[k - 1]
-        t_in.append(float(delta[d - 1] / b[pred, u]))
-        t_comp.append(float(acc / s[u - 1]))
-        t_out.append(float(delta[e] / b[u, succ]))
-    return t_in, t_comp, t_out
+    delta, s, b = spec.delta, platform.s.tolist(), platform.b
+    nodes = (0, *mapping.assignees, platform.p + 1)
+    volumes = [d - 1 for d, _ in mapping.intervals] + [spec.n]
+    links = [float(delta[k] / b[u, v]) for k, u, v in zip(volumes, nodes, nodes[1:])]
+    costs = _interval_costs(spec, mapping.intervals)
+    return links, [cost / s[u - 1] for cost, u in zip(costs, mapping.assignees)]
 
 
 def evaluate_metrics(
@@ -351,14 +356,14 @@ def evaluate_metrics(
 ) -> MappingMetrics:
     """Period and latency of a mapping in one pass."""
     require_valid(spec, platform, mapping)
-    t_in, t_comp, t_out = _chain_terms(spec, platform, mapping)
+    links, comps = _chain_terms(spec, platform, mapping)
     m = mapping.m
-    cycles = tuple(t_in[j] + t_comp[j] + t_out[j] for j in range(m))
+    cycles = tuple(links[j] + comps[j] + links[j + 1] for j in range(m))
     latency = 0.0
     for j in range(m):
-        latency += t_in[j]
-        latency += t_comp[j]
-    latency += t_out[m - 1]
+        latency += links[j]
+        latency += comps[j]
+    latency += links[m]
     return MappingMetrics(
         period=max(cycles), latency=latency, per_processor_period=cycles
     )

@@ -115,9 +115,8 @@ def simulate(
     if items <= warmup:
         raise ValueError(f"items must exceed warmup, got items={items} warmup={warmup}")
 
-    t_in, t_comp, t_out = _chain_terms(spec, platform, mapping)
+    links, comps = _chain_terms(spec, platform, mapping)
     m = mapping.m
-    t_out_final = t_out[m - 1]
     labels = [f"p{u}" for u in mapping.assignees]
 
     # port_free[j]: when interval j's processor finished sending its latest item.
@@ -129,8 +128,8 @@ def simulate(
         avail = 0.0
         for j in range(m):
             start = max(avail, port_free[j])
-            recv_end = start + t_in[j]
-            comp_end = recv_end + t_comp[j]
+            recv_end = start + links[j]
+            comp_end = recv_end + comps[j]
             if j > 0:
                 # The sender's port stays busy for the whole rendezvous window.
                 port_free[j - 1] = recv_end
@@ -140,7 +139,7 @@ def simulate(
                 events.append(SimEvent(start, recv_end, labels[j], i, "recv"))
                 events.append(SimEvent(recv_end, comp_end, labels[j], i, "compute"))
             avail = comp_end
-        out = avail + t_out_final
+        out = avail + links[m]
         port_free[m - 1] = out
         if events is not None:
             events.append(SimEvent(avail, out, labels[m - 1], i, "send"))

@@ -312,29 +312,26 @@ class SweepReport:
     objective: str
     rows: tuple[SweepRow, ...]
 
-    @property
-    def edges(self) -> tuple[float, ...]:
-        out: list[float] = []
+    def _steps(self) -> list[SweepRow]:
+        """The feasible rows whose optimum differs from the previous feasible row's."""
+        steps: list[SweepRow] = []
         prev: float | None = None
         for row in self.rows:
             if not row.feasible:
                 continue
             assert row.objective is not None
             if prev is None or not metrics_close(row.objective, prev):
-                out.append(row.threshold)
+                steps.append(row)
             prev = row.objective
-        return tuple(out)
+        return steps
+
+    @property
+    def edges(self) -> tuple[float, ...]:
+        return tuple(row.threshold for row in self._steps())
 
     def plateau_values(self) -> list[float]:
-        """Distinct optimum values along the curve, in threshold order."""
-        values: list[float] = []
-        for row in self.rows:
-            if not row.feasible:
-                continue
-            assert row.objective is not None
-            if not values or not metrics_close(row.objective, values[-1]):
-                values.append(row.objective)
-        return values
+        """The optimum at each of the :attr:`edges`, in threshold order."""
+        return [row.objective for row in self._steps()]
 
 
 def run_sweep_report(

@@ -219,6 +219,30 @@ class TestHeuristic:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [("--h2-upper-factor", "nan", "upper_factor"), ("--h2-lower", "inf", "lower")],
+    )
+    def test_non_finite_search_bound_exit_one(self, tiny_files, capsys, flag, value, field):
+        pipeline, platform = tiny_files
+        code = main(
+            [
+                "heuristic",
+                "--heuristic",
+                "h2",
+                "--pipeline",
+                pipeline,
+                "--platform",
+                platform,
+                "--period",
+                "7",
+                flag,
+                value,
+            ]
+        )
+        assert code == 1
+        assert field in capsys.readouterr().err
+
     def test_infeasible_exit_two(self, tiny_files, capsys):
         pipeline, platform = tiny_files
         code = main(

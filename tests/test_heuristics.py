@@ -67,6 +67,11 @@ class TestConfig:
             BinarySearchConfig(upper_factor=0.0)
         with pytest.raises(ValueError, match="iterations"):
             BinarySearchConfig(iterations=-1)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="lower"):
+                BinarySearchConfig(lower=bad)
+            with pytest.raises(ValueError, match="upper_factor"):
+                BinarySearchConfig(upper_factor=bad)
 
     def test_zero_iterations_means_single_trial(self, tiny_spec, tiny_platform):
         outcome = run_heuristic(

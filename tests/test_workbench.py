@@ -111,6 +111,19 @@ class TestSweepReport:
         assert report.plateau_values() == [11.0, 10.0, 8.0]
         assert report.edges == (6.0, 7.0, 8.0)
 
+    def test_plateaus_follow_edges_on_a_slow_drift(self):
+        """Each step is within the tolerance of the last, though the ends are not."""
+        objectives = [1.0, 1.0 - 0.6e-9, 1.0 - 1.2e-9]
+        report = workbench.SweepReport(
+            objective="latency",
+            rows=tuple(
+                workbench.SweepRow(float(t), True, v, 1.0, v, "1-1@p1")
+                for t, v in enumerate(objectives, start=1)
+            ),
+        )
+        assert report.edges == (1.0,)
+        assert report.plateau_values() == [1.0]
+
     def test_unsorted_thresholds_rejected(self, tiny_spec, tiny_platform):
         with pytest.raises(ValueError, match="ascending"):
             run_sweep_report(
