@@ -21,12 +21,20 @@ link crossing or a same-processor hand-off, ``n+1`` rows), ``link``/``same``
 minimized criterion's rows compare against ``Topt``; the fixed criterion's
 rows get the query threshold as a constant right-hand side, and are dropped
 when the threshold is infinite.
+
+Each constraint is a :class:`Row`, a named tuple ``(name, terms, sense,
+rhs)`` whose terms are ``(coef, var)`` pairs; row and variable names are LP
+identifiers, without spaces.  :meth:`IlpInstance.to_lp_text` renders each row
+once, formatting each distinct number once per call.  A row of at most 72
+characters is one line; a longer one (the ``assign``, ``route`` and cost rows
+at scale) wraps word by word at 72 characters.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from .model import (
     IntervalMapping,
@@ -47,8 +55,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Row:
+class Row(NamedTuple):
     """One linear constraint: ``sum(coef * var) [sense] rhs``."""
 
     name: str
@@ -105,11 +112,20 @@ class IlpInstance:
             f" obj: {self.objective_var}",
             "Subject To",
         ]
-        for row in self.rows:
-            body = f"{row.name}: {_fmt_terms(row.terms)} {row.sense} {_fmt(row.rhs)}"
-            out += [" " + line for line in _wrap(body)]
+        # Each distinct number is formatted once: ``signed`` maps a
+        # coefficient to its "+ c" / "- c" prefix, ``plain`` a value to text.
+        signed = _Memo(lambda coef: ("- " if coef < 0 else "+ ") + _fmt(abs(coef)))
+        plain = _Memo(_fmt)
+        for name, terms, sense, rhs in self.rows:
+            text = " ".join([f"{signed[coef]} {var}" for coef, var in terms])
+            body = f"{name}: {text.removeprefix('+ ')} {sense} {plain[rhs]}"
+            # _wrap returns a body of at most 72 characters as its one line.
+            if len(body) <= 72:
+                out.append(" " + body)
+            else:
+                out += [" " + line for line in _wrap(body)]
         out.append("Bounds")
-        out += [f" {var} = {_fmt(value)}" for var, value in self.pins]
+        out += [f" {var} = {plain[value]}" for var, value in self.pins]
         out += [f" 1 <= {var} <= {self.n}" for var in self.generals]
         out += [f" {self.objective_var} >= 0", "Binary"]
         out += [" " + chunk for chunk in _wrap(" ".join(self.binaries), indent="")]
@@ -127,8 +143,8 @@ def build_instance(
     spec: PipelineSpec, platform: Platform, query: BicriteriaQuery
 ) -> IlpInstance:
     n, p = spec.n, platform.p
-    w, delta = spec.w, spec.delta
-    s, b = platform.s, platform.b
+    w, delta = spec.w.tolist(), spec.delta.tolist()
+    s, b = platform.s.tolist(), platform.b.tolist()
     label = _labels(p)
     out = p + 1
     nodes = range(p + 2)
@@ -137,88 +153,96 @@ def build_instance(
     # towards the input gateway or out of the output gateway, so only these
     # links carry z variables.
     links = [(u, v) for u in nodes for v in nodes if u != v and u != out and v != 0]
+    pairs = [f"{label[u]}_{label[v]}" for u, v in links]
 
-    def x(k: int, u: int) -> str:
-        return f"x_{k}_{label[u]}"
+    # Every variable name is formatted once: x[k][u], y[k][u], z[k][u][v]
+    # (None off the links), first[u] and last[u].
+    x = [[f"x_{k}_{node}" for node in label] for k in range(n + 2)]
+    y = [[f"y_{k}_{node}" for node in label] for k in range(n + 1)]
+    z = []
+    for k in range(n + 1):
+        zk = [[None] * (p + 2) for _ in nodes]
+        for (u, v), uv in zip(links, pairs):
+            zk[u][v] = f"z_{k}_{uv}"
+        z.append(zk)
+    first = [f"first_{node}" for node in label]
+    last = [f"last_{node}" for node in label]
 
-    def z(k: int, u: int, v: int) -> str:
-        return f"z_{k}_{label[u]}_{label[v]}"
-
-    def y(k: int, u: int) -> str:
-        return f"y_{k}_{label[u]}"
-
-    binaries = [x(k, u) for k in range(n + 2) for u in nodes]
-    binaries += [z(k, u, v) for k in range(n + 1) for u, v in links]
-    binaries += [y(k, u) for k in range(n + 1) for u in nodes]
-    generals = [f"first_{label[u]}" for u in procs] + [f"last_{label[u]}" for u in procs]
+    binaries = [name for xk in x for name in xk]
+    binaries += [z[k][u][v] for k in range(n + 1) for u, v in links]
+    binaries += [name for yk in y for name in yk]
+    generals = [first[u] for u in procs] + [last[u] for u in procs]
 
     rows: list[Row] = []
 
     # Every stage, virtual gateways included, runs on exactly one node.
     for k in range(n + 2):
-        rows.append(Row(f"assign_{k}", tuple((1.0, x(k, u)) for u in nodes), "=", 1.0))
+        rows.append(Row(f"assign_{k}", tuple((1.0, name) for name in x[k]), "=", 1.0))
 
     # Every stage boundary is either one link crossing or one hand-off.
     for k in range(n + 1):
-        terms = [(1.0, z(k, u, v)) for u, v in links] + [(1.0, y(k, u)) for u in nodes]
+        terms = [(1.0, z[k][u][v]) for u, v in links] + [(1.0, name) for name in y[k]]
         rows.append(Row(f"route_{k}", tuple(terms), "=", 1.0))
 
     # x -> z: placing consecutive stages on linked nodes forces the crossing.
     for k in range(n + 1):
-        for u, v in links:
-            terms = [(1.0, x(k, u)), (1.0, x(k + 1, v)), (-1.0, z(k, u, v))]
-            rows.append(Row(f"link_{k}_{label[u]}_{label[v]}", tuple(terms), "<=", 1.0))
+        xk, xk1, zk = x[k], x[k + 1], z[k]
+        for (u, v), uv in zip(links, pairs):
+            terms = ((1.0, xk[u]), (1.0, xk1[v]), (-1.0, zk[u][v]))
+            rows.append(Row(f"link_{k}_{uv}", terms, "<=", 1.0))
 
     # x -> y: placing consecutive stages on the same node forces the hand-off.
     for k in range(n + 1):
         for u in nodes:
-            terms = [(1.0, x(k, u)), (1.0, x(k + 1, u)), (-1.0, y(k, u))]
-            rows.append(Row(f"same_{k}_{label[u]}", tuple(terms), "<=", 1.0))
+            terms = ((1.0, x[k][u]), (1.0, x[k + 1][u]), (-1.0, y[k][u]))
+            rows.append(Row(f"same_{k}_{label[u]}", terms, "<=", 1.0))
 
     # Interval bounds: first_u <= k and last_u >= k for every stage k on u.
     for k in range(1, n + 1):
         for u in procs:
-            terms = [(1.0, f"first_{label[u]}")]
-            if n - k:
-                terms.append((float(n - k), x(k, u)))
-            rows.append(Row(f"firstb_{k}_{label[u]}", tuple(terms), "<=", float(n)))
-            terms = [(1.0, f"last_{label[u]}"), (-float(k), x(k, u))]
-            rows.append(Row(f"lastb_{k}_{label[u]}", tuple(terms), ">=", 0.0))
+            terms = ((1.0, first[u]), (float(n - k), x[k][u])) if n - k else ((1.0, first[u]),)
+            rows.append(Row(f"firstb_{k}_{label[u]}", terms, "<=", float(n)))
+            terms = ((1.0, last[u]), (-float(k), x[k][u]))
+            rows.append(Row(f"lastb_{k}_{label[u]}", terms, ">=", 0.0))
 
     # A crossing after stage k closes u's interval and opens v's.
+    proc_links = [(u, v, uv) for (u, v), uv in zip(links, pairs) if u != 0 and v != out]
     for k in range(1, n):
-        for u in procs:
-            for v in procs:
-                if u == v:
-                    continue
-                name = f"{k}_{label[u]}_{label[v]}"
-                terms = [(1.0, f"last_{label[u]}")]
-                if n - k:
-                    terms.append((float(n - k), z(k, u, v)))
-                rows.append(Row(f"cutl_{name}", tuple(terms), "<=", float(n)))
-                terms = [(1.0, f"first_{label[v]}"), (-float(k + 1), z(k, u, v))]
-                rows.append(Row(f"cutf_{name}", tuple(terms), ">=", 0.0))
+        zk = z[k]
+        for u, v, uv in proc_links:
+            terms = ((1.0, last[u]), (float(n - k), zk[u][v]))
+            rows.append(Row(f"cutl_{k}_{uv}", terms, "<=", float(n)))
+            terms = ((1.0, first[v]), (-float(k + 1), zk[u][v]))
+            rows.append(Row(f"cutf_{k}_{uv}", terms, ">=", 0.0))
 
     # Cost rows.  Stage k received on u costs delta[k-1]/b[t][u] over the
     # incoming link and w[k-1]/s[u] to compute; the final boundary leaves the
     # last processor towards the output gateway.  A period row also charges u
-    # for every boundary it sends.
-    def receive_compute(k: int, u: int) -> list[tuple[float, str]]:
-        terms = [(float(delta[k - 1] / b[t, u]), z(k - 1, t, u)) for t in range(out) if t != u]
-        terms.append((float(w[k - 1] / s[u - 1]), x(k, u)))
-        return terms
+    # for every boundary it sends.  Each term is computed once, as
+    # cross[k][u][v] for the crossing of link (u, v) after stage k and as
+    # receive[k][u] for stage k received and computed on u, and shared by
+    # the latency row and the period rows.
+    cross = []
+    for k in range(n + 1):
+        ck = [[None] * (p + 2) for _ in nodes]
+        for u, v in links:
+            ck[u][v] = (delta[k] / b[u][v], z[k][u][v])
+        cross.append(ck)
+    receive = [[None] * (p + 2) for _ in range(n + 1)]
+    for k in range(1, n + 1):
+        for u in procs:
+            terms = [cross[k - 1][t][u] for t in range(out) if t != u]
+            terms.append((w[k - 1] / s[u - 1], x[k][u]))
+            receive[k][u] = terms
 
-    def leave(u: int) -> tuple[float, str]:
-        return (float(delta[n] / b[u, out]), z(n, u, out))
-
-    latency = [term for k in range(1, n + 1) for u in procs for term in receive_compute(k, u)]
-    cost_rows = [("latency", "latency", latency + [leave(u) for u in range(out)])]
+    latency = [term for k in range(1, n + 1) for u in procs for term in receive[k][u]]
+    cost_rows = [("latency", "latency", latency + [cross[n][u][out] for u in range(out)])]
     for u in procs:
         terms = []
         for k in range(1, n + 1):
-            terms += receive_compute(k, u)
-            terms += [(float(delta[k] / b[u, v]), z(k, u, v)) for v in procs if v != u]
-        cost_rows.append(("period", f"period_{label[u]}", terms + [leave(u)]))
+            terms += receive[k][u]
+            terms += [cross[k][u][v] for v in procs if v != u]
+        cost_rows.append(("period", f"period_{label[u]}", terms + [cross[n][u][out]]))
 
     # The minimized criterion's rows compare against Topt; the fixed
     # criterion's rows take the threshold as right-hand side.  An infinite
@@ -232,12 +256,12 @@ def build_instance(
 
     # Boundary pins: the virtual stages sit on the gateways, real stages never
     # do, and gateway hand-offs or out-of-order gateway crossings cannot occur.
-    pins = [(x(0, 0), 1.0), (x(n + 1, out), 1.0)]
-    pins += [(x(k, u), 0.0) for k in range(1, n + 1) for u in (0, out)]
-    pins += [(y(k, u), 0.0) for k in range(n + 1) for u in (0, out)]
-    pins += [(y(k, u), 0.0) for u in procs for k in (0, n)]
+    pins = [(x[0][0], 1.0), (x[n + 1][out], 1.0)]
+    pins += [(x[k][u], 0.0) for k in range(1, n + 1) for u in (0, out)]
+    pins += [(y[k][u], 0.0) for k in range(n + 1) for u in (0, out)]
+    pins += [(y[k][u], 0.0) for u in procs for k in (0, n)]
     pins += [
-        (z(k, u, v), 0.0)
+        (z[k][u][v], 0.0)
         for k in range(n + 1)
         for u, v in links
         if (u == 0 and k != 0) or (v == out and k != n)
@@ -261,9 +285,16 @@ def _fmt(value: float) -> str:
     return format(value, ".17g")
 
 
-def _fmt_terms(terms: tuple[tuple[float, str], ...]) -> str:
-    text = " ".join(f"{'-' if coef < 0 else '+'} {_fmt(abs(coef))} {var}" for coef, var in terms)
-    return text.removeprefix("+ ")
+class _Memo(dict):
+    """``fn(key)`` for each key, computed on first lookup."""
+
+    def __init__(self, fn: Callable[[float], str]) -> None:
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key: float) -> str:
+        self[key] = text = self.fn(key)
+        return text
 
 
 def _wrap(text: str, width: int = 72, indent: str = "   ") -> list[str]:

@@ -106,6 +106,12 @@ def simulate(
     ``warmup`` items are excluded from the period measurement; ``items`` must
     exceed ``warmup`` and ``warmup`` must be at least 1, so at least one
     steady-state gap is measured.
+
+    One loop steps each item through the ``m`` intervals on Python floats
+    (the link and compute times of ``model``'s chain terms) and collects the
+    output times, which become one float64 array at the end.
+    ``record_events`` only adds the event records inside that loop, so the
+    output times are the same bits with or without it.
     """
     require_valid(spec, platform, mapping)
     items = int(items)
@@ -119,43 +125,47 @@ def simulate(
     m = mapping.m
     labels = [f"p{u}" for u in mapping.assignees]
 
-    # port_free[j]: when interval j's processor finished sending its latest item.
-    port_free = [0.0] * m
-    outputs = np.empty(items, dtype=np.float64)
-    events: list[SimEvent] | None = [] if record_events else None
+    # port_free[j]: when interval j's processor finished sending its latest
+    # item.  Interval 0 receives from the input gateway, which is always
+    # ready, so its "sender" slot is the spare port_free[m], never read.
+    port_free = [0.0] * (m + 1)
+    chain = list(zip(range(m), links, comps))
+    out_link = links[m]
+    outputs = []
+    events: list[SimEvent] = []
 
     for i in range(items):
         avail = 0.0
-        for j in range(m):
-            start = max(avail, port_free[j])
-            recv_end = start + links[j]
-            comp_end = recv_end + comps[j]
-            if j > 0:
-                # The sender's port stays busy for the whole rendezvous window.
-                port_free[j - 1] = recv_end
-            if events is not None:
+        for j, link, comp in chain:
+            # The same choice as max(avail, free), without the call.
+            free = port_free[j]
+            start = free if free > avail else avail
+            recv_end = start + link
+            comp_end = recv_end + comp
+            # The sender's port stays busy for the whole rendezvous window.
+            port_free[j - 1] = recv_end
+            if record_events:
                 if j > 0:
                     events.append(SimEvent(start, recv_end, labels[j - 1], i, "send"))
                 events.append(SimEvent(start, recv_end, labels[j], i, "recv"))
                 events.append(SimEvent(recv_end, comp_end, labels[j], i, "compute"))
             avail = comp_end
-        out = avail + links[m]
+        out = avail + out_link
         port_free[m - 1] = out
-        if events is not None:
+        if record_events:
             events.append(SimEvent(avail, out, labels[m - 1], i, "send"))
-        outputs[i] = out
+        outputs.append(out)
 
-    measured_period = float(
-        (outputs[items - 1] - outputs[warmup - 1]) / (items - warmup)
-    )
+    times = np.array(outputs, dtype=np.float64)
+    measured_period = float((times[items - 1] - times[warmup - 1]) / (items - warmup))
     return SimulationReport(
         mapping=mapping,
         items=items,
         warmup=warmup,
-        item_output_times=outputs,
+        item_output_times=times,
         measured_period=measured_period,
-        measured_first_latency=float(outputs[0]),
-        events=tuple(events) if events is not None else None,
+        measured_first_latency=outputs[0],
+        events=tuple(events) if record_events else None,
     )
 
 

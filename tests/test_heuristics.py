@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from pipemap import (
+    EPS_CMP,
     HEURISTIC_NAMES,
     BicriteriaQuery,
     BinarySearchConfig,
@@ -19,6 +20,7 @@ from pipemap import (
 )
 from pipemap import heuristics
 from pipemap.heuristics import fixed_criterion_of
+from pipemap.model import padded_threshold
 
 from util import integer_instance, random_instance, with_zero_delta
 
@@ -451,6 +453,42 @@ class TestSplitCandidates:
                 monkeypatch.setattr(heuristics, "evaluate_metrics", evaluate)
                 assert got == expected
                 assert calls == ([] if got is None else [got[1]])
+
+    def test_latency_exactly_at_padded_cap_is_kept(self):
+        """A candidate whose latency equals the padded cap meets it, as in ``meets_threshold``."""
+        for spec, platform, mapping, unused in _split_states(41, 16):
+            metrics = evaluate_metrics(spec, platform, mapping)
+            tables = heuristics._tables(spec, platform)
+            jidx = metrics.per_processor_period.index(metrics.period)
+            lowest = min(
+                latency
+                for _, _, latency, _ in heuristics._split_candidates(
+                    tables, mapping, jidx, tuple(unused[:1])
+                )
+            )
+            cap = _cap_padding_to(lowest)
+            assert cap is not None and meets_threshold(lowest, cap)
+            got = heuristics._best_split(
+                spec, platform, tables, mapping, metrics, unused, False, False, cap
+            )
+            assert got is not None and got[2].latency == lowest
+            below = cap
+            while padded_threshold(below) >= lowest:
+                below = math.nextafter(below, -math.inf)
+            assert heuristics._best_split(
+                spec, platform, tables, mapping, metrics, unused, False, False, below
+            ) is None
+
+
+def _cap_padding_to(value: float) -> float | None:
+    """A threshold whose :func:`padded_threshold` is exactly ``value``, if one exists."""
+    cap = value / (1.0 + EPS_CMP) if value >= 1.0 else value - EPS_CMP
+    for _ in range(64):
+        padded = padded_threshold(cap)
+        if padded == value:
+            return cap
+        cap = math.nextafter(cap, -math.inf if padded > value else math.inf)
+    return None
 
 
 # sha256 over every outcome and error message of ``_golden_records``; it pins

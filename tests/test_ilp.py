@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -17,6 +18,7 @@ from pipemap import (
     solve,
     write_lp,
 )
+from pipemap import ilp
 
 import lp_grammar
 from util import random_instance
@@ -218,7 +220,7 @@ class TestLpRendering:
             assert len(line) <= 80
 
 
-def _golden_programs():
+def _golden_queries():
     rng = np.random.default_rng(2008)
     one = (
         PipelineSpec(stage_names=("a",), w=[3.0], delta=[2.0, 5.0]),
@@ -238,7 +240,12 @@ def _golden_programs():
         for objective in ("latency", "period"):
             for bound in (threshold, math.inf):
                 query = BicriteriaQuery(objective=objective, threshold=bound)
-                yield f"{label} {objective} {bound!r}", export_ilp(spec, platform, query)
+                yield f"{label} {objective} {bound!r}", spec, platform, query
+
+
+def _golden_programs():
+    for name, spec, platform, query in _golden_queries():
+        yield name, export_ilp(spec, platform, query)
 
 
 class TestGoldenLp:
@@ -258,6 +265,41 @@ class TestGoldenLp:
             digest.update(f"{name} {len(data)}\n".encode())
             digest.update(data)
         assert digest.hexdigest() == self.DIGEST
+
+
+def _reference_row_lines(row):
+    """A row rendered word by word through ``_wrap``, as every row once was."""
+    text = " ".join(
+        f"{'-' if coef < 0 else '+'} {ilp._fmt(abs(coef))} {var}" for coef, var in row.terms
+    )
+    body = f"{row.name}: {text.removeprefix('+ ')} {row.sense} {ilp._fmt(row.rhs)}"
+    return [" " + line for line in ilp._wrap(body)]
+
+
+def _constraint_lines(instance):
+    lines = instance.to_lp_text().splitlines()
+    return lines[lines.index("Subject To") + 1 : lines.index("Bounds")]
+
+
+class TestRowRendering:
+    """Rows of at most 72 characters take the one-line path; longer ones wrap."""
+
+    def test_golden_rows_match_word_by_word_wrap(self):
+        for _, spec, platform, query in _golden_queries():
+            instance = build_instance(spec, platform, query)
+            expected = [line for row in instance.rows for line in _reference_row_lines(row)]
+            assert _constraint_lines(instance) == expected
+
+    @pytest.mark.parametrize("length, lines", [(72, 1), (73, 2)])
+    def test_body_width_boundary(self, tiny_spec, tiny_platform, length, lines):
+        instance = build_instance(tiny_spec, tiny_platform, _tiny_query())
+        # The body is the name and 47 more characters.
+        name = "c" * (length - 47)
+        row = ilp.Row(name, ((1.0, "x_1_p1"), (-0.1, "z_0_in_p1")), "<=", 3.0)
+        rendered = _constraint_lines(dataclasses.replace(instance, rows=(row,)))
+        assert len(f"{name}: 1 x_1_p1 - 0.10000000000000001 z_0_in_p1 <= 3") == length
+        assert len(rendered) == lines
+        assert rendered == _reference_row_lines(row)
 
 
 def _milp_optimum(spec, platform, query):

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import math
 
 import numpy as np
@@ -6,6 +7,8 @@ import pytest
 
 from pipemap import (
     IntervalMapping,
+    PipelineSpec,
+    Platform,
     compare_with_analytic,
     evaluate_metrics,
     simulate,
@@ -13,7 +16,14 @@ from pipemap import (
 )
 
 import oracle
-from util import as_lists, random_instance, random_valid_mapping
+from conftest import uniform_bandwidth
+from util import (
+    as_lists,
+    integer_instance,
+    random_instance,
+    random_valid_mapping,
+    with_zero_delta,
+)
 
 
 class TestTinyMeasurements:
@@ -194,3 +204,67 @@ class TestReportDict:
         assert d["measured_period"] == 7.0
         assert d["measured_first_latency"] == 10.0
         assert d["mapping"] == "1-2@p1;3-3@p2"
+
+
+def _golden_cases():
+    """Seeded chains with ``m`` from 1 to 8 intervals, three per ``m``.
+
+    One instance is real-valued and one has small integer values.  The third
+    is a uniform chain (equal costs, speeds and bandwidths, one stage per
+    interval), where from ``m = 2`` on a receive is ready at the same instant
+    as its processor's port.  Each has one zero data volume, which in most
+    cases falls on a link between intervals or to a gateway.
+    """
+    rng = np.random.default_rng(1313)
+    for m in range(1, 9):
+        n = m + int(rng.integers(0, 4))
+        p = m + int(rng.integers(0, 3))
+        cuts = sorted(rng.choice(np.arange(1, n), size=m - 1, replace=False).tolist())
+        bounds = [0, *cuts, n]
+        mapping = IntervalMapping(
+            intervals=tuple((bounds[j] + 1, bounds[j + 1]) for j in range(m)),
+            assignees=tuple(int(u) for u in rng.permutation(np.arange(1, p + 1))[:m]),
+        )
+        uniform = IntervalMapping(
+            intervals=tuple((k, k) for k in range(1, m + 1)),
+            assignees=tuple(int(u) for u in rng.permutation(np.arange(1, m + 2))[:m]),
+        )
+        instances = [
+            (random_instance(rng, (n, n), (p, p), allow_zero_delta=False), mapping),
+            (integer_instance(rng, (n, n), (p, p)), mapping),
+            (
+                (
+                    PipelineSpec(
+                        stage_names=tuple(f"s{k}" for k in range(1, m + 1)),
+                        w=[3.0] * m,
+                        delta=[2.0] * (m + 1),
+                    ),
+                    Platform(s=[1.0] * (m + 1), b=uniform_bandwidth(m + 1)),
+                ),
+                uniform,
+            ),
+        ]
+        for (spec, platform), chosen in instances:
+            spec = with_zero_delta(rng, spec)
+            yield spec, platform, chosen, 40 + 7 * m, 3 * m
+
+
+class TestGoldenSimulation:
+    """The simulator's output times, measurements and event logs, by sha256."""
+
+    DIGEST = "ccc6a03c93ce282d68f523a8e1d5a97670878a659493410ab74c5fb8ee24896c"
+
+    def test_bytes(self, tmp_path):
+        digest = hashlib.sha256()
+        path = tmp_path / "events.csv"
+        for spec, platform, mapping, items, warmup in _golden_cases():
+            report = simulate(spec, platform, mapping, items, warmup, record_events=True)
+            silent = simulate(spec, platform, mapping, items, warmup)
+            assert silent.item_output_times.tobytes() == report.item_output_times.tobytes()
+            write_event_log(report, str(path))
+            digest.update(mapping.signature().encode())
+            digest.update(report.item_output_times.tobytes())
+            digest.update(repr(report.measured_period).encode())
+            digest.update(repr(report.measured_first_latency).encode())
+            digest.update(path.read_bytes())
+        assert digest.hexdigest() == self.DIGEST
