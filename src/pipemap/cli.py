@@ -24,7 +24,6 @@ from .heuristics import (
 )
 from .ilp import write_lp
 from .model import (
-    InvalidMappingError,
     PipelineSpec,
     Platform,
     jpeg_preset,
@@ -401,7 +400,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
     try:
         return args.func(args)
-    except (ValueError, InvalidMappingError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

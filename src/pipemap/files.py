@@ -116,15 +116,12 @@ def _platform_from_data(data: dict) -> Platform:
             raise SchemaError(
                 f"platform 'b' must be {side} rows of {side} entries"
             )
-        matrix = np.array(b, dtype=np.float64)
-    else:
-        if len(b) != side * side:
-            raise SchemaError(
-                f"platform 'b' has {len(b)} entries, expected (p+2)^2 = {side * side}"
-            )
-        matrix = np.array(b, dtype=np.float64).reshape(side, side)
+    elif len(b) != side * side:
+        raise SchemaError(
+            f"platform 'b' has {len(b)} entries, expected (p+2)^2 = {side * side}"
+        )
     try:
-        return Platform(s=s, b=matrix)
+        return Platform(s=s, b=np.array(b, dtype=np.float64).reshape(side, side))
     except ValueError as exc:
         raise SchemaError(f"platform file rejected: {exc}") from exc
 

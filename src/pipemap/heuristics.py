@@ -27,10 +27,12 @@ bottleneck's interval tries every ``k - 1`` cut points and every placement
 of the bottleneck and the ``k - 1`` fastest unused processors, keeping the
 first lowest-scoring candidate.  Candidates are scored incrementally: a
 split changes only its parts' terms, the predecessor's send and the
-successor's receive, so each candidate's latency and party cycles are
-summed from per-run tables of Python floats in :func:`evaluate_metrics`
-order, bit for bit equal to a full evaluation, with no mapping built.  The
-tables take their stage costs from :mod:`pipemap.model`'s one fold.
+successor's receive.  The unchanged terms before and after the split are the
+current mapping's chain terms from :mod:`pipemap.model`, and the new parts'
+terms come from per-run tables of Python floats whose stage costs are that
+module's one fold.  Each candidate's latency and party cycles are summed in
+:func:`evaluate_metrics` order, bit for bit equal to a full evaluation, with
+no mapping built.
 Only the winner of each split becomes an :class:`IntervalMapping` and runs
 through :func:`evaluate_metrics`.
 
@@ -53,6 +55,7 @@ from .model import (
     MappingMetrics,
     PipelineSpec,
     Platform,
+    _chain_terms,
     _stage_costs,
     evaluate_metrics,
     meets_threshold,
@@ -221,13 +224,15 @@ def _speed_order(platform: Platform) -> list[int]:
 
 
 class _Tables(NamedTuple):
-    """Python-float views of one instance, shared by every split of a run.
+    """One instance and its Python-float views, shared by every split of a run.
 
     ``W[d][e]`` is the cost of stages ``d..e`` from the fold
     :func:`evaluate_metrics` uses, ``pipemap.model._stage_costs``, so every
     term built from these tables has the bits that function gives it.
     """
 
+    spec: PipelineSpec
+    platform: Platform
     delta: list[float]
     s: list[float]
     b: list[list[float]]
@@ -237,7 +242,9 @@ class _Tables(NamedTuple):
 def _tables(spec: PipelineSpec, platform: Platform) -> _Tables:
     w, n = spec.w.tolist(), spec.n
     W = [[0.0] * (n + 1)] + [[0.0] * d + _stage_costs(w, d, n) for d in range(1, n + 1)]
-    return _Tables(spec.delta.tolist(), platform.s.tolist(), platform.b.tolist(), W)
+    return _Tables(
+        spec, platform, spec.delta.tolist(), platform.s.tolist(), platform.b.tolist(), W
+    )
 
 
 def _split_candidates(
@@ -252,35 +259,28 @@ def _split_candidates(
     lexicographic order and, for each, the placements of the interval's
     processor and the ``recipients`` in permutation order.  A split changes
     only its parts' terms, the predecessor's send and the successor's
-    receive, so the latency starts from the sum over the intervals before
-    ``jidx`` and adds the parts' receive and compute, the successor's new
-    receive and the unchanged rest in :func:`evaluate_metrics` order: the
-    values are those of the candidate mapping's metrics, bit for bit.
+    receive.  The other terms are the mapping's own chain terms from
+    :func:`pipemap.model._chain_terms`, laid out in :func:`evaluate_metrics`'
+    fold order: the latency starts from the fold of the terms before
+    ``jidx``, adds the parts' receive and compute and the successor's new
+    receive, then the unchanged rest.  The values are those of the candidate
+    mapping's metrics, bit for bit.
     """
-    delta, s, b, W = tables
-    intervals, assignees = mapping.intervals, mapping.assignees
-    d, e = intervals[jidx]
-    head, pred = 0.0, 0
-    for (lo, hi), u in zip(intervals[:jidx], assignees[:jidx]):
-        head += delta[lo - 1] / b[pred][u]
-        head += W[lo][hi] / s[u - 1]
-        pred = u
-    # the terms after the successor's receive, ending with the last send
-    tail: list[float] = []
-    if jidx + 1 < len(intervals):
-        succ = last = assignees[jidx + 1]
-        lo, hi = intervals[jidx + 1]
-        tail.append(W[lo][hi] / s[last - 1])
-        for (lo, hi), u in zip(intervals[jidx + 2 :], assignees[jidx + 2 :]):
-            tail.append(delta[lo - 1] / b[last][u])
-            tail.append(W[lo][hi] / s[u - 1])
-            last = u
-        tail.append(delta[intervals[-1][1]] / b[last][len(s) + 1])
-    else:
-        succ = len(s) + 1
+    spec, platform, delta, s, b, W = tables
+    d, e = mapping.intervals[jidx]
+    links, comps = _chain_terms(spec, platform, mapping)
+    terms = [t for pair in zip(links, comps) for t in pair] + [links[-1]]
+    head = 0.0
+    for term in terms[: 2 * jidx]:
+        head += term
+    # after the split interval's receive and compute and the successor's
+    # old receive; empty when the split interval is the last
+    tail = terms[2 * jidx + 3 :]
+    nodes = (0, *mapping.assignees, platform.p + 1)
+    pred, succ = nodes[jidx], nodes[jidx + 2]
     for cuts in itertools.combinations(range(d, e), len(recipients)):
         spans = tuple(zip((d - 1, *cuts), (*cuts, e)))
-        for placement in itertools.permutations((assignees[jidx], *recipients)):
+        for placement in itertools.permutations((mapping.assignees[jidx], *recipients)):
             latency = head
             cycles = []
             t_in = delta[d - 1] / b[pred][placement[0]]
@@ -298,8 +298,6 @@ def _split_candidates(
 
 
 def _best_split(
-    spec: PipelineSpec,
-    platform: Platform,
     tables: _Tables,
     mapping: IntervalMapping,
     metrics: MappingMetrics,
@@ -360,12 +358,10 @@ def _best_split(
         delta_latency=latency - metrics.latency,
         delta_period=tuple(period - c for c in party_cycles),
     )
-    return choice, winner, evaluate_metrics(spec, platform, winner)
+    return choice, winner, evaluate_metrics(tables.spec, tables.platform, winner)
 
 
 def _run_greedy(
-    spec: PipelineSpec,
-    platform: Platform,
     tables: _Tables,
     start: tuple[IntervalMapping, MappingMetrics],
     *,
@@ -376,21 +372,13 @@ def _run_greedy(
 ) -> tuple[IntervalMapping, MappingMetrics, tuple[SplitEvent, ...]]:
     """Run the splitting loop from ``start``; returns (mapping, metrics, trace)."""
     mapping, metrics = start
-    unused = _speed_order(platform)[1:]
+    unused = _speed_order(tables.platform)[1:]
     trace: list[SplitEvent] = []
     while True:
         if period_goal is not None and meets_threshold(metrics.period, period_goal):
             break
         best = _best_split(
-            spec,
-            platform,
-            tables,
-            mapping,
-            metrics,
-            unused,
-            three_way,
-            ratio_rule,
-            latency_cap,
+            tables, mapping, metrics, unused, three_way, ratio_rule, latency_cap
         )
         if best is None:
             break
@@ -446,8 +434,6 @@ def run_heuristic(
 
     greedy = functools.partial(
         _run_greedy,
-        spec,
-        platform,
         _tables(spec, platform),
         start,
         ratio_rule=ratio_rule,

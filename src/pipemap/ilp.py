@@ -25,9 +25,11 @@ when the threshold is infinite.
 Each constraint is a :class:`Row`, a named tuple ``(name, terms, sense,
 rhs)`` whose terms are ``(coef, var)`` pairs; row and variable names are LP
 identifiers, without spaces.  :meth:`IlpInstance.to_lp_text` renders each row
-once, formatting each distinct number once per call.  A row of at most 72
-characters is one line; a longer one (the ``assign``, ``route`` and cost rows
-at scale) wraps word by word at 72 characters.
+once, formatting each distinct number once per call.  Every row, and the
+``Binary`` and ``General`` lists, goes through one line breaker: a line holds
+at most 72 characters after its leading space, and each break is the last
+space that fits, so most rows are one line and the ``assign``, ``route`` and
+cost rows wrap at scale.
 """
 
 from __future__ import annotations
@@ -118,19 +120,14 @@ class IlpInstance:
         plain = _Memo(_fmt)
         for name, terms, sense, rhs in self.rows:
             text = " ".join([f"{signed[coef]} {var}" for coef, var in terms])
-            body = f"{name}: {text.removeprefix('+ ')} {sense} {plain[rhs]}"
-            # _wrap returns a body of at most 72 characters as its one line.
-            if len(body) <= 72:
-                out.append(" " + body)
-            else:
-                out += [" " + line for line in _wrap(body)]
+            out += _wrap(f"{name}: {text.removeprefix('+ ')} {sense} {plain[rhs]}")
         out.append("Bounds")
         out += [f" {var} = {plain[value]}" for var, value in self.pins]
         out += [f" 1 <= {var} <= {self.n}" for var in self.generals]
         out += [f" {self.objective_var} >= 0", "Binary"]
-        out += [" " + chunk for chunk in _wrap(" ".join(self.binaries), indent="")]
+        out += _wrap(" ".join(self.binaries), indent=" ")
         out.append("General")
-        out += [" " + chunk for chunk in _wrap(" ".join(self.generals), indent="")]
+        out += _wrap(" ".join(self.generals), indent=" ")
         out.append("End")
         return "\n".join(out) + "\n"
 
@@ -297,18 +294,25 @@ class _Memo(dict):
         return text
 
 
-def _wrap(text: str, width: int = 72, indent: str = "   ") -> list[str]:
-    words = text.split(" ")
+def _wrap(text: str, indent: str = "    ") -> list[str]:
+    """``text`` as LP lines: a leading space, then at most 72 characters.
+
+    Continuation lines start with ``indent`` in place of the single space.
+    Each line breaks at the last space that keeps it within the width; a word
+    longer than a whole line stays whole and breaks at the next space.
+    """
     lines: list[str] = []
-    current = ""
-    for word in words:
-        if current and len(current) + 1 + len(word) > width:
-            lines.append(current)
-            current = indent + word
-        else:
-            current = word if not current else current + " " + word
-    if current:
-        lines.append(current)
+    prefix, start = " ", 0
+    # ``room``: how much of ``text`` fits after ``prefix`` on a line of 1 + 72
+    while len(text) - start > (room := 73 - len(prefix)):
+        cut = text.rfind(" ", start, start + room + 1)
+        if cut < 0:
+            cut = text.find(" ", start)
+            if cut < 0:
+                break
+        lines.append(prefix + text[start:cut])
+        prefix, start = indent, cut + 1
+    lines.append(prefix + text[start:])
     return lines
 
 

@@ -158,3 +158,11 @@ class TestErrorMessages:
             pipeline_from_json(
                 json.dumps({"n": 1, "w": ["x"], "delta": [1, 1], "stage_names": ["a"]})
             )
+
+    @pytest.mark.parametrize("nested", [False, True])
+    def test_bad_bandwidth_type(self, nested):
+        b = [["x", 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]
+        if not nested:
+            b = [value for row in b for value in row]
+        with pytest.raises(SchemaError, match="platform file rejected"):
+            platform_from_json(json.dumps({"p": 1, "s": [1.0], "b": b}))

@@ -448,7 +448,7 @@ class TestSplitCandidates:
                 calls.clear()
                 monkeypatch.setattr(heuristics, "evaluate_metrics", counting)
                 got = heuristics._best_split(
-                    spec, platform, tables, mapping, metrics, unused, three_way, ratio_rule, cap
+                    tables, mapping, metrics, unused, three_way, ratio_rule, cap
                 )
                 monkeypatch.setattr(heuristics, "evaluate_metrics", evaluate)
                 assert got == expected
@@ -468,15 +468,13 @@ class TestSplitCandidates:
             )
             cap = _cap_padding_to(lowest)
             assert cap is not None and meets_threshold(lowest, cap)
-            got = heuristics._best_split(
-                spec, platform, tables, mapping, metrics, unused, False, False, cap
-            )
+            got = heuristics._best_split(tables, mapping, metrics, unused, False, False, cap)
             assert got is not None and got[2].latency == lowest
             below = cap
             while padded_threshold(below) >= lowest:
                 below = math.nextafter(below, -math.inf)
             assert heuristics._best_split(
-                spec, platform, tables, mapping, metrics, unused, False, False, below
+                tables, mapping, metrics, unused, False, False, below
             ) is None
 
 

@@ -267,28 +267,87 @@ class TestGoldenLp:
         assert digest.hexdigest() == self.DIGEST
 
 
+def _word_wrap(text, width=72, indent="   "):
+    """A word-by-word line breaker, the reference that ``ilp._wrap`` must match."""
+    words = text.split(" ")
+    lines = []
+    current = ""
+    for word in words:
+        if current and len(current) + 1 + len(word) > width:
+            lines.append(current)
+            current = indent + word
+        else:
+            current = word if not current else current + " " + word
+    if current:
+        lines.append(current)
+    return lines
+
+
 def _reference_row_lines(row):
-    """A row rendered word by word through ``_wrap``, as every row once was."""
+    """A row rendered word by word through the reference wrap."""
     text = " ".join(
         f"{'-' if coef < 0 else '+'} {ilp._fmt(abs(coef))} {var}" for coef, var in row.terms
     )
     body = f"{row.name}: {text.removeprefix('+ ')} {row.sense} {ilp._fmt(row.rhs)}"
-    return [" " + line for line in ilp._wrap(body)]
+    return [" " + line for line in _word_wrap(body)]
+
+
+def _reference_list_lines(names):
+    """A ``Binary`` or ``General`` list wrapped word by word, continuation unindented."""
+    return [" " + line for line in _word_wrap(" ".join(names), indent="")]
+
+
+def _section(instance, first, last):
+    lines = instance.to_lp_text().splitlines()
+    return lines[lines.index(first) + 1 : lines.index(last)]
 
 
 def _constraint_lines(instance):
-    lines = instance.to_lp_text().splitlines()
-    return lines[lines.index("Subject To") + 1 : lines.index("Bounds")]
+    return _section(instance, "Subject To", "Bounds")
+
+
+def _random_words(rng):
+    """Words of LP-identifier characters; about one in ten is 60-79 characters long."""
+    count = int(rng.integers(1, 40))
+    long = rng.random(count) < 0.1
+    sizes = np.where(long, rng.integers(60, 80, count), rng.integers(1, 12, count))
+    text = "".join(rng.choice(list("abxyz_0123456789"), int(sizes.sum())))
+    ends = np.cumsum(sizes).tolist()
+    return [text[end - size : end] for end, size in zip(ends, sizes.tolist())]
 
 
 class TestRowRendering:
-    """Rows of at most 72 characters take the one-line path; longer ones wrap."""
+    """Every row and both variable lists match the word-by-word reference wrap."""
 
     def test_golden_rows_match_word_by_word_wrap(self):
         for _, spec, platform, query in _golden_queries():
             instance = build_instance(spec, platform, query)
             expected = [line for row in instance.rows for line in _reference_row_lines(row)]
             assert _constraint_lines(instance) == expected
+
+    def test_golden_variable_lists_match_word_by_word_wrap(self):
+        for _, spec, platform, query in _golden_queries():
+            instance = build_instance(spec, platform, query)
+            assert _section(instance, "Binary", "General") == _reference_list_lines(
+                instance.binaries
+            )
+            assert _section(instance, "General", "End") == _reference_list_lines(
+                instance.generals
+            )
+
+    def test_random_words_match_word_by_word_wrap(self):
+        rng = np.random.default_rng(14)
+        long_first = long_continued = 0
+        for _ in range(2000):
+            words = _random_words(rng)
+            text = " ".join(words)
+            expected = [" " + line for line in _word_wrap(text)]
+            assert ilp._wrap(text) == expected
+            assert ilp._wrap(text, indent=" ") == _reference_list_lines(words)
+            long_first += len(words[0]) > 72
+            long_continued += any(len(line) > 76 for line in expected[1:])
+        # both places a too-long word can sit are exercised
+        assert long_first > 0 and long_continued > 0
 
     @pytest.mark.parametrize("length, lines", [(72, 1), (73, 2)])
     def test_body_width_boundary(self, tiny_spec, tiny_platform, length, lines):
