@@ -544,6 +544,23 @@ class TestFront:
         assert len(calls) == partitions
 
 
+# sha256 over the scan's front of each of 16 seeded instances with n 8-11 and
+# p 4-9, half of them tie-heavy: periods, latencies, signatures and
+# ``evaluated``.  It was recorded with the scan that searched one partition at
+# a time, so it pins the fronts of the scan across partitions to that one.
+GOLDEN_MID_FRONT_SHA256 = "e6324af659be2fe26bca00d031f3d043c98695d26ed6c3fe5a205259e233d0c2"
+
+
+def _mid_size_instances(count):
+    """Seeded instances, alternately real-valued and integer-valued."""
+    rng = np.random.default_rng(2)
+    for k in range(count):
+        if k % 2:
+            yield integer_instance(rng, (8, 11), (4, 9))
+        else:
+            yield random_instance(rng, n_range=(8, 11), p_range=(4, 9))
+
+
 class TestGolden:
     def test_results_match_recorded_digest(self):
         digest = hashlib.sha256()
@@ -551,6 +568,20 @@ class TestGolden:
             digest.update(json.dumps(record, sort_keys=True).encode("utf-8"))
             digest.update(b"\n")
         assert digest.hexdigest() == GOLDEN_EXACT_SHA256
+
+    def test_mid_size_fronts_match_recorded_digest(self):
+        digest = hashlib.sha256()
+        for spec, platform in _mid_size_instances(16):
+            front = _scan_front(spec, platform)
+            record = [
+                front.period.tolist(),
+                front.latency.tolist(),
+                [mapping.signature() for mapping in front.mappings],
+                front.evaluated,
+            ]
+            digest.update(json.dumps(record).encode("utf-8"))
+            digest.update(b"\n")
+        assert digest.hexdigest() == GOLDEN_MID_FRONT_SHA256
 
 
 def _keep_every_prefix(front_per, front_lat, period, latency):
