@@ -12,7 +12,10 @@ row of a :func:`sweep`, is a lookup on it.  Ties are broken with exact float
 equality: among feasible mappings the smallest objective, then the smallest
 value of the other criterion, then the canonically first mapping.
 
-The scan is a branch and bound.  Inside a partition it grows processor
+The scan is a branch and bound, one per interval count ``m``.  It searches
+all ``C(n-1, m-1)`` partitions into ``m`` intervals together: every row of
+its prefix table carries its partition's index, and the rows are ordered by
+(partition, processor tuple), the canonical order.  It grows processor
 prefixes one interval at a time and drops a prefix when a point of the front
 built so far weakly dominates the prefix's lower bounds:
 
@@ -220,7 +223,7 @@ def _extend_perms(prev: np.ndarray, p: int) -> np.ndarray:
 def _partition_arrays(
     spec: PipelineSpec, intervals: tuple[tuple[int, int], ...]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``wsum`` and ``bvol`` of one partition (see :mod:`pipemap._kernels`)."""
+    """The ``wsum`` and ``bvol`` rows of one partition (see :mod:`pipemap._kernels`)."""
     wsum = np.array(_interval_costs(spec, intervals))
     bvol = spec.delta[[d - 1 for d, _ in intervals] + [spec.n]]
     return wsum, bvol
@@ -265,20 +268,24 @@ def _grow(
 ) -> tuple:
     """Extend prefixes of ``k`` intervals by every free processor for interval ``k``.
 
-    A block is ``(procs, closed, open_, lat)``, one row per prefix: processor
-    tuples, the max of the closed cycles, the open interval's
-    ``t_in + t_comp`` and the partial latency, each exact
-    (:func:`pipemap._kernels.scan_perms` computes them).
+    A block is ``(part, procs, closed, open_, lat)``, one row per prefix: its
+    partition's row in the ``wsum`` and ``bvol`` tables, processor tuples,
+    the max of the closed cycles, the open interval's ``t_in + t_comp`` and
+    the partial latency, each exact (:func:`pipemap._kernels.scan_perms`
+    computes them).
     """
-    procs, closed, open_, lat = block
-    ext = _extend_perms(procs, s.shape[0])
-    return (ext, *_kernels.scan_perms(wsum, bvol, s, b, ext, closed, open_, lat))
+    part, procs, closed, open_, lat = block
+    p = s.shape[0]
+    ext = _extend_perms(procs, p)
+    part = np.repeat(part, p - procs.shape[1])
+    metrics = _kernels.scan_perms(wsum, bvol, s, b, ext, closed, open_, lat, part)
+    return (part, ext, *metrics)
 
 
 def _complete(block: tuple, bvol: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Period and latency of full mappings: the output link closes the last interval."""
-    procs, closed, open_, lat = block
-    t_out = bvol[-1] / b[procs[:, -1], b.shape[0] - 1]
+    part, procs, closed, open_, lat = block
+    t_out = bvol[part, -1] / b[procs[:, -1], b.shape[0] - 1]
     return np.maximum(closed, open_ + t_out), lat + t_out
 
 
@@ -292,63 +299,75 @@ def _scan_front(spec: PipelineSpec, platform: Platform) -> _Front:
     front_maps: list[IntervalMapping] = []
     scored = 0
     for m in range(1, min(n, p) + 1):
-        for cuts in itertools.combinations(range(1, n), m - 1):
-            intervals = _cuts_to_intervals(n, cuts)
-            wsum, bvol = _partition_arrays(spec, intervals)
-            # Lower bounds on the terms of the intervals not yet placed: the
-            # fastest processor and the widest link.
-            link_lb, comp_lb = bvol / b_max, wsum / s_max
-            comp_tail = np.append(np.maximum.accumulate(comp_lb[::-1])[::-1], 0.0)
-            # Blocks are grown depth first in lexicographic order, so full
-            # mappings reach the front in canonical order.
-            zero = np.zeros(1)
-            stack = [(np.zeros((1, 0), dtype=np.intp), zero, zero, zero)]
-            while stack:
-                block = stack.pop()
-                k = block[0].shape[1]
-                step = max(1, _ROW_BUDGET // (p - k))
-                if len(block[0]) > step:
-                    stack.append(tuple(a[step:] for a in block))
-                    block = tuple(a[:step] for a in block)
-                block = _grow(block, wsum, bvol, s, b)
-                procs, closed, open_, lat = block
-                if k + 1 == m:
-                    period, latency = _complete(block, bvol, b)
-                    scored += len(procs)
-                    rows = np.flatnonzero(
-                        ~_dominated(front_per, front_lat, period, latency)
-                    )
-                    if rows.size:
-                        period = np.concatenate((front_per, period[rows]))
-                        latency = np.concatenate((front_lat, latency[rows]))
-                        # lexsort is stable and the rows follow the front in
-                        # canonical order, so exact ties keep the canonically
-                        # first; a point stays only if its latency is strictly
-                        # below every one sorted before it
-                        order = np.lexsort((latency, period))
-                        low = np.minimum.accumulate(latency[order])
-                        order = order[np.append(True, low[1:] < low[:-1])]
-                        old = len(front_maps)
-                        front_maps = [
-                            front_maps[i]
-                            if i < old
-                            else IntervalMapping(intervals, procs[rows[i - old]].tolist())
-                            for i in order.tolist()
-                        ]
-                        front_per, front_lat = period[order], latency[order]
-                    continue
-                # Rounded +, / and max are monotone, so adding the lower
-                # bounds in evaluate_metrics' order keeps each bound at or
-                # below the value of every completion, with no ulp to spare.
-                per_lb = np.maximum(np.maximum(closed, open_), comp_tail[k + 1])
-                lat_lb = lat
-                for j in range(k + 1, m):
-                    lat_lb = lat_lb + link_lb[j]
-                    lat_lb += comp_lb[j]
-                lat_lb = lat_lb + link_lb[m]
-                keep = ~_dominated(front_per, front_lat, per_lb, lat_lb)
-                if keep.any():
-                    stack.append(tuple(a[keep] for a in block))
+        # One search over every partition into m intervals: row i of each
+        # table belongs to the i-th partition in canonical order.
+        partitions = [
+            _cuts_to_intervals(n, cuts)
+            for cuts in itertools.combinations(range(1, n), m - 1)
+        ]
+        count = len(partitions)
+        tables = [_partition_arrays(spec, intervals) for intervals in partitions]
+        wsum = np.array([w for w, _ in tables])
+        bvol = np.array([v for _, v in tables])
+        # Lower bounds on the terms of the intervals not yet placed: the
+        # fastest processor and the widest link.
+        link_lb, comp_lb = bvol / b_max, wsum / s_max
+        comp_tail = np.zeros((count, m + 1))
+        comp_tail[:, :m] = np.maximum.accumulate(comp_lb[:, ::-1], axis=1)[:, ::-1]
+        # Rows are ordered by partition, then processor tuple, and blocks are
+        # grown depth first, so full mappings reach the front in canonical
+        # order.  The first block holds one empty prefix per partition.
+        zero = np.zeros(count)
+        stack = [(np.arange(count), np.zeros((count, 0), dtype=np.intp), zero, zero, zero)]
+        while stack:
+            block = stack.pop()
+            k = block[1].shape[1]
+            step = max(1, _ROW_BUDGET // (p - k))
+            if len(block[0]) > step:
+                stack.append(tuple(a[step:] for a in block))
+                block = tuple(a[:step] for a in block)
+            block = _grow(block, wsum, bvol, s, b)
+            part, procs, closed, open_, lat = block
+            if k + 1 == m:
+                period, latency = _complete(block, bvol, b)
+                scored += len(procs)
+                rows = np.flatnonzero(
+                    ~_dominated(front_per, front_lat, period, latency)
+                )
+                if rows.size:
+                    period = np.concatenate((front_per, period[rows]))
+                    latency = np.concatenate((front_lat, latency[rows]))
+                    # lexsort is stable and the rows follow the front in
+                    # canonical order, so exact ties keep the canonically
+                    # first; a point stays only if its latency is strictly
+                    # below every one sorted before it
+                    order = np.lexsort((latency, period))
+                    low = np.minimum.accumulate(latency[order])
+                    order = order[np.append(True, low[1:] < low[:-1])]
+                    old = len(front_maps)
+                    front_maps = [
+                        front_maps[i]
+                        if i < old
+                        else IntervalMapping(
+                            partitions[part[rows[i - old]]],
+                            procs[rows[i - old]].tolist(),
+                        )
+                        for i in order.tolist()
+                    ]
+                    front_per, front_lat = period[order], latency[order]
+                continue
+            # Rounded +, / and max are monotone, so adding the lower bounds
+            # in evaluate_metrics' order keeps each bound at or below the
+            # value of every completion, with no ulp to spare.
+            per_lb = np.maximum(np.maximum(closed, open_), comp_tail[part, k + 1])
+            lat_lb = lat
+            for j in range(k + 1, m):
+                lat_lb = lat_lb + link_lb[part, j]
+                lat_lb += comp_lb[part, j]
+            lat_lb = lat_lb + link_lb[part, m]
+            keep = ~_dominated(front_per, front_lat, per_lb, lat_lb)
+            if keep.any():
+                stack.append(tuple(a[keep] for a in block))
     return _Front(front_per, front_lat, front_maps, count_mappings(n, p), scored)
 
 

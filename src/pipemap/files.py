@@ -20,9 +20,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-import numpy as np
-
-from .model import IntervalMapping, PipelineSpec, Platform
+from .model import IntervalMapping, PipelineSpec, Platform, _readonly_f64
 
 __all__ = [
     "SchemaError",
@@ -121,7 +119,7 @@ def _platform_from_data(data: dict) -> Platform:
             f"platform 'b' has {len(b)} entries, expected (p+2)^2 = {side * side}"
         )
     try:
-        return Platform(s=s, b=np.array(b, dtype=np.float64).reshape(side, side))
+        return Platform(s=s, b=_readonly_f64(b, "b").reshape(side, side))
     except ValueError as exc:
         raise SchemaError(f"platform file rejected: {exc}") from exc
 

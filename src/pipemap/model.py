@@ -70,7 +70,10 @@ def metrics_close(a: float, b: float) -> bool:
 
 
 def _readonly_f64(values: Sequence[float] | np.ndarray, name: str) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64, copy=True)
+    try:
+        arr = np.array(values, dtype=np.float64, copy=True)
+    except TypeError as exc:  # e.g. a dict where a number belongs
+        raise ValueError(f"{name} must hold numbers: {exc}") from exc
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} must be finite")
     arr.setflags(write=False)

@@ -95,6 +95,25 @@ class TestSolve:
         err = capsys.readouterr().err
         assert "error" in err
 
+    @pytest.mark.parametrize("which", ["pipeline", "platform"])
+    def test_object_where_a_number_belongs_exit_one(
+        self, tiny_files, tmp_path, capsys, which
+    ):
+        files = dict(zip(("pipeline", "platform"), tiny_files))
+        bad = {
+            "pipeline": {"n": 1, "stage_names": ["a"], "w": [{}], "delta": [1, 1]},
+            "platform": {"p": 1, "s": [{}], "b": [1] * 9},
+        }[which]
+        files[which] = str(tmp_path / "bad.json")
+        (tmp_path / "bad.json").write_text(json.dumps(bad))
+        pipeline, platform = files["pipeline"], files["platform"]
+        code = main(
+            ["solve", "--pipeline", pipeline, "--platform", platform, "--period", "7"]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{which} file rejected" in err
+
     def test_missing_file_exit_one(self, tiny_files, capsys):
         _, platform = tiny_files
         code = main(

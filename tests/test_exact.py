@@ -282,13 +282,16 @@ class TestKernel:
             for m in range(1, min(n, p) + 1):
                 for cuts in itertools.combinations(range(1, n), m - 1):
                     intervals = _cuts_to_intervals(n, cuts)
-                    wsum, bvol = _partition_arrays(spec, intervals)
-                    # the scan's own steps, with no prefix bounded out
-                    block = (np.zeros((1, 0), dtype=np.intp), zero, zero, zero)
+                    wsum, bvol = (a[None] for a in _partition_arrays(spec, intervals))
+                    # the scan's own steps on a one-partition table, with no
+                    # prefix bounded out
+                    part = np.zeros(1, dtype=np.intp)
+                    block = (part, np.zeros((1, 0), dtype=np.intp), zero, zero, zero)
                     for _ in range(m):
                         block = _grow(block, wsum, bvol, platform.s, platform.b)
                     periods, latencies = _complete(block, bvol, platform.b)
-                    perms = block[0].tolist()
+                    assert not block[0].any()
+                    perms = block[1].tolist()
                     assert perms == [
                         list(t) for t in itertools.permutations(range(1, p + 1), m)
                     ]
@@ -304,9 +307,14 @@ class TestKernel:
         spec, platform = random_instance(rng, n_range=(5, 5), p_range=(4, 4))
         rows = []
         kernel = _kernels.scan_perms
-        monkeypatch.setattr(
-            _kernels, "scan_perms", lambda *args: rows.append(len(args[4])) or kernel(*args)
-        )
+
+        def counted(wsum, bvol, s, b, perms, closed, open_, lat, part):
+            # one partition index per row, into tables of one row per partition
+            assert part.shape == (len(perms),) and len(wsum) == len(bvol) > part.max()
+            rows.append(len(perms))
+            return kernel(wsum, bvol, s, b, perms, closed, open_, lat, part)
+
+        monkeypatch.setattr(_kernels, "scan_perms", counted)
         monkeypatch.setattr(exact, "_dominated", _keep_every_prefix)
         front = _scan_front(spec, platform)
         n, p = spec.n, platform.p
@@ -689,14 +697,40 @@ class TestBranchAndBound:
         assert first in unbounded.mappings and later not in unbounded.mappings
         assert _front_key(unbounded) == _front_key(front)
 
-    @pytest.mark.parametrize("budget", [1, 7])
+    @pytest.mark.parametrize("budget", [1, 7, 24, 90])
     def test_tiny_row_budget_gives_the_same_front(self, monkeypatch, budget):
+        """Blocks cut inside a partition and between partitions change no front.
+
+        Every block of one ``m`` holds rows of one or more partitions; a tiny
+        budget cuts the stack's blocks anywhere in that order.
+        """
         rng = np.random.default_rng(7000 + budget)
-        instances = [integer_instance(rng, (4, 6), (4, 6)) for _ in range(3)]
-        instances += [random_instance(rng, (4, 6), (4, 6)) for _ in range(3)]
-        fronts = [_front_key(_scan_front(spec, pl)) for spec, pl in instances]
+        instances = [integer_instance(rng, (4, 8), (4, 6)) for _ in range(4)]
+        instances += [random_instance(rng, (4, 6), (4, 6)) for _ in range(2)]
+        with monkeypatch.context() as patch:
+            patch.setattr(exact, "_dominated", _keep_every_prefix)
+            fronts = [_front_key(_scan_front(spec, pl)) for spec, pl in instances]
+        groups = {}  # the partitions of each grown block, by instance, m and depth
+        grow = exact._grow
         monkeypatch.setattr(exact, "_ROW_BUDGET", budget)
-        assert [_front_key(_scan_front(spec, pl)) for spec, pl in instances] == fronts
+        for i, ((spec, pl), front) in enumerate(zip(instances, fronts)):
+            monkeypatch.setattr(
+                exact,
+                "_grow",
+                lambda block, wsum, *rest, i=i: groups.setdefault(
+                    (i, wsum.shape[1], block[1].shape[1]), []
+                ).append(block[0].tolist()) or grow(block, wsum, *rest),
+            )
+            assert _front_key(_scan_front(spec, pl)) == front
+        pairs = [(a, b) for run in groups.values() for a, b in zip(run, run[1:])]
+        # a cut inside a partition: its rows continue in the next block
+        assert any(a[-1] == b[0] for a, b in pairs)
+        # a cut between two partitions of the same m
+        assert any(a[-1] < b[0] for a, b in pairs)
+        # a block spans partitions once it holds two prefixes' extensions at
+        # the first interval: 2p <= 12 rows
+        spans = any(len(set(b)) > 1 for run in groups.values() for b in run)
+        assert spans == (budget >= 12)
 
     def test_p14_peak_memory_stays_bounded(self):
         """A fresh interpreter solves n=7, p=14: 34.4 M mappings.

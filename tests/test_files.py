@@ -166,3 +166,14 @@ class TestErrorMessages:
             b = [value for row in b for value in row]
         with pytest.raises(SchemaError, match="platform file rejected"):
             platform_from_json(json.dumps({"p": 1, "s": [1.0], "b": b}))
+
+    @pytest.mark.parametrize("key", ["w", "delta", "s", "b"])
+    def test_object_where_a_number_belongs(self, key):
+        pipeline = {"n": 1, "w": [1.0], "delta": [1, 1], "stage_names": ["a"]}
+        platform = {"p": 1, "s": [1.0], "b": [[1.0] * 3 for _ in range(3)]}
+        data, load = (pipeline, pipeline_from_json) if key in pipeline else (
+            platform, platform_from_json
+        )
+        data[key] = [[{}] * 3] * 3 if key == "b" else [{}] * len(data[key])
+        with pytest.raises(SchemaError, match=f"{key} must hold numbers"):
+            load(json.dumps(data))
