@@ -23,11 +23,7 @@ from .heuristics import (
     run_heuristic,
 )
 from .ilp import write_lp
-from .model import (
-    PipelineSpec,
-    Platform,
-    jpeg_preset,
-)
+from .model import PipelineSpec, jpeg_preset
 from .simulator import compare_with_analytic, simulate, write_event_log
 from .workbench import (
     DEFAULT_RANGE,

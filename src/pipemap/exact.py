@@ -25,7 +25,8 @@ built so far weakly dominates the prefix's lower bounds:
 * latency >= its partial latency, plus ``bvol[j] / max(b) + wsum[j] / max(s)``
   for each interval not yet placed, plus ``bvol[m] / max(b)``.
 
-Interval costs come from the one stage-cost fold in :mod:`pipemap.model`;
+Interval costs are read from the pipeline's one stage-cost table,
+``PipelineSpec._costs`` in :mod:`pipemap.model`, by one gather per ``m``;
 prefix values and bounds are summed in the order of
 :func:`pipemap.model.evaluate_metrics`, and rounded ``+``, ``/`` and ``max``
 are monotone, so no bound exceeds the exact float value of any completion.
@@ -52,7 +53,6 @@ from .model import (
     MappingMetrics,
     PipelineSpec,
     Platform,
-    _interval_costs,
     evaluate_metrics,
     padded_threshold,
 )
@@ -179,11 +179,19 @@ def count_mappings(n: int, p: int) -> int:
     )
 
 
-def _cuts_to_intervals(n: int, cuts: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
-    bounds = (0,) + cuts + (n,)
-    return tuple(
-        (bounds[i] + 1, bounds[i + 1]) for i in range(len(bounds) - 1)
-    )
+def _partitions(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first and last stage of each interval of every partition into ``m``.
+
+    Two ``(C(n-1, m-1), m)`` integer arrays, ``first`` and ``last``, one row
+    per partition with its cuts in ``itertools.combinations`` order, the
+    canonical order.
+    """
+    count = math.comb(n - 1, m - 1)
+    cuts = list(itertools.combinations(range(1, n), m - 1))
+    bounds = np.empty((count, m + 1), dtype=np.intp)
+    bounds[:, 0], bounds[:, m] = 0, n
+    bounds[:, 1:m] = np.array(cuts, dtype=np.intp).reshape(count, m - 1)
+    return bounds[:, :-1] + 1, bounds[:, 1:]
 
 
 def enumerate_mappings(
@@ -196,8 +204,9 @@ def enumerate_mappings(
     """
     n, p = spec.n, platform.p
     for m in range(1, min(n, p) + 1):
-        for cuts in itertools.combinations(range(1, n), m - 1):
-            intervals = _cuts_to_intervals(n, cuts)
+        first, last = _partitions(n, m)
+        for starts, ends in zip(first.tolist(), last.tolist()):
+            intervals = tuple(zip(starts, ends))
             for procs in itertools.permutations(range(1, p + 1), m):
                 yield IntervalMapping(intervals=intervals, assignees=procs)
 
@@ -218,15 +227,6 @@ def _extend_perms(prev: np.ndarray, p: int) -> np.ndarray:
         table[:, j] = np.repeat(prev[:, j], p - k)
     table[:, k] = np.nonzero(free)[1]
     return table
-
-
-def _partition_arrays(
-    spec: PipelineSpec, intervals: tuple[tuple[int, int], ...]
-) -> tuple[np.ndarray, np.ndarray]:
-    """The ``wsum`` and ``bvol`` rows of one partition (see :mod:`pipemap._kernels`)."""
-    wsum = np.array(_interval_costs(spec, intervals))
-    bvol = spec.delta[[d - 1 for d, _ in intervals] + [spec.n]]
-    return wsum, bvol
 
 
 # Prefix rows one expansion step may build.  The scan grows prefixes depth
@@ -294,6 +294,7 @@ def _scan_front(spec: PipelineSpec, platform: Platform) -> _Front:
     n, p = spec.n, platform.p
     s, b = platform.s, platform.b
     s_max, b_max = s.max(), b.max()
+    costs = np.array(spec._costs)
     front_per = np.empty(0, dtype=np.float64)
     front_lat = np.empty(0, dtype=np.float64)
     front_maps: list[IntervalMapping] = []
@@ -301,14 +302,11 @@ def _scan_front(spec: PipelineSpec, platform: Platform) -> _Front:
     for m in range(1, min(n, p) + 1):
         # One search over every partition into m intervals: row i of each
         # table belongs to the i-th partition in canonical order.
-        partitions = [
-            _cuts_to_intervals(n, cuts)
-            for cuts in itertools.combinations(range(1, n), m - 1)
-        ]
-        count = len(partitions)
-        tables = [_partition_arrays(spec, intervals) for intervals in partitions]
-        wsum = np.array([w for w, _ in tables])
-        bvol = np.array([v for _, v in tables])
+        first, last = _partitions(n, m)
+        count = len(first)
+        wsum = costs[first, last]
+        bvol = spec.delta[np.column_stack((first - 1, last[:, -1]))]
+        spans = np.stack((first, last), axis=-1)
         # Lower bounds on the terms of the intervals not yet placed: the
         # fastest processor and the widest link.
         link_lb, comp_lb = bvol / b_max, wsum / s_max
@@ -349,7 +347,7 @@ def _scan_front(spec: PipelineSpec, platform: Platform) -> _Front:
                         front_maps[i]
                         if i < old
                         else IntervalMapping(
-                            partitions[part[rows[i - old]]],
+                            spans[part[rows[i - old]]].tolist(),
                             procs[rows[i - old]].tolist(),
                         )
                         for i in order.tolist()

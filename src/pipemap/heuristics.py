@@ -29,10 +29,11 @@ first lowest-scoring candidate.  Candidates are scored incrementally: a
 split changes only its parts' terms, the predecessor's send and the
 successor's receive.  The unchanged terms before and after the split are the
 current mapping's chain terms from :mod:`pipemap.model`, and the new parts'
-terms come from per-run tables of Python floats whose stage costs are that
-module's one fold.  Each candidate's latency and party cycles are summed in
-:func:`evaluate_metrics` order, bit for bit equal to a full evaluation, with
-no mapping built.
+terms come from per-run Python-float views of the platform and from the
+pipeline's one stage-cost table, ``PipelineSpec._costs``, which that module
+builds once per pipeline.  Each candidate's latency and party cycles are
+summed in :func:`evaluate_metrics` order, bit for bit equal to a full
+evaluation, with no mapping built.
 Only the winner of each split becomes an :class:`IntervalMapping` and runs
 through :func:`evaluate_metrics`.
 
@@ -56,7 +57,6 @@ from .model import (
     PipelineSpec,
     Platform,
     _chain_terms,
-    _stage_costs,
     evaluate_metrics,
     meets_threshold,
     padded_threshold,
@@ -226,9 +226,10 @@ def _speed_order(platform: Platform) -> list[int]:
 class _Tables(NamedTuple):
     """One instance and its Python-float views, shared by every split of a run.
 
-    ``W[d][e]`` is the cost of stages ``d..e`` from the fold
-    :func:`evaluate_metrics` uses, ``pipemap.model._stage_costs``, so every
-    term built from these tables has the bits that function gives it.
+    Stage costs come from the spec's own table,
+    :attr:`pipemap.model.PipelineSpec._costs`, which :func:`evaluate_metrics`
+    reads too, so every term the split scorer builds has the bits that
+    function gives it.
     """
 
     spec: PipelineSpec
@@ -236,14 +237,11 @@ class _Tables(NamedTuple):
     delta: list[float]
     s: list[float]
     b: list[list[float]]
-    W: list[list[float]]
 
 
 def _tables(spec: PipelineSpec, platform: Platform) -> _Tables:
-    w, n = spec.w.tolist(), spec.n
-    W = [[0.0] * (n + 1)] + [[0.0] * d + _stage_costs(w, d, n) for d in range(1, n + 1)]
     return _Tables(
-        spec, platform, spec.delta.tolist(), platform.s.tolist(), platform.b.tolist(), W
+        spec, platform, spec.delta.tolist(), platform.s.tolist(), platform.b.tolist()
     )
 
 
@@ -266,7 +264,8 @@ def _split_candidates(
     receive, then the unchanged rest.  The values are those of the candidate
     mapping's metrics, bit for bit.
     """
-    spec, platform, delta, s, b, W = tables
+    spec, platform, delta, s, b = tables
+    costs = spec._costs
     d, e = mapping.intervals[jidx]
     links, comps = _chain_terms(spec, platform, mapping)
     terms = [t for pair in zip(links, comps) for t in pair] + [links[-1]]
@@ -285,7 +284,7 @@ def _split_candidates(
             cycles = []
             t_in = delta[d - 1] / b[pred][placement[0]]
             for (lo, hi), u, v in zip(spans, placement, (*placement[1:], succ)):
-                t_comp = W[lo + 1][hi] / s[u - 1]
+                t_comp = costs[lo + 1][hi] / s[u - 1]
                 t_out = delta[hi] / b[u][v]
                 latency += t_in
                 latency += t_comp
@@ -420,8 +419,9 @@ def run_heuristic(
     Under a fixed period the run is feasible when its final period meets the
     threshold (for ``h2``: when some authorized increase reaches it).  Under
     a fixed latency it is infeasible exactly when the start state already
-    violates the threshold.  Passing ``search`` to any other heuristic raises
-    ``ValueError``.
+    violates the threshold.  Passing ``search`` to any other heuristic, or an
+    ``h2`` search whose ``lower`` bound exceeds ``upper_factor`` times the
+    start latency, raises ``ValueError``.
     """
     fixed_criterion = fixed_criterion_of(name)
     if search is not None and name != "h2":
@@ -453,6 +453,11 @@ def run_heuristic(
         # replaces the outcome and lowers the bound.
         cfg = search if search is not None else BinarySearchConfig()
         upper = cfg.upper_factor * base_latency
+        if cfg.lower > upper:
+            raise ValueError(
+                f"h2 search lower bound {cfg.lower!r} exceeds its upper bound "
+                f"{upper!r} (upper_factor * start latency)"
+            )
         lo, hi, chosen = cfg.lower, upper, None
         trials: list[H2SearchTrial] = []
         for step in range(cfg.iterations + 1):

@@ -18,8 +18,10 @@ along the chain, plus the final transfer out of the last processor.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -118,6 +120,23 @@ class PipelineSpec:
     @property
     def n(self) -> int:
         return int(self.w.size)
+
+    @cached_property
+    def _costs(self) -> tuple[tuple[float, ...], ...]:
+        """``_costs[d][e]``: the compute cost of stages ``d..e`` (1-based), ``0.0`` for ``e < d``.
+
+        The package's one stage-cost fold: ``w`` is summed left to right from
+        ``0.0``, not with ``sum`` (it compensates from Python 3.12 on),
+        ``math.fsum``, ``np.sum`` or prefix-sum differences, and every scorer
+        indexes this table, so they all agree bit for bit.  Built once, on
+        first use; it is not a dataclass field, so ``repr``, ``==`` and
+        ``hash`` ignore it.
+        """
+        w, n = self.w.tolist(), self.n
+        return ((0.0,) * (n + 1),) + tuple(
+            (0.0,) * (d - 1) + tuple(itertools.accumulate(w[d - 1 :], initial=0.0))
+            for d in range(1, n + 1)
+        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PipelineSpec):
@@ -312,30 +331,6 @@ def require_valid(
         raise InvalidMappingError(message)
 
 
-def _stage_costs(w: list[float], d: int, e: int) -> list[float]:
-    """Compute costs of the stage runs ``[d..d]``, ``[d..d+1]``, ..., ``[d..e]``.
-
-    The package's one stage-cost fold: ``w`` is summed left to right from
-    ``0.0``, not with ``sum`` (it compensates from Python 3.12 on), ``math.fsum``
-    or ``np.sum``, and every scorer takes its stage costs from here, so they
-    all agree bit for bit.
-    """
-    runs: list[float] = []
-    acc = 0.0
-    for k in range(d - 1, e):
-        acc += w[k]
-        runs.append(acc)
-    return runs
-
-
-def _interval_costs(
-    spec: PipelineSpec, intervals: Sequence[tuple[int, int]]
-) -> list[float]:
-    """Compute cost of each interval, the last run of :func:`_stage_costs`."""
-    w = spec.w.tolist()
-    return [_stage_costs(w, d, e)[-1] for d, e in intervals]
-
-
 def _chain_terms(
     spec: PipelineSpec, platform: Platform, mapping: IntervalMapping
 ) -> tuple[list[float], list[float]]:
@@ -344,14 +339,16 @@ def _chain_terms(
     ``links[j]`` is the transfer into interval ``j`` (``links[0]`` from the
     input gateway) and ``links[m]`` the transfer to the output gateway, so
     interval ``j`` receives for ``links[j]``, computes for ``comps[j]`` and
-    sends for ``links[j + 1]``.
+    sends for ``links[j + 1]``.  Each interval's compute cost is read from
+    :attr:`PipelineSpec._costs`.
     """
     delta, s, b = spec.delta, platform.s.tolist(), platform.b
     nodes = (0, *mapping.assignees, platform.p + 1)
     volumes = [d - 1 for d, _ in mapping.intervals] + [spec.n]
     links = [float(delta[k] / b[u, v]) for k, u, v in zip(volumes, nodes, nodes[1:])]
-    costs = _interval_costs(spec, mapping.intervals)
-    return links, [cost / s[u - 1] for cost, u in zip(costs, mapping.assignees)]
+    costs = spec._costs
+    comps = [costs[d][e] / s[u - 1] for (d, e), u in zip(mapping.intervals, mapping.assignees)]
+    return links, comps
 
 
 def evaluate_metrics(

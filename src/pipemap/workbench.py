@@ -25,7 +25,7 @@ from typing import Any, Callable, Iterable, Sequence
 import numpy as np
 
 from . import files
-from .exact import BicriteriaQuery, SolveResult, solve, sweep
+from .exact import BicriteriaQuery, solve, sweep
 from .heuristics import fixed_criterion_of, run_heuristic
 from .model import (
     PipelineSpec,

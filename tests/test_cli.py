@@ -262,6 +262,28 @@ class TestHeuristic:
         assert code == 1
         assert field in capsys.readouterr().err
 
+    def test_search_lower_above_upper_exit_one(self, tiny_files, capsys):
+        pipeline, platform = tiny_files
+        code = main(
+            [
+                "heuristic",
+                "--heuristic",
+                "h2",
+                "--pipeline",
+                pipeline,
+                "--platform",
+                platform,
+                "--period",
+                "7",
+                "--h2-lower",
+                "40",
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "40.0" in captured.err and "32.0" in captured.err
+
     def test_infeasible_exit_two(self, tiny_files, capsys):
         pipeline, platform = tiny_files
         code = main(

@@ -27,10 +27,9 @@ from pipemap import (
 )
 from pipemap.exact import (
     _complete,
-    _cuts_to_intervals,
     _extend_perms,
     _grow,
-    _partition_arrays,
+    _partitions,
     _scan_front,
 )
 
@@ -279,10 +278,17 @@ class TestKernel:
             spec = with_zero_delta(rng, spec)
             n, p = spec.n, platform.p
             zero = np.zeros(1)
+            costs = np.array(spec._costs)
             for m in range(1, min(n, p) + 1):
-                for cuts in itertools.combinations(range(1, n), m - 1):
-                    intervals = _cuts_to_intervals(n, cuts)
-                    wsum, bvol = (a[None] for a in _partition_arrays(spec, intervals))
+                first, last = _partitions(n, m)
+                assert [tuple(row[:-1]) for row in last.tolist()] == list(
+                    itertools.combinations(range(1, n), m - 1)
+                )
+                for i in range(len(first)):
+                    starts, ends = first[i : i + 1], last[i : i + 1]
+                    intervals = tuple(zip(starts[0].tolist(), ends[0].tolist()))
+                    wsum = costs[starts, ends]
+                    bvol = spec.delta[np.column_stack((starts - 1, ends[:, -1]))]
                     # the scan's own steps on a one-partition table, with no
                     # prefix bounded out
                     part = np.zeros(1, dtype=np.intp)
@@ -539,17 +545,15 @@ class TestFront:
         rng = np.random.default_rng(5)
         spec, platform = random_instance(rng, n_range=(5, 5), p_range=(4, 4))
         calls = []
-        prep = exact._partition_arrays
+        partitions = exact._partitions
         monkeypatch.setattr(
-            exact, "_partition_arrays", lambda *args: calls.append(1) or prep(*args)
+            exact, "_partitions", lambda *args: calls.append(args) or partitions(*args)
         )
         thresholds = [1.0 + 0.5 * j for j in range(k)]
         points = sweep(spec, platform, BicriteriaQuery.minimize_latency(), thresholds)
         assert len(points) == k
-        partitions = sum(
-            math.comb(spec.n - 1, m - 1) for m in range(1, min(spec.n, platform.p) + 1)
-        )
-        assert len(calls) == partitions
+        # one table of all partitions per interval count m
+        assert calls == [(spec.n, m) for m in range(1, min(spec.n, platform.p) + 1)]
 
 
 # sha256 over the scan's front of each of 16 seeded instances with n 8-11 and

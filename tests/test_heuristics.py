@@ -87,6 +87,19 @@ class TestConfig:
         assert len(outcome.search.trials) == 1
         assert outcome.search.trials[0].authorized_increase == outcome.search.upper_bound
 
+    def test_lower_above_upper_rejected(self, tiny_spec, tiny_platform):
+        # the start latency is 8, so the upper bound is 4 * 8 = 32; a search
+        # from above it would bisect outside its range
+        with pytest.raises(ValueError, match=r"lower bound 32\.5 exceeds .* 32\.0"):
+            run_heuristic(
+                "h2", tiny_spec, tiny_platform, 7.0, search=BinarySearchConfig(lower=32.5)
+            )
+        outcome = run_heuristic(
+            "h2", tiny_spec, tiny_platform, 7.0, search=BinarySearchConfig(lower=32.0)
+        )
+        assert outcome.search.upper_bound == 32.0
+        assert all(t.authorized_increase == 32.0 for t in outcome.search.trials)
+
 
 class TestTinyPeriodGoal:
     """Start state is the whole chain on the fastest processor (period 8)."""

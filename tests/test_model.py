@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -161,6 +162,55 @@ class TestEvaluation:
         metrics = evaluate_metrics(spec, tiny_platform, mapping)
         assert metrics.period == 2.0  # 4/2 on p1 vs 2/1 on p2, no transfer cost
         assert metrics.latency == 4.0
+
+
+def _left_fold(w, d, e):
+    acc = 0.0
+    for k in range(d - 1, e):
+        acc += w[k]
+    return acc
+
+
+class TestStageCostTable:
+    """``PipelineSpec._costs``, the stage costs every scorer indexes."""
+
+    # 1 + 1e-16 rounds back to 1, so the left fold and math.fsum disagree
+    CRAFTED = PipelineSpec(stage_names=("a", "b", "c"), w=[1.0, 1e-16, 1e-16], delta=[1] * 4)
+
+    def test_every_entry_is_a_left_fold(self):
+        rng = np.random.default_rng(16)
+        specs = [self.CRAFTED, jpeg_preset()]
+        for n in (1, 2, 5, 12, 24):
+            specs.append(
+                PipelineSpec(
+                    stage_names=tuple(f"s{k}" for k in range(n)),
+                    w=rng.uniform(0.01, 100.0, n),
+                    delta=rng.uniform(0.0, 10.0, n + 1),
+                )
+            )
+        for spec in specs:
+            w, n = spec.w.tolist(), spec.n
+            costs = spec._costs
+            assert len(costs) == n + 1
+            for d, row in enumerate(costs):
+                assert len(row) == n + 1
+                for e, cost in enumerate(row):
+                    assert type(cost) is float
+                    assert cost == (_left_fold(w, d, e) if d >= 1 and e >= d else 0.0)
+
+    def test_fold_is_not_fsum(self):
+        w = self.CRAFTED.w.tolist()
+        assert self.CRAFTED._costs[1][3] == 1.0
+        assert math.fsum(w) == 1.0 + 2**-52 != self.CRAFTED._costs[1][3]
+
+    def test_table_is_built_once_and_is_not_a_field(self):
+        spec = jpeg_preset()
+        table = spec._costs
+        assert type(table) is tuple and all(type(row) is tuple for row in table)
+        assert spec._costs is table
+        assert "_costs" not in {f.name for f in dataclasses.fields(PipelineSpec)}
+        fresh = jpeg_preset()
+        assert (repr(spec), hash(spec)) == (repr(fresh), hash(fresh)) and spec == fresh
 
 
 class TestThreshold:
