@@ -40,7 +40,10 @@ through :func:`evaluate_metrics`.
 :func:`run_heuristic` is the single entry point.  For ``h2`` it also runs a
 binary search over the latency increase authorized on top of the start
 state's latency, returning the outcome of the smallest authorized increase
-that reaches the fixed period.
+that reaches the fixed period.  The trials share their split decisions: a
+split an earlier trial chose under a larger latency cap is reused when its
+winner meets the smaller cap, since a smaller cap only drops candidates and
+no score depends on the cap.  Every trial equals a fresh run bit for bit.
 """
 
 from __future__ import annotations
@@ -223,13 +226,18 @@ def _speed_order(platform: Platform) -> list[int]:
     return sorted(range(1, platform.p + 1), key=lambda u: (-s[u - 1], u))
 
 
+# a split's choice, the mapping it makes and that mapping's metrics
+_Split = tuple[SplitChoice, IntervalMapping, MappingMetrics]
+
+
 class _Tables(NamedTuple):
     """One instance and its Python-float views, shared by every split of a run.
 
     Stage costs come from the spec's own table,
     :attr:`pipemap.model.PipelineSpec._costs`, which :func:`evaluate_metrics`
     reads too, so every term the split scorer builds has the bits that
-    function gives it.
+    function gives it.  ``decisions`` holds the run's split decisions, by
+    mapping (see :func:`_run_greedy`).
     """
 
     spec: PipelineSpec
@@ -237,12 +245,17 @@ class _Tables(NamedTuple):
     delta: list[float]
     s: list[float]
     b: list[list[float]]
+    decisions: dict[IntervalMapping, tuple[float, _Split | None]]
 
 
 def _tables(spec: PipelineSpec, platform: Platform) -> _Tables:
     return _Tables(
-        spec, platform, spec.delta.tolist(), platform.s.tolist(), platform.b.tolist()
+        spec, platform, spec.delta.tolist(), platform.s.tolist(), platform.b.tolist(), {}
     )
+
+
+def _padded(latency_cap: float | None) -> float:
+    return math.inf if latency_cap is None else padded_threshold(latency_cap)
 
 
 def _split_candidates(
@@ -264,7 +277,7 @@ def _split_candidates(
     receive, then the unchanged rest.  The values are those of the candidate
     mapping's metrics, bit for bit.
     """
-    spec, platform, delta, s, b = tables
+    spec, platform, delta, s, b, _ = tables
     costs = spec._costs
     d, e = mapping.intervals[jidx]
     links, comps = _chain_terms(spec, platform, mapping)
@@ -304,7 +317,7 @@ def _best_split(
     three_way: bool,
     ratio_rule: bool,
     latency_cap: float | None,
-) -> tuple[SplitChoice, IntervalMapping, MappingMetrics] | None:
+) -> _Split | None:
     """The first lowest-scoring split of the bottleneck's interval, or ``None``.
 
     The interval splits into ``k`` parts: three when ``three_way`` holds, it
@@ -321,8 +334,8 @@ def _best_split(
         return None
     k = 3 if three_way and e - d >= 2 and len(unused) >= 2 else 2
     recipients = tuple(unused[: k - 1])
-    cap = math.inf if latency_cap is None else padded_threshold(latency_cap)
-    period = metrics.period
+    cap = _padded(latency_cap)
+    period, base = metrics.period, metrics.latency
     best = None
     for cuts, placement, latency, party_cycles in _split_candidates(
         tables, mapping, jidx, recipients
@@ -330,11 +343,21 @@ def _best_split(
         if latency > cap:
             continue
         if ratio_rule:
-            delta_period = tuple(period - c for c in party_cycles)
-            if any(dp <= 0 for dp in delta_period):
+            # max over the parties of delta_latency / delta_period, as the
+            # builtin max folds it; a party whose cycle does not fall below
+            # the old bottleneck's drops the candidate
+            delta_latency = latency - base
+            score = None
+            for c in party_cycles:
+                delta_period = period - c
+                if delta_period <= 0:
+                    score = None
+                    break
+                ratio = delta_latency / delta_period
+                if score is None or ratio > score:
+                    score = ratio
+            if score is None:
                 continue
-            delta_latency = latency - metrics.latency
-            score = max(delta_latency / dp for dp in delta_period)
         else:
             score = max(party_cycles)
         if best is None or score < best[0]:
@@ -354,7 +377,7 @@ def _best_split(
         cuts=cuts,
         placement=placement,
         score=score,
-        delta_latency=latency - metrics.latency,
+        delta_latency=latency - base,
         delta_period=tuple(period - c for c in party_cycles),
     )
     return choice, winner, evaluate_metrics(tables.spec, tables.platform, winner)
@@ -369,16 +392,35 @@ def _run_greedy(
     latency_cap: float | None = None,
     period_goal: float | None = None,
 ) -> tuple[IntervalMapping, MappingMetrics, tuple[SplitEvent, ...]]:
-    """Run the splitting loop from ``start``; returns (mapping, metrics, trace)."""
+    """Run the splitting loop from ``start``; returns (mapping, metrics, trace).
+
+    Every loop of one run shares ``tables.decisions``, which keeps, for each
+    mapping split so far, the largest padded cap it was searched under and
+    the :func:`_best_split` result.  A mapping fixes the unused processors,
+    and one run fixes the split rule, so only the cap can change that
+    result.  A smaller cap only drops candidates, and no score depends on
+    the cap, so the stored winner stays the first lowest-scoring candidate
+    as long as its latency still meets the smaller cap; a stored ``None``
+    stays ``None``.  Such decisions are reused; any other is searched again.
+    """
     mapping, metrics = start
     unused = _speed_order(tables.platform)[1:]
+    cap = _padded(latency_cap)
     trace: list[SplitEvent] = []
     while True:
         if period_goal is not None and meets_threshold(metrics.period, period_goal):
             break
-        best = _best_split(
-            tables, mapping, metrics, unused, three_way, ratio_rule, latency_cap
-        )
+        stored = tables.decisions.get(mapping)
+        if stored is not None and cap <= stored[0] and (
+            stored[1] is None or stored[1][2].latency <= cap
+        ):
+            best = stored[1]
+        else:
+            best = _best_split(
+                tables, mapping, metrics, unused, three_way, ratio_rule, latency_cap
+            )
+            if stored is None or cap > stored[0]:
+                tables.decisions[mapping] = (cap, best)
         if best is None:
             break
         choice, best_mapping, best_metrics = best
@@ -416,6 +458,8 @@ def run_heuristic(
 ) -> HeuristicOutcome:
     """Run one heuristic by name; ``search`` only applies to ``h2``.
 
+    The greedy loops of one call share their split decisions (see
+    :func:`_run_greedy`); each ``h2`` trial still equals a fresh run.
     Under a fixed period the run is feasible when its final period meets the
     threshold (for ``h2``: when some authorized increase reaches it).  Under
     a fixed latency it is infeasible exactly when the start state already

@@ -502,6 +502,144 @@ def _cap_padding_to(value: float) -> float | None:
     return None
 
 
+def _start(spec, platform):
+    """The greedy start state: the whole chain on the fastest processor."""
+    first = IntervalMapping.single_interval(spec.n, heuristics._speed_order(platform)[0])
+    return first, evaluate_metrics(spec, platform, first)
+
+
+def _spy_searches(monkeypatch):
+    """Record the mapping of every ``_best_split`` call from now on."""
+    searched = []
+    best_split = heuristics._best_split
+
+    def spy(tables, mapping, *args):
+        searched.append(mapping)
+        return best_split(tables, mapping, *args)
+
+    monkeypatch.setattr(heuristics, "_best_split", spy)
+    return searched
+
+
+# ``_best_split`` calls of the pinned ``h2`` run below; its 21 trials take
+# 131 greedy steps, each a search without shared decisions
+SEARCHES_PINNED = 20
+
+
+class TestSharedDecisions:
+    """``h2``'s trials share one decision per mapping and stay bit for bit."""
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [BinarySearchConfig(), BinarySearchConfig(lower=0.5, upper_factor=1.5, iterations=7)],
+        ids=["default", "narrow"],
+    )
+    def test_every_trial_equals_a_fresh_greedy_run(self, cfg):
+        rng = np.random.default_rng(1717)
+        for _ in range(12):
+            spec, platform = integer_instance(rng, (6, 14), (4, 9))
+            spec = with_zero_delta(rng, spec)
+            start = _start(spec, platform)
+            base = start[1].latency
+            # 1.0: the start state already meets the goal
+            for factor in (0.2, 0.35, 0.5, 0.7, 1.0):
+                threshold = start[1].period * factor
+                outcome = run_heuristic("h2", spec, platform, threshold, search=cfg)
+
+                def fresh(allowance):
+                    return heuristics._run_greedy(
+                        heuristics._tables(spec, platform),
+                        start,
+                        ratio_rule=True,
+                        three_way=False,
+                        latency_cap=base + allowance,
+                        period_goal=threshold,
+                    )
+
+                for trial in outcome.search.trials:
+                    _, metrics, _ = fresh(trial.authorized_increase)
+                    assert trial.period == metrics.period
+                    assert trial.latency == metrics.latency
+                    assert trial.feasible == meets_threshold(metrics.period, threshold)
+                chosen = outcome.search.chosen_increase
+                mapping, metrics, trace = fresh(
+                    outcome.search.upper_bound if chosen is None else chosen
+                )
+                assert outcome.mapping == mapping
+                assert outcome.metrics == metrics
+                assert outcome.trace == trace
+
+    @pytest.mark.parametrize("ratio_rule", [False, True])
+    def test_reuse_rule_at_its_edges(self, monkeypatch, ratio_rule):
+        searched = _spy_searches(monkeypatch)
+        rng = np.random.default_rng(1718)
+        for _ in range(10):
+            spec, platform = integer_instance(rng, (6, 12), (3, 8))
+            spec = with_zero_delta(rng, spec)
+            start = _start(spec, platform)
+            tables = heuristics._tables(spec, platform)
+
+            def run(cap):
+                searched.clear()
+                heuristics._run_greedy(
+                    tables, start, ratio_rule=ratio_rule, three_way=False, latency_cap=cap
+                )
+                return start[0] in searched
+
+            assert run(None)
+            stored = tables.decisions[start[0]]
+            assert stored[0] == math.inf and stored[1] is not None
+            winner_latency = stored[1][2].latency
+            exact = _cap_padding_to(winner_latency)
+            assert exact is not None
+            # the stored winner meets the smaller padded cap exactly: reused
+            assert not run(exact)
+            below = exact
+            while padded_threshold(below) >= winner_latency:
+                below = math.nextafter(below, -math.inf)
+            # one step below, it might not be the winner: searched again, and
+            # the decision under the larger cap is kept
+            assert run(below)
+            assert tables.decisions[start[0]] == stored
+
+            # no split meets a cap below the start latency: a stored None
+            tables = heuristics._tables(spec, platform)
+            low = start[1].latency / 2
+            assert run(low)
+            assert tables.decisions[start[0]] == (padded_threshold(low), None)
+            assert not run(low) and not run(low / 2)
+            above = low
+            while padded_threshold(above) <= padded_threshold(low):
+                above = math.nextafter(above, math.inf)
+            assert run(above)
+            assert tables.decisions[start[0]] == (padded_threshold(above), None)
+
+    def test_h2_search_count_is_pinned(self, monkeypatch):
+        """One default ``h2`` run at a large-instance size: searches counted exactly."""
+        spec, platform = random_instance(np.random.default_rng(20), (20, 20), (12, 12))
+        start = _start(spec, platform)
+        threshold = 0.3 * start[1].period
+        searched = _spy_searches(monkeypatch)
+        outcome = run_heuristic("h2", spec, platform, threshold)
+        searches = len(searched)
+        trials = outcome.search.trials
+        steps = 0
+        for trial in trials:
+            searched.clear()
+            heuristics._run_greedy(
+                heuristics._tables(spec, platform),
+                start,
+                ratio_rule=True,
+                three_way=False,
+                latency_cap=start[1].latency + trial.authorized_increase,
+                period_goal=threshold,
+            )
+            steps += len(searched)
+        assert (len(trials), outcome.search.chosen_increase is not None) == (21, True)
+        # every trial's greedy steps would be searched without shared decisions
+        assert searches == SEARCHES_PINNED < steps
+
+
 # sha256 over every outcome and error message of ``_golden_records``; it pins
 # full traces and h2 search reports, so any change to a heuristic's output
 # shows up here.  Re-record it only for a deliberate change of that output.
