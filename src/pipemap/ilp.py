@@ -24,8 +24,16 @@ when the threshold is infinite.
 
 Each constraint is a :class:`Row`, a named tuple ``(name, terms, sense,
 rhs)`` whose terms are ``(coef, var)`` pairs; row and variable names are LP
-identifiers, without spaces.  :meth:`IlpInstance.to_lp_text` renders each row
-once, formatting each distinct number once per call.  Every row, and the
+identifiers, without spaces.  :func:`build_instance` builds each row family in
+bulk, with no Python step per row: names by prefix concatenation, terms by
+zipping columns, rows by ``tuple.__new__``.  Each term that several rows hold,
+such as ``(1.0, x_k_u)``, ``(1.0, first_u)`` or a cost term ``(delta / b,
+z_k_u_v)``, is one shared pair.  ``Row`` is a tuple subclass, which the
+garbage collector never untracks, so every row a program holds stays in the
+collector's generations and a large program triggers full collections while
+it is built; fewer new objects per row mean fewer collections.
+:meth:`IlpInstance.to_lp_text` renders each row once, formatting each
+distinct number once per call.  Every row, and the
 ``Binary`` and ``General`` lists, goes through one line breaker: a line holds
 at most 72 characters after its leading space, and each break is the last
 space that fits, so most rows are one line and the ``assign``, ``route`` and
@@ -36,6 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Callable, NamedTuple
 
 from .model import (
@@ -136,6 +145,11 @@ def _labels(p: int) -> list[str]:
     return ["in"] + [f"p{u}" for u in range(1, p + 1)] + ["out"]
 
 
+def _rows(names, terms, sense: str, rhs: float):
+    """``Row(name, terms, sense, rhs)`` for each name and terms, built in C."""
+    return map(tuple.__new__, repeat(Row), zip(names, terms, repeat(sense), repeat(rhs)))
+
+
 def build_instance(
     spec: PipelineSpec, platform: Platform, query: BicriteriaQuery
 ) -> IlpInstance:
@@ -146,100 +160,109 @@ def build_instance(
     out = p + 1
     nodes = range(p + 2)
     procs = range(1, out)
+    plabel = label[1:out]
     # Nodes are indexed 0 (in), 1..p, p+1 (out).  No traffic ever flows
     # towards the input gateway or out of the output gateway, so only these
-    # links carry z variables.
+    # links carry z variables; at[u][v] is the index of link (u, v).
     links = [(u, v) for u in nodes for v in nodes if u != v and u != out and v != 0]
     pairs = [f"{label[u]}_{label[v]}" for u, v in links]
+    at = [[None] * (p + 2) for _ in nodes]
+    for i, (u, v) in enumerate(links):
+        at[u][v] = i
+    # The links between two processors, by index and by name.
+    inner = [i for i, (u, v) in enumerate(links) if u != 0 and v != out]
+    inner_pairs = [pairs[i] for i in inner]
 
-    # Every variable name is formatted once: x[k][u], y[k][u], z[k][u][v]
-    # (None off the links), first[u] and last[u].
-    x = [[f"x_{k}_{node}" for node in label] for k in range(n + 2)]
-    y = [[f"y_{k}_{node}" for node in label] for k in range(n + 1)]
-    z = []
-    for k in range(n + 1):
-        zk = [[None] * (p + 2) for _ in nodes]
-        for (u, v), uv in zip(links, pairs):
-            zk[u][v] = f"z_{k}_{uv}"
-        z.append(zk)
-    first = [f"first_{node}" for node in label]
-    last = [f"last_{node}" for node in label]
+    # Every variable name is formatted once: x[k][u], y[k][u], z[k][i] for
+    # link i, first[u] and last[u].
+    x = [list(map(f"x_{k}_".__add__, label)) for k in range(n + 2)]
+    y = [list(map(f"y_{k}_".__add__, label)) for k in range(n + 1)]
+    z = [list(map(f"z_{k}_".__add__, pairs)) for k in range(n + 1)]
+    first = list(map("first_".__add__, label))
+    last = list(map("last_".__add__, label))
 
-    binaries = [name for xk in x for name in xk]
-    binaries += [z[k][u][v] for k in range(n + 1) for u, v in links]
-    binaries += [name for yk in y for name in yk]
-    generals = [first[u] for u in procs] + [last[u] for u in procs]
+    binaries = [*chain.from_iterable(x), *chain.from_iterable(z), *chain.from_iterable(y)]
+    generals = first[1:out] + last[1:out]
+
+    # Each (1.0, var) term is made once and shared by every row it is in.
+    one_x = [tuple(zip(repeat(1.0), xk)) for xk in x]
+    one_first = list(zip(repeat(1.0), first))
+    one_last = list(zip(repeat(1.0), last))
+    cut_last = [one_last[links[i][0]] for i in inner]
+    cut_first = [one_first[links[i][1]] for i in inner]
 
     rows: list[Row] = []
 
     # Every stage, virtual gateways included, runs on exactly one node.
-    for k in range(n + 2):
-        rows.append(Row(f"assign_{k}", tuple((1.0, name) for name in x[k]), "=", 1.0))
+    rows += _rows(map("assign_".__add__, map(str, range(n + 2))), one_x, "=", 1.0)
 
     # Every stage boundary is either one link crossing or one hand-off.
-    for k in range(n + 1):
-        terms = [(1.0, z[k][u][v]) for u, v in links] + [(1.0, name) for name in y[k]]
-        rows.append(Row(f"route_{k}", tuple(terms), "=", 1.0))
+    route = [tuple(zip(repeat(1.0), z[k] + y[k])) for k in range(n + 1)]
+    rows += _rows(map("route_".__add__, map(str, range(n + 1))), route, "=", 1.0)
 
     # x -> z: placing consecutive stages on linked nodes forces the crossing.
+    tails, heads = zip(*links)
     for k in range(n + 1):
-        xk, xk1, zk = x[k], x[k + 1], z[k]
-        for (u, v), uv in zip(links, pairs):
-            terms = ((1.0, xk[u]), (1.0, xk1[v]), (-1.0, zk[u][v]))
-            rows.append(Row(f"link_{k}_{uv}", terms, "<=", 1.0))
+        terms = zip(
+            map(one_x[k].__getitem__, tails),
+            map(one_x[k + 1].__getitem__, heads),
+            zip(repeat(-1.0), z[k]),
+        )
+        rows += _rows(map(f"link_{k}_".__add__, pairs), terms, "<=", 1.0)
 
     # x -> y: placing consecutive stages on the same node forces the hand-off.
     for k in range(n + 1):
-        for u in nodes:
-            terms = ((1.0, x[k][u]), (1.0, x[k + 1][u]), (-1.0, y[k][u]))
-            rows.append(Row(f"same_{k}_{label[u]}", terms, "<=", 1.0))
+        terms = zip(one_x[k], one_x[k + 1], zip(repeat(-1.0), y[k]))
+        rows += _rows(map(f"same_{k}_".__add__, label), terms, "<=", 1.0)
 
-    # Interval bounds: first_u <= k and last_u >= k for every stage k on u.
+    # Interval bounds: first_u <= k and last_u >= k for every stage k on u,
+    # emitted in pairs per (k, u).
     for k in range(1, n + 1):
-        for u in procs:
-            terms = ((1.0, first[u]), (float(n - k), x[k][u])) if n - k else ((1.0, first[u]),)
-            rows.append(Row(f"firstb_{k}_{label[u]}", terms, "<=", float(n)))
-            terms = ((1.0, last[u]), (-float(k), x[k][u]))
-            rows.append(Row(f"lastb_{k}_{label[u]}", terms, ">=", 0.0))
+        xk = x[k][1:out]
+        if n - k:
+            terms = zip(one_first[1:out], zip(repeat(float(n - k)), xk))
+        else:
+            terms = zip(one_first[1:out])
+        firstb = _rows(map(f"firstb_{k}_".__add__, plabel), terms, "<=", float(n))
+        terms = zip(one_last[1:out], zip(repeat(-float(k)), xk))
+        lastb = _rows(map(f"lastb_{k}_".__add__, plabel), terms, ">=", 0.0)
+        rows += chain.from_iterable(zip(firstb, lastb))
 
     # A crossing after stage k closes u's interval and opens v's.
-    proc_links = [(u, v, uv) for (u, v), uv in zip(links, pairs) if u != 0 and v != out]
     for k in range(1, n):
-        zk = z[k]
-        for u, v, uv in proc_links:
-            terms = ((1.0, last[u]), (float(n - k), zk[u][v]))
-            rows.append(Row(f"cutl_{k}_{uv}", terms, "<=", float(n)))
-            terms = ((1.0, first[v]), (-float(k + 1), zk[u][v]))
-            rows.append(Row(f"cutf_{k}_{uv}", terms, ">=", 0.0))
+        zk = list(map(z[k].__getitem__, inner))
+        terms = zip(cut_last, zip(repeat(float(n - k)), zk))
+        cutl = _rows(map(f"cutl_{k}_".__add__, inner_pairs), terms, "<=", float(n))
+        terms = zip(cut_first, zip(repeat(-float(k + 1)), zk))
+        cutf = _rows(map(f"cutf_{k}_".__add__, inner_pairs), terms, ">=", 0.0)
+        rows += chain.from_iterable(zip(cutl, cutf))
 
     # Cost rows.  Stage k received on u costs delta[k-1]/b[t][u] over the
     # incoming link and w[k-1]/s[u] to compute; the final boundary leaves the
     # last processor towards the output gateway.  A period row also charges u
     # for every boundary it sends.  Each term is computed once, as
-    # cross[k][u][v] for the crossing of link (u, v) after stage k and as
-    # receive[k][u] for stage k received and computed on u, and shared by
+    # cross[k][i] for the crossing of link i after stage k and as
+    # receive[k-1][u-1] for stage k received and computed on u, and shared by
     # the latency row and the period rows.
-    cross = []
-    for k in range(n + 1):
-        ck = [[None] * (p + 2) for _ in nodes]
-        for u, v in links:
-            ck[u][v] = (delta[k] / b[u][v], z[k][u][v])
-        cross.append(ck)
-    receive = [[None] * (p + 2) for _ in range(n + 1)]
+    bl = [b[u][v] for u, v in links]
+    cross = [list(zip(map(delta[k].__truediv__, bl), z[k])) for k in range(n + 1)]
+    incoming = [[at[t][u] for t in range(out) if t != u] for u in procs]
+    outgoing = [[at[u][v] for v in procs if v != u] for u in procs]
+    leaving = [at[u][out] for u in range(out)]
+    receive = []
     for k in range(1, n + 1):
-        for u in procs:
-            terms = [cross[k - 1][t][u] for t in range(out) if t != u]
-            terms.append((w[k - 1] / s[u - 1], x[k][u]))
-            receive[k][u] = terms
+        gather = cross[k - 1].__getitem__
+        compute = zip(map(w[k - 1].__truediv__, s), x[k][1:out])
+        receive.append([[*map(gather, into), c] for into, c in zip(incoming, compute)])
 
-    latency = [term for k in range(1, n + 1) for u in procs for term in receive[k][u]]
-    cost_rows = [("latency", "latency", latency + [cross[n][u][out] for u in range(out)])]
+    latency = [*chain.from_iterable(chain.from_iterable(receive))]
+    cost_rows = [("latency", "latency", latency + [cross[n][i] for i in leaving])]
     for u in procs:
         terms = []
         for k in range(1, n + 1):
-            terms += receive[k][u]
-            terms += [cross[k][u][v] for v in procs if v != u]
-        cost_rows.append(("period", f"period_{label[u]}", terms + [cross[n][u][out]]))
+            terms += receive[k - 1][u - 1]
+            terms += map(cross[k].__getitem__, outgoing[u - 1])
+        cost_rows.append(("period", f"period_{label[u]}", terms + [cross[n][leaving[u]]]))
 
     # The minimized criterion's rows compare against Topt; the fixed
     # criterion's rows take the threshold as right-hand side.  An infinite
@@ -252,17 +275,19 @@ def build_instance(
             rows.append(Row(name, tuple(terms), "<=", query.threshold))
 
     # Boundary pins: the virtual stages sit on the gateways, real stages never
-    # do, and gateway hand-offs or out-of-order gateway crossings cannot occur.
+    # do, and gateway hand-offs or out-of-order gateway crossings cannot occur:
+    # after stage 0 only links into out, after stage n only links from in, and
+    # in between both.
     pins = [(x[0][0], 1.0), (x[n + 1][out], 1.0)]
     pins += [(x[k][u], 0.0) for k in range(1, n + 1) for u in (0, out)]
     pins += [(y[k][u], 0.0) for k in range(n + 1) for u in (0, out)]
     pins += [(y[k][u], 0.0) for u in procs for k in (0, n)]
-    pins += [
-        (z[k][u][v], 0.0)
-        for k in range(n + 1)
-        for u, v in links
-        if (u == 0 and k != 0) or (v == out and k != n)
-    ]
+    into_out = [i for i, (u, v) in enumerate(links) if v == out]
+    from_in = [i for i, (u, v) in enumerate(links) if u == 0]
+    gateway = [i for i, (u, v) in enumerate(links) if u == 0 or v == out]
+    for k in range(n + 1):
+        pinned = into_out if k == 0 else from_in if k == n else gateway
+        pins += [(z[k][i], 0.0) for i in pinned]
 
     return IlpInstance(
         query=query,
@@ -277,9 +302,9 @@ def build_instance(
 
 
 def _fmt(value: float) -> str:
-    if math.isfinite(value) and value == int(value) and abs(value) < 1e15:
-        return str(int(value))
-    return format(value, ".17g")
+    # Integer values print without a fraction or exponent below 1e17; adding
+    # 0.0 turns -0.0 into 0.0, so zero prints as "0".
+    return format(value + 0.0, ".17g")
 
 
 class _Memo(dict):

@@ -21,7 +21,7 @@ from pipemap import (
 from pipemap import ilp
 
 import lp_grammar
-from util import random_instance
+from util import integer_instance, random_instance, with_zero_delta
 
 
 def _tiny_query():
@@ -283,12 +283,39 @@ def _word_wrap(text, width=72, indent="   "):
     return lines
 
 
+def _reference_fmt(value):
+    """A number as LP text, the reference that ``ilp._fmt`` must match."""
+    if math.isfinite(value) and value == int(value) and abs(value) < 1e15:
+        return str(int(value))
+    return format(value, ".17g")
+
+
+@pytest.mark.parametrize(
+    "value",
+    [0.0, -0.0, 1.0, -3.0, 1e15 - 1, 1e15, 2.0**53 + 2, 0.1, 5e-324, 1e300,
+     math.inf, -math.inf, math.nan],
+)
+def test_fmt_matches_reference(value):
+    assert ilp._fmt(value) == _reference_fmt(value)
+
+
+def test_fmt_matches_reference_on_random_floats():
+    rng = np.random.default_rng(18)
+    values = np.concatenate([
+        rng.uniform(-1e3, 1e3, 2000),
+        np.round(rng.uniform(-2e15, 2e15, 2000)),
+        rng.integers(-100, 100, 2000).astype(float),
+        np.exp(rng.uniform(-700, 700, 2000)),
+    ]).tolist()
+    assert [ilp._fmt(v) for v in values] == [_reference_fmt(v) for v in values]
+
+
 def _reference_row_lines(row):
     """A row rendered word by word through the reference wrap."""
     text = " ".join(
-        f"{'-' if coef < 0 else '+'} {ilp._fmt(abs(coef))} {var}" for coef, var in row.terms
+        f"{'-' if coef < 0 else '+'} {_reference_fmt(abs(coef))} {var}" for coef, var in row.terms
     )
-    body = f"{row.name}: {text.removeprefix('+ ')} {row.sense} {ilp._fmt(row.rhs)}"
+    body = f"{row.name}: {text.removeprefix('+ ')} {row.sense} {_reference_fmt(row.rhs)}"
     return [" " + line for line in _word_wrap(body)]
 
 
@@ -359,6 +386,144 @@ class TestRowRendering:
         assert len(f"{name}: 1 x_1_p1 - 0.10000000000000001 z_0_in_p1 <= 3") == length
         assert len(rendered) == lines
         assert rendered == _reference_row_lines(row)
+
+
+def _reference_build(spec, platform, query):
+    """``(rows, pins, binaries, generals)`` of a program built row by row.
+
+    The reference that the bulk ``build_instance`` must match exactly.
+    """
+    n, p = spec.n, platform.p
+    w, delta = spec.w.tolist(), spec.delta.tolist()
+    s, b = platform.s.tolist(), platform.b.tolist()
+    label = ilp._labels(p)
+    out = p + 1
+    nodes = range(p + 2)
+    procs = range(1, out)
+    links = [(u, v) for u in nodes for v in nodes if u != v and u != out and v != 0]
+    pairs = [f"{label[u]}_{label[v]}" for u, v in links]
+
+    x = [[f"x_{k}_{node}" for node in label] for k in range(n + 2)]
+    y = [[f"y_{k}_{node}" for node in label] for k in range(n + 1)]
+    z = []
+    for k in range(n + 1):
+        zk = [[None] * (p + 2) for _ in nodes]
+        for (u, v), uv in zip(links, pairs):
+            zk[u][v] = f"z_{k}_{uv}"
+        z.append(zk)
+    first = [f"first_{node}" for node in label]
+    last = [f"last_{node}" for node in label]
+
+    binaries = [name for xk in x for name in xk]
+    binaries += [z[k][u][v] for k in range(n + 1) for u, v in links]
+    binaries += [name for yk in y for name in yk]
+    generals = [first[u] for u in procs] + [last[u] for u in procs]
+
+    Row = ilp.Row
+    rows = []
+    for k in range(n + 2):
+        rows.append(Row(f"assign_{k}", tuple((1.0, name) for name in x[k]), "=", 1.0))
+    for k in range(n + 1):
+        terms = [(1.0, z[k][u][v]) for u, v in links] + [(1.0, name) for name in y[k]]
+        rows.append(Row(f"route_{k}", tuple(terms), "=", 1.0))
+    for k in range(n + 1):
+        xk, xk1, zk = x[k], x[k + 1], z[k]
+        for (u, v), uv in zip(links, pairs):
+            terms = ((1.0, xk[u]), (1.0, xk1[v]), (-1.0, zk[u][v]))
+            rows.append(Row(f"link_{k}_{uv}", terms, "<=", 1.0))
+    for k in range(n + 1):
+        for u in nodes:
+            terms = ((1.0, x[k][u]), (1.0, x[k + 1][u]), (-1.0, y[k][u]))
+            rows.append(Row(f"same_{k}_{label[u]}", terms, "<=", 1.0))
+    for k in range(1, n + 1):
+        for u in procs:
+            terms = ((1.0, first[u]), (float(n - k), x[k][u])) if n - k else ((1.0, first[u]),)
+            rows.append(Row(f"firstb_{k}_{label[u]}", terms, "<=", float(n)))
+            terms = ((1.0, last[u]), (-float(k), x[k][u]))
+            rows.append(Row(f"lastb_{k}_{label[u]}", terms, ">=", 0.0))
+    proc_links = [(u, v, uv) for (u, v), uv in zip(links, pairs) if u != 0 and v != out]
+    for k in range(1, n):
+        zk = z[k]
+        for u, v, uv in proc_links:
+            terms = ((1.0, last[u]), (float(n - k), zk[u][v]))
+            rows.append(Row(f"cutl_{k}_{uv}", terms, "<=", float(n)))
+            terms = ((1.0, first[v]), (-float(k + 1), zk[u][v]))
+            rows.append(Row(f"cutf_{k}_{uv}", terms, ">=", 0.0))
+
+    cross = []
+    for k in range(n + 1):
+        ck = [[None] * (p + 2) for _ in nodes]
+        for u, v in links:
+            ck[u][v] = (delta[k] / b[u][v], z[k][u][v])
+        cross.append(ck)
+    receive = [[None] * (p + 2) for _ in range(n + 1)]
+    for k in range(1, n + 1):
+        for u in procs:
+            terms = [cross[k - 1][t][u] for t in range(out) if t != u]
+            terms.append((w[k - 1] / s[u - 1], x[k][u]))
+            receive[k][u] = terms
+    latency = [term for k in range(1, n + 1) for u in procs for term in receive[k][u]]
+    cost_rows = [("latency", "latency", latency + [cross[n][u][out] for u in range(out)])]
+    for u in procs:
+        terms = []
+        for k in range(1, n + 1):
+            terms += receive[k][u]
+            terms += [cross[k][u][v] for v in procs if v != u]
+        cost_rows.append(("period", f"period_{label[u]}", terms + [cross[n][u][out]]))
+    for criterion, name, terms in cost_rows:
+        if criterion == query.objective:
+            rows.append(Row(name, tuple(terms) + ((-1.0, "Topt"),), "<=", 0.0))
+        elif math.isfinite(query.threshold):
+            rows.append(Row(name, tuple(terms), "<=", query.threshold))
+
+    pins = [(x[0][0], 1.0), (x[n + 1][out], 1.0)]
+    pins += [(x[k][u], 0.0) for k in range(1, n + 1) for u in (0, out)]
+    pins += [(y[k][u], 0.0) for k in range(n + 1) for u in (0, out)]
+    pins += [(y[k][u], 0.0) for u in procs for k in (0, n)]
+    pins += [
+        (z[k][u][v], 0.0)
+        for k in range(n + 1)
+        for u, v in links
+        if (u == 0 and k != 0) or (v == out and k != n)
+    ]
+    return tuple(rows), tuple(pins), tuple(binaries), tuple(generals)
+
+
+def _reference_instances():
+    """Seeded small instances (half with integer data, some with a zero volume)
+    and the four large-instance sizes of the benchmark."""
+    rng = np.random.default_rng(1818)
+    for i in range(24):
+        if i % 2:
+            spec, platform = integer_instance(rng, (1, 9), (1, 7))
+        else:
+            spec, platform = random_instance(rng, (1, 9), (1, 7), allow_zero_delta=False)
+        if i % 3 == 0:
+            spec = with_zero_delta(rng, spec)
+        yield spec, platform
+    for n, p in ((20, 12), (22, 13), (24, 14), (21, 12)):
+        yield random_instance(rng, (n, n), (p, p))
+
+
+class TestReferenceBuilder:
+    """The bulk builder makes the same program as the row-by-row loops."""
+
+    @pytest.mark.parametrize("objective", ["latency", "period"])
+    @pytest.mark.parametrize("finite", [True, False], ids=["finite", "inf"])
+    def test_program_matches_row_by_row_build(self, objective, finite):
+        for spec, platform in _reference_instances():
+            threshold = 2.5 * float(spec.w.sum()) if finite else math.inf
+            query = BicriteriaQuery(objective=objective, threshold=threshold)
+            instance = build_instance(spec, platform, query)
+            rows, pins, binaries, generals = _reference_build(spec, platform, query)
+            assert instance.rows == rows
+            assert instance.pins == pins
+            assert instance.binaries == binaries
+            assert instance.generals == generals
+            for row in instance.rows:
+                assert type(row) is ilp.Row
+                assert type(row.rhs) is float
+                assert all(type(coef) is float for coef, _ in row.terms)
 
 
 def _milp_optimum(spec, platform, query):
