@@ -28,12 +28,13 @@ of the bottleneck and the ``k - 1`` fastest unused processors, keeping the
 first lowest-scoring candidate.  Candidates are scored incrementally: a
 split changes only its parts' terms, the predecessor's send and the
 successor's receive.  The unchanged terms before and after the split are the
-current mapping's chain terms from :mod:`pipemap.model`, and the new parts'
-terms come from per-run Python-float views of the platform and from the
-pipeline's one stage-cost table, ``PipelineSpec._costs``, which that module
-builds once per pipeline.  Each candidate's latency and party cycles are
-summed in :func:`evaluate_metrics` order, bit for bit equal to a full
-evaluation, with no mapping built.
+current mapping's chain terms from :mod:`pipemap.model`, already in fold
+order, and the new parts' terms divide that module's Python-float views
+(``PipelineSpec._delta``, ``Platform._s``, ``Platform._b``) and the
+pipeline's one stage-cost table, ``PipelineSpec._costs``, each built once
+per instance.  Each candidate's latency and party cycles are summed in
+:func:`evaluate_metrics` order, bit for bit equal to a full evaluation, with
+no mapping built.
 Only the winner of each split becomes an :class:`IntervalMapping` and runs
 through :func:`evaluate_metrics`.
 
@@ -52,7 +53,7 @@ import functools
 import itertools
 import math
 from dataclasses import asdict, dataclass
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from .model import (
     IntervalMapping,
@@ -222,7 +223,7 @@ class HeuristicOutcome:
 
 def _speed_order(platform: Platform) -> list[int]:
     """Processors by non-increasing speed, index-ascending on ties."""
-    s = platform.s
+    s = platform._s
     return sorted(range(1, platform.p + 1), key=lambda u: (-s[u - 1], u))
 
 
@@ -230,36 +231,9 @@ def _speed_order(platform: Platform) -> list[int]:
 _Split = tuple[SplitChoice, IntervalMapping, MappingMetrics]
 
 
-class _Tables(NamedTuple):
-    """One instance and its Python-float views, shared by every split of a run.
-
-    Stage costs come from the spec's own table,
-    :attr:`pipemap.model.PipelineSpec._costs`, which :func:`evaluate_metrics`
-    reads too, so every term the split scorer builds has the bits that
-    function gives it.  ``decisions`` holds the run's split decisions, by
-    mapping (see :func:`_run_greedy`).
-    """
-
-    spec: PipelineSpec
-    platform: Platform
-    delta: list[float]
-    s: list[float]
-    b: list[list[float]]
-    decisions: dict[IntervalMapping, tuple[float, _Split | None]]
-
-
-def _tables(spec: PipelineSpec, platform: Platform) -> _Tables:
-    return _Tables(
-        spec, platform, spec.delta.tolist(), platform.s.tolist(), platform.b.tolist(), {}
-    )
-
-
-def _padded(latency_cap: float | None) -> float:
-    return math.inf if latency_cap is None else padded_threshold(latency_cap)
-
-
 def _split_candidates(
-    tables: _Tables,
+    spec: PipelineSpec,
+    platform: Platform,
     mapping: IntervalMapping,
     jidx: int,
     recipients: tuple[int, ...],
@@ -271,17 +245,15 @@ def _split_candidates(
     processor and the ``recipients`` in permutation order.  A split changes
     only its parts' terms, the predecessor's send and the successor's
     receive.  The other terms are the mapping's own chain terms from
-    :func:`pipemap.model._chain_terms`, laid out in :func:`evaluate_metrics`'
+    :func:`pipemap.model._chain_terms`, already in :func:`evaluate_metrics`'
     fold order: the latency starts from the fold of the terms before
     ``jidx``, adds the parts' receive and compute and the successor's new
     receive, then the unchanged rest.  The values are those of the candidate
     mapping's metrics, bit for bit.
     """
-    spec, platform, delta, s, b, _ = tables
-    costs = spec._costs
+    delta, s, b, costs = spec._delta, platform._s, platform._b, spec._costs
     d, e = mapping.intervals[jidx]
-    links, comps = _chain_terms(spec, platform, mapping)
-    terms = [t for pair in zip(links, comps) for t in pair] + [links[-1]]
+    terms = _chain_terms(spec, platform, mapping)
     head = 0.0
     for term in terms[: 2 * jidx]:
         head += term
@@ -310,13 +282,14 @@ def _split_candidates(
 
 
 def _best_split(
-    tables: _Tables,
+    spec: PipelineSpec,
+    platform: Platform,
     mapping: IntervalMapping,
     metrics: MappingMetrics,
     unused: list[int],
     three_way: bool,
     ratio_rule: bool,
-    latency_cap: float | None,
+    cap: float,
 ) -> _Split | None:
     """The first lowest-scoring split of the bottleneck's interval, or ``None``.
 
@@ -324,8 +297,10 @@ def _best_split(
     has at least three stages and two processors are unused, else two.  Each
     candidate of :func:`_split_candidates` is scored from its latency and
     party cycles alone, with no mapping built; the first candidate wins a
-    tie.  Only the winner becomes an :class:`IntervalMapping`, and its
-    metrics come from one :func:`evaluate_metrics` call.
+    tie; a candidate whose latency exceeds ``cap``, an already padded
+    latency cap, is skipped.  Only the winner becomes an
+    :class:`IntervalMapping`, and its metrics come from one
+    :func:`evaluate_metrics` call.
     """
     cycles = metrics.per_processor_period
     jidx = cycles.index(max(cycles))
@@ -334,11 +309,10 @@ def _best_split(
         return None
     k = 3 if three_way and e - d >= 2 and len(unused) >= 2 else 2
     recipients = tuple(unused[: k - 1])
-    cap = _padded(latency_cap)
     period, base = metrics.period, metrics.latency
     best = None
     for cuts, placement, latency, party_cycles in _split_candidates(
-        tables, mapping, jidx, recipients
+        spec, platform, mapping, jidx, recipients
     ):
         if latency > cap:
             continue
@@ -380,22 +354,25 @@ def _best_split(
         delta_latency=latency - base,
         delta_period=tuple(period - c for c in party_cycles),
     )
-    return choice, winner, evaluate_metrics(tables.spec, tables.platform, winner)
+    return choice, winner, evaluate_metrics(spec, platform, winner)
 
 
 def _run_greedy(
-    tables: _Tables,
+    spec: PipelineSpec,
+    platform: Platform,
+    decisions: dict[IntervalMapping, tuple[float, _Split | None]],
     start: tuple[IntervalMapping, MappingMetrics],
     *,
     ratio_rule: bool,
     three_way: bool,
-    latency_cap: float | None = None,
+    cap: float = math.inf,
     period_goal: float | None = None,
 ) -> tuple[IntervalMapping, MappingMetrics, tuple[SplitEvent, ...]]:
     """Run the splitting loop from ``start``; returns (mapping, metrics, trace).
 
-    Every loop of one run shares ``tables.decisions``, which keeps, for each
-    mapping split so far, the largest padded cap it was searched under and
+    ``cap`` is the already padded latency cap every split must meet.  Every
+    loop of one run shares ``decisions``, which keeps, for each mapping
+    split so far, the largest padded cap it was searched under and
     the :func:`_best_split` result.  A mapping fixes the unused processors,
     and one run fixes the split rule, so only the cap can change that
     result.  A smaller cap only drops candidates, and no score depends on
@@ -404,23 +381,22 @@ def _run_greedy(
     stays ``None``.  Such decisions are reused; any other is searched again.
     """
     mapping, metrics = start
-    unused = _speed_order(tables.platform)[1:]
-    cap = _padded(latency_cap)
+    unused = _speed_order(platform)[1:]
     trace: list[SplitEvent] = []
     while True:
         if period_goal is not None and meets_threshold(metrics.period, period_goal):
             break
-        stored = tables.decisions.get(mapping)
+        stored = decisions.get(mapping)
         if stored is not None and cap <= stored[0] and (
             stored[1] is None or stored[1][2].latency <= cap
         ):
             best = stored[1]
         else:
             best = _best_split(
-                tables, mapping, metrics, unused, three_way, ratio_rule, latency_cap
+                spec, platform, mapping, metrics, unused, three_way, ratio_rule, cap
             )
             if stored is None or cap > stored[0]:
-                tables.decisions[mapping] = (cap, best)
+                decisions[mapping] = (cap, best)
         if best is None:
             break
         choice, best_mapping, best_metrics = best
@@ -459,7 +435,8 @@ def run_heuristic(
     """Run one heuristic by name; ``search`` only applies to ``h2``.
 
     The greedy loops of one call share their split decisions (see
-    :func:`_run_greedy`); each ``h2`` trial still equals a fresh run.
+    :func:`_run_greedy`); each ``h2`` trial still equals a fresh run.  Each
+    latency cap is padded here, once, with :func:`padded_threshold`.
     Under a fixed period the run is feasible when its final period meets the
     threshold (for ``h2``: when some authorized increase reaches it).  Under
     a fixed latency it is infeasible exactly when the start state already
@@ -477,15 +454,11 @@ def run_heuristic(
     base_latency = start[1].latency
 
     greedy = functools.partial(
-        _run_greedy,
-        _tables(spec, platform),
-        start,
-        ratio_rule=ratio_rule,
-        three_way=three_way,
+        _run_greedy, spec, platform, {}, start, ratio_rule=ratio_rule, three_way=three_way
     )
     report = None
     if fixed_criterion == "latency":
-        mapping, metrics, trace = greedy(latency_cap=threshold)
+        mapping, metrics, trace = greedy(cap=padded_threshold(threshold))
         feasible = meets_threshold(base_latency, threshold)
     elif name != "h2":
         mapping, metrics, trace = greedy(period_goal=threshold)
@@ -506,7 +479,9 @@ def run_heuristic(
         trials: list[H2SearchTrial] = []
         for step in range(cfg.iterations + 1):
             allowance = hi if step == 0 else (lo + hi) / 2.0
-            run = greedy(latency_cap=base_latency + allowance, period_goal=threshold)
+            run = greedy(
+                cap=padded_threshold(base_latency + allowance), period_goal=threshold
+            )
             ok = meets_threshold(run[1].period, threshold)
             trials.append(
                 H2SearchTrial(

@@ -154,8 +154,8 @@ def build_instance(
     spec: PipelineSpec, platform: Platform, query: BicriteriaQuery
 ) -> IlpInstance:
     n, p = spec.n, platform.p
-    w, delta = spec.w.tolist(), spec.delta.tolist()
-    s, b = platform.s.tolist(), platform.b.tolist()
+    w, delta = spec.w.tolist(), spec._delta
+    s, b = platform._s, platform._b
     label = _labels(p)
     out = p + 1
     nodes = range(p + 2)

@@ -14,6 +14,11 @@ time units per item.  The *period* of a mapping is the largest cycle time over
 its processors, i.e. the steady-state interval between consecutive outputs.
 The *latency* is the end-to-end time of one item: every receive and compute
 along the chain, plus the final transfer out of the last processor.
+
+The metric evaluator, the heuristics, the simulator and the LP exporter agree
+bit for bit because this module owns their float terms: each instance's
+Python-float views and stage-cost table, built once, and :func:`_chain_terms`,
+a mapping's terms in :func:`evaluate_metrics`' fold order.
 """
 
 from __future__ import annotations
@@ -138,6 +143,11 @@ class PipelineSpec:
             for d in range(1, n + 1)
         )
 
+    @cached_property
+    def _delta(self) -> tuple[float, ...]:
+        """``delta.tolist()`` as a tuple, built once like :attr:`_costs`."""
+        return tuple(self.delta.tolist())
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PipelineSpec):
             return NotImplemented
@@ -187,6 +197,16 @@ class Platform:
     @property
     def p(self) -> int:
         return int(self.s.size)
+
+    @cached_property
+    def _s(self) -> tuple[float, ...]:
+        """``s.tolist()`` as a tuple, built once like ``PipelineSpec._delta``."""
+        return tuple(self.s.tolist())
+
+    @cached_property
+    def _b(self) -> tuple[tuple[float, ...], ...]:
+        """``b.tolist()`` as a tuple of row tuples, built once like :attr:`_s`."""
+        return tuple(map(tuple, self.b.tolist()))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Platform):
@@ -333,22 +353,19 @@ def require_valid(
 
 def _chain_terms(
     spec: PipelineSpec, platform: Platform, mapping: IntervalMapping
-) -> tuple[list[float], list[float]]:
-    """The ``m + 1`` link times and the ``m`` compute times of a mapping's chain.
+) -> list[float]:
+    """The ``2m + 1`` terms ``t_in_0, comp_0, t_in_1, ..., comp_{m-1}, t_out`` in fold order.
 
-    ``links[j]`` is the transfer into interval ``j`` (``links[0]`` from the
-    input gateway) and ``links[m]`` the transfer to the output gateway, so
-    interval ``j`` receives for ``links[j]``, computes for ``comps[j]`` and
-    sends for ``links[j + 1]``.  Each interval's compute cost is read from
-    :attr:`PipelineSpec._costs`.
+    Interval ``j`` receives for ``terms[2j]``, computes for ``terms[2j + 1]``
+    and sends ``delta[e_j] / b[u_j][next]`` for ``terms[2j + 2]``.  Each term
+    is one division of the instance's float views or :attr:`PipelineSpec._costs`.
     """
-    delta, s, b = spec.delta, platform.s.tolist(), platform.b
-    nodes = (0, *mapping.assignees, platform.p + 1)
-    volumes = [d - 1 for d, _ in mapping.intervals] + [spec.n]
-    links = [float(delta[k] / b[u, v]) for k, u, v in zip(volumes, nodes, nodes[1:])]
-    costs = spec._costs
-    comps = [costs[d][e] / s[u - 1] for (d, e), u in zip(mapping.intervals, mapping.assignees)]
-    return links, comps
+    delta, s, b, costs = spec._delta, platform._s, platform._b, spec._costs
+    nodes = (*mapping.assignees, platform.p + 1)
+    terms = [delta[0] / b[0][nodes[0]]]
+    for (d, e), u, v in zip(mapping.intervals, nodes, nodes[1:]):
+        terms += (costs[d][e] / s[u - 1], delta[e] / b[u][v])
+    return terms
 
 
 def evaluate_metrics(
@@ -356,30 +373,25 @@ def evaluate_metrics(
 ) -> MappingMetrics:
     """Period and latency of a mapping in one pass."""
     require_valid(spec, platform, mapping)
-    links, comps = _chain_terms(spec, platform, mapping)
-    m = mapping.m
-    cycles = tuple(links[j] + comps[j] + links[j + 1] for j in range(m))
+    terms = _chain_terms(spec, platform, mapping)
+    cycles = tuple(terms[j] + terms[j + 1] + terms[j + 2] for j in range(0, 2 * mapping.m, 2))
     latency = 0.0
-    for j in range(m):
-        latency += links[j]
-        latency += comps[j]
-    latency += links[m]
+    for term in terms:
+        latency += term
     return MappingMetrics(
         period=max(cycles), latency=latency, per_processor_period=cycles
     )
 
 
-def jpeg_preset(path: str | None = None) -> PipelineSpec:
+def jpeg_preset() -> PipelineSpec:
     """The bundled seven-stage still-image encoder pipeline.
 
     Loads the packaged default numbers (synthetic figures chosen so that the
-    FDCT stage strictly dominates the compute costs).  Pass ``path`` to read
-    the same JSON schema from a user-supplied file instead.
+    FDCT stage strictly dominates the compute costs).  Read other pipeline
+    files with :func:`pipemap.files.read_pipeline`.
     """
     from . import files
 
-    if path is not None:
-        return files.read_pipeline(path)
     from importlib.resources import files as resource_files
 
     resource = resource_files("pipemap").joinpath("presets/jpeg_default.json")

@@ -121,7 +121,7 @@ def simulate(
     if items <= warmup:
         raise ValueError(f"items must exceed warmup, got items={items} warmup={warmup}")
 
-    links, comps = _chain_terms(spec, platform, mapping)
+    terms = _chain_terms(spec, platform, mapping)
     m = mapping.m
     labels = [f"p{u}" for u in mapping.assignees]
 
@@ -129,8 +129,8 @@ def simulate(
     # item.  Interval 0 receives from the input gateway, which is always
     # ready, so its "sender" slot is the spare port_free[m], never read.
     port_free = [0.0] * (m + 1)
-    chain = list(zip(range(m), links, comps))
-    out_link = links[m]
+    chain = list(zip(range(m), terms[0::2], terms[1::2]))
+    out_link = terms[-1]
     outputs = []
     events: list[SimEvent] = []
 

@@ -274,13 +274,16 @@ def run_campaign(
 ) -> CampaignResult:
     """Exhaustive solver plus heuristics over every platform, one row each.
 
-    Every requested heuristic must bound the same criterion as the query
-    (``h1``..``h4`` for a fixed period, ``h5``/``h6`` for a fixed latency).
-    Rows keep the input platform order; a ``ValueError`` on one platform
-    sets that row's ``error`` field, any other exception aborts the run.
+    Every requested heuristic must appear once and bound the same criterion
+    as the query (``h1``..``h4`` for a fixed period, ``h5``/``h6`` for a
+    fixed latency); otherwise a ``ValueError`` names it.  Rows keep the
+    input platform order; a ``ValueError`` on one platform sets that row's
+    ``error`` field, any other exception aborts the run.
     """
     names = tuple(heuristic_names)
-    for name in names:
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ValueError(f"heuristic {name} is listed more than once")
         if fixed_criterion_of(name) != query.fixed_criterion:
             raise ValueError(
                 f"heuristic {name} bounds the {fixed_criterion_of(name)} but the "

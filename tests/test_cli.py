@@ -537,6 +537,30 @@ class TestCampaign:
             (odd, None),
         ]
 
+    def test_repeated_heuristic_exit_one(self, tiny_files, tmp_path, capsys):
+        pipeline, _ = tiny_files
+        out_path = tmp_path / "campaign.csv"
+        code = main(
+            [
+                "campaign",
+                "--pipeline",
+                pipeline,
+                "--seeds",
+                "1:2",
+                "--p",
+                "4",
+                "--period",
+                "50",
+                "--heuristics",
+                "h1,h1",
+                "--out",
+                str(out_path),
+            ]
+        )
+        assert code == 1
+        assert "heuristic h1 is listed more than once" in capsys.readouterr().err
+        assert not out_path.exists()
+
     def test_empty_seed_range_exit_one(self, tiny_files, tmp_path, capsys):
         pipeline, _ = tiny_files
         out_path = tmp_path / "campaign.csv"

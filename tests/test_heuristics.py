@@ -418,14 +418,13 @@ class TestSplitCandidates:
     def test_every_candidate_matches_evaluate_metrics(self):
         """Incremental latency and party cycles equal a full evaluation, bit for bit."""
         for spec, platform, mapping, unused in _split_states(31, 24):
-            tables = heuristics._tables(spec, platform)
             for jidx in range(mapping.m):
                 d, e = mapping.intervals[jidx]
                 for k in (2, 3):
                     recipients = tuple(unused[: k - 1])
                     seen = []
                     for cuts, placement, latency, cycles in heuristics._split_candidates(
-                        tables, mapping, jidx, recipients
+                        spec, platform, mapping, jidx, recipients
                     ):
                         cand = _candidate_mapping(mapping, jidx, cuts, placement)
                         full = evaluate_metrics(spec, platform, cand)
@@ -453,7 +452,6 @@ class TestSplitCandidates:
 
         for spec, platform, mapping, unused in _split_states(37, 16):
             metrics = evaluate_metrics(spec, platform, mapping)
-            tables = heuristics._tables(spec, platform)
             for cap in (None, metrics.latency, 1.02 * metrics.latency, 1.3 * metrics.latency):
                 expected = _reference_best_split(
                     spec, platform, mapping, metrics, unused, three_way, ratio_rule, cap
@@ -461,7 +459,8 @@ class TestSplitCandidates:
                 calls.clear()
                 monkeypatch.setattr(heuristics, "evaluate_metrics", counting)
                 got = heuristics._best_split(
-                    tables, mapping, metrics, unused, three_way, ratio_rule, cap
+                    spec, platform, mapping, metrics, unused, three_way, ratio_rule,
+                    math.inf if cap is None else padded_threshold(cap),
                 )
                 monkeypatch.setattr(heuristics, "evaluate_metrics", evaluate)
                 assert got == expected
@@ -471,23 +470,24 @@ class TestSplitCandidates:
         """A candidate whose latency equals the padded cap meets it, as in ``meets_threshold``."""
         for spec, platform, mapping, unused in _split_states(41, 16):
             metrics = evaluate_metrics(spec, platform, mapping)
-            tables = heuristics._tables(spec, platform)
             jidx = metrics.per_processor_period.index(metrics.period)
             lowest = min(
                 latency
                 for _, _, latency, _ in heuristics._split_candidates(
-                    tables, mapping, jidx, tuple(unused[:1])
+                    spec, platform, mapping, jidx, tuple(unused[:1])
                 )
             )
             cap = _cap_padding_to(lowest)
             assert cap is not None and meets_threshold(lowest, cap)
-            got = heuristics._best_split(tables, mapping, metrics, unused, False, False, cap)
+            got = heuristics._best_split(
+                spec, platform, mapping, metrics, unused, False, False, padded_threshold(cap)
+            )
             assert got is not None and got[2].latency == lowest
             below = cap
             while padded_threshold(below) >= lowest:
                 below = math.nextafter(below, -math.inf)
             assert heuristics._best_split(
-                tables, mapping, metrics, unused, False, False, below
+                spec, platform, mapping, metrics, unused, False, False, padded_threshold(below)
             ) is None
 
 
@@ -513,9 +513,9 @@ def _spy_searches(monkeypatch):
     searched = []
     best_split = heuristics._best_split
 
-    def spy(tables, mapping, *args):
+    def spy(spec, platform, mapping, *args):
         searched.append(mapping)
-        return best_split(tables, mapping, *args)
+        return best_split(spec, platform, mapping, *args)
 
     monkeypatch.setattr(heuristics, "_best_split", spy)
     return searched
@@ -548,11 +548,13 @@ class TestSharedDecisions:
 
                 def fresh(allowance):
                     return heuristics._run_greedy(
-                        heuristics._tables(spec, platform),
+                        spec,
+                        platform,
+                        {},
                         start,
                         ratio_rule=True,
                         three_way=False,
-                        latency_cap=base + allowance,
+                        cap=padded_threshold(base + allowance),
                         period_goal=threshold,
                     )
 
@@ -577,17 +579,23 @@ class TestSharedDecisions:
             spec, platform = integer_instance(rng, (6, 12), (3, 8))
             spec = with_zero_delta(rng, spec)
             start = _start(spec, platform)
-            tables = heuristics._tables(spec, platform)
+            decisions = {}
 
             def run(cap):
                 searched.clear()
                 heuristics._run_greedy(
-                    tables, start, ratio_rule=ratio_rule, three_way=False, latency_cap=cap
+                    spec,
+                    platform,
+                    decisions,
+                    start,
+                    ratio_rule=ratio_rule,
+                    three_way=False,
+                    cap=math.inf if cap is None else padded_threshold(cap),
                 )
                 return start[0] in searched
 
             assert run(None)
-            stored = tables.decisions[start[0]]
+            stored = decisions[start[0]]
             assert stored[0] == math.inf and stored[1] is not None
             winner_latency = stored[1][2].latency
             exact = _cap_padding_to(winner_latency)
@@ -600,19 +608,19 @@ class TestSharedDecisions:
             # one step below, it might not be the winner: searched again, and
             # the decision under the larger cap is kept
             assert run(below)
-            assert tables.decisions[start[0]] == stored
+            assert decisions[start[0]] == stored
 
             # no split meets a cap below the start latency: a stored None
-            tables = heuristics._tables(spec, platform)
+            decisions.clear()
             low = start[1].latency / 2
             assert run(low)
-            assert tables.decisions[start[0]] == (padded_threshold(low), None)
+            assert decisions[start[0]] == (padded_threshold(low), None)
             assert not run(low) and not run(low / 2)
             above = low
             while padded_threshold(above) <= padded_threshold(low):
                 above = math.nextafter(above, math.inf)
             assert run(above)
-            assert tables.decisions[start[0]] == (padded_threshold(above), None)
+            assert decisions[start[0]] == (padded_threshold(above), None)
 
     def test_h2_search_count_is_pinned(self, monkeypatch):
         """One default ``h2`` run at a large-instance size: searches counted exactly."""
@@ -627,11 +635,13 @@ class TestSharedDecisions:
         for trial in trials:
             searched.clear()
             heuristics._run_greedy(
-                heuristics._tables(spec, platform),
+                spec,
+                platform,
+                {},
                 start,
                 ratio_rule=True,
                 three_way=False,
-                latency_cap=start[1].latency + trial.authorized_increase,
+                cap=padded_threshold(start[1].latency + trial.authorized_increase),
                 period_goal=threshold,
             )
             steps += len(searched)

@@ -17,10 +17,10 @@ from pipemap import (
     meets_threshold,
     validate,
 )
-from pipemap.files import write_pipeline
+from pipemap.model import _chain_terms
 
 from conftest import uniform_bandwidth
-from util import random_instance, random_valid_mapping
+from util import integer_instance, random_instance, random_valid_mapping, with_zero_delta
 
 
 class TestTypes:
@@ -213,6 +213,90 @@ class TestStageCostTable:
         assert (repr(spec), hash(spec)) == (repr(fresh), hash(fresh)) and spec == fresh
 
 
+def _seeded_instances(seed):
+    """Random and integer instances, each also with one zero data volume."""
+    rng = np.random.default_rng(seed)
+    for _ in range(12):
+        for spec, platform in (
+            random_instance(rng, (1, 9), (1, 7), allow_zero_delta=False),
+            integer_instance(rng, (1, 9), (1, 7)),
+        ):
+            yield rng, spec, platform
+            yield rng, with_zero_delta(rng, spec), platform
+
+
+class TestFloatViews:
+    """``PipelineSpec._delta``, ``Platform._s`` and ``Platform._b``."""
+
+    def test_views_are_tolist_tuples_built_once(self):
+        for _, spec, platform in _seeded_instances(19):
+            for owner, name, array in (
+                (spec, "_delta", spec.delta),
+                (platform, "_s", platform.s),
+                (platform, "_b", platform.b),
+            ):
+                view = getattr(owner, name)
+                assert getattr(owner, name) is view
+                rows = view if name == "_b" else (view,)
+                assert type(view) is tuple and all(type(row) is tuple for row in rows)
+                assert all(type(x) is float for row in rows for x in row)
+                assert view == (
+                    tuple(map(tuple, array.tolist())) if name == "_b" else tuple(array.tolist())
+                )
+                # bit for bit, the sign of a zero included
+                assert np.shape(view) == array.shape
+                assert np.array(view).tobytes() == array.tobytes()
+
+    def test_views_are_not_fields(self):
+        spec = jpeg_preset()
+        platform = Platform(s=[1.0, 2.0], b=uniform_bandwidth(2, 3.0))
+        spec._delta, platform._s, platform._b  # built before repr, hash and ==
+        assert "_delta" not in {f.name for f in dataclasses.fields(PipelineSpec)}
+        assert not {"_s", "_b"} & {f.name for f in dataclasses.fields(Platform)}
+        fresh = Platform(s=[1.0, 2.0], b=uniform_bandwidth(2, 3.0))
+        assert (repr(platform), hash(platform)) == (repr(fresh), hash(fresh))
+        assert platform == fresh and spec == jpeg_preset()
+
+
+def _reference_chain_terms(spec, platform, mapping):
+    """The chain terms from numpy scalars as two lists, interleaved into fold order.
+
+    An independent reference for :func:`pipemap.model._chain_terms`: links
+    are ``float(delta[k] / b[u, v])`` on numpy scalars and compute times
+    divide the stage-cost table by ``s.tolist()``.
+    """
+    delta, s, b = spec.delta, platform.s.tolist(), platform.b
+    nodes = (0, *mapping.assignees, platform.p + 1)
+    volumes = [d - 1 for d, _ in mapping.intervals] + [spec.n]
+    links = [float(delta[k] / b[u, v]) for k, u, v in zip(volumes, nodes, nodes[1:])]
+    costs = spec._costs
+    comps = [costs[d][e] / s[u - 1] for (d, e), u in zip(mapping.intervals, mapping.assignees)]
+    return [t for pair in zip(links, comps) for t in pair] + [links[-1]]
+
+
+class TestChainTerms:
+    def test_fold_order_matches_reference_for_every_m(self):
+        seen_zero = 0
+        for rng, spec, platform in _seeded_instances(23):
+            n, p = spec.n, platform.p
+            for m in range(1, min(n, p) + 1):
+                cuts = sorted(rng.choice(np.arange(1, n), m - 1, replace=False).tolist())
+                bounds = [0, *cuts, n]
+                mapping = IntervalMapping(
+                    intervals=tuple(zip((x + 1 for x in bounds), bounds[1:])),
+                    assignees=tuple(rng.choice(np.arange(1, p + 1), m, replace=False).tolist()),
+                )
+                terms = _chain_terms(spec, platform, mapping)
+                assert all(type(t) is float for t in terms)
+                assert terms == _reference_chain_terms(spec, platform, mapping)
+                seen_zero += 0.0 in terms[0::2]
+                metrics = evaluate_metrics(spec, platform, mapping)
+                assert metrics.per_processor_period == tuple(
+                    terms[2 * j] + terms[2 * j + 1] + terms[2 * j + 2] for j in range(m)
+                )
+        assert seen_zero
+
+
 class TestThreshold:
     def test_meets_threshold_pads_relative(self):
         assert meets_threshold(100.0 + 5e-8, 100.0)
@@ -353,12 +437,3 @@ class TestJpegPreset:
         fdct = spec.stage_names.index("FDCT")
         assert spec.w[fdct] == max(spec.w)
         assert sum(spec.w > spec.w[fdct] - 1e-12) == 1  # strict maximum
-
-    def test_user_file_overrides(self, tmp_path):
-        custom = PipelineSpec(
-            stage_names=("x", "y"), w=[3.0, 4.0], delta=[1.0, 2.0, 3.0]
-        )
-        path = tmp_path / "custom.json"
-        write_pipeline(custom, str(path))
-        loaded = jpeg_preset(str(path))
-        assert loaded == custom

@@ -233,6 +233,16 @@ class TestCampaign:
                 ["h5"],
             )
 
+    def test_repeated_heuristic_rejected(self, tiny_spec, tiny_platform):
+        # each row keeps one cell per name, so a repeat would drop a run
+        with pytest.raises(ValueError, match="heuristic h1 is listed more than once"):
+            run_campaign(
+                tiny_spec,
+                _tiny_campaign_platforms(tiny_platform),
+                BicriteriaQuery.minimize_latency(7.0),
+                ["h1", "h2", "h1"],
+            )
+
     def test_error_rows_captured(self, tiny_spec, tiny_platform):
         class Boom:
             label = "boom"
