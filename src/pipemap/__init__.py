@@ -10,6 +10,7 @@ with a command-line front end (``pipemap``).
 
 from .model import (
     EPS_CMP,
+    BicriteriaQuery,
     IntervalMapping,
     InvalidMappingError,
     MappingMetrics,
@@ -22,9 +23,7 @@ from .model import (
     validate,
 )
 from .exact import (
-    BicriteriaQuery,
     SolveResult,
-    SweepPoint,
     count_mappings,
     enumerate_mappings,
     solve,
@@ -66,7 +65,6 @@ __all__ = [
     "Platform",
     "PlatformGenSpec",
     "SolveResult",
-    "SweepPoint",
     "SweepReport",
     "IlpInstance",
     "assignment_from_mapping",

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from . import files
-from .exact import BicriteriaQuery, solve
+from .exact import solve
 from .heuristics import (
     HEURISTIC_NAMES,
     BinarySearchConfig,
@@ -23,7 +23,7 @@ from .heuristics import (
     run_heuristic,
 )
 from .ilp import write_lp
-from .model import PipelineSpec, jpeg_preset
+from .model import BicriteriaQuery, PipelineSpec, jpeg_preset
 from .simulator import compare_with_analytic, simulate, write_event_log
 from .workbench import (
     DEFAULT_RANGE,
@@ -166,9 +166,8 @@ def _cmd_heuristic(args) -> int:
     platform = files.read_platform(args.platform)
     name = args.heuristic
     needed = fixed_criterion_of(name)
-    given = args.period if needed == "period" else args.latency
-    other = args.latency if needed == "period" else args.period
-    if given is None or other is not None:
+    objective, given = _threshold_flag(args)
+    if objective == needed:  # the flag bounds the criterion the heuristic minimizes
         raise ValueError(f"heuristic {name} requires --{needed} (and only that flag)")
     search = None
     if name == "h2":

@@ -1,16 +1,17 @@
 """Exhaustive bi-criteria solver over all interval mappings.
 
-A query fixes one criterion under a threshold and minimizes the other.  The
-solver walks every partition of the stage chain into ``m`` consecutive
-intervals (``m`` ascending, cut positions lexicographic) and, for each
-partition, every ordered tuple of ``m`` distinct processors (lexicographic).
-That enumeration order is the canonical order used for tie-breaking and by
-:func:`enumerate_mappings`.
+A query, a :class:`pipemap.model.BicriteriaQuery`, fixes one criterion under a
+threshold and minimizes the other.  The solver walks every partition of the
+stage chain into ``m`` consecutive intervals (``m`` ascending, cut positions
+lexicographic) and, for each partition, every ordered tuple of ``m`` distinct
+processors (lexicographic).  That enumeration order is the canonical order
+used for tie-breaking and by :func:`enumerate_mappings`.
 
 One scan builds the (period, latency) Pareto front; each query, and each
-row of a :func:`sweep`, is a lookup on it.  Ties are broken with exact float
-equality: among feasible mappings the smallest objective, then the smallest
-value of the other criterion, then the canonically first mapping.
+threshold of a :func:`sweep`, is a lookup on it that gives one
+:class:`SolveResult`.  Ties are broken with exact float equality: among
+feasible mappings the smallest objective, then the smallest value of the
+other criterion, then the canonically first mapping.
 
 The scan is a branch and bound, one per interval count ``m``.  It searches
 all ``C(n-1, m-1)`` partitions into ``m`` intervals together: every row of
@@ -49,6 +50,7 @@ import numpy as np
 
 from . import _kernels
 from .model import (
+    BicriteriaQuery,
     IntervalMapping,
     MappingMetrics,
     PipelineSpec,
@@ -58,53 +60,12 @@ from .model import (
 )
 
 __all__ = [
-    "BicriteriaQuery",
     "SolveResult",
-    "SweepPoint",
     "count_mappings",
     "enumerate_mappings",
     "solve",
     "sweep",
 ]
-
-OBJECTIVES = ("latency", "period")
-
-
-@dataclass(frozen=True)
-class BicriteriaQuery:
-    """Minimize one criterion subject to a bound on the other.
-
-    ``objective`` names the minimized criterion; ``threshold`` bounds the
-    other one.  ``math.inf`` is a valid threshold and makes the query an
-    unconstrained minimization.
-    """
-
-    objective: str
-    threshold: float
-
-    def __post_init__(self) -> None:
-        if self.objective not in OBJECTIVES:
-            raise ValueError(
-                f"objective must be one of {OBJECTIVES}, got {self.objective!r}"
-            )
-        thr = float(self.threshold)
-        if math.isnan(thr) or thr <= 0:
-            raise ValueError(f"threshold must be positive, got {self.threshold!r}")
-        object.__setattr__(self, "threshold", thr)
-
-    @classmethod
-    def minimize_latency(cls, max_period: float = math.inf) -> "BicriteriaQuery":
-        return cls(objective="latency", threshold=max_period)
-
-    @classmethod
-    def minimize_period(cls, max_latency: float = math.inf) -> "BicriteriaQuery":
-        return cls(objective="period", threshold=max_latency)
-
-    @property
-    def fixed_criterion(self) -> str:
-        """The criterion the threshold applies to."""
-        return "period" if self.objective == "latency" else "latency"
-
 
 @dataclass(frozen=True)
 class SolveResult:
@@ -138,13 +99,7 @@ class SolveResult:
 
     @property
     def objective_value(self) -> float | None:
-        if self.metrics is None:
-            return None
-        return (
-            self.metrics.latency
-            if self.query.objective == "latency"
-            else self.metrics.period
-        )
+        return None if self.metrics is None else self.query.objective_of(self.metrics)
 
     def to_dict(self) -> dict:
         return {
@@ -158,11 +113,6 @@ class SolveResult:
             "min_period": self.min_period,
             "min_latency": self.min_latency,
         }
-
-
-class SweepPoint(NamedTuple):
-    threshold: float
-    result: SolveResult
 
 
 def count_mappings(n: int, p: int) -> int:
@@ -406,11 +356,12 @@ def sweep(
     platform: Platform,
     query: BicriteriaQuery,
     thresholds: Sequence[float],
-) -> list[SweepPoint]:
+) -> list[SolveResult]:
     """One scan, then one front lookup per threshold; ``query`` supplies the objective.
 
-    ``thresholds`` must be sorted ascending; the returned rows preserve input
-    order, one per threshold, infeasible rows included.
+    ``thresholds`` must be sorted ascending; the results preserve input order,
+    one per threshold, infeasible ones included, and each result's
+    ``query.threshold`` is its threshold.
     """
     values = [float(t) for t in thresholds]
     if not values:
@@ -419,7 +370,4 @@ def sweep(
         if b_ < a:
             raise ValueError("sweep thresholds must be sorted ascending")
     front = _scan_front(spec, platform)
-    return [
-        SweepPoint(t, _lookup(spec, platform, front, replace(query, threshold=t)))
-        for t in values
-    ]
+    return [_lookup(spec, platform, front, replace(query, threshold=t)) for t in values]

@@ -48,13 +48,13 @@ from itertools import chain, repeat
 from typing import Callable, NamedTuple
 
 from .model import (
+    BicriteriaQuery,
     IntervalMapping,
     PipelineSpec,
     Platform,
     evaluate_metrics,
     require_valid,
 )
-from .exact import BicriteriaQuery
 
 __all__ = [
     "IlpInstance",
@@ -399,8 +399,5 @@ def assignment_from_mapping(
             assign[f"first_p{u}"] = 1.0
             assign[f"last_p{u}"] = float(n)
     metrics = evaluate_metrics(spec, platform, mapping)
-    if query is not None and query.objective == "latency":
-        assign["Topt"] = metrics.latency
-    else:
-        assign["Topt"] = metrics.period
+    assign["Topt"] = metrics.period if query is None else query.objective_of(metrics)
     return assign

@@ -19,6 +19,11 @@ The metric evaluator, the heuristics, the simulator and the LP exporter agree
 bit for bit because this module owns their float terms: each instance's
 Python-float views and stage-cost table, built once, and :func:`_chain_terms`,
 a mapping's terms in :func:`evaluate_metrics`' fold order.
+
+Every engine answers one question, a :class:`BicriteriaQuery`: minimize one
+criterion subject to a bound on the other.  The query, and the rule that
+names the minimized criterion's value (:meth:`BicriteriaQuery.objective_of`),
+live here too, so no engine imports another to name a query.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from typing import Sequence
 import numpy as np
 
 __all__ = [
+    "BicriteriaQuery",
     "EPS_CMP",
     "InvalidMappingError",
     "IntervalMapping",
@@ -295,6 +301,49 @@ class MappingMetrics:
             "latency": self.latency,
             "per_processor_period": list(self.per_processor_period),
         }
+
+
+OBJECTIVES = ("latency", "period")
+
+
+@dataclass(frozen=True)
+class BicriteriaQuery:
+    """Minimize one criterion subject to a bound on the other.
+
+    ``objective`` names the minimized criterion; ``threshold`` bounds the
+    other one.  ``math.inf`` is a valid threshold and makes the query an
+    unconstrained minimization.
+    """
+
+    objective: str
+    threshold: float
+
+    def __post_init__(self) -> None:
+        if self.objective not in OBJECTIVES:
+            raise ValueError(
+                f"objective must be one of {OBJECTIVES}, got {self.objective!r}"
+            )
+        thr = float(self.threshold)
+        if math.isnan(thr) or thr <= 0:
+            raise ValueError(f"threshold must be positive, got {self.threshold!r}")
+        object.__setattr__(self, "threshold", thr)
+
+    @classmethod
+    def minimize_latency(cls, max_period: float = math.inf) -> "BicriteriaQuery":
+        return cls(objective="latency", threshold=max_period)
+
+    @classmethod
+    def minimize_period(cls, max_latency: float = math.inf) -> "BicriteriaQuery":
+        return cls(objective="period", threshold=max_latency)
+
+    @property
+    def fixed_criterion(self) -> str:
+        """The criterion the threshold applies to."""
+        return "period" if self.objective == "latency" else "latency"
+
+    def objective_of(self, metrics: MappingMetrics) -> float:
+        """The minimized criterion's value in ``metrics``."""
+        return metrics.latency if self.objective == "latency" else metrics.period
 
 
 def validate(

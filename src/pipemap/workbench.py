@@ -10,6 +10,8 @@ threshold=... heuristics=...`` line, a header of the row dataclass's field
 names (``<heuristic>_<HeuristicCell field>`` for each campaign heuristic) and
 one record per row.  Cells are ``""`` for ``None``, ``true``/``false``, ``repr``
 of floats and plain text otherwise; a malformed file raises ``ValueError``.
+That includes an unknown objective and a row whose feasible flag disagrees with
+its values: a feasible row has them all, an infeasible or error row none.
 
 Rejected input (a ``ValueError``) on one platform becomes that row's ``error``
 cell; any other exception aborts the run.
@@ -19,15 +21,17 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import Field, dataclass, fields
+from dataclasses import Field, dataclass, field, fields
 from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
 from . import files
-from .exact import BicriteriaQuery, solve, sweep
+from .exact import solve, sweep
 from .heuristics import fixed_criterion_of, run_heuristic
 from .model import (
+    OBJECTIVES,
+    BicriteriaQuery,
     PipelineSpec,
     Platform,
     meets_threshold,
@@ -153,15 +157,17 @@ class HeuristicCell:
 
 @dataclass(frozen=True)
 class CampaignRow:
+    """One platform's outcomes; the fields after ``seed`` default to "no result"."""
+
     label: str
     seed: int | None
-    error: str | None
-    exact_feasible: bool | None
-    exact_objective: float | None
-    exact_period: float | None
-    exact_latency: float | None
-    exact_seconds: float | None
-    cells: dict[str, HeuristicCell]
+    error: str | None = None
+    exact_feasible: bool | None = None
+    exact_objective: float | None = None
+    exact_period: float | None = None
+    exact_latency: float | None = None
+    exact_seconds: float | None = None
+    cells: dict[str, HeuristicCell] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -244,7 +250,6 @@ def _campaign_row(
         return CampaignRow(
             label=entry.label,
             seed=entry.seed,
-            error=None,
             exact_feasible=exact.feasible,
             exact_objective=exact.objective_value,
             exact_period=exact.metrics.period if exact.metrics else None,
@@ -253,17 +258,7 @@ def _campaign_row(
             cells=cells,
         )
     except ValueError as exc:  # bad input becomes data, the campaign goes on
-        return CampaignRow(
-            label=entry.label,
-            seed=entry.seed,
-            error=f"{type(exc).__name__}: {exc}",
-            exact_feasible=None,
-            exact_objective=None,
-            exact_period=None,
-            exact_latency=None,
-            exact_seconds=None,
-            cells={},
-        )
+        return CampaignRow(entry.label, entry.seed, error=f"{type(exc).__name__}: {exc}")
 
 
 def run_campaign(
@@ -349,12 +344,11 @@ def run_sweep_report(
     threshold or the optimal objective ever increases -- those cannot happen
     with a correct solver, so a violation is an internal error.
     """
-    points = sweep(spec, platform, query, thresholds)
     rows: list[SweepRow] = []
     prev_obj: float | None = None  # the optimum at the last feasible threshold
-    for threshold, result in points:
+    for result in sweep(spec, platform, query, thresholds):
         row = SweepRow(
-            threshold=threshold,
+            threshold=result.query.threshold,
             feasible=result.feasible,
             objective=result.objective_value,
             period=result.metrics.period if result.metrics else None,
@@ -364,12 +358,13 @@ def run_sweep_report(
         if prev_obj is not None:
             if not row.feasible:
                 raise WorkbenchError(
-                    f"feasibility lost at threshold {threshold} after a feasible lower threshold"
+                    f"feasibility lost at threshold {row.threshold} "
+                    "after a feasible lower threshold"
                 )
             if not meets_threshold(row.objective, prev_obj):
                 raise WorkbenchError(
                     f"optimal {query.objective} increased from {prev_obj!r} to "
-                    f"{row.objective!r} at threshold {threshold}"
+                    f"{row.objective!r} at threshold {row.threshold}"
                 )
         if row.feasible:
             prev_obj = row.objective
@@ -422,6 +417,12 @@ def _parse(parsers: Sequence[_Parse], texts: Sequence[str]) -> list[Any]:
     return [parse(text) for parse, text in zip(parsers, texts)]
 
 
+def _check_values(path: str, rec: list[str], feasible: bool | None, *values: object) -> None:
+    """Raise ``ValueError`` unless a feasible row has every value and any other none."""
+    if values.count(None) != (0 if feasible else len(values)):
+        raise ValueError(f"{path}: the feasible flag disagrees with the values in {rec}")
+
+
 def _write_table(
     path: str, kind: str, meta: dict[str, str], header: list[str], records: Iterable[list[str]]
 ) -> None:
@@ -467,7 +468,11 @@ def write_sweep_csv(report: SweepReport, path: str) -> None:
 
 def read_sweep_csv(path: str) -> SweepReport:
     meta, records = _read_table(path, "sweep", ["objective"], lambda meta: _SWEEP_NAMES)
+    if meta["objective"] not in OBJECTIVES:
+        raise ValueError(f"{path}: objective {meta['objective']!r} is not one of {OBJECTIVES}")
     rows = tuple(SweepRow(*_parse(_SWEEP_PARSERS, rec)) for rec in records)
+    for rec, r in zip(records, rows):
+        _check_values(path, rec, r.feasible, r.objective, r.period, r.latency, r.mapping)
     return SweepReport(objective=meta["objective"], rows=rows)
 
 
@@ -515,4 +520,7 @@ def read_campaign_csv(path: str) -> CampaignResult:
             if any(chunk):
                 cells[name] = HeuristicCell(*_parse(_CELL_PARSERS, chunk))
         rows.append(CampaignRow(*_parse(_ROW_PARSERS, rec[:base]), cells=cells))
+    for rec, r in zip(records, rows):
+        values = (r.exact_objective, r.exact_period, r.exact_latency)
+        _check_values(path, rec, r.exact_feasible, *values)
     return CampaignResult(query=query, heuristics=heuristics, rows=tuple(rows))

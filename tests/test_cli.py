@@ -239,6 +239,33 @@ class TestHeuristic:
         assert "error" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--period", "7", "heuristic h5 requires --latency (and only that flag)"),
+            ("--latency", "-1", "fixed_latency must be positive, got -1.0"),
+        ],
+    )
+    def test_flag_error_messages(self, tiny_files, capsys, flag, value, message):
+        pipeline, platform = tiny_files
+        code = main(
+            [
+                "heuristic",
+                "--heuristic",
+                "h5",
+                "--pipeline",
+                pipeline,
+                "--platform",
+                platform,
+                flag,
+                value,
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
         "flag, value, field",
         [("--h2-upper-factor", "nan", "upper_factor"), ("--h2-lower", "inf", "lower")],
     )

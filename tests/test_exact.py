@@ -124,6 +124,27 @@ class TestQueries:
         q = BicriteriaQuery.minimize_period()
         assert math.isinf(q.threshold)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_objective_value_is_the_querys_rule(self, seed):
+        rng = np.random.default_rng(700 + seed)
+        for _ in range(6):
+            spec, platform = random_instance(rng, n_range=(1, 5), p_range=(1, 4))
+            free = solve(spec, platform, BicriteriaQuery.minimize_latency())
+            queries = [
+                BicriteriaQuery.minimize_latency(),
+                BicriteriaQuery.minimize_period(),
+                BicriteriaQuery.minimize_latency(free.min_period * 1.5),
+                BicriteriaQuery.minimize_period(free.min_latency * 1.5),
+                BicriteriaQuery.minimize_latency(free.min_period / 2),  # infeasible
+            ]
+            for query in queries:
+                result = solve(spec, platform, query)
+                if result.metrics is None:
+                    assert result.objective_value is None
+                    continue
+                value = getattr(result.metrics, query.objective)
+                assert result.objective_value == query.objective_of(result.metrics) == value
+
 
 class TestTinySolve:
     """Hand-checked optima on the three-stage example (see test_model)."""
@@ -181,18 +202,16 @@ class TestTinySolve:
 
 class TestSweep:
     def test_tiny_sweep(self, tiny_spec, tiny_platform):
-        points = sweep(
+        results = sweep(
             tiny_spec,
             tiny_platform,
             BicriteriaQuery.minimize_latency(),
             [5.0, 6.0, 7.0, 8.0],
         )
-        assert [pt.threshold for pt in points] == [5.0, 6.0, 7.0, 8.0]
-        feasibility = [pt.result.feasible for pt in points]
+        assert [r.query.threshold for r in results] == [5.0, 6.0, 7.0, 8.0]
+        feasibility = [r.feasible for r in results]
         assert feasibility == [False, True, True, True]
-        values = [
-            pt.result.metrics.latency if pt.result.feasible else None for pt in points
-        ]
+        values = [r.metrics.latency if r.feasible else None for r in results]
         assert values == [None, 11.0, 10.0, 8.0]
 
     def test_thresholds_must_ascend(self, tiny_spec, tiny_platform):
@@ -495,8 +514,8 @@ def _golden_exact_records():
             query = BicriteriaQuery(sense, math.inf)
             for t in thresholds:
                 yield _result_record(solve(spec, platform, BicriteriaQuery(sense, t)))
-            for t, result in sweep(spec, platform, query, thresholds):
-                yield [t, _result_record(result)]
+            for result in sweep(spec, platform, query, thresholds):
+                yield [result.query.threshold, _result_record(result)]
     spec, platform = next(_golden_instances(1))
     for bad in ([], [2.0, 1.0]):
         with pytest.raises(ValueError) as err:

@@ -168,6 +168,21 @@ class TestAssignmentEncoding:
             assert ok == (metrics.latency <= free.min_latency * 2.0 + 1e-9)
 
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_topt_is_the_querys_objective(self, seed):
+        rng = np.random.default_rng(900 + seed)
+        spec, platform = random_instance(rng, n_range=(2, 5), p_range=(2, 4))
+        queries = (BicriteriaQuery.minimize_latency(), BicriteriaQuery.minimize_period(3.0))
+        for k, mapping in enumerate(enumerate_mappings(spec, platform)):
+            if k % 7:
+                continue
+            metrics = evaluate_metrics(spec, platform, mapping)
+            for query in queries:
+                topt = assignment_from_mapping(spec, platform, mapping, query)["Topt"]
+                assert topt == query.objective_of(metrics) == getattr(metrics, query.objective)
+            assert assignment_from_mapping(spec, platform, mapping)["Topt"] == metrics.period
+
+
 class TestLpRendering:
     def test_grammar_clean_both_senses(self, tiny_spec, tiny_platform):
         for query in (_tiny_query(), BicriteriaQuery.minimize_period(10.0)):

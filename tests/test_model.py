@@ -1,5 +1,7 @@
+import ast
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +19,10 @@ from pipemap import (
     meets_threshold,
     validate,
 )
-from pipemap.model import _chain_terms
+import pipemap
+import pipemap.exact
+import pipemap.model
+from pipemap.model import BicriteriaQuery, MappingMetrics, _chain_terms
 
 from conftest import uniform_bandwidth
 from util import integer_instance, random_instance, random_valid_mapping, with_zero_delta
@@ -437,3 +442,41 @@ class TestJpegPreset:
         fdct = spec.stage_names.index("FDCT")
         assert spec.w[fdct] == max(spec.w)
         assert sum(spec.w > spec.w[fdct] - 1e-12) == 1  # strict maximum
+
+
+class TestBicriteriaQuery:
+    """The query and its objective rule belong to ``model``."""
+
+    METRICS = MappingMetrics(period=2.0, latency=5.0, per_processor_period=(2.0, 1.5))
+
+    @pytest.mark.parametrize("threshold", [1.0, 3.0, math.inf])
+    def test_objective_of_is_the_minimized_criterion(self, threshold):
+        # the rule does not read the threshold, whether the metrics meet it or not
+        assert BicriteriaQuery.minimize_latency(threshold).objective_of(self.METRICS) == 5.0
+        assert BicriteriaQuery.minimize_period(threshold).objective_of(self.METRICS) == 2.0
+
+    def test_one_class(self):
+        assert pipemap.BicriteriaQuery is pipemap.model.BicriteriaQuery
+        assert pipemap.exact.BicriteriaQuery is pipemap.model.BicriteriaQuery
+
+
+# The package-relative modules each engine may import at its top level.
+_ENGINE_SIBLINGS = {
+    "exact": {"model", "_kernels"},
+    "heuristics": {"model"},
+    "ilp": {"model"},
+    "simulator": {"model"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ENGINE_SIBLINGS))
+def test_engines_import_no_sibling_but_model(name):
+    source = Path(pipemap.__file__).with_name(f"{name}.py").read_text(encoding="utf-8")
+    siblings = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                siblings.add(node.module.partition(".")[0])
+            else:  # ``from . import x``
+                siblings.update(alias.name for alias in node.names)
+    assert siblings == _ENGINE_SIBLINGS[name]

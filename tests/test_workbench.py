@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -147,10 +148,11 @@ class TestSweepReport:
         self, tiny_spec, tiny_platform, monkeypatch, order, match
     ):
         query = BicriteriaQuery.minimize_latency()
-        results = dict(workbench.sweep(tiny_spec, tiny_platform, query, [5.0, 7.0, 8.0]))
-        monkeypatch.setattr(
-            workbench, "sweep", lambda *args: [(t, results[t]) for t in order]
-        )
+        results = {
+            r.query.threshold: r
+            for r in workbench.sweep(tiny_spec, tiny_platform, query, [5.0, 7.0, 8.0])
+        }
+        monkeypatch.setattr(workbench, "sweep", lambda *args: [results[t] for t in order])
         with pytest.raises(WorkbenchError, match=match):
             run_sweep_report(tiny_spec, tiny_platform, query, list(order))
 
@@ -468,6 +470,57 @@ def test_malformed_csv_rejected(case, tmp_path):
     path = tmp_path / f"{case}.csv"
     path.write_text(text, encoding="utf-8")
     with pytest.raises(ValueError):
+        read(str(path))
+
+
+_CELLS = ",true,10.0,7.0,10.0,0.125\n"
+_SWEEP = "# sweep objective=latency\n" + _SWEEP_HEADER
+_CAMPAIGN = _CAMPAIGN_H1 + _CAMPAIGN_HEADER.format(h="h1")
+_DISAGREES = "the feasible flag disagrees"
+
+# Files whose feasible flags disagree with their values, or whose objective is
+# unknown: each would read back and fail later, in ``edges`` or ``summary()``.
+INCONSISTENT = {
+    "sweep-bogus-objective": (
+        read_sweep_csv,
+        "# sweep objective=bogus\n" + _SWEEP_HEADER,
+        "objective 'bogus' is not one of",
+    ),
+    "sweep-feasible-without-values": (read_sweep_csv, _SWEEP + "1.0,true,,,,\n", _DISAGREES),
+    "sweep-feasible-without-mapping": (
+        read_sweep_csv,
+        _SWEEP + "7.0,true,10.0,7.0,10.0,\n",
+        _DISAGREES,
+    ),
+    "sweep-infeasible-with-values": (
+        read_sweep_csv,
+        _SWEEP + "5.0,false,10.0,7.0,10.0,1-3@p1\n",
+        _DISAGREES,
+    ),
+    "campaign-feasible-without-objective": (
+        read_campaign_csv,
+        _CAMPAIGN + "tiny,,,true,,7.0,10.0,0.25" + _CELLS,
+        _DISAGREES,
+    ),
+    "campaign-infeasible-with-values": (
+        read_campaign_csv,
+        _CAMPAIGN + "tiny,,,false,10.0,7.0,10.0,0.25" + _CELLS,
+        _DISAGREES,
+    ),
+    "campaign-error-with-values": (
+        read_campaign_csv,
+        _CAMPAIGN + "tiny,,ValueError: x,,10.0,7.0,10.0,,,,,,\n",
+        _DISAGREES,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INCONSISTENT))
+def test_inconsistent_csv_rejected_naming_the_file(case, tmp_path):
+    read, text, message = INCONSISTENT[case]
+    path = tmp_path / f"{case}.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}"):
         read(str(path))
 
 
