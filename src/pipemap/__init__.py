@@ -23,9 +23,11 @@ from .model import (
     validate,
 )
 from .exact import (
+    ParetoFront,
     SolveResult,
     count_mappings,
     enumerate_mappings,
+    pareto_front,
     solve,
     sweep,
 )
@@ -61,6 +63,7 @@ __all__ = [
     "IntervalMapping",
     "InvalidMappingError",
     "MappingMetrics",
+    "ParetoFront",
     "PipelineSpec",
     "Platform",
     "PlatformGenSpec",
@@ -78,6 +81,7 @@ __all__ = [
     "jpeg_preset",
     "meets_threshold",
     "metrics_close",
+    "pareto_front",
     "run_campaign",
     "run_heuristic",
     "run_sweep_report",

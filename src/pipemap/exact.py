@@ -7,11 +7,15 @@ lexicographic) and, for each partition, every ordered tuple of ``m`` distinct
 processors (lexicographic).  That enumeration order is the canonical order
 used for tie-breaking and by :func:`enumerate_mappings`.
 
-One scan builds the (period, latency) Pareto front; each query, and each
-threshold of a :func:`sweep`, is a lookup on it that gives one
-:class:`SolveResult`.  Ties are broken with exact float equality: among
-feasible mappings the smallest objective, then the smallest value of the
-other criterion, then the canonically first mapping.
+One scan builds the (period, latency) Pareto front, a :class:`ParetoFront`;
+each query, and each threshold of a :func:`sweep`, is a lookup on it that
+gives one :class:`SolveResult`.  :func:`pareto_front` keeps the front on the
+platform object, one entry for the last pipeline scanned there, so a
+platform's first query scans and later :func:`solve`/:func:`sweep` calls with
+the same pipeline are lookups.  The entry lives and dies with the platform.
+Ties are broken with exact float equality: among feasible mappings the
+smallest objective, then the smallest value of the other criterion, then the
+canonically first mapping.
 
 The scan is a branch and bound, one per interval count ``m``.  It searches
 all ``C(n-1, m-1)`` partitions into ``m`` intervals together: every row of
@@ -60,9 +64,11 @@ from .model import (
 )
 
 __all__ = [
+    "ParetoFront",
     "SolveResult",
     "count_mappings",
     "enumerate_mappings",
+    "pareto_front",
     "solve",
     "sweep",
 ]
@@ -77,8 +83,9 @@ class SolveResult:
     result still reports the best achievable bound on each criterion.
     ``evaluated`` counts every mapping the scan decided; ``scored`` the full
     mappings whose metrics it computed, and ``pruned`` those bounded out as
-    prefixes before their last interval.  Neither of the last two is part of
-    :meth:`to_dict`.
+    prefixes before their last interval.  All three describe the scan that
+    built the front, which an earlier query on the same platform may have
+    run.  Neither ``scored`` nor ``pruned`` is part of :meth:`to_dict`.
     """
 
     query: BicriteriaQuery
@@ -185,19 +192,21 @@ def _extend_perms(prev: np.ndarray, p: int) -> np.ndarray:
 _ROW_BUDGET = 1 << 15
 
 
-class _Front(NamedTuple):
+class ParetoFront(NamedTuple):
     """The (period, latency) Pareto front of one instance.
 
     Periods strictly rise and latencies strictly fall along the front; each
     point holds the canonically first mapping that reaches it exactly.
     ``evaluated`` counts the mappings the scan decided and ``scored`` the
     full mappings whose metrics it computed; the rest were bounded out as
-    prefixes before their last interval.
+    prefixes before their last interval.  The arrays are read-only and
+    ``mappings`` is a tuple, so a front shared by later queries cannot be
+    changed.
     """
 
     period: np.ndarray
     latency: np.ndarray
-    mappings: list[IntervalMapping]
+    mappings: tuple[IntervalMapping, ...]
     evaluated: int
     scored: int
 
@@ -239,8 +248,11 @@ def _complete(block: tuple, bvol: np.ndarray, b: np.ndarray) -> tuple[np.ndarray
     return np.maximum(closed, open_ + t_out), lat + t_out
 
 
-def _scan_front(spec: PipelineSpec, platform: Platform) -> _Front:
-    """Build the Pareto front, completing only the prefixes it cannot yet beat."""
+def _scan_front(spec: PipelineSpec, platform: Platform) -> ParetoFront:
+    """Build the Pareto front, completing only the prefixes it cannot yet beat.
+
+    The raw scan: it runs every time.  :func:`pareto_front` keeps its result.
+    """
     n, p = spec.n, platform.p
     s, b = platform.s, platform.b
     s_max, b_max = s.max(), b.max()
@@ -316,11 +328,30 @@ def _scan_front(spec: PipelineSpec, platform: Platform) -> _Front:
             keep = ~_dominated(front_per, front_lat, per_lb, lat_lb)
             if keep.any():
                 stack.append(tuple(a[keep] for a in block))
-    return _Front(front_per, front_lat, front_maps, count_mappings(n, p), scored)
+    front_per.setflags(write=False)
+    front_lat.setflags(write=False)
+    return ParetoFront(
+        front_per, front_lat, tuple(front_maps), count_mappings(n, p), scored
+    )
+
+
+def pareto_front(spec: PipelineSpec, platform: Platform) -> ParetoFront:
+    """The Pareto front of ``spec`` on ``platform``, scanned once per platform.
+
+    The platform keeps the front of the last pipeline scanned on it; a call
+    with that pipeline, the same object or an equal one, returns the kept
+    front, and any other pipeline is scanned and replaces it.
+    """
+    held = platform.__dict__.get("_front")
+    if held is not None and (held[0] is spec or held[0] == spec):
+        return held[1]
+    front = _scan_front(spec, platform)
+    platform.__dict__["_front"] = (spec, front)
+    return front
 
 
 def _lookup(
-    spec: PipelineSpec, platform: Platform, front: _Front, query: BicriteriaQuery
+    spec: PipelineSpec, platform: Platform, front: ParetoFront, query: BicriteriaQuery
 ) -> SolveResult:
     """The optimum of ``query``: the feasible front point best in its objective."""
     padded = padded_threshold(query.threshold)
@@ -345,10 +376,12 @@ def solve(
 ) -> SolveResult:
     """Exhaustively find the optimal mapping for a bi-criteria query.
 
-    One scan builds the Pareto front and the answer is looked up on it: the
-    last point within a period bound, or the first within a latency bound.
+    The answer is looked up on the instance's Pareto front: the last point
+    within a period bound, or the first within a latency bound.  The front
+    comes from :func:`pareto_front`, so only the platform's first query with
+    this pipeline scans.
     """
-    return _lookup(spec, platform, _scan_front(spec, platform), query)
+    return _lookup(spec, platform, pareto_front(spec, platform), query)
 
 
 def sweep(
@@ -357,7 +390,10 @@ def sweep(
     query: BicriteriaQuery,
     thresholds: Sequence[float],
 ) -> list[SolveResult]:
-    """One scan, then one front lookup per threshold; ``query`` supplies the objective.
+    """One front lookup per threshold; ``query`` supplies the objective.
+
+    The front comes from :func:`pareto_front`, as for :func:`solve`, so a
+    sweep on a platform already queried with this pipeline scans nothing.
 
     ``thresholds`` must be sorted ascending; the results preserve input order,
     one per threshold, infeasible ones included, and each result's
@@ -369,5 +405,5 @@ def sweep(
     for a, b_ in zip(values, values[1:]):
         if b_ < a:
             raise ValueError("sweep thresholds must be sorted ascending")
-    front = _scan_front(spec, platform)
+    front = pareto_front(spec, platform)
     return [_lookup(spec, platform, front, replace(query, threshold=t)) for t in values]

@@ -56,6 +56,7 @@ from dataclasses import asdict, dataclass
 from typing import Iterator
 
 from .model import (
+    BicriteriaQuery,
     IntervalMapping,
     MappingMetrics,
     PipelineSpec,
@@ -186,7 +187,9 @@ class HeuristicOutcome:
 
     ``mapping`` is always a valid mapping (at worst the start state), even
     when ``feasible`` is false.  ``trace`` records every accepted split in
-    order; ``search`` is only present on ``h2`` outcomes.
+    order; ``search`` is only present on ``h2`` outcomes.  :attr:`query` is
+    the :class:`BicriteriaQuery` the run answered, built once on first use;
+    it is not a field, so ``repr``, ``==`` and :meth:`to_dict` ignore it.
     """
 
     heuristic: str
@@ -198,14 +201,17 @@ class HeuristicOutcome:
     trace: tuple[SplitEvent, ...]
     search: H2SearchReport | None = None
 
+    @functools.cached_property
+    def query(self) -> BicriteriaQuery:
+        """The question the run answered: minimize the other criterion under ``threshold``."""
+        if self.fixed_criterion == "period":
+            return BicriteriaQuery.minimize_latency(self.threshold)
+        return BicriteriaQuery.minimize_period(self.threshold)
+
     @property
     def objective_value(self) -> float:
-        """The minimized criterion's value (the one the threshold is not on)."""
-        return (
-            self.metrics.latency
-            if self.fixed_criterion == "period"
-            else self.metrics.period
-        )
+        """The minimized criterion's value, by the query's rule."""
+        return self.query.objective_of(self.metrics)
 
     def to_dict(self) -> dict:
         return {

@@ -176,6 +176,9 @@ class Platform:
     ``[in, 1..p, out]``: row/column 0 is the input gateway and row/column
     ``p+1`` the output gateway.  Diagonal entries are unused, as are links
     *towards* the input and *from* the output; they are stored but never read.
+    Like the float views :attr:`_s` and :attr:`_b`, the instance keeps the
+    Pareto front of the last pipeline scanned on it
+    (:func:`pipemap.exact.pareto_front`); ``==`` and ``hash`` ignore it.
     """
 
     s: np.ndarray

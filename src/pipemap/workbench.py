@@ -4,14 +4,18 @@ A *campaign* runs the exhaustive solver and a set of heuristics over a list
 of platforms for one query and tabulates the outcomes; a *sweep report*
 answers every threshold by a lookup on one exhaustive scan's Pareto front and
 checks that the resulting trade-off curve is a non-increasing step function,
-exposing the thresholds where the optimum changes.  Both tables round-trip
+exposing the thresholds where the optimum changes.  The platform keeps that
+front (:func:`pipemap.exact.pareto_front`): its first query with a pipeline
+scans, and later solves, sweeps and campaign rows on it are lookups, whose
+``exact_seconds`` is a lookup's.  Both tables round-trip
 through CSV: a ``# sweep objective=...`` or ``# campaign objective=...
 threshold=... heuristics=...`` line, a header of the row dataclass's field
 names (``<heuristic>_<HeuristicCell field>`` for each campaign heuristic) and
 one record per row.  Cells are ``""`` for ``None``, ``true``/``false``, ``repr``
-of floats and plain text otherwise; a malformed file raises ``ValueError``.
-That includes an unknown objective and a row whose feasible flag disagrees with
-its values: a feasible row has them all, an infeasible or error row none.
+of floats and plain text otherwise; a malformed file raises a ``ValueError``
+that starts with the file's path.  That includes an unknown objective, a cell
+that does not parse and a row whose feasible flag disagrees with its values: a
+feasible row has them all, an infeasible or error row none.
 
 Rejected input (a ``ValueError``) on one platform becomes that row's ``error``
 cell; any other exception aborts the run.
@@ -413,8 +417,12 @@ def _record(obj: object, names: Sequence[str]) -> list[str]:
     return [_cell_text(getattr(obj, name)) for name in names]
 
 
-def _parse(parsers: Sequence[_Parse], texts: Sequence[str]) -> list[Any]:
-    return [parse(text) for parse, text in zip(parsers, texts)]
+def _parse(path: str, rec: list[str], parsers: Sequence[_Parse], texts: Sequence[str]) -> list[Any]:
+    """Parse ``texts``, cells of the record ``rec``; a bad cell's error names the file."""
+    try:
+        return [parse(text) for parse, text in zip(parsers, texts)]
+    except ValueError as err:
+        raise ValueError(f"{path}: unreadable cell in {rec}: {err}") from None
 
 
 def _check_values(path: str, rec: list[str], feasible: bool | None, *values: object) -> None:
@@ -470,7 +478,7 @@ def read_sweep_csv(path: str) -> SweepReport:
     meta, records = _read_table(path, "sweep", ["objective"], lambda meta: _SWEEP_NAMES)
     if meta["objective"] not in OBJECTIVES:
         raise ValueError(f"{path}: objective {meta['objective']!r} is not one of {OBJECTIVES}")
-    rows = tuple(SweepRow(*_parse(_SWEEP_PARSERS, rec)) for rec in records)
+    rows = tuple(SweepRow(*_parse(path, rec, _SWEEP_PARSERS, rec)) for rec in records)
     for rec, r in zip(records, rows):
         _check_values(path, rec, r.feasible, r.objective, r.period, r.latency, r.mapping)
     return SweepReport(objective=meta["objective"], rows=rows)
@@ -509,7 +517,10 @@ def read_campaign_csv(path: str) -> CampaignResult:
         ["objective", "threshold", "heuristics"],
         lambda meta: _campaign_header(_heuristics(meta)),
     )
-    query = BicriteriaQuery(objective=meta["objective"], threshold=float(meta["threshold"]))
+    try:
+        query = BicriteriaQuery(objective=meta["objective"], threshold=float(meta["threshold"]))
+    except ValueError as err:
+        raise ValueError(f"{path}: the '# campaign' line: {err}") from None
     heuristics = _heuristics(meta)
     base, width = len(_ROW_NAMES), len(_CELL_NAMES)
     rows = []
@@ -518,8 +529,8 @@ def read_campaign_csv(path: str) -> CampaignResult:
         for i, name in enumerate(heuristics):
             chunk = rec[base + i * width : base + (i + 1) * width]
             if any(chunk):
-                cells[name] = HeuristicCell(*_parse(_CELL_PARSERS, chunk))
-        rows.append(CampaignRow(*_parse(_ROW_PARSERS, rec[:base]), cells=cells))
+                cells[name] = HeuristicCell(*_parse(path, rec, _CELL_PARSERS, chunk))
+        rows.append(CampaignRow(*_parse(path, rec, _ROW_PARSERS, rec[:base]), cells=cells))
     for rec, r in zip(records, rows):
         values = (r.exact_objective, r.exact_period, r.exact_latency)
         _check_values(path, rec, r.exact_feasible, *values)

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import itertools
 import json
@@ -5,6 +6,7 @@ import math
 import subprocess
 import sys
 import textwrap
+import weakref
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from pipemap import _kernels
 from pipemap import (
     BicriteriaQuery,
     IntervalMapping,
+    ParetoFront,
     PipelineSpec,
     Platform,
     PlatformGenSpec,
@@ -22,6 +25,7 @@ from pipemap import (
     evaluate_metrics,
     generate_platform,
     jpeg_preset,
+    pareto_front,
     solve,
     sweep,
 )
@@ -573,6 +577,129 @@ class TestFront:
         assert len(points) == k
         # one table of all partitions per interval count m
         assert calls == [(spec.n, m) for m in range(1, min(spec.n, platform.p) + 1)]
+
+
+def _spy_scans(monkeypatch):
+    """Count the raw scans behind every ``solve``, ``sweep`` and ``pareto_front``."""
+    calls = []
+    scan = exact._scan_front
+    monkeypatch.setattr(
+        exact, "_scan_front", lambda spec, platform: calls.append(spec) or scan(spec, platform)
+    )
+    return calls
+
+
+def _twin(platform):
+    """A fresh platform equal to ``platform``, with no front kept."""
+    return Platform(s=platform.s.copy(), b=platform.b.copy())
+
+
+def _queries_of(spec, platform):
+    """Both senses at infinite, binding, loose and infeasible thresholds."""
+    front = _scan_front(spec, platform)
+    lat, per = front.latency, front.period
+    return [
+        BicriteriaQuery.minimize_latency(),
+        BicriteriaQuery.minimize_period(float(np.median(lat))),
+        BicriteriaQuery.minimize_latency(float(per.min()) * 0.9),
+        BicriteriaQuery.minimize_latency(float(np.median(per))),
+        BicriteriaQuery.minimize_period(),
+        BicriteriaQuery.minimize_period(float(lat.min()) * 0.9),
+        BicriteriaQuery.minimize_latency(float(per.max()) * 1.5),
+    ]
+
+
+class TestFrontCache:
+    """The platform keeps the front of its last pipeline; queries look answers up on it."""
+
+    def test_later_queries_scan_nothing(self, monkeypatch):
+        rng = np.random.default_rng(8100)
+        spec, platform = random_instance(rng, n_range=(6, 6), p_range=(5, 5))
+        queries = _queries_of(spec, platform)
+        calls = _spy_scans(monkeypatch)
+        first = solve(spec, platform, queries[0])
+        second = solve(spec, platform, queries[1])
+        equal_spec = PipelineSpec(spec.stage_names, spec.w.copy(), spec.delta.copy())
+        swept = sweep(equal_spec, platform, queries[3], [1.0, 50.0, math.inf])
+        assert calls == [spec]
+        fresh = [
+            solve(spec, _twin(platform), queries[0]),
+            solve(spec, _twin(platform), queries[1]),
+            *sweep(spec, _twin(platform), queries[3], [1.0, 50.0, math.inf]),
+        ]
+        assert len(calls) == 4
+        # dataclass ==: field for field, scored included
+        assert [first, second, *swept] == fresh
+
+    def test_another_pipeline_replaces_the_front(self, monkeypatch):
+        rng = np.random.default_rng(8200)
+        spec_a, platform = random_instance(rng, n_range=(5, 5), p_range=(4, 4))
+        spec_b, _ = random_instance(rng, n_range=(4, 4), p_range=(4, 4))
+        query = BicriteriaQuery.minimize_latency()
+        calls = _spy_scans(monkeypatch)
+        for spec in (spec_a, spec_b, spec_b, spec_a):
+            assert solve(spec, platform, query) == solve(spec, _twin(platform), query)
+        # each twin scans once, and the kept front holds one pipeline at a time
+        assert calls == [spec_a, spec_a, spec_b, spec_b, spec_b, spec_a, spec_a]
+        assert pareto_front(spec_a, platform) is pareto_front(spec_a, platform)
+        assert len(calls) == 7
+
+    def test_front_cannot_be_changed(self):
+        spec = jpeg_preset()
+        platform = generate_platform(PlatformGenSpec(seed=3, p=4))
+        front = pareto_front(spec, platform)
+        assert isinstance(front, ParetoFront) and isinstance(front.mappings, tuple)
+        for values in (front.period, front.latency):
+            assert not values.flags.writeable
+            with pytest.raises(ValueError):
+                values[0] = 0.0
+        raw = _scan_front(spec, platform)
+        assert not raw.period.flags.writeable and isinstance(raw.mappings, tuple)
+
+    def test_front_lives_and_dies_with_its_platform(self):
+        spec = jpeg_preset()
+        platform = generate_platform(PlatformGenSpec(seed=4, p=4))
+        front = pareto_front(spec, platform)
+        ref = weakref.ref(platform)
+        gc.disable()
+        try:
+            del platform
+            assert ref() is None
+        finally:
+            gc.enable()
+        # the front outlives its platform and holds no reference back to it
+        assert front.evaluated == count_mappings(spec.n, 4)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_mixed_queries_through_one_platform_match_the_oracle(self, monkeypatch, seed):
+        rng = np.random.default_rng(8300 + seed)
+        calls = _spy_scans(monkeypatch)
+        for k in range(6):
+            if k % 2:
+                spec, platform = integer_instance(rng, (1, 6), (1, 5))
+            else:
+                spec, platform = random_instance(rng, n_range=(1, 6), p_range=(1, 5))
+            queries = _queries_of(spec, platform)
+            rng.shuffle(queries)
+            w, delta, s, b = as_lists(spec, platform)
+            calls.clear()
+            for query in queries:
+                result = solve(spec, platform, query)
+                mapping, obj, _, min_per, min_lat, evaluated = oracle.solve_naive(
+                    w, delta, s, b, query.objective, query.threshold
+                )
+                assert result.evaluated == evaluated
+                assert result.min_period == pytest.approx(min_per, rel=1e-12)
+                assert result.min_latency == pytest.approx(min_lat, rel=1e-12)
+                assert result.feasible == (mapping is not None)
+                if mapping is None:
+                    continue
+                assert result.objective_value == pytest.approx(obj, rel=1e-12)
+                if k % 2 == 0:
+                    # real-valued: no ties, so the optimum is one mapping
+                    ours = (result.mapping.intervals, result.mapping.assignees)
+                    assert ours == (tuple(mapping[0]), tuple(mapping[1]))
+            assert calls == [spec]
 
 
 # sha256 over the scan's front of each of 16 seeded instances with n 8-11 and

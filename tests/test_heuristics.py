@@ -317,6 +317,17 @@ class TestRandomizedBattery:
             slack = 1e-9 * max(1.0, reference.objective_value)
             assert outcome.objective_value >= reference.objective_value - slack
 
+    def test_objective_value_is_the_querys_rule(self):
+        names = set()
+        for spec, platform, name, threshold, outcome in _run_battery(1100, 8):
+            query = outcome.query
+            assert query.fixed_criterion == outcome.fixed_criterion == fixed_criterion_of(name)
+            assert query.threshold == outcome.threshold == threshold
+            assert outcome.objective_value == query.objective_of(outcome.metrics)
+            assert outcome.query is query
+            names.add(name)
+        assert names == set(HEURISTIC_NAMES)
+
     def test_deterministic_to_dict(self):
         first = [o.to_dict() for *_rest, o in _run_battery(1000, 10)]
         second = [o.to_dict() for *_rest, o in _run_battery(1000, 10)]

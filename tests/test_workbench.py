@@ -480,6 +480,7 @@ _DISAGREES = "the feasible flag disagrees"
 
 # Files whose feasible flags disagree with their values, or whose objective is
 # unknown: each would read back and fail later, in ``edges`` or ``summary()``.
+# A heuristic's cells that do not parse are rejected with the file's name too.
 INCONSISTENT = {
     "sweep-bogus-objective": (
         read_sweep_csv,
@@ -511,6 +512,23 @@ INCONSISTENT = {
         read_campaign_csv,
         _CAMPAIGN + "tiny,,ValueError: x,,10.0,7.0,10.0,,,,,,\n",
         _DISAGREES,
+    ),
+    "campaign-bogus-objective": (
+        read_campaign_csv,
+        "# campaign objective=bogus threshold=inf heuristics=h1\n"
+        + _CAMPAIGN_HEADER.format(h="h1")
+        + _CAMPAIGN_RECORD,
+        "the '# campaign' line: objective must be one of",
+    ),
+    "campaign-empty-heuristic-cell": (
+        read_campaign_csv,
+        _CAMPAIGN + "tiny,,,true,10.0,7.0,10.0,0.25,true,,7.0,10.0,0.125\n",
+        "unreadable cell in",
+    ),
+    "campaign-non-numeric-heuristic-cell": (
+        read_campaign_csv,
+        _CAMPAIGN + "tiny,,,true,10.0,7.0,10.0,0.25,true,ten,7.0,10.0,0.125\n",
+        "unreadable cell in",
     ),
 }
 
