@@ -29,7 +29,6 @@ from .exact import (
     enumerate_mappings,
     pareto_front,
     solve,
-    sweep,
 )
 from .heuristics import (
     HEURISTIC_NAMES,
@@ -88,7 +87,6 @@ __all__ = [
     "seeded_platforms",
     "simulate",
     "solve",
-    "sweep",
     "validate",
     "write_event_log",
     "write_lp",

@@ -8,11 +8,11 @@ processors (lexicographic).  That enumeration order is the canonical order
 used for tie-breaking and by :func:`enumerate_mappings`.
 
 One scan builds the (period, latency) Pareto front, a :class:`ParetoFront`;
-each query, and each threshold of a :func:`sweep`, is a lookup on it that
-gives one :class:`SolveResult`.  :func:`pareto_front` keeps the front on the
-platform object, one entry for the last pipeline scanned there, so a
-platform's first query scans and later :func:`solve`/:func:`sweep` calls with
-the same pipeline are lookups.  The entry lives and dies with the platform.
+each query is a lookup on it that gives one :class:`SolveResult`.
+:func:`pareto_front` keeps the front on the platform object, one entry for
+the last pipeline scanned there, so a platform's first query scans and later
+:func:`solve` calls with the same pipeline, such as the thresholds of a
+sweep, are lookups.  The entry lives and dies with the platform.
 Ties are broken with exact float equality: among feasible mappings the
 smallest objective, then the smallest value of the other criterion, then the
 canonically first mapping.
@@ -47,8 +47,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
-from typing import Iterator, NamedTuple, Sequence
+from dataclasses import dataclass
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -70,7 +70,6 @@ __all__ = [
     "enumerate_mappings",
     "pareto_front",
     "solve",
-    "sweep",
 ]
 
 @dataclass(frozen=True)
@@ -350,10 +349,17 @@ def pareto_front(spec: PipelineSpec, platform: Platform) -> ParetoFront:
     return front
 
 
-def _lookup(
-    spec: PipelineSpec, platform: Platform, front: ParetoFront, query: BicriteriaQuery
+def solve(
+    spec: PipelineSpec, platform: Platform, query: BicriteriaQuery
 ) -> SolveResult:
-    """The optimum of ``query``: the feasible front point best in its objective."""
+    """Exhaustively find the optimal mapping for a bi-criteria query.
+
+    The answer is looked up on the instance's Pareto front: the last point
+    within a period bound, or the first within a latency bound.  The front
+    comes from :func:`pareto_front`, so only the platform's first query with
+    this pipeline scans.
+    """
+    front = pareto_front(spec, platform)
     padded = padded_threshold(query.threshold)
     if query.objective == "latency":
         best = np.flatnonzero(front.period <= padded)[-1:]
@@ -369,41 +375,3 @@ def _lookup(
         min_latency=float(front.latency[-1]),
         scored=front.scored,
     )
-
-
-def solve(
-    spec: PipelineSpec, platform: Platform, query: BicriteriaQuery
-) -> SolveResult:
-    """Exhaustively find the optimal mapping for a bi-criteria query.
-
-    The answer is looked up on the instance's Pareto front: the last point
-    within a period bound, or the first within a latency bound.  The front
-    comes from :func:`pareto_front`, so only the platform's first query with
-    this pipeline scans.
-    """
-    return _lookup(spec, platform, pareto_front(spec, platform), query)
-
-
-def sweep(
-    spec: PipelineSpec,
-    platform: Platform,
-    query: BicriteriaQuery,
-    thresholds: Sequence[float],
-) -> list[SolveResult]:
-    """One front lookup per threshold; ``query`` supplies the objective.
-
-    The front comes from :func:`pareto_front`, as for :func:`solve`, so a
-    sweep on a platform already queried with this pipeline scans nothing.
-
-    ``thresholds`` must be sorted ascending; the results preserve input order,
-    one per threshold, infeasible ones included, and each result's
-    ``query.threshold`` is its threshold.
-    """
-    values = [float(t) for t in thresholds]
-    if not values:
-        raise ValueError("sweep needs at least one threshold")
-    for a, b_ in zip(values, values[1:]):
-        if b_ < a:
-            raise ValueError("sweep thresholds must be sorted ascending")
-    front = pareto_front(spec, platform)
-    return [_lookup(spec, platform, front, replace(query, threshold=t)) for t in values]

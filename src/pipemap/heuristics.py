@@ -187,26 +187,27 @@ class HeuristicOutcome:
 
     ``mapping`` is always a valid mapping (at worst the start state), even
     when ``feasible`` is false.  ``trace`` records every accepted split in
-    order; ``search`` is only present on ``h2`` outcomes.  :attr:`query` is
-    the :class:`BicriteriaQuery` the run answered, built once on first use;
-    it is not a field, so ``repr``, ``==`` and :meth:`to_dict` ignore it.
+    order; ``search`` is only present on ``h2`` outcomes.  ``query`` is the
+    question the run answered: minimize the other criterion with the
+    heuristic's fixed criterion under the threshold.
     """
 
     heuristic: str
-    fixed_criterion: str
-    threshold: float
+    query: BicriteriaQuery
     mapping: IntervalMapping
     metrics: MappingMetrics
     feasible: bool
     trace: tuple[SplitEvent, ...]
     search: H2SearchReport | None = None
 
-    @functools.cached_property
-    def query(self) -> BicriteriaQuery:
-        """The question the run answered: minimize the other criterion under ``threshold``."""
-        if self.fixed_criterion == "period":
-            return BicriteriaQuery.minimize_latency(self.threshold)
-        return BicriteriaQuery.minimize_period(self.threshold)
+    @property
+    def fixed_criterion(self) -> str:
+        """The criterion the threshold bounds (``"period"`` for ``h1``..``h4``)."""
+        return self.query.fixed_criterion
+
+    @property
+    def threshold(self) -> float:
+        return self.query.threshold
 
     @property
     def objective_value(self) -> float:
@@ -455,6 +456,7 @@ def run_heuristic(
         raise ValueError(f"search applies only to h2, not to {name}")
     _, ratio_rule, three_way = _VARIANTS[name]
     threshold = _check_threshold(threshold, f"fixed_{fixed_criterion}")
+    query = BicriteriaQuery("period" if fixed_criterion == "latency" else "latency", threshold)
     first = IntervalMapping.single_interval(spec.n, _speed_order(platform)[0])
     start = (first, evaluate_metrics(spec, platform, first))
     base_latency = start[1].latency
@@ -515,8 +517,7 @@ def run_heuristic(
         feasible = chosen is not None
     return HeuristicOutcome(
         heuristic=name,
-        fixed_criterion=fixed_criterion,
-        threshold=threshold,
+        query=query,
         mapping=mapping,
         metrics=metrics,
         feasible=feasible,

@@ -2,20 +2,22 @@
 
 A *campaign* runs the exhaustive solver and a set of heuristics over a list
 of platforms for one query and tabulates the outcomes; a *sweep report*
-answers every threshold by a lookup on one exhaustive scan's Pareto front and
-checks that the resulting trade-off curve is a non-increasing step function,
-exposing the thresholds where the optimum changes.  The platform keeps that
-front (:func:`pipemap.exact.pareto_front`): its first query with a pipeline
-scans, and later solves, sweeps and campaign rows on it are lookups, whose
-``exact_seconds`` is a lookup's.  Both tables round-trip
+answers each threshold with one :func:`pipemap.exact.solve` and checks that
+the resulting trade-off curve is a non-increasing step function, exposing the
+thresholds where the optimum changes.  The platform keeps the Pareto front of
+its last pipeline (:func:`pipemap.exact.pareto_front`): its first query with a
+pipeline scans, and later solves, sweep thresholds and campaign rows on it
+are lookups, whose ``exact_seconds`` is a lookup's.  Both tables round-trip
 through CSV: a ``# sweep objective=...`` or ``# campaign objective=...
 threshold=... heuristics=...`` line, a header of the row dataclass's field
 names (``<heuristic>_<HeuristicCell field>`` for each campaign heuristic) and
 one record per row.  Cells are ``""`` for ``None``, ``true``/``false``, ``repr``
 of floats and plain text otherwise; a malformed file raises a ``ValueError``
 that starts with the file's path.  That includes an unknown objective, a cell
-that does not parse and a row whose feasible flag disagrees with its values: a
-feasible row has them all, an infeasible or error row none.
+that does not parse, a row whose feasible flag disagrees with its values (a
+feasible row has them all, an infeasible or error row none), a sweep grid
+and a heuristic list that :func:`run_sweep_report` and :func:`run_campaign`
+would reject.
 
 Rejected input (a ``ValueError``) on one platform becomes that row's ``error``
 cell; any other exception aborts the run.
@@ -31,7 +33,7 @@ from typing import Any, Callable, Iterable, Sequence
 import numpy as np
 
 from . import files
-from .exact import solve, sweep
+from .exact import solve
 from .heuristics import fixed_criterion_of, run_heuristic
 from .model import (
     OBJECTIVES,
@@ -265,6 +267,21 @@ def _campaign_row(
         return CampaignRow(entry.label, entry.seed, error=f"{type(exc).__name__}: {exc}")
 
 
+def _check_heuristics(names: Sequence[str], query: BicriteriaQuery) -> tuple[str, ...]:
+    """``names`` as a tuple; ``ValueError`` unless each is known, listed once
+    and bounds the criterion ``query`` fixes."""
+    names = tuple(names)
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ValueError(f"heuristic {name} is listed more than once")
+        if fixed_criterion_of(name) != query.fixed_criterion:
+            raise ValueError(
+                f"heuristic {name} bounds the {fixed_criterion_of(name)} but the "
+                f"query fixes the {query.fixed_criterion}"
+            )
+    return names
+
+
 def run_campaign(
     spec: PipelineSpec,
     platforms: Sequence[CampaignPlatform],
@@ -279,15 +296,7 @@ def run_campaign(
     input platform order; a ``ValueError`` on one platform sets that row's
     ``error`` field, any other exception aborts the run.
     """
-    names = tuple(heuristic_names)
-    for i, name in enumerate(names):
-        if name in names[:i]:
-            raise ValueError(f"heuristic {name} is listed more than once")
-        if fixed_criterion_of(name) != query.fixed_criterion:
-            raise ValueError(
-                f"heuristic {name} bounds the {fixed_criterion_of(name)} but the "
-                f"query fixes the {query.fixed_criterion}"
-            )
+    names = _check_heuristics(heuristic_names, query)
     rows = tuple(_campaign_row(spec, entry, query, names) for entry in platforms)
     return CampaignResult(query=query, heuristics=names, rows=rows)
 
@@ -336,21 +345,35 @@ class SweepReport:
         return [row.objective for row in self._steps()]
 
 
+def _sweep_grid(thresholds: Iterable[float]) -> list[float]:
+    """The thresholds as floats; ``ValueError`` unless there are some, sorted ascending."""
+    values = [float(t) for t in thresholds]
+    if not values:
+        raise ValueError("sweep needs at least one threshold")
+    if any(b < a for a, b in zip(values, values[1:])):
+        raise ValueError("sweep thresholds must be sorted ascending")
+    return values
+
+
 def run_sweep_report(
     spec: PipelineSpec,
     platform: Platform,
     query: BicriteriaQuery,
     thresholds: Sequence[float],
 ) -> SweepReport:
-    """Answer every threshold from one exhaustive scan, checked to be a step curve.
+    """One :func:`pipemap.exact.solve` per threshold, checked to be a step curve.
 
-    Raises :class:`WorkbenchError` if feasibility is not monotone in the
-    threshold or the optimal objective ever increases -- those cannot happen
-    with a correct solver, so a violation is an internal error.
+    ``query`` supplies the objective.  ``thresholds`` must be non-empty and
+    sorted ascending, or a ``ValueError`` is raised before any scan.  Only
+    the first solve scans; the rest are lookups on the front the platform
+    keeps.  Raises :class:`WorkbenchError` if feasibility is not monotone in
+    the threshold or the optimal objective ever increases -- those cannot
+    happen with a correct solver, so a violation is an internal error.
     """
     rows: list[SweepRow] = []
     prev_obj: float | None = None  # the optimum at the last feasible threshold
-    for result in sweep(spec, platform, query, thresholds):
+    for t in _sweep_grid(thresholds):  # the whole grid is checked before any solve
+        result = solve(spec, platform, BicriteriaQuery(query.objective, t))
         row = SweepRow(
             threshold=result.query.threshold,
             feasible=result.feasible,
@@ -481,6 +504,10 @@ def read_sweep_csv(path: str) -> SweepReport:
     rows = tuple(SweepRow(*_parse(path, rec, _SWEEP_PARSERS, rec)) for rec in records)
     for rec, r in zip(records, rows):
         _check_values(path, rec, r.feasible, r.objective, r.period, r.latency, r.mapping)
+    try:
+        _sweep_grid(r.threshold for r in rows)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
     return SweepReport(objective=meta["objective"], rows=rows)
 
 
@@ -519,9 +546,9 @@ def read_campaign_csv(path: str) -> CampaignResult:
     )
     try:
         query = BicriteriaQuery(objective=meta["objective"], threshold=float(meta["threshold"]))
+        heuristics = _check_heuristics(_heuristics(meta), query)
     except ValueError as err:
         raise ValueError(f"{path}: the '# campaign' line: {err}") from None
-    heuristics = _heuristics(meta)
     base, width = len(_ROW_NAMES), len(_CELL_NAMES)
     rows = []
     for rec in records:

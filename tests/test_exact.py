@@ -26,8 +26,8 @@ from pipemap import (
     generate_platform,
     jpeg_preset,
     pareto_front,
+    run_sweep_report,
     solve,
-    sweep,
 )
 from pipemap.exact import (
     _complete,
@@ -206,27 +206,16 @@ class TestTinySolve:
 
 class TestSweep:
     def test_tiny_sweep(self, tiny_spec, tiny_platform):
-        results = sweep(
-            tiny_spec,
-            tiny_platform,
-            BicriteriaQuery.minimize_latency(),
-            [5.0, 6.0, 7.0, 8.0],
-        )
+        """Several thresholds through one platform: the later solves are lookups."""
+        results = [
+            solve(tiny_spec, tiny_platform, BicriteriaQuery.minimize_latency(t))
+            for t in [5.0, 6.0, 7.0, 8.0]
+        ]
         assert [r.query.threshold for r in results] == [5.0, 6.0, 7.0, 8.0]
         feasibility = [r.feasible for r in results]
         assert feasibility == [False, True, True, True]
         values = [r.metrics.latency if r.feasible else None for r in results]
         assert values == [None, 11.0, 10.0, 8.0]
-
-    def test_thresholds_must_ascend(self, tiny_spec, tiny_platform):
-        with pytest.raises(ValueError, match="ascending"):
-            sweep(
-                tiny_spec, tiny_platform, BicriteriaQuery.minimize_latency(), [7.0, 6.0]
-            )
-
-    def test_thresholds_must_be_nonempty(self, tiny_spec, tiny_platform):
-        with pytest.raises(ValueError):
-            sweep(tiny_spec, tiny_platform, BicriteriaQuery.minimize_latency(), [])
 
 
 def _solve_pair(spec, platform, query):
@@ -515,15 +504,15 @@ def _golden_exact_records():
         }
         for sense, (lo, hi) in ranges.items():
             thresholds = [lo * 0.9, lo, lo, (lo + hi) / 2, hi, hi * 1.25, math.inf]
-            query = BicriteriaQuery(sense, math.inf)
             for t in thresholds:
                 yield _result_record(solve(spec, platform, BicriteriaQuery(sense, t)))
-            for result in sweep(spec, platform, query, thresholds):
+            for t in thresholds:
+                result = solve(spec, platform, BicriteriaQuery(sense, t))
                 yield [result.query.threshold, _result_record(result)]
     spec, platform = next(_golden_instances(1))
     for bad in ([], [2.0, 1.0]):
         with pytest.raises(ValueError) as err:
-            sweep(spec, platform, BicriteriaQuery.minimize_latency(), bad)
+            run_sweep_report(spec, platform, BicriteriaQuery.minimize_latency(), bad)
         yield str(err.value)
 
 
@@ -572,15 +561,17 @@ class TestFront:
         monkeypatch.setattr(
             exact, "_partitions", lambda *args: calls.append(args) or partitions(*args)
         )
+        scans = _spy_scans(monkeypatch)
         thresholds = [1.0 + 0.5 * j for j in range(k)]
-        points = sweep(spec, platform, BicriteriaQuery.minimize_latency(), thresholds)
-        assert len(points) == k
-        # one table of all partitions per interval count m
+        report = run_sweep_report(spec, platform, BicriteriaQuery.minimize_latency(), thresholds)
+        assert len(report.rows) == k
+        # one scan per report, one table of all partitions per interval count m
+        assert scans == [spec]
         assert calls == [(spec.n, m) for m in range(1, min(spec.n, platform.p) + 1)]
 
 
 def _spy_scans(monkeypatch):
-    """Count the raw scans behind every ``solve``, ``sweep`` and ``pareto_front``."""
+    """Count the raw scans behind every ``solve`` and ``pareto_front``."""
     calls = []
     scan = exact._scan_front
     monkeypatch.setattr(
@@ -620,12 +611,14 @@ class TestFrontCache:
         first = solve(spec, platform, queries[0])
         second = solve(spec, platform, queries[1])
         equal_spec = PipelineSpec(spec.stage_names, spec.w.copy(), spec.delta.copy())
-        swept = sweep(equal_spec, platform, queries[3], [1.0, 50.0, math.inf])
+        grid = [BicriteriaQuery(queries[3].objective, t) for t in (1.0, 50.0, math.inf)]
+        swept = [solve(equal_spec, platform, query) for query in grid]
         assert calls == [spec]
+        twin = _twin(platform)
         fresh = [
             solve(spec, _twin(platform), queries[0]),
             solve(spec, _twin(platform), queries[1]),
-            *sweep(spec, _twin(platform), queries[3], [1.0, 50.0, math.inf]),
+            *(solve(spec, twin, query) for query in grid),
         ]
         assert len(calls) == 4
         # dataclass ==: field for field, scored included
@@ -909,3 +902,25 @@ class TestBranchAndBound:
         assert evaluated == count_mappings(7, 14) == 34_388_186
         assert scored < evaluated
         assert peak < 64 * 1024 * 1024, f"peak traced memory {peak} bytes"
+
+
+class TestIdenticalProcessors:
+    """With every processor and link alike, each processor tuple of a partition
+    ties exactly, so no tied prefix is pruned and the canonical tie-break
+    decides every front point."""
+
+    @pytest.mark.parametrize("n", range(8, 12))
+    @pytest.mark.parametrize("p", range(6, 9))
+    def test_front_is_the_partition_filter(self, n, p):
+        rng = np.random.default_rng(9000 + 100 * n + p)
+        # integer costs and power-of-two speed and bandwidth: every sum and
+        # quotient is exact, so the reference's fold order gives the same floats
+        w = rng.integers(1, 33, n).astype(float)
+        delta = rng.integers(0, 17, n + 1).astype(float)
+        b = np.full((p + 2, p + 2), 2.0 ** rng.integers(0, 4))
+        np.fill_diagonal(b, 0.0)
+        spec = PipelineSpec(tuple(f"s{k}" for k in range(n)), w, delta)
+        platform = Platform(s=np.full(p, 2.0 ** rng.integers(0, 4)), b=b)
+        period, latency, mappings, _ = _front_key(_scan_front(spec, platform))
+        expected = oracle.identical_front(*as_lists(spec, platform))
+        assert list(zip(period, latency, mappings)) == expected

@@ -13,8 +13,9 @@ from pipemap import (
     generate_platform,
     jpeg_preset,
     run_campaign,
+    solve,
 )
-from pipemap import workbench
+from pipemap import exact, workbench
 from pipemap.workbench import (
     WorkbenchError,
     generator_provenance,
@@ -147,14 +148,36 @@ class TestSweepReport:
     def test_non_step_curve_is_an_internal_error(
         self, tiny_spec, tiny_platform, monkeypatch, order, match
     ):
-        query = BicriteriaQuery.minimize_latency()
-        results = {
-            r.query.threshold: r
-            for r in workbench.sweep(tiny_spec, tiny_platform, query, [5.0, 7.0, 8.0])
+        """A solver that answers the ascending thresholds in ``order`` breaks the curve."""
+        answers = {
+            t: solve(tiny_spec, tiny_platform, BicriteriaQuery.minimize_latency(t)) for t in order
         }
-        monkeypatch.setattr(workbench, "sweep", lambda *args: [results[t] for t in order])
+        asked = sorted(order)
+        swapped = dict(zip(asked, order))
+        monkeypatch.setattr(
+            workbench, "solve", lambda spec, platform, query: answers[swapped[query.threshold]]
+        )
         with pytest.raises(WorkbenchError, match=match):
-            run_sweep_report(tiny_spec, tiny_platform, query, list(order))
+            run_sweep_report(tiny_spec, tiny_platform, BicriteriaQuery.minimize_latency(), asked)
+
+    @pytest.mark.parametrize(
+        "thresholds, message",
+        [
+            ([], "sweep needs at least one threshold"),
+            ([7.0, 6.0], "sweep thresholds must be sorted ascending"),
+        ],
+        ids=["empty", "unsorted"],
+    )
+    def test_thresholds_checked_before_any_scan(
+        self, tiny_spec, tiny_platform, monkeypatch, thresholds, message
+    ):
+        scans = []
+        monkeypatch.setattr(exact, "_scan_front", lambda *args: scans.append(args))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_sweep_report(
+                tiny_spec, tiny_platform, BicriteriaQuery.minimize_latency(), thresholds
+            )
+        assert scans == []
 
 
 class TestSweepCsv:
@@ -529,6 +552,37 @@ INCONSISTENT = {
         read_campaign_csv,
         _CAMPAIGN + "tiny,,,true,10.0,7.0,10.0,0.25,true,ten,7.0,10.0,0.125\n",
         "unreadable cell in",
+    ),
+    # heuristic lists that run_campaign rejects
+    "campaign-heuristic-listed-twice": (
+        read_campaign_csv,
+        "# campaign objective=latency threshold=inf heuristics=h1,h1\n"
+        + _CAMPAIGN_HEADER.format(h="h1").replace(
+            "\n", ",h1_feasible,h1_objective,h1_period,h1_latency,h1_seconds\n"
+        )
+        + _CAMPAIGN_RECORD.replace("\n", _CELLS),
+        "the '# campaign' line: heuristic h1 is listed more than once",
+    ),
+    "campaign-unknown-heuristic": (
+        read_campaign_csv,
+        "# campaign objective=latency threshold=inf heuristics=h9\n"
+        + _CAMPAIGN_HEADER.format(h="h9")
+        + _CAMPAIGN_RECORD,
+        "the '# campaign' line: unknown heuristic 'h9'",
+    ),
+    "campaign-heuristic-bounds-the-other-criterion": (
+        read_campaign_csv,
+        "# campaign objective=latency threshold=inf heuristics=h5\n"
+        + _CAMPAIGN_HEADER.format(h="h5")
+        + _CAMPAIGN_RECORD,
+        "the '# campaign' line: heuristic h5 bounds the latency but the query fixes the period",
+    ),
+    # grids that run_sweep_report rejects: none, and a rising curve
+    "sweep-without-rows": (read_sweep_csv, _SWEEP, "sweep needs at least one threshold"),
+    "sweep-descending-thresholds": (
+        read_sweep_csv,
+        _SWEEP + "8.0,true,8.0,8.0,8.0,1-3@p1\n6.0,true,11.0,6.0,11.0,1-1@p2;2-3@p1\n",
+        "sweep thresholds must be sorted ascending",
     ),
 }
 
