@@ -374,9 +374,11 @@ def _run_greedy(
     three_way: bool,
     cap: float = math.inf,
     period_goal: float | None = None,
+    order: list[int] | None = None,
 ) -> tuple[IntervalMapping, MappingMetrics, tuple[SplitEvent, ...]]:
     """Run the splitting loop from ``start``; returns (mapping, metrics, trace).
 
+    ``start`` runs on ``order[0]``; ``order`` defaults to :func:`_speed_order`.
     ``cap`` is the already padded latency cap every split must meet.  Every
     loop of one run shares ``decisions``, which keeps, for each mapping
     split so far, the largest padded cap it was searched under and
@@ -388,7 +390,7 @@ def _run_greedy(
     stays ``None``.  Such decisions are reused; any other is searched again.
     """
     mapping, metrics = start
-    unused = _speed_order(platform)[1:]
+    unused = (order or _speed_order(platform))[1:]
     trace: list[SplitEvent] = []
     while True:
         if period_goal is not None and meets_threshold(metrics.period, period_goal):
@@ -457,12 +459,14 @@ def run_heuristic(
     _, ratio_rule, three_way = _VARIANTS[name]
     threshold = _check_threshold(threshold, f"fixed_{fixed_criterion}")
     query = BicriteriaQuery("period" if fixed_criterion == "latency" else "latency", threshold)
-    first = IntervalMapping.single_interval(spec.n, _speed_order(platform)[0])
+    order = _speed_order(platform)  # sorted once: every h2 trial starts from it
+    first = IntervalMapping.single_interval(spec.n, order[0])
     start = (first, evaluate_metrics(spec, platform, first))
     base_latency = start[1].latency
 
     greedy = functools.partial(
-        _run_greedy, spec, platform, {}, start, ratio_rule=ratio_rule, three_way=three_way
+        _run_greedy, spec, platform, {}, start, ratio_rule=ratio_rule, three_way=three_way,
+        order=order,
     )
     report = None
     if fixed_criterion == "latency":

@@ -2,25 +2,25 @@
 
 A *campaign* runs the exhaustive solver and a set of heuristics over a list
 of platforms for one query and tabulates the outcomes; a *sweep report*
-answers each threshold with one :func:`pipemap.exact.solve` and checks that
-the resulting trade-off curve is a non-increasing step function, exposing the
+answers each threshold with one :func:`pipemap.exact.solve`, exposing the
 thresholds where the optimum changes.  The platform keeps the Pareto front of
 its last pipeline (:func:`pipemap.exact.pareto_front`): its first query with a
 pipeline scans, and later solves, sweep thresholds and campaign rows on it
-are lookups, whose ``exact_seconds`` is a lookup's.  Both tables round-trip
-through CSV: a ``# sweep objective=...`` or ``# campaign objective=...
-threshold=... heuristics=...`` line, a header of the row dataclass's field
-names (``<heuristic>_<HeuristicCell field>`` for each campaign heuristic) and
-one record per row.  Cells are ``""`` for ``None``, ``true``/``false``, ``repr``
-of floats and plain text otherwise; a malformed file raises a ``ValueError``
-that starts with the file's path.  That includes an unknown objective, a cell
-that does not parse, a row whose feasible flag disagrees with its values (a
-feasible row has them all, an infeasible or error row none), a sweep grid
-and a heuristic list that :func:`run_sweep_report` and :func:`run_campaign`
-would reject.
+are lookups, whose ``exact_seconds`` is a lookup's.  Each table checks its own
+rules when built, by a runner or a CSV reader: a row's feasible flag agrees
+with its values, a sweep is a non-increasing step curve on a non-empty
+ascending grid, and no feasible heuristic cell beats the exact answer or
+lacks one.  Both tables round-trip through CSV: a ``# sweep objective=...``
+or ``# campaign objective=... threshold=... heuristics=...`` line, a header
+of the row dataclass's field names (``<heuristic>_<HeuristicCell field>``
+for each campaign heuristic) and one record per row.  Cells are ``""`` for
+``None``, ``true``/``false``, ``repr`` of floats and plain text otherwise; a
+malformed file, a cell that does not parse, a broken rule or a heuristic
+list that :func:`run_campaign` would reject raises a ``ValueError`` that
+starts with the file's path.
 
 Rejected input (a ``ValueError``) on one platform becomes that row's ``error``
-cell; any other exception aborts the run.
+cell; a broken rule (:class:`WorkbenchError`) or any other exception aborts.
 """
 
 from __future__ import annotations
@@ -152,6 +152,12 @@ def seeded_platforms(
     return out
 
 
+def _check_values(row: object, feasible: bool | None, *values: object) -> None:
+    """Raise :class:`WorkbenchError` unless a feasible row has every value and any other none."""
+    if values.count(None) != (0 if feasible else len(values)):
+        raise WorkbenchError(f"the feasible flag disagrees with the values in {row}")
+
+
 @dataclass(frozen=True)
 class HeuristicCell:
     feasible: bool
@@ -163,7 +169,11 @@ class HeuristicCell:
 
 @dataclass(frozen=True)
 class CampaignRow:
-    """One platform's outcomes; the fields after ``seed`` default to "no result"."""
+    """One platform's outcomes; the fields after ``seed`` default to "no result".
+
+    Raises :class:`WorkbenchError` if a feasible cell beats the exact answer
+    or has none, or ``exact_feasible`` disagrees with the exact values.
+    """
 
     label: str
     seed: int | None
@@ -174,6 +184,18 @@ class CampaignRow:
     exact_latency: float | None = None
     exact_seconds: float | None = None
     cells: dict[str, HeuristicCell] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        exact = (self.exact_objective, self.exact_period, self.exact_latency)
+        _check_values(self, self.exact_feasible, *exact)
+        for name, cell in self.cells.items():
+            if cell.feasible and not (
+                self.exact_feasible and meets_threshold(self.exact_objective, cell.objective)
+            ):
+                raise WorkbenchError(
+                    f"{name} reported {cell.objective!r} on {self.label}, "
+                    f"better than the exhaustive optimum {self.exact_objective!r}"
+                )
 
 
 @dataclass(frozen=True)
@@ -198,29 +220,23 @@ class CampaignResult:
         """
         out: dict[str, HeuristicSummary] = {}
         for name in self.heuristics:
-            compared = 0
             matches = 0
             excesses: list[float] = []
             for row in self.rows:
-                if row.error is not None or not row.exact_feasible:
-                    continue
                 cell = row.cells.get(name)
-                if cell is None or not cell.feasible:
+                if cell is None or not cell.feasible:  # else the exact answer is feasible
                     continue
-                compared += 1
-                assert row.exact_objective is not None
                 if metrics_close(cell.objective, row.exact_objective):
                     matches += 1
                     excesses.append(0.0)
                 else:
-                    excesses.append(
-                        max(0.0, (cell.objective - row.exact_objective) / row.exact_objective)
-                    )
+                    excesses.append((cell.objective - row.exact_objective) / row.exact_objective)
+            compared = len(excesses)
             out[name] = HeuristicSummary(
                 compared=compared,
                 matches=matches,
                 match_rate=matches / compared if compared else 0.0,
-                mean_rel_excess=sum(excesses) / len(excesses) if excesses else None,
+                mean_rel_excess=sum(excesses) / compared if compared else None,
             )
         return out
 
@@ -240,12 +256,6 @@ def _campaign_row(
             t0 = time.perf_counter()
             outcome = run_heuristic(name, spec, entry.platform, query.threshold)
             seconds = time.perf_counter() - t0
-            if exact.feasible and outcome.feasible:
-                if not meets_threshold(exact.objective_value, outcome.objective_value):
-                    raise WorkbenchError(
-                        f"{name} reported {outcome.objective_value!r} on {entry.label}, "
-                        f"better than the exhaustive optimum {exact.objective_value!r}"
-                    )
             cells[name] = HeuristicCell(
                 feasible=outcome.feasible,
                 objective=outcome.objective_value,
@@ -310,6 +320,9 @@ class SweepRow:
     latency: float | None
     mapping: str | None
 
+    def __post_init__(self) -> None:
+        _check_values(self, self.feasible, self.objective, self.period, self.latency, self.mapping)
+
 
 @dataclass(frozen=True)
 class SweepReport:
@@ -317,32 +330,46 @@ class SweepReport:
 
     ``edges`` lists every threshold at which the optimal objective changes:
     the first feasible threshold, then each threshold whose optimum differs
-    from the previous feasible row's.
+    from the previous feasible row's.  An unknown objective or a grid that
+    :func:`_sweep_grid` rejects raises ``ValueError``; an infeasible row
+    after a feasible one, or a rising optimum, raises :class:`WorkbenchError`.
     """
 
     objective: str
     rows: tuple[SweepRow, ...]
+    _steps: tuple[SweepRow, ...] = field(init=False, repr=False, compare=False)
 
-    def _steps(self) -> list[SweepRow]:
-        """The feasible rows whose optimum differs from the previous feasible row's."""
-        steps: list[SweepRow] = []
-        prev: float | None = None
+    def __post_init__(self) -> None:
+        if self.objective not in OBJECTIVES:
+            raise ValueError(f"objective {self.objective!r} is not one of {OBJECTIVES}")
+        _sweep_grid(row.threshold for row in self.rows)
+        steps: list[SweepRow] = []  # the rows that start a plateau
+        prev: float | None = None  # the optimum at the last feasible threshold
         for row in self.rows:
             if not row.feasible:
+                if prev is not None:
+                    raise WorkbenchError(
+                        f"feasibility lost at threshold {row.threshold} "
+                        "after a feasible lower threshold"
+                    )
                 continue
-            assert row.objective is not None
+            if prev is not None and not meets_threshold(row.objective, prev):
+                raise WorkbenchError(
+                    f"optimal {self.objective} increased from {prev!r} to "
+                    f"{row.objective!r} at threshold {row.threshold}"
+                )
             if prev is None or not metrics_close(row.objective, prev):
                 steps.append(row)
             prev = row.objective
-        return steps
+        object.__setattr__(self, "_steps", tuple(steps))
 
     @property
     def edges(self) -> tuple[float, ...]:
-        return tuple(row.threshold for row in self._steps())
+        return tuple(row.threshold for row in self._steps)
 
     def plateau_values(self) -> list[float]:
         """The optimum at each of the :attr:`edges`, in threshold order."""
-        return [row.objective for row in self._steps()]
+        return [row.objective for row in self._steps]
 
 
 def _sweep_grid(thresholds: Iterable[float]) -> list[float]:
@@ -366,35 +393,21 @@ def run_sweep_report(
     ``query`` supplies the objective.  ``thresholds`` must be non-empty and
     sorted ascending, or a ``ValueError`` is raised before any scan.  Only
     the first solve scans; the rest are lookups on the front the platform
-    keeps.  Raises :class:`WorkbenchError` if feasibility is not monotone in
-    the threshold or the optimal objective ever increases -- those cannot
-    happen with a correct solver, so a violation is an internal error.
+    keeps.  Each row records the threshold asked; the :class:`SweepReport`
+    built from them raises :class:`WorkbenchError` unless they form a step
+    curve, an internal error.
     """
-    rows: list[SweepRow] = []
-    prev_obj: float | None = None  # the optimum at the last feasible threshold
+    rows = []
     for t in _sweep_grid(thresholds):  # the whole grid is checked before any solve
         result = solve(spec, platform, BicriteriaQuery(query.objective, t))
         row = SweepRow(
-            threshold=result.query.threshold,
+            threshold=t,
             feasible=result.feasible,
             objective=result.objective_value,
             period=result.metrics.period if result.metrics else None,
             latency=result.metrics.latency if result.metrics else None,
             mapping=result.mapping.signature() if result.mapping else None,
         )
-        if prev_obj is not None:
-            if not row.feasible:
-                raise WorkbenchError(
-                    f"feasibility lost at threshold {row.threshold} "
-                    "after a feasible lower threshold"
-                )
-            if not meets_threshold(row.objective, prev_obj):
-                raise WorkbenchError(
-                    f"optimal {query.objective} increased from {prev_obj!r} to "
-                    f"{row.objective!r} at threshold {row.threshold}"
-                )
-        if row.feasible:
-            prev_obj = row.objective
         rows.append(row)
     return SweepReport(objective=query.objective, rows=tuple(rows))
 
@@ -440,18 +453,12 @@ def _record(obj: object, names: Sequence[str]) -> list[str]:
     return [_cell_text(getattr(obj, name)) for name in names]
 
 
-def _parse(path: str, rec: list[str], parsers: Sequence[_Parse], texts: Sequence[str]) -> list[Any]:
-    """Parse ``texts``, cells of the record ``rec``; a bad cell's error names the file."""
+def _parse(rec: list[str], parsers: Sequence[_Parse], texts: Sequence[str]) -> list[Any]:
+    """Parse ``texts``, cells of the record ``rec``; a bad cell's error names the record."""
     try:
         return [parse(text) for parse, text in zip(parsers, texts)]
     except ValueError as err:
-        raise ValueError(f"{path}: unreadable cell in {rec}: {err}") from None
-
-
-def _check_values(path: str, rec: list[str], feasible: bool | None, *values: object) -> None:
-    """Raise ``ValueError`` unless a feasible row has every value and any other none."""
-    if values.count(None) != (0 if feasible else len(values)):
-        raise ValueError(f"{path}: the feasible flag disagrees with the values in {rec}")
+        raise ValueError(f"unreadable cell in {rec}: {err}") from None
 
 
 def _write_table(
@@ -499,16 +506,11 @@ def write_sweep_csv(report: SweepReport, path: str) -> None:
 
 def read_sweep_csv(path: str) -> SweepReport:
     meta, records = _read_table(path, "sweep", ["objective"], lambda meta: _SWEEP_NAMES)
-    if meta["objective"] not in OBJECTIVES:
-        raise ValueError(f"{path}: objective {meta['objective']!r} is not one of {OBJECTIVES}")
-    rows = tuple(SweepRow(*_parse(path, rec, _SWEEP_PARSERS, rec)) for rec in records)
-    for rec, r in zip(records, rows):
-        _check_values(path, rec, r.feasible, r.objective, r.period, r.latency, r.mapping)
     try:
-        _sweep_grid(r.threshold for r in rows)
-    except ValueError as err:
+        rows = tuple(SweepRow(*_parse(rec, _SWEEP_PARSERS, rec)) for rec in records)
+        return SweepReport(objective=meta["objective"], rows=rows)
+    except (ValueError, WorkbenchError) as err:
         raise ValueError(f"{path}: {err}") from None
-    return SweepReport(objective=meta["objective"], rows=rows)
 
 
 def _campaign_header(heuristics: Sequence[str]) -> list[str]:
@@ -544,21 +546,21 @@ def read_campaign_csv(path: str) -> CampaignResult:
         ["objective", "threshold", "heuristics"],
         lambda meta: _campaign_header(_heuristics(meta)),
     )
-    try:
-        query = BicriteriaQuery(objective=meta["objective"], threshold=float(meta["threshold"]))
-        heuristics = _check_heuristics(_heuristics(meta), query)
-    except ValueError as err:
-        raise ValueError(f"{path}: the '# campaign' line: {err}") from None
     base, width = len(_ROW_NAMES), len(_CELL_NAMES)
-    rows = []
-    for rec in records:
-        cells = {}
-        for i, name in enumerate(heuristics):
-            chunk = rec[base + i * width : base + (i + 1) * width]
-            if any(chunk):
-                cells[name] = HeuristicCell(*_parse(path, rec, _CELL_PARSERS, chunk))
-        rows.append(CampaignRow(*_parse(path, rec, _ROW_PARSERS, rec[:base]), cells=cells))
-    for rec, r in zip(records, rows):
-        values = (r.exact_objective, r.exact_period, r.exact_latency)
-        _check_values(path, rec, r.exact_feasible, *values)
-    return CampaignResult(query=query, heuristics=heuristics, rows=tuple(rows))
+    try:
+        try:
+            query = BicriteriaQuery(meta["objective"], float(meta["threshold"]))
+            heuristics = _check_heuristics(_heuristics(meta), query)
+        except ValueError as err:
+            raise ValueError(f"the '# campaign' line: {err}") from None
+        rows = []
+        for rec in records:
+            cells = {}
+            for i, name in enumerate(heuristics):
+                chunk = rec[base + i * width : base + (i + 1) * width]
+                if any(chunk):
+                    cells[name] = HeuristicCell(*_parse(rec, _CELL_PARSERS, chunk))
+            rows.append(CampaignRow(*_parse(rec, _ROW_PARSERS, rec[:base]), cells=cells))
+        return CampaignResult(query=query, heuristics=heuristics, rows=tuple(rows))
+    except (ValueError, WorkbenchError) as err:
+        raise ValueError(f"{path}: {err}") from None

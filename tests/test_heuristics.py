@@ -660,6 +660,18 @@ class TestSharedDecisions:
         # every trial's greedy steps would be searched without shared decisions
         assert searches == SEARCHES_PINNED < steps
 
+    def test_processors_sorted_once_per_run(self, monkeypatch):
+        """All 21 trials of the pinned ``h2`` run share one speed order."""
+        spec, platform = random_instance(np.random.default_rng(20), (20, 20), (12, 12))
+        threshold = 0.3 * _start(spec, platform)[1].period
+        sorts = []
+        speed_order = heuristics._speed_order
+        monkeypatch.setattr(
+            heuristics, "_speed_order", lambda p: sorts.append(p) or speed_order(p)
+        )
+        outcome = run_heuristic("h2", spec, platform, threshold)
+        assert (len(outcome.search.trials), len(sorts)) == (21, 1)
+
 
 # sha256 over every outcome and error message of ``_golden_records``; it pins
 # full traces and h2 search reports, so any change to a heuristic's output

@@ -126,6 +126,15 @@ class TestSweepReport:
         assert report.edges == (1.0,)
         assert report.plateau_values() == [1.0]
 
+    def test_replaced_rows_are_checked(self, tiny_spec, tiny_platform):
+        """A report built by ``replace`` checks its rows like one built by the runner."""
+        report = run_sweep_report(
+            tiny_spec, tiny_platform, BicriteriaQuery.minimize_latency(), [6.0, 7.0]
+        )
+        rising = (report.rows[1], replace(report.rows[0], threshold=7.5))
+        with pytest.raises(WorkbenchError, match="increased from 10.0 to 11.0 at threshold 7.5"):
+            replace(report, rows=rising)
+
     def test_unsorted_thresholds_rejected(self, tiny_spec, tiny_platform):
         with pytest.raises(ValueError, match="ascending"):
             run_sweep_report(
@@ -308,6 +317,25 @@ class TestCampaign:
                     CampaignPlatform(label="ok", platform=tiny_platform, seed=None),
                     Broken(),
                 ],
+                BicriteriaQuery.minimize_latency(7.0),
+                ["h1"],
+            )
+
+    def test_heuristic_below_the_optimum_is_an_internal_error(
+        self, tiny_spec, tiny_platform, monkeypatch
+    ):
+        """A heuristic that beats the exhaustive optimum aborts the run, not one row."""
+        run_heuristic = workbench.run_heuristic
+
+        def too_good(name, spec, platform, threshold):
+            outcome = run_heuristic(name, spec, platform, threshold)
+            return replace(outcome, metrics=replace(outcome.metrics, latency=9.0))
+
+        monkeypatch.setattr(workbench, "run_heuristic", too_good)
+        with pytest.raises(WorkbenchError, match="h1 reported 9.0 on tiny, better than the "):
+            run_campaign(
+                tiny_spec,
+                _tiny_campaign_platforms(tiny_platform),
                 BicriteriaQuery.minimize_latency(7.0),
                 ["h1"],
             )
@@ -577,12 +605,34 @@ INCONSISTENT = {
         + _CAMPAIGN_RECORD,
         "the '# campaign' line: heuristic h5 bounds the latency but the query fixes the period",
     ),
-    # grids that run_sweep_report rejects: none, and a rising curve
+    # grids that run_sweep_report rejects: none, and a descending one
     "sweep-without-rows": (read_sweep_csv, _SWEEP, "sweep needs at least one threshold"),
     "sweep-descending-thresholds": (
         read_sweep_csv,
         _SWEEP + "8.0,true,8.0,8.0,8.0,1-3@p1\n6.0,true,11.0,6.0,11.0,1-1@p2;2-3@p1\n",
         "sweep thresholds must be sorted ascending",
+    ),
+    # tables that break a rule no correct solver breaks: a sweep that is not a
+    # step curve, a heuristic cell that beats the exact answer or has none
+    "sweep-optimum-rises": (
+        read_sweep_csv,
+        _SWEEP + "1.0,true,5.0,1.0,5.0,1-3@p1\n2.0,true,9.0,2.0,9.0,1-3@p1\n",
+        "optimal latency increased from 5.0 to 9.0 at threshold 2.0",
+    ),
+    "sweep-feasibility-lost": (
+        read_sweep_csv,
+        _SWEEP + "1.0,true,5.0,1.0,5.0,1-3@p1\n2.0,false,,,,\n",
+        "feasibility lost at threshold 2.0 after a feasible lower threshold",
+    ),
+    "campaign-heuristic-beats-exact": (
+        read_campaign_csv,
+        _CAMPAIGN + "tiny,,,true,5.0,7.0,5.0,0.25,true,3.0,7.0,3.0,0.125\n",
+        "h1 reported 3.0 on tiny, better than the exhaustive optimum 5.0",
+    ),
+    "campaign-feasible-heuristic-without-exact": (
+        read_campaign_csv,
+        _CAMPAIGN + "tiny,,,false,,,,0.25" + _CELLS,
+        "h1 reported 10.0 on tiny, better than the exhaustive optimum None",
     ),
 }
 
