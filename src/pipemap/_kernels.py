@@ -16,17 +16,16 @@ Array contract:
                  leaving it
 * ``s``       -- (p,)   processor speeds, ``s[u-1]`` for processor ``u``
 * ``b``       -- (p+2, p+2) link bandwidths over ``[in, 1..p, out]``
-* ``perms``   -- (count * (p-k), k+1) integer processor tuples: each of
-                 ``count`` prefixes of ``k`` intervals extended by each of
-                 its ``p - k`` free processors, extensions of one prefix
-                 adjacent
-* ``closed``, ``open_``, ``lat`` -- (count,) per prefix: the max of its
-                 closed cycles, its open interval's ``t_in + t_comp`` and
-                 its partial latency (all 0.0 for the empty prefix)
-* ``part``    -- (count * (p-k),) the partition of each row of ``perms``:
-                 its row in ``wsum`` and ``bvol``
+* ``perms``   -- (R, k+1) integer processor tuples: prefixes of ``k``
+                 intervals, each extended by one processor
+* ``closed``, ``open_``, ``lat`` -- (R,) for each row of ``perms``, its
+                 prefix's max of closed cycles, open interval's
+                 ``t_in + t_comp`` and partial latency (0.0 at ``k == 0``)
+* ``part``    -- (R,) the partition of each row of ``perms``: its row in
+                 ``wsum`` and ``bvol``
 
-It returns the same three arrays for the rows of ``perms``.
+Each row is computed on its own; the caller repeats a prefix's values for
+its extensions.  It returns the same three arrays for the rows of ``perms``.
 """
 
 from __future__ import annotations
@@ -42,14 +41,13 @@ ACTIVE_BACKEND = "numpy"
 def scan_perms(wsum, bvol, s, b, perms, closed, open_, lat, part):
     """Place interval ``k`` on every row of ``perms``; return the rows' partial metrics."""
     k = perms.shape[1] - 1
-    reps = s.shape[0] - k
     u = perms[:, k - 1] if k else 0
     v = perms[:, k]
     link = bvol[part, k] / b[u, v]
     comp = wsum[part, k] / s[v - 1]
     # the link is the previous interval's t_out (at k == 0 the input link
     # alone, which never exceeds the first cycle) and this one's t_in
-    closed = np.maximum(np.repeat(closed, reps), np.repeat(open_, reps) + link)
-    lat = np.repeat(lat, reps) + link
+    closed = np.maximum(closed, open_ + link)
+    lat = lat + link
     lat += comp
     return closed, link + comp, lat

@@ -167,27 +167,29 @@ def enumerate_mappings(
                 yield IntervalMapping(intervals=intervals, assignees=procs)
 
 
-def _extend_perms(prev: np.ndarray, p: int) -> np.ndarray:
-    """Extend each ``(m-1)``-tuple by every processor it does not hold.
+def _extend_perms(prev: np.ndarray, p: int) -> tuple[np.ndarray, int]:
+    """Extend each ``k``-tuple by every processor it does not hold.
 
-    Every row has ``p - k`` free processors; its extensions follow it in
-    ascending order, so a lexicographic table stays lexicographic.  The
-    result is column-major ``intp``: the scan reads one column at a time.
+    ``(table, reps)``: ``reps`` is each row's extension count as ``np.repeat``
+    takes it (``p - k``), decided here only.  Extensions follow their row in
+    ascending order, so a lexicographic table stays lexicographic; it is
+    column-major ``intp``, as the scan reads one column at a time.
     """
     count, k = prev.shape
+    reps = p - k
     free = np.ones((count, p + 1), dtype=bool)
     free[:, 0] = False
     free[np.arange(count)[:, None], prev] = False
-    table = np.empty((count * (p - k), k + 1), dtype=np.intp, order="F")
+    table = np.empty((count * reps, k + 1), dtype=np.intp, order="F")
     for j in range(k):
-        table[:, j] = np.repeat(prev[:, j], p - k)
+        table[:, j] = np.repeat(prev[:, j], reps)
     table[:, k] = np.nonzero(free)[1]
-    return table
+    return table, reps
 
 
 # Prefix rows one expansion step may build.  The scan grows prefixes depth
-# first in blocks of this size, so its tables stay bounded however few
-# prefixes the bounds prune.
+# first in blocks of at most ``_ROW_BUDGET // (p - k)`` (no prefix has more
+# extensions), so its tables stay bounded however few prefixes the bounds prune.
 _ROW_BUDGET = 1 << 15
 
 
@@ -229,13 +231,13 @@ def _grow(
     A block is ``(part, procs, closed, open_, lat)``, one row per prefix: its
     partition's row in the ``wsum`` and ``bvol`` tables, processor tuples,
     the max of the closed cycles, the open interval's ``t_in + t_comp`` and
-    the partial latency, each exact (:func:`pipemap._kernels.scan_perms`
-    computes them).
+    the partial latency, each exact.  The state is repeated by the count
+    :func:`_extend_perms` returns, one copy per extension, and
+    :func:`pipemap._kernels.scan_perms` computes the new rows' values.
     """
     part, procs, closed, open_, lat = block
-    p = s.shape[0]
-    ext = _extend_perms(procs, p)
-    part = np.repeat(part, p - procs.shape[1])
+    ext, reps = _extend_perms(procs, s.shape[0])
+    part, closed, open_, lat = (np.repeat(a, reps) for a in (part, closed, open_, lat))
     metrics = _kernels.scan_perms(wsum, bvol, s, b, ext, closed, open_, lat, part)
     return (part, ext, *metrics)
 

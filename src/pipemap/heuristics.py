@@ -372,13 +372,13 @@ def _run_greedy(
     *,
     ratio_rule: bool,
     three_way: bool,
+    order: list[int],
     cap: float = math.inf,
     period_goal: float | None = None,
-    order: list[int] | None = None,
 ) -> tuple[IntervalMapping, MappingMetrics, tuple[SplitEvent, ...]]:
     """Run the splitting loop from ``start``; returns (mapping, metrics, trace).
 
-    ``start`` runs on ``order[0]``; ``order`` defaults to :func:`_speed_order`.
+    ``start`` runs on ``order[0]``.
     ``cap`` is the already padded latency cap every split must meet.  Every
     loop of one run shares ``decisions``, which keeps, for each mapping
     split so far, the largest padded cap it was searched under and
@@ -390,7 +390,7 @@ def _run_greedy(
     stays ``None``.  Such decisions are reused; any other is searched again.
     """
     mapping, metrics = start
-    unused = (order or _speed_order(platform))[1:]
+    unused = order[1:]
     trace: list[SplitEvent] = []
     while True:
         if period_goal is not None and meets_threshold(metrics.period, period_goal):

@@ -8,19 +8,21 @@ its last pipeline (:func:`pipemap.exact.pareto_front`): its first query with a
 pipeline scans, and later solves, sweep thresholds and campaign rows on it
 are lookups, whose ``exact_seconds`` is a lookup's.  Each table checks its own
 rules when built, by a runner or a CSV reader: a row's feasible flag agrees
-with its values, a sweep is a non-increasing step curve on a non-empty
-ascending grid, and no feasible heuristic cell beats the exact answer or
-lacks one.  Both tables round-trip through CSV: a ``# sweep objective=...``
-or ``# campaign objective=... threshold=... heuristics=...`` line, a header
-of the row dataclass's field names (``<heuristic>_<HeuristicCell field>``
-for each campaign heuristic) and one record per row.  Cells are ``""`` for
+with its values, an error row holds no result, a sweep is a non-increasing
+step curve on a non-empty ascending grid of positive thresholds, and no
+feasible heuristic cell beats the exact answer or lacks one.  Both tables
+round-trip through CSV: a ``# sweep objective=...`` or
+``# campaign objective=... threshold=... heuristics=...`` line, a header of
+the row dataclass's field names (``<heuristic>_<HeuristicCell field>`` for
+each campaign heuristic) and one record per row.  Cells are ``""`` for
 ``None``, ``true``/``false``, ``repr`` of floats and plain text otherwise; a
 malformed file, a cell that does not parse, a broken rule or a heuristic
 list that :func:`run_campaign` would reject raises a ``ValueError`` that
 starts with the file's path.
 
-Rejected input (a ``ValueError``) on one platform becomes that row's ``error``
-cell; a broken rule (:class:`WorkbenchError`) or any other exception aborts.
+A campaign entry whose ``platform`` cannot be read (a ``ValueError``) becomes
+that row's ``error`` cell; anything else raised, by a solve, a heuristic or a
+broken rule (:class:`WorkbenchError`), aborts.
 """
 
 from __future__ import annotations
@@ -172,7 +174,8 @@ class CampaignRow:
     """One platform's outcomes; the fields after ``seed`` default to "no result".
 
     Raises :class:`WorkbenchError` if a feasible cell beats the exact answer
-    or has none, or ``exact_feasible`` disagrees with the exact values.
+    or has none, ``exact_feasible`` disagrees with the exact values, or an
+    ``error`` row holds any result.
     """
 
     label: str
@@ -188,6 +191,10 @@ class CampaignRow:
     def __post_init__(self) -> None:
         exact = (self.exact_objective, self.exact_period, self.exact_latency)
         _check_values(self, self.exact_feasible, *exact)
+        if self.error is not None and (
+            self.exact_feasible is not None or self.exact_seconds is not None or self.cells
+        ):
+            raise WorkbenchError(f"the error row {self.label} holds results")
         for name, cell in self.cells.items():
             if cell.feasible and not (
                 self.exact_feasible and meets_threshold(self.exact_objective, cell.objective)
@@ -248,33 +255,34 @@ def _campaign_row(
     heuristic_names: Sequence[str],
 ) -> CampaignRow:
     try:
-        t0 = time.perf_counter()
-        exact = solve(spec, entry.platform, query)
-        exact_seconds = time.perf_counter() - t0
-        cells: dict[str, HeuristicCell] = {}
-        for name in heuristic_names:
-            t0 = time.perf_counter()
-            outcome = run_heuristic(name, spec, entry.platform, query.threshold)
-            seconds = time.perf_counter() - t0
-            cells[name] = HeuristicCell(
-                feasible=outcome.feasible,
-                objective=outcome.objective_value,
-                period=outcome.metrics.period,
-                latency=outcome.metrics.latency,
-                seconds=seconds,
-            )
-        return CampaignRow(
-            label=entry.label,
-            seed=entry.seed,
-            exact_feasible=exact.feasible,
-            exact_objective=exact.objective_value,
-            exact_period=exact.metrics.period if exact.metrics else None,
-            exact_latency=exact.metrics.latency if exact.metrics else None,
-            exact_seconds=exact_seconds,
-            cells=cells,
-        )
-    except ValueError as exc:  # bad input becomes data, the campaign goes on
+        platform = entry.platform
+    except ValueError as exc:  # an unreadable entry becomes data, the campaign goes on
         return CampaignRow(entry.label, entry.seed, error=f"{type(exc).__name__}: {exc}")
+    t0 = time.perf_counter()
+    exact = solve(spec, platform, query)
+    exact_seconds = time.perf_counter() - t0
+    cells: dict[str, HeuristicCell] = {}
+    for name in heuristic_names:
+        t0 = time.perf_counter()
+        outcome = run_heuristic(name, spec, platform, query.threshold)
+        seconds = time.perf_counter() - t0
+        cells[name] = HeuristicCell(
+            feasible=outcome.feasible,
+            objective=outcome.objective_value,
+            period=outcome.metrics.period,
+            latency=outcome.metrics.latency,
+            seconds=seconds,
+        )
+    return CampaignRow(
+        label=entry.label,
+        seed=entry.seed,
+        exact_feasible=exact.feasible,
+        exact_objective=exact.objective_value,
+        exact_period=exact.metrics.period if exact.metrics else None,
+        exact_latency=exact.metrics.latency if exact.metrics else None,
+        exact_seconds=exact_seconds,
+        cells=cells,
+    )
 
 
 def _check_heuristics(names: Sequence[str], query: BicriteriaQuery) -> tuple[str, ...]:
@@ -303,8 +311,9 @@ def run_campaign(
     Every requested heuristic must appear once and bound the same criterion
     as the query (``h1``..``h4`` for a fixed period, ``h5``/``h6`` for a
     fixed latency); otherwise a ``ValueError`` names it.  Rows keep the
-    input platform order; a ``ValueError`` on one platform sets that row's
-    ``error`` field, any other exception aborts the run.
+    input platform order; a ``ValueError`` raised by reading an entry's
+    ``platform`` sets that row's ``error`` field, and anything else raised
+    aborts the run.
     """
     names = _check_heuristics(heuristic_names, query)
     rows = tuple(_campaign_row(spec, entry, query, names) for entry in platforms)
@@ -342,7 +351,7 @@ class SweepReport:
     def __post_init__(self) -> None:
         if self.objective not in OBJECTIVES:
             raise ValueError(f"objective {self.objective!r} is not one of {OBJECTIVES}")
-        _sweep_grid(row.threshold for row in self.rows)
+        _sweep_grid(self.objective, (row.threshold for row in self.rows))
         steps: list[SweepRow] = []  # the rows that start a plateau
         prev: float | None = None  # the optimum at the last feasible threshold
         for row in self.rows:
@@ -372,14 +381,15 @@ class SweepReport:
         return [row.objective for row in self._steps]
 
 
-def _sweep_grid(thresholds: Iterable[float]) -> list[float]:
-    """The thresholds as floats; ``ValueError`` unless there are some, sorted ascending."""
-    values = [float(t) for t in thresholds]
-    if not values:
+def _sweep_grid(objective: str, thresholds: Iterable[float]) -> list[BicriteriaQuery]:
+    """One query per threshold; ``ValueError`` unless there are some, each a
+    valid :class:`BicriteriaQuery` threshold, sorted ascending."""
+    queries = [BicriteriaQuery(objective, t) for t in thresholds]
+    if not queries:
         raise ValueError("sweep needs at least one threshold")
-    if any(b < a for a, b in zip(values, values[1:])):
+    if any(b.threshold < a.threshold for a, b in zip(queries, queries[1:])):
         raise ValueError("sweep thresholds must be sorted ascending")
-    return values
+    return queries
 
 
 def run_sweep_report(
@@ -390,18 +400,18 @@ def run_sweep_report(
 ) -> SweepReport:
     """One :func:`pipemap.exact.solve` per threshold, checked to be a step curve.
 
-    ``query`` supplies the objective.  ``thresholds`` must be non-empty and
-    sorted ascending, or a ``ValueError`` is raised before any scan.  Only
-    the first solve scans; the rest are lookups on the front the platform
-    keeps.  Each row records the threshold asked; the :class:`SweepReport`
-    built from them raises :class:`WorkbenchError` unless they form a step
-    curve, an internal error.
+    ``query`` supplies the objective.  ``thresholds`` must be non-empty,
+    positive and sorted ascending, or a ``ValueError`` is raised before any
+    scan.  Only the first solve scans; the rest are lookups on the front the
+    platform keeps.  Each row records the threshold asked; the
+    :class:`SweepReport` built from them raises :class:`WorkbenchError`
+    unless they form a step curve, an internal error.
     """
     rows = []
-    for t in _sweep_grid(thresholds):  # the whole grid is checked before any solve
-        result = solve(spec, platform, BicriteriaQuery(query.objective, t))
+    for asked in _sweep_grid(query.objective, thresholds):  # all checked before any solve
+        result = solve(spec, platform, asked)
         row = SweepRow(
-            threshold=t,
+            threshold=asked.threshold,
             feasible=result.feasible,
             objective=result.objective_value,
             period=result.metrics.period if result.metrics else None,

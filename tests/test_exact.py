@@ -329,6 +329,7 @@ class TestKernel:
         def counted(wsum, bvol, s, b, perms, closed, open_, lat, part):
             # one partition index per row, into tables of one row per partition
             assert part.shape == (len(perms),) and len(wsum) == len(bvol) > part.max()
+            assert closed.shape == open_.shape == lat.shape == (len(perms),)
             rows.append(len(perms))
             return kernel(wsum, bvol, s, b, perms, closed, open_, lat, part)
 
@@ -343,13 +344,34 @@ class TestKernel:
         )
         assert front.scored == front.evaluated == count_mappings(n, p)
 
+    def test_rows_are_independent(self):
+        """Permuting the rows of every per-row argument permutes the outputs alike."""
+        rng = np.random.default_rng(79)
+        p, m, k, parts, rows = 6, 4, 2, 3, 40
+        wsum, bvol = rng.uniform(1, 9, (parts, m)), rng.uniform(1, 9, (parts, m + 1))
+        s, b = rng.uniform(1, 9, p), rng.uniform(1, 9, (p + 2, p + 2))
+        perms = np.array([rng.permutation(np.arange(1, p + 1))[: k + 1] for _ in range(rows)])
+        closed, open_, lat = rng.uniform(0, 9, (3, rows))
+        part = rng.integers(0, parts, rows)
+        order = rng.permutation(rows)
+        out = _kernels.scan_perms(wsum, bvol, s, b, perms, closed, open_, lat, part)
+        moved = _kernels.scan_perms(
+            wsum, bvol, s, b, perms[order], closed[order], open_[order], lat[order], part[order]
+        )
+        for before, after in zip(out, moved):
+            assert before.shape == (rows,)
+            assert np.array_equal(before[order], after)
+
 
 class TestPermTables:
     def test_extension_chain_matches_itertools(self):
         for p in range(1, 8):
             perms = np.zeros((1, 0), dtype=np.intp)
             for m in range(1, p + 1):
-                perms = _extend_perms(perms, p)
+                prev = perms
+                perms, reps = _extend_perms(prev, p)
+                assert reps == p - (m - 1)
+                assert len(perms) == len(prev) * reps
                 assert perms.dtype == np.intp
                 assert perms.flags.f_contiguous
                 assert perms.tolist() == [

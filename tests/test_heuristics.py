@@ -565,6 +565,7 @@ class TestSharedDecisions:
                         start,
                         ratio_rule=True,
                         three_way=False,
+                        order=heuristics._speed_order(platform),
                         cap=padded_threshold(base + allowance),
                         period_goal=threshold,
                     )
@@ -601,6 +602,7 @@ class TestSharedDecisions:
                     start,
                     ratio_rule=ratio_rule,
                     three_way=False,
+                    order=heuristics._speed_order(platform),
                     cap=math.inf if cap is None else padded_threshold(cap),
                 )
                 return start[0] in searched
@@ -652,6 +654,7 @@ class TestSharedDecisions:
                 start,
                 ratio_rule=True,
                 three_way=False,
+                order=heuristics._speed_order(platform),
                 cap=padded_threshold(start[1].latency + trial.authorized_increase),
                 period_goal=threshold,
             )

@@ -9,6 +9,7 @@ import pytest
 from pipemap import (
     BicriteriaQuery,
     CampaignPlatform,
+    InvalidMappingError,
     PlatformGenSpec,
     generate_platform,
     jpeg_preset,
@@ -174,8 +175,10 @@ class TestSweepReport:
         [
             ([], "sweep needs at least one threshold"),
             ([7.0, 6.0], "sweep thresholds must be sorted ascending"),
+            ([1.0, math.nan], "threshold must be positive, got nan"),
+            ([-1.0], "threshold must be positive, got -1.0"),
         ],
-        ids=["empty", "unsorted"],
+        ids=["empty", "unsorted", "nan", "negative"],
     )
     def test_thresholds_checked_before_any_scan(
         self, tiny_spec, tiny_platform, monkeypatch, thresholds, message
@@ -333,6 +336,21 @@ class TestCampaign:
 
         monkeypatch.setattr(workbench, "run_heuristic", too_good)
         with pytest.raises(WorkbenchError, match="h1 reported 9.0 on tiny, better than the "):
+            run_campaign(
+                tiny_spec,
+                _tiny_campaign_platforms(tiny_platform),
+                BicriteriaQuery.minimize_latency(7.0),
+                ["h1"],
+            )
+
+    def test_broken_heuristic_aborts_the_campaign(self, tiny_spec, tiny_platform, monkeypatch):
+        """An ``InvalidMappingError`` from a heuristic is a bug, not an error row."""
+
+        def broken(name, spec, platform, threshold):
+            raise InvalidMappingError("synthetic broken heuristic")
+
+        monkeypatch.setattr(workbench, "run_heuristic", broken)
+        with pytest.raises(InvalidMappingError, match="synthetic broken heuristic"):
             run_campaign(
                 tiny_spec,
                 _tiny_campaign_platforms(tiny_platform),
@@ -611,6 +629,23 @@ INCONSISTENT = {
         read_sweep_csv,
         _SWEEP + "8.0,true,8.0,8.0,8.0,1-3@p1\n6.0,true,11.0,6.0,11.0,1-1@p2;2-3@p1\n",
         "sweep thresholds must be sorted ascending",
+    ),
+    # grids that run_sweep_report rejects: thresholds that are not positive
+    "sweep-nonpositive-threshold": (
+        read_sweep_csv,
+        _SWEEP + "0.0,false,,,,\n",
+        "threshold must be positive, got 0.0",
+    ),
+    "sweep-nan-threshold": (
+        read_sweep_csv,
+        _SWEEP + "nan,false,,,,\n1.0,false,,,,\n",
+        "threshold must be positive, got nan",
+    ),
+    # a row that _campaign_row never writes: an error beside results
+    "campaign-error-with-results": (
+        read_campaign_csv,
+        _CAMPAIGN + "tiny,,ValueError: x,false,,,,0.25,false,10.0,7.0,10.0,0.125\n",
+        "the error row tiny holds results",
     ),
     # tables that break a rule no correct solver breaks: a sweep that is not a
     # step curve, a heuristic cell that beats the exact answer or has none
