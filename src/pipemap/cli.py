@@ -260,10 +260,13 @@ def _cmd_campaign(args) -> int:
     if args.platform and args.seeds:
         raise ValueError("use either --platform files or --seeds, not both")
     if args.platform:
-        entries = [
-            CampaignPlatform(path, *files._read_platform_and_seed(path))
-            for path in args.platform
-        ]
+        # every file is read before the campaign starts, and a bad one names itself
+        entries = []
+        for path in args.platform:
+            try:
+                entries.append(CampaignPlatform(path, *files._read_platform_and_seed(path)))
+            except ValueError as err:
+                raise ValueError(f"{path}: {err}") from None
     elif args.seeds:
         if args.p is None:
             raise ValueError("--seeds requires --p")

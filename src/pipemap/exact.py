@@ -18,11 +18,12 @@ smallest objective, then the smallest value of the other criterion, then the
 canonically first mapping.
 
 The scan is a branch and bound, one per interval count ``m``.  It searches
-all ``C(n-1, m-1)`` partitions into ``m`` intervals together: every row of
-its prefix table carries its partition's index, and the rows are ordered by
-(partition, processor tuple), the canonical order.  It grows processor
-prefixes one interval at a time and drops a prefix when a point of the front
-built so far weakly dominates the prefix's lower bounds:
+all ``C(n-1, m-1)`` partitions into ``m`` intervals together, each a boundary
+row ``0, cuts…, n``: every row of its prefix table carries its partition's
+index, and the rows are ordered by (partition, processor tuple), the
+canonical order.  It grows processor prefixes one interval at a time, and a
+point of the front built so far that weakly dominates a grown row drops it.
+A prefix row carries lower bounds:
 
 * period >= the max of its closed cycles, its open interval's
   ``t_in + t_comp``, and ``wsum[j] / max(s)`` over the intervals not yet
@@ -30,17 +31,23 @@ built so far weakly dominates the prefix's lower bounds:
 * latency >= its partial latency, plus ``bvol[j] / max(b) + wsum[j] / max(s)``
   for each interval not yet placed, plus ``bvol[m] / max(b)``.
 
+A full mapping's row carries its exact period and latency, its last interval
+closed by the output link.  Surviving prefixes grow on; surviving full
+mappings are merged into the front.  A processor interchangeable with an
+earlier one of its class (:attr:`pipemap.model.Platform._lead`: same speed,
+same links) joins a prefix only after that one: swap twins reach the same
+metrics bit for bit, and the canonically first takes a class in index order.
+
 Interval costs are read from the pipeline's one stage-cost table,
 ``PipelineSpec._costs`` in :mod:`pipemap.model`, by one gather per ``m``;
 prefix values and bounds are summed in the order of
 :func:`pipemap.model.evaluate_metrics`, and rounded ``+``, ``/`` and ``max``
-are monotone, so no bound exceeds the exact float value of any completion.
-Every front point is canonically earlier than the prefix, so dropping a tie
-keeps the canonically first mapping, as the merge does.  At the last interval
-the output link closes each row, giving its period and latency bit for bit as
-``evaluate_metrics`` would, and the rows the front does not weakly dominate
-are merged into it.  ``evaluated`` counts every mapping the scan decided,
-``scored`` the full mappings it completed and ``pruned`` the rest.
+are monotone, so no bound exceeds the exact float value of any completion,
+and a full row's values are ``evaluate_metrics``' own.  Every front point is
+canonically earlier than the row, so dropping a tie keeps the canonically
+first mapping, as the merge does.  ``evaluated`` counts every mapping the
+scan decided, ``scored`` the full mappings it completed and ``pruned`` the
+rest: prefixes bounded out and class twins left out.
 """
 
 from __future__ import annotations
@@ -81,10 +88,11 @@ class SolveResult:
     unconstrained minima (the two ends of the Pareto front), so an infeasible
     result still reports the best achievable bound on each criterion.
     ``evaluated`` counts every mapping the scan decided; ``scored`` the full
-    mappings whose metrics it computed, and ``pruned`` those bounded out as
-    prefixes before their last interval.  All three describe the scan that
-    built the front, which an earlier query on the same platform may have
-    run.  Neither ``scored`` nor ``pruned`` is part of :meth:`to_dict`.
+    mappings whose metrics it computed, and ``pruned`` the rest, bounded out
+    as prefixes or left to an interchangeable processor's earlier twin.  All
+    three describe the scan that built the front, which an earlier query on
+    the same platform may have run.  Neither ``scored`` nor ``pruned`` is
+    part of :meth:`to_dict`.
     """
 
     query: BicriteriaQuery
@@ -135,19 +143,16 @@ def count_mappings(n: int, p: int) -> int:
     )
 
 
-def _partitions(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The first and last stage of each interval of every partition into ``m``.
+def _partitions(n: int, m: int) -> np.ndarray:
+    """The boundary rows ``0, cuts…, n`` of every partition into ``m`` intervals.
 
-    Two ``(C(n-1, m-1), m)`` integer arrays, ``first`` and ``last``, one row
-    per partition with its cuts in ``itertools.combinations`` order, the
-    canonical order.
+    A ``(C(n-1, m-1), m + 1)`` integer array, its cuts in
+    ``itertools.combinations`` order, the canonical order: interval ``j`` of a
+    row holds stages ``row[j] + 1 .. row[j + 1]``.
     """
-    count = math.comb(n - 1, m - 1)
-    cuts = list(itertools.combinations(range(1, n), m - 1))
-    bounds = np.empty((count, m + 1), dtype=np.intp)
-    bounds[:, 0], bounds[:, m] = 0, n
-    bounds[:, 1:m] = np.array(cuts, dtype=np.intp).reshape(count, m - 1)
-    return bounds[:, :-1] + 1, bounds[:, 1:]
+    return np.array(
+        [(0, *cuts, n) for cuts in itertools.combinations(range(1, n), m - 1)], dtype=np.intp
+    )
 
 
 def enumerate_mappings(
@@ -160,31 +165,38 @@ def enumerate_mappings(
     """
     n, p = spec.n, platform.p
     for m in range(1, min(n, p) + 1):
-        first, last = _partitions(n, m)
-        for starts, ends in zip(first.tolist(), last.tolist()):
-            intervals = tuple(zip(starts, ends))
+        for row in _partitions(n, m).tolist():
+            intervals = tuple((d + 1, e) for d, e in zip(row, row[1:]))
             for procs in itertools.permutations(range(1, p + 1), m):
                 yield IntervalMapping(intervals=intervals, assignees=procs)
 
 
-def _extend_perms(prev: np.ndarray, p: int) -> tuple[np.ndarray, int]:
-    """Extend each ``k``-tuple by every processor it does not hold.
+def _extend_perms(prev: np.ndarray, lead: np.ndarray) -> tuple[np.ndarray, np.ndarray | int]:
+    """Extend each ``k``-tuple by the processors it may take next.
 
-    ``(table, reps)``: ``reps`` is each row's extension count as ``np.repeat``
-    takes it (``p - k``), decided here only.  Extensions follow their row in
+    A tuple takes a processor it does not hold, but not a class member
+    (:attr:`pipemap.model.Platform._lead`) whose predecessor in the class is
+    still free: swapping the two changes no metric, and the canonically first
+    of such twins takes a class's members in index order.  ``(table, reps)``:
+    ``reps`` is each row's extension count as ``np.repeat`` takes it, decided
+    here only (``p - k`` with no class of two).  Extensions follow their row in
     ascending order, so a lexicographic table stays lexicographic; it is
     column-major ``intp``, as the scan reads one column at a time.
     """
     count, k = prev.shape
-    reps = p - k
-    free = np.ones((count, p + 1), dtype=bool)
+    free = np.ones((count, len(lead)), dtype=bool)
     free[:, 0] = False
     free[np.arange(count)[:, None], prev] = False
-    table = np.empty((count * reps, k + 1), dtype=np.intp, order="F")
-    for j in range(k):
-        table[:, j] = np.repeat(prev[:, j], reps)
-    table[:, k] = np.nonzero(free)[1]
-    return table, reps
+    reps = len(lead) - 1 - k
+    if np.count_nonzero(lead):
+        free &= ~free[:, lead]
+        reps = free.sum(axis=1)
+    # one repeat of the transposed prefixes, with no temporary as large as the table
+    table = np.empty((k + 1, count), dtype=np.intp)
+    table[:k] = prev.T
+    table = np.repeat(table, reps, axis=1)
+    table[k] = np.nonzero(free)[1]
+    return table.T, reps
 
 
 # Prefix rows one expansion step may build.  The scan grows prefixes depth
@@ -200,7 +212,8 @@ class ParetoFront(NamedTuple):
     point holds the canonically first mapping that reaches it exactly.
     ``evaluated`` counts the mappings the scan decided and ``scored`` the
     full mappings whose metrics it computed; the rest were bounded out as
-    prefixes before their last interval.  The arrays are read-only and
+    prefixes before their last interval or left to an interchangeable
+    processor's earlier twin.  The arrays are read-only and
     ``mappings`` is a tuple, so a front shared by later queries cannot be
     changed.
     """
@@ -224,9 +237,14 @@ def _dominated(
 
 
 def _grow(
-    block: tuple, wsum: np.ndarray, bvol: np.ndarray, s: np.ndarray, b: np.ndarray
+    block: tuple,
+    wsum: np.ndarray,
+    bvol: np.ndarray,
+    s: np.ndarray,
+    b: np.ndarray,
+    lead: np.ndarray,
 ) -> tuple:
-    """Extend prefixes of ``k`` intervals by every free processor for interval ``k``.
+    """Extend prefixes of ``k`` intervals by the processors :func:`_extend_perms` allows.
 
     A block is ``(part, procs, closed, open_, lat)``, one row per prefix: its
     partition's row in the ``wsum`` and ``bvol`` tables, processor tuples,
@@ -236,17 +254,10 @@ def _grow(
     :func:`pipemap._kernels.scan_perms` computes the new rows' values.
     """
     part, procs, closed, open_, lat = block
-    ext, reps = _extend_perms(procs, s.shape[0])
+    ext, reps = _extend_perms(procs, lead)
     part, closed, open_, lat = (np.repeat(a, reps) for a in (part, closed, open_, lat))
     metrics = _kernels.scan_perms(wsum, bvol, s, b, ext, closed, open_, lat, part)
     return (part, ext, *metrics)
-
-
-def _complete(block: tuple, bvol: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Period and latency of full mappings: the output link closes the last interval."""
-    part, procs, closed, open_, lat = block
-    t_out = bvol[part, -1] / b[procs[:, -1], b.shape[0] - 1]
-    return np.maximum(closed, open_ + t_out), lat + t_out
 
 
 def _scan_front(spec: PipelineSpec, platform: Platform) -> ParetoFront:
@@ -255,7 +266,7 @@ def _scan_front(spec: PipelineSpec, platform: Platform) -> ParetoFront:
     The raw scan: it runs every time.  :func:`pareto_front` keeps its result.
     """
     n, p = spec.n, platform.p
-    s, b = platform.s, platform.b
+    s, b, lead = platform.s, platform.b, platform._lead
     s_max, b_max = s.max(), b.max()
     costs = np.array(spec._costs)
     front_per = np.empty(0, dtype=np.float64)
@@ -265,10 +276,10 @@ def _scan_front(spec: PipelineSpec, platform: Platform) -> ParetoFront:
     for m in range(1, min(n, p) + 1):
         # One search over every partition into m intervals: row i of each
         # table belongs to the i-th partition in canonical order.
-        first, last = _partitions(n, m)
-        count = len(first)
-        wsum = costs[first, last]
-        bvol = spec.delta[np.column_stack((first - 1, last[:, -1]))]
+        bounds = _partitions(n, m)
+        count = len(bounds)
+        first, last = bounds[:, :-1] + 1, bounds[:, 1:]
+        wsum, bvol = costs[first, last], spec.delta[bounds]
         spans = np.stack((first, last), axis=-1)
         # Lower bounds on the terms of the intervals not yet placed: the
         # fastest processor and the widest link.
@@ -287,48 +298,47 @@ def _scan_front(spec: PipelineSpec, platform: Platform) -> ParetoFront:
             if len(block[0]) > step:
                 stack.append(tuple(a[step:] for a in block))
                 block = tuple(a[:step] for a in block)
-            block = _grow(block, wsum, bvol, s, b)
+            block = _grow(block, wsum, bvol, s, b, lead)
             part, procs, closed, open_, lat = block
             if k + 1 == m:
-                period, latency = _complete(block, bvol, b)
-                scored += len(procs)
-                rows = np.flatnonzero(
-                    ~_dominated(front_per, front_lat, period, latency)
-                )
-                if rows.size:
-                    period = np.concatenate((front_per, period[rows]))
-                    latency = np.concatenate((front_lat, latency[rows]))
-                    # lexsort is stable and the rows follow the front in
-                    # canonical order, so exact ties keep the canonically
-                    # first; a point stays only if its latency is strictly
-                    # below every one sorted before it
-                    order = np.lexsort((latency, period))
-                    low = np.minimum.accumulate(latency[order])
-                    order = order[np.append(True, low[1:] < low[:-1])]
-                    old = len(front_maps)
-                    front_maps = [
-                        front_maps[i]
-                        if i < old
-                        else IntervalMapping(
-                            spans[part[rows[i - old]]].tolist(),
-                            procs[rows[i - old]].tolist(),
-                        )
-                        for i in order.tolist()
-                    ]
-                    front_per, front_lat = period[order], latency[order]
+                # the output link closes a full mapping: its exact metrics
+                t_out = bvol[part, m] / b[procs[:, -1], p + 1]
+                period, latency = np.maximum(closed, open_ + t_out), lat + t_out
+                scored += len(part)
+            else:
+                # Rounded +, / and max are monotone, so adding the lower bounds
+                # in evaluate_metrics' order keeps each bound at or below the
+                # value of every completion, with no ulp to spare.
+                period = np.maximum(np.maximum(closed, open_), comp_tail[part, k + 1])
+                latency = lat
+                for j in range(k + 1, m):
+                    latency = latency + link_lb[part, j]
+                    latency += comp_lb[part, j]
+                latency = latency + link_lb[part, m]
+            rows = np.flatnonzero(~_dominated(front_per, front_lat, period, latency))
+            if not rows.size:
                 continue
-            # Rounded +, / and max are monotone, so adding the lower bounds
-            # in evaluate_metrics' order keeps each bound at or below the
-            # value of every completion, with no ulp to spare.
-            per_lb = np.maximum(np.maximum(closed, open_), comp_tail[part, k + 1])
-            lat_lb = lat
-            for j in range(k + 1, m):
-                lat_lb = lat_lb + link_lb[part, j]
-                lat_lb += comp_lb[part, j]
-            lat_lb = lat_lb + link_lb[part, m]
-            keep = ~_dominated(front_per, front_lat, per_lb, lat_lb)
-            if keep.any():
-                stack.append(tuple(a[keep] for a in block))
+            if k + 1 < m:
+                stack.append(tuple(a[rows] for a in block))
+                continue
+            period = np.concatenate((front_per, period[rows]))
+            latency = np.concatenate((front_lat, latency[rows]))
+            # lexsort is stable and the rows follow the front in canonical
+            # order, so exact ties keep the canonically first; a point stays
+            # only if its latency is strictly below every one sorted before it
+            order = np.lexsort((latency, period))
+            low = np.minimum.accumulate(latency[order])
+            order = order[np.append(True, low[1:] < low[:-1])]
+            old = len(front_maps)
+            front_maps = [
+                front_maps[i]
+                if i < old
+                else IntervalMapping(
+                    spans[part[rows[i - old]]].tolist(), procs[rows[i - old]].tolist()
+                )
+                for i in order.tolist()
+            ]
+            front_per, front_lat = period[order], latency[order]
     front_per.setflags(write=False)
     front_lat.setflags(write=False)
     return ParetoFront(

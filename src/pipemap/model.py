@@ -176,9 +176,11 @@ class Platform:
     ``[in, 1..p, out]``: row/column 0 is the input gateway and row/column
     ``p+1`` the output gateway.  Diagonal entries are unused, as are links
     *towards* the input and *from* the output; they are stored but never read.
-    Like the float views :attr:`_s` and :attr:`_b`, the instance keeps the
-    Pareto front of the last pipeline scanned on it
-    (:func:`pipemap.exact.pareto_front`); ``==`` and ``hash`` ignore it.
+    Like the float views :attr:`_s` and :attr:`_b`, built once, the class view
+    :attr:`_lead` names the processors that are interchangeable, and the
+    instance keeps the Pareto front of the last pipeline scanned on it
+    (:func:`pipemap.exact.pareto_front`); ``==`` and ``hash`` ignore all of
+    them.
     """
 
     s: np.ndarray
@@ -216,6 +218,35 @@ class Platform:
     def _b(self) -> tuple[tuple[float, ...], ...]:
         """``b.tolist()`` as a tuple of row tuples, built once like :attr:`_s`."""
         return tuple(map(tuple, self.b.tolist()))
+
+    @cached_property
+    def _lead(self) -> np.ndarray:
+        """The processor classes: ``_lead[v]`` is the previous member of ``v``'s class, or 0.
+
+        Processors ``u < v`` are interchangeable when ``s[u] == s[v]``,
+        ``b[x][u] == b[x][v]`` for every other sender ``x``, ``b[u][x] ==
+        b[v][x]`` for every other receiver ``x`` and ``b[u][v] == b[v][u]``:
+        swapping them changes no link the model reads, so every mapping and
+        its swap have the same terms, bit for bit.  A read-only ``(p + 1,)``
+        array, all zeros when no two processors are alike, built once like
+        :attr:`_s`.
+        """
+        p, s, b = self.p, self._s, self.b
+        lead = np.zeros(p + 1, dtype=np.intp)
+        unread = np.eye(p + 2, dtype=bool)
+        for v in range(2, p + 1):
+            for u in range(v - 1, 0, -1):
+                # speeds first: one compare rules out most pairs
+                if s[u - 1] != s[v - 1]:
+                    continue
+                swap = np.arange(p + 2)
+                swap[[u, v]] = v, u
+                # rows 0..p send and columns 1..p+1 receive
+                if ((b[np.ix_(swap, swap)] == b) | unread)[:-1, 1:].all():
+                    lead[v] = u
+                    break
+        lead.setflags(write=False)
+        return lead
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Platform):

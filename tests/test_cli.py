@@ -628,6 +628,19 @@ class TestCampaign:
         assert code == 1
         assert "expected 'low:high', got '1:2:3'" in capsys.readouterr().err
 
+    def test_bad_platform_file_is_named(self, tiny_files, tmp_path, capsys):
+        pipeline, good = tiny_files
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"s": [1.0]}', encoding="utf-8")
+        out_path = tmp_path / "campaign.csv"
+        args = ["campaign", "--pipeline", pipeline, "--platform", good, "--platform", str(bad)]
+        code = main([*args, "--period", "1e9", "--out", str(out_path)])
+        # every file is read before the campaign starts: no table is written
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: platform file is missing required key"), err
+        assert not out_path.exists()
+
     def test_platform_files_and_seeds_exclusive(self, tiny_files, capsys):
         pipeline, platform = tiny_files
         code = main(

@@ -30,16 +30,21 @@ from pipemap import (
     solve,
 )
 from pipemap.exact import (
-    _complete,
     _extend_perms,
-    _grow,
     _partitions,
     _scan_front,
 )
 
 import oracle
 from conftest import uniform_bandwidth
-from util import as_lists, integer_instance, random_instance, with_zero_delta
+from util import (
+    as_lists,
+    integer_instance,
+    planted_lead,
+    planted_platform,
+    random_instance,
+    with_zero_delta,
+)
 
 
 def _shape_only(n: int, p: int):
@@ -279,8 +284,28 @@ class TestAgainstOracle:
 
 
 class TestKernel:
-    def test_every_row_matches_evaluate_metrics(self):
-        """The scan accumulates in ``evaluate_metrics`` order: full rows are exact."""
+    def test_every_row_matches_evaluate_metrics(self, monkeypatch):
+        """The scan accumulates in ``evaluate_metrics`` order: full rows are exact.
+
+        With its bounds off and no processor classes, the scan's one
+        dominance check sees every mapping once, as a full row, in canonical
+        order; each row's period and latency are ``evaluate_metrics``' own.
+        """
+        grown, full = [], []
+        grow = exact._grow
+
+        def spy_grow(block, wsum, *rest):
+            grown.append((wsum.shape[1], grow(block, wsum, *rest)))
+            return grown[-1][1]
+
+        def spy_dominated(front_per, front_lat, period, latency):
+            m, (part, procs, *_) = grown[-1]
+            if procs.shape[1] == m:
+                full.append((m, part, procs, period, latency))
+            return _keep_every_prefix(front_per, front_lat, period, latency)
+
+        monkeypatch.setattr(exact, "_grow", spy_grow)
+        monkeypatch.setattr(exact, "_dominated", spy_dominated)
         rng = np.random.default_rng(77)
         for k in range(40):
             if k % 2:
@@ -289,35 +314,26 @@ class TestKernel:
                 spec, platform = random_instance(rng, n_range=(1, 7), p_range=(1, 6))
             spec = with_zero_delta(rng, spec)
             n, p = spec.n, platform.p
-            zero = np.zeros(1)
-            costs = np.array(spec._costs)
             for m in range(1, min(n, p) + 1):
-                first, last = _partitions(n, m)
-                assert [tuple(row[:-1]) for row in last.tolist()] == list(
+                rows = _partitions(n, m).tolist()
+                assert [(row[0], row[-1]) for row in rows] == [(0, n)] * len(rows)
+                assert [tuple(row[1:-1]) for row in rows] == list(
                     itertools.combinations(range(1, n), m - 1)
                 )
-                for i in range(len(first)):
-                    starts, ends = first[i : i + 1], last[i : i + 1]
-                    intervals = tuple(zip(starts[0].tolist(), ends[0].tolist()))
-                    wsum = costs[starts, ends]
-                    bvol = spec.delta[np.column_stack((starts - 1, ends[:, -1]))]
-                    # the scan's own steps on a one-partition table, with no
-                    # prefix bounded out
-                    part = np.zeros(1, dtype=np.intp)
-                    block = (part, np.zeros((1, 0), dtype=np.intp), zero, zero, zero)
-                    for _ in range(m):
-                        block = _grow(block, wsum, bvol, platform.s, platform.b)
-                    periods, latencies = _complete(block, bvol, platform.b)
-                    assert not block[0].any()
-                    perms = block[1].tolist()
-                    assert perms == [
-                        list(t) for t in itertools.permutations(range(1, p + 1), m)
-                    ]
-                    for i, procs in enumerate(perms):
-                        mapping = IntervalMapping(intervals, tuple(procs))
-                        metrics = evaluate_metrics(spec, platform, mapping)
-                        assert periods[i] == metrics.period
-                        assert latencies[i] == metrics.latency
+            full.clear()
+            _scan_front(spec, _without_classes(platform))
+            seen = []
+            for m, part, procs, periods, latencies in full:
+                bounds = _partitions(n, m)[part].tolist()
+                for row, assignees, period, latency in zip(
+                    bounds, procs.tolist(), periods.tolist(), latencies.tolist()
+                ):
+                    intervals = tuple((d + 1, e) for d, e in zip(row, row[1:]))
+                    mapping = IntervalMapping(intervals, tuple(assignees))
+                    metrics = evaluate_metrics(spec, platform, mapping)
+                    assert (period, latency) == (metrics.period, metrics.latency)
+                    seen.append(mapping)
+            assert seen == list(enumerate_mappings(spec, platform))
 
     def test_scan_places_every_interval_through_the_kernel(self, monkeypatch):
         """With bounds off, the kernel sees every prefix of every partition once."""
@@ -369,7 +385,7 @@ class TestPermTables:
             perms = np.zeros((1, 0), dtype=np.intp)
             for m in range(1, p + 1):
                 prev = perms
-                perms, reps = _extend_perms(prev, p)
+                perms, reps = _extend_perms(prev, np.zeros(p + 1, dtype=np.intp))
                 assert reps == p - (m - 1)
                 assert len(perms) == len(prev) * reps
                 assert perms.dtype == np.intp
@@ -377,6 +393,33 @@ class TestPermTables:
                 assert perms.tolist() == [
                     list(t) for t in itertools.permutations(range(1, p + 1), m)
                 ]
+
+    @pytest.mark.parametrize("classes", [(1, 2, 1, 3, 2, 1), (1, 1, 1, 1), (1, 2, 3, 2)])
+    def test_classes_extend_by_their_first_free_member(self, classes):
+        """Each prefix takes every free processor outside a class of two or more
+        and, of each such class, only its first free member, in ascending order."""
+        p = len(classes)
+        lead = np.array(planted_lead(classes), dtype=np.intp)
+        perms = np.zeros((1, 0), dtype=np.intp)
+        for m in range(1, p + 1):
+            prev = perms
+            perms, reps = _extend_perms(prev, lead)
+            assert len(perms) == reps.sum() and reps.shape == (len(prev),)
+            assert perms.dtype == np.intp and perms.flags.f_contiguous
+            expected = []
+            for row in prev.tolist():
+                free = [u for u in range(1, p + 1) if u not in row]
+                expected += [
+                    row + [u]
+                    for u in free
+                    if not any(classes[x - 1] == classes[u - 1] for x in free if x < u)
+                ]
+            assert perms.tolist() == expected
+            # each class's members appear in index order
+            for row in perms.tolist():
+                for c in set(classes):
+                    members = [u for u in row if classes[u - 1] == c]
+                    assert members == sorted(members)
 
     def test_solve_keeps_no_tables(self):
         """Nothing allocated in exact.py outlives a solve: no table cache.
@@ -762,6 +805,14 @@ def _keep_every_prefix(front_per, front_lat, period, latency):
     return np.zeros(period.shape, dtype=bool)
 
 
+def _without_classes(platform):
+    """A twin of ``platform`` with an all-zero class table: its scan extends
+    every prefix by every free processor."""
+    twin = _twin(platform)
+    twin.__dict__["_lead"] = np.zeros(platform.p + 1, dtype=np.intp)
+    return twin
+
+
 def _front_key(front):
     return (
         front.period.tolist(),
@@ -946,3 +997,53 @@ class TestIdenticalProcessors:
         period, latency, mappings, _ = _front_key(_scan_front(spec, platform))
         expected = oracle.identical_front(*as_lists(spec, platform))
         assert list(zip(period, latency, mappings)) == expected
+
+    @pytest.mark.parametrize(
+        "n, p", [(12, 10), (12, 12), (13, 11), (14, 12), (15, 9), (16, 12)]
+    )
+    def test_front_is_the_partition_filter_at_larger_sizes(self, n, p):
+        """All processors form one class, so these sizes scan in milliseconds."""
+        self.test_front_is_the_partition_filter(n, p)
+
+
+class TestProcessorClasses:
+    """Interchangeable processors: the scan extends a prefix by the first free
+    member of each class only, and changes no front."""
+
+    @pytest.mark.parametrize("pattern", ["uniform", "receiver", "pair"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_front_equals_the_scan_without_classes(self, seed, pattern):
+        rng = np.random.default_rng(9600 + seed)
+        fewer = 0
+        for k in range(12):
+            spec, _ = integer_instance(rng, (2, 7), (1, 1))
+            p = int(rng.integers(3, 7))
+            if k % 2:
+                # mixed speed classes
+                classes = rng.integers(0, 3, p)
+            else:
+                # one interchangeable pair among distinct processors
+                classes = np.arange(p)
+                u, v = rng.choice(p, 2, replace=False)
+                classes[v] = classes[u]
+            platform = planted_platform(rng, classes, pattern)
+            assert platform._lead.tolist() == planted_lead(classes)
+            front = _scan_front(spec, platform)
+            plain = _scan_front(spec, _without_classes(platform))
+            assert _front_key(front) == _front_key(plain)
+            assert front.scored <= plain.scored
+            fewer += front.scored < plain.scored
+        assert fewer > 0
+
+    def test_bounds_off_scores_one_mapping_per_swap_orbit(
+        self, monkeypatch, tiny_spec, tiny3_platform
+    ):
+        # processors 2 and 3 are alike: of the 21 mappings, the scan scores
+        # the 11 that use 2 whenever they use 3, and 2 first
+        assert tiny3_platform._lead.tolist() == [0, 0, 0, 2]
+        monkeypatch.setattr(exact, "_dominated", _keep_every_prefix)
+        front = _scan_front(tiny_spec, tiny3_platform)
+        assert (front.evaluated, front.scored) == (count_mappings(3, 3), 11)
+        plain = _scan_front(tiny_spec, _without_classes(tiny3_platform))
+        assert plain.scored == plain.evaluated
+        assert _front_key(front) == _front_key(plain)

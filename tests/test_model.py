@@ -25,7 +25,14 @@ import pipemap.model
 from pipemap.model import BicriteriaQuery, MappingMetrics, _chain_terms
 
 from conftest import uniform_bandwidth
-from util import integer_instance, random_instance, random_valid_mapping, with_zero_delta
+from util import (
+    integer_instance,
+    planted_lead,
+    planted_platform,
+    random_instance,
+    random_valid_mapping,
+    with_zero_delta,
+)
 
 
 class TestTypes:
@@ -262,6 +269,59 @@ class TestFloatViews:
         assert (repr(platform), hash(platform)) == (repr(fresh), hash(fresh))
         assert platform == fresh and spec == jpeg_preset()
 
+
+
+class TestProcessorClasses:
+    """``Platform._lead``: which processors are interchangeable."""
+
+    @pytest.mark.parametrize("pattern", ["uniform", "receiver", "pair"])
+    def test_planted_classes_are_found_and_swaps_keep_every_metric(self, pattern):
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            p = int(rng.integers(2, 8))
+            classes = rng.integers(0, int(rng.integers(1, p + 1)), p)
+            platform = planted_platform(rng, classes, pattern)
+            assert platform._lead.tolist() == planted_lead(classes)
+            spec, _ = integer_instance(rng, (1, 8), (1, 1))
+            for _ in range(10):
+                mapping = random_valid_mapping(rng, spec.n, p)
+                u = mapping.assignees[0]
+                twins = [v for v in range(1, p + 1) if classes[v - 1] == classes[u - 1]]
+                v = int(rng.choice(twins))
+                swap = {u: v, v: u}
+                swapped = IntervalMapping(
+                    mapping.intervals, tuple(swap.get(x, x) for x in mapping.assignees)
+                )
+                assert evaluate_metrics(spec, platform, swapped) == evaluate_metrics(
+                    spec, platform, mapping
+                )
+
+    def test_only_read_links_count(self):
+        b = uniform_bandwidth(4, 2.0)
+        # the diagonal, the links towards the input and from the output are never read
+        b[np.diag_indices(6)] = [5.0, 6.0, 7.0, 8.0, 9.0, 1.0]
+        b[1:, 0] = [3.0, 4.0, 5.0, 6.0, 7.0]
+        b[5, :5] = [1.0, 3.0, 5.0, 7.0, 9.0]
+        assert Platform(s=[1.0] * 4, b=b)._lead.tolist() == [0, 0, 1, 2, 3]
+        # a different speed, input link or one-way link splits a class
+        assert Platform(s=[1.0, 2.0, 1.0, 1.0], b=b)._lead.tolist() == [0, 0, 0, 1, 3]
+        into = b.copy()
+        into[0, 2] = 3.0
+        assert Platform(s=[1.0] * 4, b=into)._lead.tolist() == [0, 0, 0, 1, 3]
+        one_way = b.copy()
+        one_way[1, 2] = 3.0
+        assert Platform(s=[1.0] * 4, b=one_way)._lead.tolist() == [0, 0, 0, 0, 3]
+
+    def test_class_view_is_built_once_and_not_a_field(self):
+        platform = Platform(s=[1.0, 2.0, 1.0], b=uniform_bandwidth(3, 3.0))
+        lead = platform._lead
+        assert platform._lead is lead and lead.tolist() == [0, 0, 0, 1]
+        assert lead.dtype == np.intp and not lead.flags.writeable
+        assert "_lead" not in {f.name for f in dataclasses.fields(Platform)}
+        fresh = Platform(s=[1.0, 2.0, 1.0], b=uniform_bandwidth(3, 3.0))
+        assert (repr(platform), hash(platform)) == (repr(fresh), hash(fresh))
+        assert platform == fresh
+        assert not Platform(s=[1.0, 2.0, 3.0], b=uniform_bandwidth(3, 3.0))._lead.any()
 
 def _reference_chain_terms(spec, platform, mapping):
     """The chain terms from numpy scalars as two lists, interleaved into fold order.

@@ -72,3 +72,35 @@ def as_lists(spec: PipelineSpec, platform: Platform):
         platform.s.tolist(),
         platform.b.tolist(),
     )
+
+
+def planted_platform(rng: np.random.Generator, classes, pattern: str) -> Platform:
+    """A platform whose processors ``u`` and ``v`` are interchangeable exactly
+    when ``classes[u-1] == classes[v-1]``.
+
+    Each class has its own integer speed, distinct from every other class's.
+    Links follow ``pattern``: ``"uniform"`` (one bandwidth), ``"receiver"``
+    (one per receiving class) or ``"pair"`` (one per sender and receiver
+    class), each drawn from {1, 2, 3}; the two gateways are classes of their
+    own.
+    """
+    classes = np.unique(classes, return_inverse=True)[1]
+    c = int(classes.max()) + 1
+    label = np.concatenate(([c], classes, [c + 1]))
+    table = rng.integers(1, 4, (c + 2, c + 2)).astype(float)
+    if pattern == "uniform":
+        table[:] = table[0, 0]
+    elif pattern == "receiver":
+        table[:] = table[0]
+    b = table[np.ix_(label, label)]
+    np.fill_diagonal(b, 0.0)
+    return Platform(s=(rng.permutation(c) + 1.0)[classes], b=b)
+
+
+def planted_lead(classes) -> list[int]:
+    """``Platform._lead`` of a planted platform: each processor's previous class member, or 0."""
+    classes = list(classes)
+    return [0] + [
+        max((u for u in range(1, v) if classes[u - 1] == classes[v - 1]), default=0)
+        for v in range(1, len(classes) + 1)
+    ]
