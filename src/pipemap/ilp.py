@@ -22,29 +22,33 @@ minimized criterion's rows compare against ``Topt``; the fixed criterion's
 rows get the query threshold as a constant right-hand side, and are dropped
 when the threshold is infinite.
 
-Each constraint is a :class:`Row`, a named tuple ``(name, terms, sense,
-rhs)`` whose terms are ``(coef, var)`` pairs; row and variable names are LP
-identifiers, without spaces.  :func:`build_instance` builds each row family in
-bulk, with no Python step per row: names by prefix concatenation, terms by
-zipping columns, rows by ``tuple.__new__``.  Each term that several rows hold,
-such as ``(1.0, x_k_u)``, ``(1.0, first_u)`` or a cost term ``(delta / b,
-z_k_u_v)``, is one shared pair.  ``Row`` is a tuple subclass, which the
-garbage collector never untracks, so every row a program holds stays in the
-collector's generations and a large program triggers full collections while
-it is built; fewer new objects per row mean fewer collections.
-:meth:`IlpInstance.to_lp_text` renders each row once, formatting each
-distinct number once per call.  Every row, and the
-``Binary`` and ``General`` lists, goes through one line breaker: a line holds
-at most 72 characters after its leading space, and each break is the last
-space that fits, so most rows are one line and the ``assign``, ``route`` and
-cost rows wrap at scale.
+The constraints are row families (:class:`RowFamily`), each a name column,
+one coefficient vector, one column of ``(coef, var)`` terms per coefficient,
+a sense and a right-hand side; row and variable names are LP identifiers,
+without spaces.  :func:`build_instance` builds each family in bulk, with no
+Python step per row: names by prefix concatenation, term columns by zipping a
+coefficient with variable names.  Each term that several rows hold, such as
+``(1.0, x_k_u)``, ``(1.0, first_u)`` or a cost term ``(delta / b,
+z_k_u_v)``, is one shared pair.  ``firstb``/``lastb`` and ``cutl``/``cutf``
+are one block of two families per stage, whose rows alternate, and each cost
+row is a family of one.  :meth:`IlpInstance.to_lp_text` renders a family
+through one ``str.format`` template made from its coefficients, formatting
+each distinct number once per call.  A line holds at most 72 characters after
+its leading space; longer rows, and the ``Binary`` and ``General`` lists, go
+through one line breaker that breaks at the last space that fits, so only the
+``assign``, ``route`` and cost rows wrap at scale.  :attr:`IlpInstance.rows`
+lists the constraints as :class:`Row` named tuples, derived from the families
+on first use, so an export builds none.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, repeat
+from operator import itemgetter
 from typing import Callable, NamedTuple
 
 from .model import (
@@ -59,6 +63,7 @@ from .model import (
 __all__ = [
     "IlpInstance",
     "Row",
+    "RowFamily",
     "assignment_from_mapping",
     "build_instance",
     "export_ilp",
@@ -90,22 +95,77 @@ class Row(NamedTuple):
         return abs(lhs - self.rhs) <= tol
 
 
+class RowFamily(NamedTuple):
+    """Rows of one shape, held by column.
+
+    Row ``i`` is named ``names[i]`` and its ``j``-th term is
+    ``columns[j][i]``, a ``(coef, var)`` pair whose coefficient is
+    ``coefs[j]``; every row has the same sense and right-hand side.
+    """
+
+    names: tuple[str, ...]
+    coefs: tuple[float, ...]
+    columns: tuple[tuple[tuple[float, str], ...], ...]  # one term column per coefficient
+    sense: str
+    rhs: float
+
+    @classmethod
+    def of(cls, row: Row) -> RowFamily:
+        """``row`` as a family of one."""
+        coefs = tuple(map(itemgetter(0), row.terms))
+        return cls((row.name,), coefs, tuple(zip(row.terms)), row.sense, row.rhs)
+
+    def _rows(self) -> Iterator[Row]:
+        terms = zip(*self.columns) if self.columns else repeat((), len(self.names))
+        rows = zip(self.names, terms, repeat(self.sense), repeat(self.rhs))
+        return map(tuple.__new__, repeat(Row), rows)
+
+    def _lines(self, term: _Memo, plain: _Memo) -> list[str]:
+        """Each row as LP text; a row that wraps is one string of several lines.
+
+        ``term`` maps a coefficient to its ``"+ c {[1]}"`` template piece,
+        which formats a term's variable, and ``plain`` a number to its text.
+        """
+        head = " ".join(map(term.__getitem__, self.coefs)).removeprefix("+ ")
+        template = f" {{}}: {head} {self.sense} {plain[self.rhs]}"
+        lines = list(map(template.format, self.names, *self.columns))
+        # A line is its leading space and at most 72 more characters.
+        if max(map(len, lines), default=0) > 73:
+            lines = ["\n".join(_wrap(line[1:])) for line in lines]
+        return lines
+
+
 @dataclass(frozen=True)
 class IlpInstance:
-    """A fully materialized integer program for one query."""
+    """A fully materialized integer program for one query.
+
+    Its constraints are ``blocks`` of row families.  A block is one family,
+    or families of equal length whose rows interleave (``firstb``/``lastb``
+    and ``cutl``/``cutf``); ``rows`` lists every row in block order.
+    """
 
     query: BicriteriaQuery
     n: int
     p: int
     binaries: tuple[str, ...]
     generals: tuple[str, ...]
-    rows: tuple[Row, ...]
+    blocks: tuple[tuple[RowFamily, ...], ...]
     pins: tuple[tuple[str, float], ...]
     objective_var: str
 
     @property
     def variables(self) -> tuple[str, ...]:
         return self.binaries + self.generals + (self.objective_var,)
+
+    @cached_property
+    def rows(self) -> tuple[Row, ...]:
+        """Every constraint as a :class:`Row`, in emission order."""
+        return tuple(
+            chain.from_iterable(
+                chain.from_iterable(zip(*[family._rows() for family in block], strict=True))
+                for block in self.blocks
+            )
+        )
 
     def rows_named(self, prefix: str) -> list[Row]:
         return [r for r in self.rows if r.name == prefix or r.name.startswith(prefix + "_")]
@@ -123,13 +183,14 @@ class IlpInstance:
             f" obj: {self.objective_var}",
             "Subject To",
         ]
-        # Each distinct number is formatted once: ``signed`` maps a
-        # coefficient to its "+ c" / "- c" prefix, ``plain`` a value to text.
-        signed = _Memo(lambda coef: ("- " if coef < 0 else "+ ") + _fmt(abs(coef)))
+        # Each distinct number is formatted once: ``term`` maps a coefficient
+        # to its "+ c {[1]}" / "- c {[1]}" template piece, ``plain`` a value
+        # to text.
+        term = _Memo(lambda coef: ("- " if coef < 0 else "+ ") + _fmt(abs(coef)) + " {[1]}")
         plain = _Memo(_fmt)
-        for name, terms, sense, rhs in self.rows:
-            text = " ".join([f"{signed[coef]} {var}" for coef, var in terms])
-            out += _wrap(f"{name}: {text.removeprefix('+ ')} {sense} {plain[rhs]}")
+        for block in self.blocks:
+            lines = [family._lines(term, plain) for family in block]
+            out += chain.from_iterable(zip(*lines, strict=True))
         out.append("Bounds")
         out += [f" {var} = {plain[value]}" for var, value in self.pins]
         out += [f" 1 <= {var} <= {self.n}" for var in self.generals]
@@ -145,9 +206,12 @@ def _labels(p: int) -> list[str]:
     return ["in"] + [f"p{u}" for u in range(1, p + 1)] + ["out"]
 
 
-def _rows(names, terms, sense: str, rhs: float):
-    """``Row(name, terms, sense, rhs)`` for each name and terms, built in C."""
-    return map(tuple.__new__, repeat(Row), zip(names, terms, repeat(sense), repeat(rhs)))
+def _names(prefix: str, keys) -> tuple[str, ...]:
+    return tuple(map(prefix.__add__, keys))
+
+
+def _terms(coef: float, variables) -> tuple[tuple[float, str], ...]:
+    return tuple(zip(repeat(coef), variables))
 
 
 def build_instance(
@@ -185,57 +249,64 @@ def build_instance(
     generals = first[1:out] + last[1:out]
 
     # Each (1.0, var) term is made once and shared by every row it is in.
-    one_x = [tuple(zip(repeat(1.0), xk)) for xk in x]
-    one_first = list(zip(repeat(1.0), first))
-    one_last = list(zip(repeat(1.0), last))
-    cut_last = [one_last[links[i][0]] for i in inner]
-    cut_first = [one_first[links[i][1]] for i in inner]
-
-    rows: list[Row] = []
+    one_x = [_terms(1.0, xk) for xk in x]
+    one_first = _terms(1.0, first)
+    one_last = _terms(1.0, last)
+    cut_last = tuple(one_last[links[i][0]] for i in inner)
+    cut_first = tuple(one_first[links[i][1]] for i in inner)
 
     # Every stage, virtual gateways included, runs on exactly one node.
-    rows += _rows(map("assign_".__add__, map(str, range(n + 2))), one_x, "=", 1.0)
-
+    assign = RowFamily(
+        _names("assign_", map(str, range(n + 2))), (1.0,) * (p + 2), tuple(zip(*one_x)), "=", 1.0
+    )
     # Every stage boundary is either one link crossing or one hand-off.
-    route = [tuple(zip(repeat(1.0), z[k] + y[k])) for k in range(n + 1)]
-    rows += _rows(map("route_".__add__, map(str, range(n + 1))), route, "=", 1.0)
+    route_terms = [_terms(1.0, z[k] + y[k]) for k in range(n + 1)]
+    route = RowFamily(
+        _names("route_", map(str, range(n + 1))), (1.0,) * (len(links) + p + 2),
+        tuple(zip(*route_terms)), "=", 1.0,
+    )
+    blocks = [(assign,), (route,)]
 
     # x -> z: placing consecutive stages on linked nodes forces the crossing.
     tails, heads = zip(*links)
     for k in range(n + 1):
-        terms = zip(
-            map(one_x[k].__getitem__, tails),
-            map(one_x[k + 1].__getitem__, heads),
-            zip(repeat(-1.0), z[k]),
+        columns = (
+            tuple(map(one_x[k].__getitem__, tails)),
+            tuple(map(one_x[k + 1].__getitem__, heads)),
+            _terms(-1.0, z[k]),
         )
-        rows += _rows(map(f"link_{k}_".__add__, pairs), terms, "<=", 1.0)
+        link = RowFamily(_names(f"link_{k}_", pairs), (1.0, 1.0, -1.0), columns, "<=", 1.0)
+        blocks.append((link,))
 
     # x -> y: placing consecutive stages on the same node forces the hand-off.
     for k in range(n + 1):
-        terms = zip(one_x[k], one_x[k + 1], zip(repeat(-1.0), y[k]))
-        rows += _rows(map(f"same_{k}_".__add__, label), terms, "<=", 1.0)
+        columns = (one_x[k], one_x[k + 1], _terms(-1.0, y[k]))
+        same = RowFamily(_names(f"same_{k}_", label), (1.0, 1.0, -1.0), columns, "<=", 1.0)
+        blocks.append((same,))
 
     # Interval bounds: first_u <= k and last_u >= k for every stage k on u,
     # emitted in pairs per (k, u).
     for k in range(1, n + 1):
         xk = x[k][1:out]
         if n - k:
-            terms = zip(one_first[1:out], zip(repeat(float(n - k)), xk))
+            firstb = (1.0, float(n - k)), (one_first[1:out], _terms(float(n - k), xk))
         else:
-            terms = zip(one_first[1:out])
-        firstb = _rows(map(f"firstb_{k}_".__add__, plabel), terms, "<=", float(n))
-        terms = zip(one_last[1:out], zip(repeat(-float(k)), xk))
-        lastb = _rows(map(f"lastb_{k}_".__add__, plabel), terms, ">=", 0.0)
-        rows += chain.from_iterable(zip(firstb, lastb))
+            firstb = (1.0,), (one_first[1:out],)
+        lastb = (1.0, -float(k)), (one_last[1:out], _terms(-float(k), xk))
+        blocks.append((
+            RowFamily(_names(f"firstb_{k}_", plabel), *firstb, "<=", float(n)),
+            RowFamily(_names(f"lastb_{k}_", plabel), *lastb, ">=", 0.0),
+        ))
 
     # A crossing after stage k closes u's interval and opens v's.
     for k in range(1, n):
         zk = list(map(z[k].__getitem__, inner))
-        terms = zip(cut_last, zip(repeat(float(n - k)), zk))
-        cutl = _rows(map(f"cutl_{k}_".__add__, inner_pairs), terms, "<=", float(n))
-        terms = zip(cut_first, zip(repeat(-float(k + 1)), zk))
-        cutf = _rows(map(f"cutf_{k}_".__add__, inner_pairs), terms, ">=", 0.0)
-        rows += chain.from_iterable(zip(cutl, cutf))
+        cutl = (1.0, float(n - k)), (cut_last, _terms(float(n - k), zk))
+        cutf = (1.0, -float(k + 1)), (cut_first, _terms(-float(k + 1), zk))
+        blocks.append((
+            RowFamily(_names(f"cutl_{k}_", inner_pairs), *cutl, "<=", float(n)),
+            RowFamily(_names(f"cutf_{k}_", inner_pairs), *cutf, ">=", 0.0),
+        ))
 
     # Cost rows.  Stage k received on u costs delta[k-1]/b[t][u] over the
     # incoming link and w[k-1]/s[u] to compute; the final boundary leaves the
@@ -270,9 +341,12 @@ def build_instance(
     # RHS, so they are simply not emitted.
     for criterion, name, terms in cost_rows:
         if criterion == query.objective:
-            rows.append(Row(name, tuple(terms) + ((-1.0, "Topt"),), "<=", 0.0))
+            row = Row(name, tuple(terms) + ((-1.0, "Topt"),), "<=", 0.0)
         elif math.isfinite(query.threshold):
-            rows.append(Row(name, tuple(terms), "<=", query.threshold))
+            row = Row(name, tuple(terms), "<=", query.threshold)
+        else:
+            continue
+        blocks.append((RowFamily.of(row),))
 
     # Boundary pins: the virtual stages sit on the gateways, real stages never
     # do, and gateway hand-offs or out-of-order gateway crossings cannot occur:
@@ -295,7 +369,7 @@ def build_instance(
         p=p,
         binaries=tuple(binaries),
         generals=tuple(generals),
-        rows=tuple(rows),
+        blocks=tuple(blocks),
         pins=tuple(pins),
         objective_var="Topt",
     )

@@ -4,7 +4,8 @@
 file, walks the section grammar (Minimize / Subject To / Bounds / Binary /
 General / End) and records any violation as a diagnostic instead of raising,
 so tests can assert an export produces *zero* diagnostics.  ``solve_parsed``
-feeds a parsed program to ``scipy.optimize.milp``.
+feeds a parsed program to ``scipy.optimize.milp``, with a sparse constraint
+matrix.
 """
 
 from __future__ import annotations
@@ -269,7 +270,8 @@ def solve_parsed(parsed: ParsedLP):
     Returns ``(status_ok, objective_value, assignment_dict)``.
     """
     import numpy as np
-    from scipy.optimize import LinearConstraint, milp
+    from scipy.optimize import Bounds, LinearConstraint, milp
+    from scipy.sparse import csr_array
 
     variables = sorted(parsed.variables())
     index = {var: k for k, var in enumerate(variables)}
@@ -293,12 +295,14 @@ def solve_parsed(parsed: ParsedLP):
             lo, hi = parsed.bounds[var]
             lower[k], upper[k] = lo, hi
 
-    a = np.zeros((len(parsed.rows), nvar))
+    # The matrix is sparse: a row holds a few of the thousands of variables.
+    entries, at_row, at_var = [], [], []
     lb = np.full(len(parsed.rows), -math.inf)
     ub = np.full(len(parsed.rows), math.inf)
     for r, row in enumerate(parsed.rows):
-        for var, coef in row.coefs.items():
-            a[r, index[var]] = coef
+        entries += row.coefs.values()
+        at_row += [r] * len(row.coefs)
+        at_var += map(index.__getitem__, row.coefs)
         if row.sense == "<=":
             ub[r] = row.rhs
         elif row.sense == ">=":
@@ -306,8 +310,7 @@ def solve_parsed(parsed: ParsedLP):
         else:
             lb[r] = ub[r] = row.rhs
 
-    from scipy.optimize import Bounds
-
+    a = csr_array((entries, (at_row, at_var)), shape=(len(parsed.rows), nvar))
     result = milp(
         c,
         constraints=LinearConstraint(a, lb, ub),

@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -229,10 +231,12 @@ class TestLpRendering:
         ]
         assert order == sorted(order)
 
-    def test_line_width_capped(self, tiny_spec, tiny_platform):
-        text = export_ilp(tiny_spec, tiny_platform, _tiny_query())
-        for line in text.splitlines():
-            assert len(line) <= 80
+    def test_line_width_capped(self):
+        # A line holds at most 72 characters after its leading space, unless
+        # it holds a single word after its indent.
+        for name, text in _golden_programs():
+            for line in text.splitlines():
+                assert len(line) <= 73 or len(line.split()) == 1, (name, line)
 
 
 def _golden_queries():
@@ -280,6 +284,29 @@ class TestGoldenLp:
             digest.update(f"{name} {len(data)}\n".encode())
             digest.update(data)
         assert digest.hexdigest() == self.DIGEST
+
+
+class TestMemory:
+    def test_large_program_peak_stays_bounded(self):
+        # Building, rendering and then listing the rows of an n=24, p=14
+        # program peaks at about 10 MiB.  The rows share their terms: a new
+        # pair per term would make about twice as many objects as there are
+        # distinct terms.
+        for name, spec, platform, query in _golden_queries():
+            if not name.startswith("n24p14"):
+                continue
+            gc.collect()
+            tracemalloc.start()
+            try:
+                instance = build_instance(spec, platform, query)
+                instance.to_lp_text()
+                assert len(instance.rows) > 14_000
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 16 * 2**20, (name, peak)
+            terms = [term for row in instance.rows for term in row.terms]
+            assert len(set(map(id, terms))) < 1.1 * len(set(terms)), name
 
 
 def _word_wrap(text, width=72, indent="   "):
@@ -339,9 +366,12 @@ def _reference_list_lines(names):
     return [" " + line for line in _word_wrap(" ".join(names), indent="")]
 
 
-def _section(instance, first, last):
-    lines = instance.to_lp_text().splitlines()
+def _between(lines, first, last):
     return lines[lines.index(first) + 1 : lines.index(last)]
+
+
+def _section(instance, first, last):
+    return _between(instance.to_lp_text().splitlines(), first, last)
 
 
 def _constraint_lines(instance):
@@ -391,13 +421,29 @@ class TestRowRendering:
         # both places a too-long word can sit are exercised
         assert long_first > 0 and long_continued > 0
 
+    @pytest.mark.parametrize("objective", ["latency", "period"])
+    @pytest.mark.parametrize("finite", [True, False], ids=["finite", "inf"])
+    def test_reference_programs_match_word_by_word_wrap(self, objective, finite):
+        for spec, platform in _reference_instances():
+            threshold = 2.5 * float(spec.w.sum()) if finite else math.inf
+            query = BicriteriaQuery(objective=objective, threshold=threshold)
+            instance = build_instance(spec, platform, query)
+            lines = instance.to_lp_text().splitlines()
+            expected = [line for row in instance.rows for line in _reference_row_lines(row)]
+            assert _between(lines, "Subject To", "Bounds") == expected
+            assert _between(lines, "Binary", "General") == _reference_list_lines(
+                instance.binaries
+            )
+            assert _between(lines, "General", "End") == _reference_list_lines(instance.generals)
+
     @pytest.mark.parametrize("length, lines", [(72, 1), (73, 2)])
     def test_body_width_boundary(self, tiny_spec, tiny_platform, length, lines):
         instance = build_instance(tiny_spec, tiny_platform, _tiny_query())
         # The body is the name and 47 more characters.
         name = "c" * (length - 47)
         row = ilp.Row(name, ((1.0, "x_1_p1"), (-0.1, "z_0_in_p1")), "<=", 3.0)
-        rendered = _constraint_lines(dataclasses.replace(instance, rows=(row,)))
+        block = (ilp.RowFamily.of(row),)
+        rendered = _constraint_lines(dataclasses.replace(instance, blocks=(block,)))
         assert len(f"{name}: 1 x_1_p1 - 0.10000000000000001 z_0_in_p1 <= 3") == length
         assert len(rendered) == lines
         assert rendered == _reference_row_lines(row)
