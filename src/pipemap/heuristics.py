@@ -25,18 +25,20 @@ The variants differ along the columns of the ``_VARIANTS`` table:
 One enumerator serves every split width: a ``k``-way split of the
 bottleneck's interval tries every ``k - 1`` cut points and every placement
 of the bottleneck and the ``k - 1`` fastest unused processors, keeping the
-first lowest-scoring candidate.  Candidates are scored incrementally: a
+first lowest-scoring candidate.  All candidates of a split are scored at
+once, as numpy arrays shaped (cut points, placements), and incrementally: a
 split changes only its parts' terms, the predecessor's send and the
 successor's receive.  The unchanged terms before and after the split are the
 current mapping's chain terms from :mod:`pipemap.model`, already in fold
-order, and the new parts' terms divide that module's Python-float views
-(``PipelineSpec._delta``, ``Platform._s``, ``Platform._b``) and the
-pipeline's one stage-cost table, ``PipelineSpec._costs``, each built once
-per instance.  Each candidate's latency and party cycles are summed in
-:func:`evaluate_metrics` order, bit for bit equal to a full evaluation, with
-no mapping built.
-Only the winner of each split becomes an :class:`IntervalMapping` and runs
-through :func:`evaluate_metrics`.
+order.  Each new term divides a data volume (``PipelineSpec.delta``) or an
+interval's cost (the pipeline's one stage-cost table, ``PipelineSpec._costs``,
+as an array built once per :func:`run_heuristic` call) by a bandwidth or a
+speed from the Python-float views ``Platform._b`` and ``Platform._s``.  Each
+candidate's latency and party cycles are summed one elementwise add at a time
+in :func:`evaluate_metrics` order, never by a pairwise ``np.sum``, so they
+equal a full evaluation bit for bit, with no mapping built.  Only the winner of
+each split leaves numpy, as Python numbers; it becomes an
+:class:`IntervalMapping` and runs through :func:`evaluate_metrics`.
 
 :func:`run_heuristic` is the single entry point.  For ``h2`` it also runs a
 binary search over the latency increase authorized on top of the start
@@ -53,7 +55,8 @@ import functools
 import itertools
 import math
 from dataclasses import asdict, dataclass
-from typing import Iterator
+
+import numpy as np
 
 from .model import (
     BicriteriaQuery,
@@ -244,22 +247,26 @@ def _split_candidates(
     mapping: IntervalMapping,
     jidx: int,
     recipients: tuple[int, ...],
-) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], float, tuple[float, ...]]]:
-    """Every split of interval ``jidx`` into ``len(recipients) + 1`` parts.
+    costs: np.ndarray,
+) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]], np.ndarray, np.ndarray]:
+    """Every split of interval ``jidx`` into ``k = len(recipients) + 1`` parts, as arrays.
 
-    Yields ``(cuts, placement, latency, party_cycles)``: cut points in
-    lexicographic order and, for each, the placements of the interval's
-    processor and the ``recipients`` in permutation order.  A split changes
-    only its parts' terms, the predecessor's send and the successor's
-    receive.  The other terms are the mapping's own chain terms from
-    :func:`pipemap.model._chain_terms`, already in :func:`evaluate_metrics`'
-    fold order: the latency starts from the fold of the terms before
-    ``jidx``, adds the parts' receive and compute and the successor's new
-    receive, then the unchanged rest.  The values are those of the candidate
-    mapping's metrics, bit for bit.
+    Returns ``(cuts, placements, latency, cycles)``: the cut points in
+    :func:`itertools.combinations` order, the placements of the interval's
+    processor and the ``recipients`` in :func:`itertools.permutations` order,
+    and for cut row ``i`` and placement ``j`` the candidate's latency
+    ``latency[i, j]`` and party ``q``'s cycle ``cycles[q, i, j]``.  ``costs``
+    is ``np.array(spec._costs)``.  A split changes only its parts' terms, the
+    predecessor's send and the successor's receive.  The other terms are the
+    mapping's own chain terms from :func:`pipemap.model._chain_terms`, already
+    in :func:`evaluate_metrics`' fold order: the latency starts from the fold
+    of the terms before ``jidx``, adds the parts' receive and compute and the
+    successor's new receive, then the unchanged rest, one elementwise add at a
+    time.  The values are those of the candidate mappings' metrics, bit for
+    bit.
     """
-    delta, s, b, costs = spec._delta, platform._s, platform._b, spec._costs
     d, e = mapping.intervals[jidx]
+    k = len(recipients) + 1
     terms = _chain_terms(spec, platform, mapping)
     head = 0.0
     for term in terms[: 2 * jidx]:
@@ -269,23 +276,38 @@ def _split_candidates(
     tail = terms[2 * jidx + 3 :]
     nodes = (0, *mapping.assignees, platform.p + 1)
     pred, succ = nodes[jidx], nodes[jidx + 2]
-    for cuts in itertools.combinations(range(d, e), len(recipients)):
-        spans = tuple(zip((d - 1, *cuts), (*cuts, e)))
-        for placement in itertools.permutations((mapping.assignees[jidx], *recipients)):
-            latency = head
-            cycles = []
-            t_in = delta[d - 1] / b[pred][placement[0]]
-            for (lo, hi), u, v in zip(spans, placement, (*placement[1:], succ)):
-                t_comp = costs[lo + 1][hi] / s[u - 1]
-                t_out = delta[hi] / b[u][v]
-                latency += t_in
-                latency += t_comp
-                cycles.append(t_in + t_comp + t_out)
-                t_in = t_out
-            latency += t_in
-            for term in tail:
-                latency += term
-            yield cuts, placement, latency, tuple(cycles)
+    cuts = list(itertools.combinations(range(d, e), k - 1))
+    placements = list(itertools.permutations((mapping.assignees[jidx], *recipients)))
+    # part q of cut row i covers stages bounds[q, i] + 1 .. bounds[q + 1, i]
+    bounds = np.fromiter(
+        itertools.chain((d - 1,) * len(cuts), *zip(*cuts), (e,) * len(cuts)),
+        np.intp,
+        (k + 1) * len(cuts),
+    ).reshape(k + 1, len(cuts))
+    # the new terms t_in_0, comp_0, t_out_0, ..., comp_{k-1}, t_out_{k-1}:
+    # term r of cut row i and placement j is sizes[r, i] / rates[r, j]
+    sizes = np.empty((2 * k + 1, len(cuts)))
+    sizes[::2] = spec.delta[bounds]
+    sizes[1::2] = costs[bounds[:-1] + 1, bounds[1:]]
+    s, b = platform._s, platform._b
+    rows = []
+    for placement in placements:
+        row = [b[pred][placement[0]]]
+        for u, v in zip(placement, (*placement[1:], succ)):
+            row += (s[u - 1], b[u][v])
+        rows.append(row)
+    rates = np.array(rows).T
+    # the fold: head, the new terms, tail
+    fold = np.empty((2 * k + 2 + len(tail), len(cuts), len(placements)))
+    fold[0] = head
+    np.divide(sizes[:, :, None], rates[:, None, :], out=fold[1 : 2 * k + 2])
+    if tail:
+        fold[2 * k + 2 :].T[...] = tail
+    # (t_in + comp) + t_out, as evaluate_metrics adds them
+    cycles = fold[1 : 2 * k : 2] + fold[2 : 2 * k + 1 : 2]
+    cycles += fold[3 : 2 * k + 2 : 2]
+    latency = np.add.accumulate(fold, out=fold)[-1]
+    return cuts, placements, latency, cycles
 
 
 def _best_split(
@@ -297,15 +319,18 @@ def _best_split(
     three_way: bool,
     ratio_rule: bool,
     cap: float,
+    costs: np.ndarray | None = None,
 ) -> _Split | None:
     """The first lowest-scoring split of the bottleneck's interval, or ``None``.
 
     The interval splits into ``k`` parts: three when ``three_way`` holds, it
-    has at least three stages and two processors are unused, else two.  Each
-    candidate of :func:`_split_candidates` is scored from its latency and
-    party cycles alone, with no mapping built; the first candidate wins a
-    tie; a candidate whose latency exceeds ``cap``, an already padded
-    latency cap, is skipped.  Only the winner becomes an
+    has at least three stages and two processors are unused, else two.  All
+    candidates of :func:`_split_candidates` are scored at once from their
+    latency and party cycles, with no mapping built: a candidate whose
+    latency exceeds ``cap``, an already padded latency cap, is dropped, and
+    the first lowest score among the rest wins, in (cuts, placement) order.
+    ``costs`` is ``np.array(spec._costs)``, built here when not given.  Only
+    the winner leaves numpy, as Python numbers; it becomes an
     :class:`IntervalMapping`, and its metrics come from one
     :func:`evaluate_metrics` call.
     """
@@ -316,36 +341,31 @@ def _best_split(
         return None
     k = 3 if three_way and e - d >= 2 and len(unused) >= 2 else 2
     recipients = tuple(unused[: k - 1])
+    if costs is None:
+        costs = np.array(spec._costs)
+    all_cuts, placements, latencies, party_cycles = _split_candidates(
+        spec, platform, mapping, jidx, recipients, costs
+    )
     period, base = metrics.period, metrics.latency
-    best = None
-    for cuts, placement, latency, party_cycles in _split_candidates(
-        spec, platform, mapping, jidx, recipients
-    ):
-        if latency > cap:
-            continue
-        if ratio_rule:
-            # max over the parties of delta_latency / delta_period, as the
-            # builtin max folds it; a party whose cycle does not fall below
-            # the old bottleneck's drops the candidate
-            delta_latency = latency - base
-            score = None
-            for c in party_cycles:
-                delta_period = period - c
-                if delta_period <= 0:
-                    score = None
-                    break
-                ratio = delta_latency / delta_period
-                if score is None or ratio > score:
-                    score = ratio
-            if score is None:
-                continue
-        else:
-            score = max(party_cycles)
-        if best is None or score < best[0]:
-            best = (score, cuts, placement, latency, party_cycles)
-    if best is None:
+    keep = latencies <= cap
+    if ratio_rule:
+        # a party whose cycle does not fall below the old bottleneck's drops
+        # the candidate: period - c <= 0 exactly when c >= period
+        keep &= np.maximum.reduce(party_cycles) < period
+    kept = keep.ravel().nonzero()[0]
+    if not kept.size:
         return None
-    score, cuts, placement, latency, party_cycles = best
+    values = party_cycles.reshape(k, -1).take(kept, axis=1)
+    if ratio_rule:
+        # delta_latency / delta_period for every party
+        values = (latencies.take(kept) - base) / (period - values)
+    # the max over the parties in party order; no value is NaN or -0.0, so
+    # it is the builtin max's
+    scores = np.maximum.reduce(values)
+    best = int(scores.argmin())
+    i, j = divmod(int(kept[best]), len(placements))
+    cuts, placement = all_cuts[i], placements[j]
+    latency = latencies[i, j].item()
     bounds = (d - 1, *cuts, e)
     parts = tuple((lo + 1, hi) for lo, hi in zip(bounds, bounds[1:]))
     winner = IntervalMapping(
@@ -357,9 +377,9 @@ def _best_split(
         recipients=recipients,
         cuts=cuts,
         placement=placement,
-        score=score,
+        score=scores[best].item(),
         delta_latency=latency - base,
-        delta_period=tuple(period - c for c in party_cycles),
+        delta_period=tuple(period - c for c in party_cycles[:, i, j].tolist()),
     )
     return choice, winner, evaluate_metrics(spec, platform, winner)
 
@@ -375,11 +395,13 @@ def _run_greedy(
     order: list[int],
     cap: float = math.inf,
     period_goal: float | None = None,
+    costs: np.ndarray | None = None,
 ) -> tuple[IntervalMapping, MappingMetrics, tuple[SplitEvent, ...]]:
     """Run the splitting loop from ``start``; returns (mapping, metrics, trace).
 
     ``start`` runs on ``order[0]``.
-    ``cap`` is the already padded latency cap every split must meet.  Every
+    ``cap`` is the already padded latency cap every split must meet, and
+    ``costs`` is handed to every :func:`_best_split`.  Every
     loop of one run shares ``decisions``, which keeps, for each mapping
     split so far, the largest padded cap it was searched under and
     the :func:`_best_split` result.  A mapping fixes the unused processors,
@@ -402,7 +424,7 @@ def _run_greedy(
             best = stored[1]
         else:
             best = _best_split(
-                spec, platform, mapping, metrics, unused, three_way, ratio_rule, cap
+                spec, platform, mapping, metrics, unused, three_way, ratio_rule, cap, costs
             )
             if stored is None or cap > stored[0]:
                 decisions[mapping] = (cap, best)
@@ -444,8 +466,9 @@ def run_heuristic(
     """Run one heuristic by name; ``search`` only applies to ``h2``.
 
     The greedy loops of one call share their split decisions (see
-    :func:`_run_greedy`); each ``h2`` trial still equals a fresh run.  Each
-    latency cap is padded here, once, with :func:`padded_threshold`.
+    :func:`_run_greedy`) and one cost array, ``np.array(spec._costs)``; each
+    ``h2`` trial still equals a fresh run.  Each latency cap is padded here,
+    once, with :func:`padded_threshold`.
     Under a fixed period the run is feasible when its final period meets the
     threshold (for ``h2``: when some authorized increase reaches it).  Under
     a fixed latency it is infeasible exactly when the start state already
@@ -466,7 +489,7 @@ def run_heuristic(
 
     greedy = functools.partial(
         _run_greedy, spec, platform, {}, start, ratio_rule=ratio_rule, three_way=three_way,
-        order=order,
+        order=order, costs=np.array(spec._costs),
     )
     report = None
     if fixed_criterion == "latency":

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -12,6 +13,8 @@ from pipemap import (
     BicriteriaQuery,
     BinarySearchConfig,
     IntervalMapping,
+    PipelineSpec,
+    Platform,
     evaluate_metrics,
     meets_threshold,
     run_heuristic,
@@ -380,6 +383,33 @@ def _split_states(seed: int, count: int):
         yield spec, platform, IntervalMapping(((1, n),), (procs[0],)), procs[1:]
 
 
+def _large_split_states(seed: int, count: int):
+    """Seeded (spec, platform, mapping, unused) states at the large-instance sizes.
+
+    Instances have ``n`` in 20..24 and ``p`` in 12..14; the first two have
+    ``n = 24``, so the whole chain's three-way split has ``6 * C(23, 2) =
+    1518`` candidates.  Every other instance is small-integer-valued with a
+    zero data volume, so candidate scores tie exactly.  Each instance gives
+    the greedy start state (the whole chain on the fastest processor) and two
+    states an ``h3`` run passes through: after its first split and after half
+    of its splits.
+    """
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        sizes = ((24, 24), (12, 14)) if k < 2 else ((20, 24), (12, 14))
+        if k % 2:
+            spec, platform = integer_instance(rng, *sizes)
+            spec = with_zero_delta(rng, spec)
+        else:
+            spec, platform = random_instance(rng, *sizes)
+        order = heuristics._speed_order(platform)
+        yield spec, platform, IntervalMapping.single_interval(spec.n, order[0]), order[1:]
+        trace = run_heuristic("h3", spec, platform, 1e-6).trace  # unreachable goal
+        for t in sorted({0, len(trace) // 2}):
+            mapping = IntervalMapping.from_signature(trace[t].signature_after)
+            yield spec, platform, mapping, [u for u in order if u not in mapping.assignees]
+
+
 def _candidate_mapping(mapping, jidx, cuts, placement):
     """``mapping`` with interval ``jidx`` cut at ``cuts`` and placed on ``placement``."""
     d, e = mapping.intervals[jidx]
@@ -427,28 +457,31 @@ def _reference_best_split(spec, platform, mapping, metrics, unused, three_way, r
 
 class TestSplitCandidates:
     def test_every_candidate_matches_evaluate_metrics(self):
-        """Incremental latency and party cycles equal a full evaluation, bit for bit."""
+        """Array latency and party cycles equal a full evaluation, bit for bit, in itertools order."""
         for spec, platform, mapping, unused in _split_states(31, 24):
+            costs = np.array(spec._costs)
             for jidx in range(mapping.m):
                 d, e = mapping.intervals[jidx]
                 for k in (2, 3):
                     recipients = tuple(unused[: k - 1])
-                    seen = []
-                    for cuts, placement, latency, cycles in heuristics._split_candidates(
-                        spec, platform, mapping, jidx, recipients
+                    cuts, placements, latency, cycles = heuristics._split_candidates(
+                        spec, platform, mapping, jidx, recipients, costs
+                    )
+                    assert cuts == list(itertools.combinations(range(d, e), k - 1))
+                    assert placements == list(
+                        itertools.permutations((mapping.assignees[jidx], *recipients))
+                    )
+                    assert latency.shape == (len(cuts), len(placements))
+                    assert cycles.shape == (k, len(cuts), len(placements))
+                    for (i, cut), (j, placement) in itertools.product(
+                        enumerate(cuts), enumerate(placements)
                     ):
-                        cand = _candidate_mapping(mapping, jidx, cuts, placement)
+                        cand = _candidate_mapping(mapping, jidx, cut, placement)
                         full = evaluate_metrics(spec, platform, cand)
-                        assert latency == full.latency
-                        assert cycles == full.per_processor_period[jidx : jidx + k]
-                        seen.append((cuts, placement))
-                    assert seen == [
-                        (cuts, placement)
-                        for cuts in itertools.combinations(range(d, e), k - 1)
-                        for placement in itertools.permutations(
-                            (mapping.assignees[jidx], *recipients)
+                        assert latency[i, j] == full.latency
+                        assert tuple(cycles[:, i, j].tolist()) == (
+                            full.per_processor_period[jidx : jidx + k]
                         )
-                    ]
 
     @pytest.mark.parametrize("three_way", [False, True])
     @pytest.mark.parametrize("ratio_rule", [False, True])
@@ -477,17 +510,39 @@ class TestSplitCandidates:
                 assert got == expected
                 assert calls == ([] if got is None else [got[1]])
 
+    @pytest.mark.parametrize("ratio_rule", [False, True])
+    def test_best_split_matches_full_evaluation_at_large_sizes(self, ratio_rule):
+        """At n 20..24 and p 12..14, from whole-chain and mid-run states, both split widths."""
+        widest = 0
+        for spec, platform, mapping, unused in _large_split_states(43, 6):
+            metrics = evaluate_metrics(spec, platform, mapping)
+            costs = np.array(spec._costs)
+            for three_way in (False, True):
+                for cap in (None, metrics.latency, 1.02 * metrics.latency):
+                    expected = _reference_best_split(
+                        spec, platform, mapping, metrics, unused, three_way, ratio_rule, cap
+                    )
+                    got = heuristics._best_split(
+                        spec, platform, mapping, metrics, unused, three_way, ratio_rule,
+                        math.inf if cap is None else padded_threshold(cap), costs,
+                    )
+                    assert got == expected
+            jidx = metrics.per_processor_period.index(metrics.period)
+            _, _, latency, _ = heuristics._split_candidates(
+                spec, platform, mapping, jidx, tuple(unused[:2]), costs
+            )
+            widest = max(widest, latency.size)
+        assert widest == 6 * math.comb(23, 2) == 1518
+
     def test_latency_exactly_at_padded_cap_is_kept(self):
         """A candidate whose latency equals the padded cap meets it, as in ``meets_threshold``."""
         for spec, platform, mapping, unused in _split_states(41, 16):
             metrics = evaluate_metrics(spec, platform, mapping)
             jidx = metrics.per_processor_period.index(metrics.period)
-            lowest = min(
-                latency
-                for _, _, latency, _ in heuristics._split_candidates(
-                    spec, platform, mapping, jidx, tuple(unused[:1])
-                )
+            _, _, latency, _ = heuristics._split_candidates(
+                spec, platform, mapping, jidx, tuple(unused[:1]), np.array(spec._costs)
             )
+            lowest = latency.min().item()
             cap = _cap_padding_to(lowest)
             assert cap is not None and meets_threshold(lowest, cap)
             got = heuristics._best_split(
@@ -500,6 +555,77 @@ class TestSplitCandidates:
             assert heuristics._best_split(
                 spec, platform, mapping, metrics, unused, False, False, padded_threshold(below)
             ) is None
+
+    @pytest.mark.parametrize("three_way", [False, True])
+    @pytest.mark.parametrize("ratio_rule", [False, True])
+    def test_all_tied_candidates_pick_the_first(self, three_way, ratio_rule):
+        """Identical processors, uniform ``w`` and zero ``delta``: the first candidate wins.
+
+        Every candidate keeps the latency, so under the ratio rule every one
+        scores 0.0; without it, a chain of ``k`` stages has one cut
+        combination, and its placements tie.
+        """
+        k = 3 if three_way else 2
+        n, p = (9 if ratio_rule else k), 5
+        spec = PipelineSpec(tuple(f"s{i}" for i in range(n)), np.ones(n), np.zeros(n + 1))
+        b = np.full((p + 2, p + 2), 2.0)
+        np.fill_diagonal(b, 0.0)
+        platform = Platform(s=np.full(p, 2.0), b=b)
+        mapping = IntervalMapping.single_interval(n, 3)
+        metrics = evaluate_metrics(spec, platform, mapping)
+        unused = [1, 2, 4, 5]
+        cuts, placements, latency, cycles = heuristics._split_candidates(
+            spec, platform, mapping, 0, tuple(unused[: k - 1]), np.array(spec._costs)
+        )
+        assert (latency == metrics.latency).all() and latency.size > 1
+        got = heuristics._best_split(
+            spec, platform, mapping, metrics, unused, three_way, ratio_rule, math.inf
+        )
+        assert got == _reference_best_split(
+            spec, platform, mapping, metrics, unused, three_way, ratio_rule, None
+        )
+        assert (got[0].cuts, got[0].placement) == (cuts[0], placements[0])
+        assert (got[0].cuts, got[0].placement) == (tuple(range(1, k)), (3, *unused[: k - 1]))
+
+    def test_split_choices_hold_python_numbers(self):
+        """No numpy scalar reaches a ``SplitChoice``, ``to_dict()`` or the JSON."""
+        kinds = {
+            "target": int,
+            "recipients": (int,),
+            "cuts": (int,),
+            "placement": (int,),
+            "score": float,
+            "delta_latency": float,
+            "delta_period": (float,),
+        }
+        assert set(kinds) == {field.name for field in dataclasses.fields(heuristics.SplitChoice)}
+        spec, platform = random_instance(np.random.default_rng(44), (20, 24), (12, 14))
+        for name in HEURISTIC_NAMES:
+            threshold = 1e-6 if fixed_criterion_of(name) == "period" else math.inf
+            outcome = run_heuristic(name, spec, platform, threshold)
+            assert outcome.trace
+            for event in outcome.trace:
+                for field, kind in kinds.items():
+                    value = getattr(event.choice, field)
+                    if isinstance(kind, tuple):
+                        assert type(value) is tuple and value
+                        assert all(type(x) is kind[0] for x in value), (name, field)
+                    else:
+                        assert type(value) is kind, (name, field)
+            record = outcome.to_dict()
+            assert all(type(x) in (int, float, str, bool, type(None)) for x in _leaves(record))
+            json.dumps(record)
+
+
+def _leaves(value):
+    """Every non-container value inside nested dicts, lists and tuples."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _leaves(item)
+    else:
+        yield value
 
 
 def _cap_padding_to(value: float) -> float | None:
