@@ -23,13 +23,19 @@ row ``0, cuts…, n``: every row of its prefix table carries its partition's
 index, and the rows are ordered by (partition, processor tuple), the
 canonical order.  It grows processor prefixes one interval at a time, and a
 point of the front built so far that weakly dominates a grown row drops it.
-A prefix row carries lower bounds:
+A prefix row that places intervals ``0..k`` carries lower bounds.  Each term
+of an interval not yet placed, and the send of interval ``k``, still open,
+is bounded by its numerator over the fastest processor, ``wsum[j] / max(s)``,
+or over the widest link of its kind, ``link_lb[j] = bvol[j] / max(b)`` over
+the links between two processors for an inner boundary and over the links to
+the output gateway for boundary ``m`` (the diagonal of ``b`` is never read;
+the input link is placed with interval 0, before any bound):
 
 * period >= the max of its closed cycles, its open interval's
-  ``t_in + t_comp``, and ``wsum[j] / max(s)`` over the intervals not yet
-  placed;
-* latency >= its partial latency, plus ``bvol[j] / max(b) + wsum[j] / max(s)``
-  for each interval not yet placed, plus ``bvol[m] / max(b)``.
+  ``t_in + t_comp + link_lb[k + 1]``, and ``(link_lb[j] + wsum[j] / max(s))
+  + link_lb[j + 1]``, the cycle bound, of each interval ``j`` not yet placed;
+* latency >= its partial latency, plus ``link_lb[j] + wsum[j] / max(s)`` for
+  each interval not yet placed, plus ``link_lb[m]``.
 
 A full mapping's row carries its exact period and latency, its last interval
 closed by the output link.  Surviving prefixes grow on; surviving full
@@ -39,7 +45,8 @@ same links) joins a prefix only after that one: swap twins reach the same
 metrics bit for bit, and the canonically first takes a class in index order.
 
 Interval costs are read from the pipeline's one stage-cost table,
-``PipelineSpec._costs`` in :mod:`pipemap.model`, by one gather per ``m``;
+``PipelineSpec._costs`` in :mod:`pipemap.model`, into partition tables that
+the pipeline keeps for every platform it is scanned on, one per ``m``;
 prefix values and bounds are summed in the order of
 :func:`pipemap.model.evaluate_metrics`, and rounded ``+``, ``/`` and ``max``
 are monotone, so no bound exceeds the exact float value of any completion,
@@ -194,8 +201,8 @@ def _extend_perms(prev: np.ndarray, lead: np.ndarray) -> tuple[np.ndarray, np.nd
     # one repeat of the transposed prefixes, with no temporary as large as the table
     table = np.empty((k + 1, count), dtype=np.intp)
     table[:k] = prev.T
-    table = np.repeat(table, reps, axis=1)
-    table[k] = np.nonzero(free)[1]
+    table = table.repeat(reps, axis=1)
+    table[k] = free.nonzero()[1]
     return table.T, reps
 
 
@@ -255,9 +262,34 @@ def _grow(
     """
     part, procs, closed, open_, lat = block
     ext, reps = _extend_perms(procs, lead)
-    part, closed, open_, lat = (np.repeat(a, reps) for a in (part, closed, open_, lat))
+    part, closed, open_, lat = (a.repeat(reps) for a in (part, closed, open_, lat))
     metrics = _kernels.scan_perms(wsum, bvol, s, b, ext, closed, open_, lat, part)
     return (part, ext, *metrics)
+
+
+def _pipeline_tables(spec: PipelineSpec, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The partitions into ``m`` intervals, kept on the pipeline for every platform it meets.
+
+    ``(spans, terms)``, one entry per partition of :func:`_partitions`, in its
+    order: ``spans[i]`` holds each interval's first and last stage, and column
+    ``i`` of ``terms`` the numerators of ``evaluate_metrics``' fold, ``2m + 1``
+    rows: ``delta`` entering interval 0, its cost, ``delta`` crossing the next
+    boundary, and so on to ``delta`` leaving interval ``m - 1``.  Neither
+    depends on a platform, so the pipeline keeps them, one read-only pair per
+    ``m``; ``==`` and ``hash`` ignore them as they ignore ``PipelineSpec._costs``.
+    """
+    held = spec.__dict__.setdefault("_scan_tables", {})
+    if m not in held:
+        bounds = _partitions(spec.n, m)
+        first, last = bounds[:, :-1] + 1, bounds[:, 1:]
+        spans = np.stack((first, last), axis=-1)
+        terms = np.empty((2 * m + 1, len(bounds)))
+        terms[::2] = spec.delta[bounds.T]
+        terms[1::2] = spec._cost_array[first.T, last.T]
+        spans.setflags(write=False)
+        terms.setflags(write=False)
+        held[m] = spans, terms
+    return held[m]
 
 
 def _scan_front(spec: PipelineSpec, platform: Platform) -> ParetoFront:
@@ -267,25 +299,32 @@ def _scan_front(spec: PipelineSpec, platform: Platform) -> ParetoFront:
     """
     n, p = spec.n, platform.p
     s, b, lead = platform.s, platform.b, platform._lead
-    s_max, b_max = s.max(), b.max()
-    costs = np.array(spec._costs)
+    # The fastest processor and the widest link of each kind a bound reads:
+    # between two processors (the diagonal is never read; with p = 1 there is
+    # no such link and no inner boundary) and to the output gateway.  The
+    # input link is placed with interval 0, before any bound.
+    s_max, out_max = s.max(), b[1:-1, -1].max()
+    inner_max = b[1:-1, 1:-1][~np.eye(p, dtype=bool)].max(initial=0.0)
     front_per = np.empty(0, dtype=np.float64)
     front_lat = np.empty(0, dtype=np.float64)
     front_maps: list[IntervalMapping] = []
     scored = 0
     for m in range(1, min(n, p) + 1):
-        # One search over every partition into m intervals: row i of each
+        # One search over every partition into m intervals: entry i of each
         # table belongs to the i-th partition in canonical order.
-        bounds = _partitions(n, m)
-        count = len(bounds)
-        first, last = bounds[:, :-1] + 1, bounds[:, 1:]
-        wsum, bvol = costs[first, last], spec.delta[bounds]
-        spans = np.stack((first, last), axis=-1)
-        # Lower bounds on the terms of the intervals not yet placed: the
-        # fastest processor and the widest link.
-        link_lb, comp_lb = bvol / b_max, wsum / s_max
-        comp_tail = np.zeros((count, m + 1))
-        comp_tail[:, :m] = np.maximum.accumulate(comp_lb[:, ::-1], axis=1)[:, ::-1]
+        spans, terms = _pipeline_tables(spec, m)
+        count = len(spans)
+        bvol, wsum = terms[::2].T, terms[1::2].T
+        # A lower bound on each term after interval 0's compute, in fold order:
+        # its numerator over the fastest processor or the widest link of its
+        # kind.  Row 2j - 2 bounds interval j's receive, 2j - 1 its compute.
+        rates = [inner_max, s_max] * (m - 1) + [out_max]
+        fold = terms[2:] / np.array(rates)[:, None]
+        # row j - 1: interval j's cycle, (t_in + comp) + t_out, and the suffix
+        # maxima of those cycles
+        cycle = fold[:-1:2] + fold[1::2]
+        cycle += fold[2::2]
+        cycle_tail = np.maximum.accumulate(cycle[::-1])[::-1]
         # Rows are ordered by partition, then processor tuple, and blocks are
         # grown depth first, so full mappings reach the front in canonical
         # order.  The first block holds one empty prefix per partition.
@@ -308,14 +347,18 @@ def _scan_front(spec: PipelineSpec, platform: Platform) -> ParetoFront:
             else:
                 # Rounded +, / and max are monotone, so adding the lower bounds
                 # in evaluate_metrics' order keeps each bound at or below the
-                # value of every completion, with no ulp to spare.
-                period = np.maximum(np.maximum(closed, open_), comp_tail[part, k + 1])
-                latency = lat
-                for j in range(k + 1, m):
-                    latency = latency + link_lb[part, j]
-                    latency += comp_lb[part, j]
-                latency = latency + link_lb[part, m]
-            rows = np.flatnonzero(~_dominated(front_per, front_lat, period, latency))
+                # value of every completion, with no ulp to spare.  The open
+                # interval's cycle lacks only its send; the latency adds the
+                # bounds of every term after the partial latency, one vector
+                # add at a time (np.add.accumulate over a block's terms gives
+                # the same sums but costs several times more per element).
+                rest = fold[2 * k :].take(part, axis=1)
+                period = np.maximum(closed, open_ + rest[0])
+                period = np.maximum(period, cycle_tail[k].take(part))
+                latency = lat + rest[0]
+                for term in rest[1:]:
+                    latency += term
+            rows = (~_dominated(front_per, front_lat, period, latency)).nonzero()[0]
             if not rows.size:
                 continue
             if k + 1 < m:

@@ -32,13 +32,14 @@ successor's receive.  The unchanged terms before and after the split are the
 current mapping's chain terms from :mod:`pipemap.model`, already in fold
 order.  Each new term divides a data volume (``PipelineSpec.delta``) or an
 interval's cost (the pipeline's one stage-cost table, ``PipelineSpec._costs``,
-as an array built once per :func:`run_heuristic` call) by a bandwidth or a
-speed from the Python-float views ``Platform._b`` and ``Platform._s``.  Each
-candidate's latency and party cycles are summed one elementwise add at a time
-in :func:`evaluate_metrics` order, never by a pairwise ``np.sum``, so they
-equal a full evaluation bit for bit, with no mapping built.  Only the winner of
-each split leaves numpy, as Python numbers; it becomes an
-:class:`IntervalMapping` and runs through :func:`evaluate_metrics`.
+as the array ``PipelineSpec._cost_array`` built once per pipeline) by a
+bandwidth or a speed from the Python-float views ``Platform._b`` and
+``Platform._s``.  Each candidate's latency and party cycles are summed one
+elementwise add at a time in :func:`evaluate_metrics` order, never by a
+pairwise ``np.sum``, so they equal a full evaluation bit for bit, with no
+mapping built.  Only the winner of each split leaves numpy, as Python
+numbers; it becomes an :class:`IntervalMapping` and runs through
+:func:`evaluate_metrics`.
 
 :func:`run_heuristic` is the single entry point.  For ``h2`` it also runs a
 binary search over the latency increase authorized on top of the start
@@ -247,7 +248,6 @@ def _split_candidates(
     mapping: IntervalMapping,
     jidx: int,
     recipients: tuple[int, ...],
-    costs: np.ndarray,
 ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]], np.ndarray, np.ndarray]:
     """Every split of interval ``jidx`` into ``k = len(recipients) + 1`` parts, as arrays.
 
@@ -255,15 +255,14 @@ def _split_candidates(
     :func:`itertools.combinations` order, the placements of the interval's
     processor and the ``recipients`` in :func:`itertools.permutations` order,
     and for cut row ``i`` and placement ``j`` the candidate's latency
-    ``latency[i, j]`` and party ``q``'s cycle ``cycles[q, i, j]``.  ``costs``
-    is ``np.array(spec._costs)``.  A split changes only its parts' terms, the
-    predecessor's send and the successor's receive.  The other terms are the
-    mapping's own chain terms from :func:`pipemap.model._chain_terms`, already
-    in :func:`evaluate_metrics`' fold order: the latency starts from the fold
-    of the terms before ``jidx``, adds the parts' receive and compute and the
-    successor's new receive, then the unchanged rest, one elementwise add at a
-    time.  The values are those of the candidate mappings' metrics, bit for
-    bit.
+    ``latency[i, j]`` and party ``q``'s cycle ``cycles[q, i, j]``.  A split
+    changes only its parts' terms, the predecessor's send and the successor's
+    receive.  The other terms are the mapping's own chain terms from
+    :func:`pipemap.model._chain_terms`, already in :func:`evaluate_metrics`'
+    fold order: the latency starts from the fold of the terms before ``jidx``,
+    adds the parts' receive and compute and the successor's new receive, then
+    the unchanged rest, one elementwise add at a time.  The values are those
+    of the candidate mappings' metrics, bit for bit.
     """
     d, e = mapping.intervals[jidx]
     k = len(recipients) + 1
@@ -288,7 +287,7 @@ def _split_candidates(
     # term r of cut row i and placement j is sizes[r, i] / rates[r, j]
     sizes = np.empty((2 * k + 1, len(cuts)))
     sizes[::2] = spec.delta[bounds]
-    sizes[1::2] = costs[bounds[:-1] + 1, bounds[1:]]
+    sizes[1::2] = spec._cost_array[bounds[:-1] + 1, bounds[1:]]
     s, b = platform._s, platform._b
     rows = []
     for placement in placements:
@@ -319,7 +318,6 @@ def _best_split(
     three_way: bool,
     ratio_rule: bool,
     cap: float,
-    costs: np.ndarray | None = None,
 ) -> _Split | None:
     """The first lowest-scoring split of the bottleneck's interval, or ``None``.
 
@@ -329,8 +327,7 @@ def _best_split(
     latency and party cycles, with no mapping built: a candidate whose
     latency exceeds ``cap``, an already padded latency cap, is dropped, and
     the first lowest score among the rest wins, in (cuts, placement) order.
-    ``costs`` is ``np.array(spec._costs)``, built here when not given.  Only
-    the winner leaves numpy, as Python numbers; it becomes an
+    Only the winner leaves numpy, as Python numbers; it becomes an
     :class:`IntervalMapping`, and its metrics come from one
     :func:`evaluate_metrics` call.
     """
@@ -341,10 +338,8 @@ def _best_split(
         return None
     k = 3 if three_way and e - d >= 2 and len(unused) >= 2 else 2
     recipients = tuple(unused[: k - 1])
-    if costs is None:
-        costs = np.array(spec._costs)
     all_cuts, placements, latencies, party_cycles = _split_candidates(
-        spec, platform, mapping, jidx, recipients, costs
+        spec, platform, mapping, jidx, recipients
     )
     period, base = metrics.period, metrics.latency
     keep = latencies <= cap
@@ -395,13 +390,11 @@ def _run_greedy(
     order: list[int],
     cap: float = math.inf,
     period_goal: float | None = None,
-    costs: np.ndarray | None = None,
 ) -> tuple[IntervalMapping, MappingMetrics, tuple[SplitEvent, ...]]:
     """Run the splitting loop from ``start``; returns (mapping, metrics, trace).
 
     ``start`` runs on ``order[0]``.
-    ``cap`` is the already padded latency cap every split must meet, and
-    ``costs`` is handed to every :func:`_best_split`.  Every
+    ``cap`` is the already padded latency cap every split must meet.  Every
     loop of one run shares ``decisions``, which keeps, for each mapping
     split so far, the largest padded cap it was searched under and
     the :func:`_best_split` result.  A mapping fixes the unused processors,
@@ -424,7 +417,7 @@ def _run_greedy(
             best = stored[1]
         else:
             best = _best_split(
-                spec, platform, mapping, metrics, unused, three_way, ratio_rule, cap, costs
+                spec, platform, mapping, metrics, unused, three_way, ratio_rule, cap
             )
             if stored is None or cap > stored[0]:
                 decisions[mapping] = (cap, best)
@@ -466,9 +459,8 @@ def run_heuristic(
     """Run one heuristic by name; ``search`` only applies to ``h2``.
 
     The greedy loops of one call share their split decisions (see
-    :func:`_run_greedy`) and one cost array, ``np.array(spec._costs)``; each
-    ``h2`` trial still equals a fresh run.  Each latency cap is padded here,
-    once, with :func:`padded_threshold`.
+    :func:`_run_greedy`); each ``h2`` trial still equals a fresh run.  Each
+    latency cap is padded here, once, with :func:`padded_threshold`.
     Under a fixed period the run is feasible when its final period meets the
     threshold (for ``h2``: when some authorized increase reaches it).  Under
     a fixed latency it is infeasible exactly when the start state already
@@ -488,8 +480,8 @@ def run_heuristic(
     base_latency = start[1].latency
 
     greedy = functools.partial(
-        _run_greedy, spec, platform, {}, start, ratio_rule=ratio_rule, three_way=three_way,
-        order=order, costs=np.array(spec._costs),
+        _run_greedy, spec, platform, {}, start,
+        ratio_rule=ratio_rule, three_way=three_way, order=order,
     )
     report = None
     if fixed_criterion == "latency":

@@ -99,7 +99,10 @@ class PipelineSpec:
 
     Stage ``k`` (1-based) reads ``delta[k-1]`` data units, performs ``w[k-1]``
     operations and writes ``delta[k]`` data units.  ``delta[0]`` enters from
-    the input gateway and ``delta[n]`` leaves to the output gateway.
+    the input gateway and ``delta[n]`` leaves to the output gateway.  The
+    instance keeps its views built once (:attr:`_costs`, :attr:`_cost_array`,
+    :attr:`_delta`) and the exact scan's partition tables
+    (:func:`pipemap.exact.pareto_front`); ``==`` and ``hash`` ignore all of them.
     """
 
     stage_names: tuple[str, ...]
@@ -148,6 +151,13 @@ class PipelineSpec:
             (0.0,) * (d - 1) + tuple(itertools.accumulate(w[d - 1 :], initial=0.0))
             for d in range(1, n + 1)
         )
+
+    @cached_property
+    def _cost_array(self) -> np.ndarray:
+        """:attr:`_costs` as a read-only ``(n + 1, n + 1)`` array, built once like it."""
+        costs = np.array(self._costs)
+        costs.setflags(write=False)
+        return costs
 
     @cached_property
     def _delta(self) -> tuple[float, ...]:

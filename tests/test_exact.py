@@ -422,10 +422,12 @@ class TestPermTables:
                     assert members == sorted(members)
 
     def test_solve_keeps_no_tables(self):
-        """Nothing allocated in exact.py outlives a solve: no table cache.
+        """Little allocated in exact.py outlives a solve: no processor table.
 
-        A fresh interpreter runs the solve, so no earlier test can have
-        filled a cache before tracing starts.
+        What stays is the front kept on the platform and the partition tables
+        kept on the pipeline (8,704 bytes of arrays at n = 7).  A fresh
+        interpreter runs the solve, so no earlier test can have filled a
+        cache before tracing starts.
         """
         probe = textwrap.dedent(
             """
@@ -728,6 +730,34 @@ class TestFrontCache:
         # the front outlives its platform and holds no reference back to it
         assert front.evaluated == count_mappings(spec.n, 4)
 
+    def test_pipeline_keeps_its_partition_tables_for_every_platform(self, monkeypatch):
+        """A pipeline's partition tables are built on its first scan that
+        reaches each ``m``, and every later platform reads them."""
+        spec = jpeg_preset()
+        built = []
+        partitions = exact._partitions
+        monkeypatch.setattr(
+            exact, "_partitions", lambda n, m: built.append(m) or partitions(n, m)
+        )
+        platforms = [generate_platform(PlatformGenSpec(seed=q, p=q)) for q in (4, 6, 5)]
+        fronts = [_front_key(_scan_front(spec, platform)) for platform in platforms]
+        assert built == [1, 2, 3, 4, 5, 6]
+        fresh = [_front_key(_scan_front(jpeg_preset(), platform)) for platform in platforms]
+        assert fronts == fresh
+        assert spec == jpeg_preset() and hash(spec) == hash(jpeg_preset())
+        for m in range(1, 7):
+            spans, terms = exact._pipeline_tables(spec, m)
+            assert not spans.flags.writeable and not terms.flags.writeable
+            rows = partitions(spec.n, m).tolist()
+            assert spans.tolist() == [
+                [[d + 1, e] for d, e in zip(row, row[1:])] for row in rows
+            ]
+            assert terms.T.tolist() == [
+                [spec.delta[row[0]]]
+                + [x for d, e in zip(row, row[1:]) for x in (spec._costs[d + 1][e], spec.delta[e])]
+                for row in rows
+            ]
+
     @pytest.mark.parametrize("seed", range(4))
     def test_mixed_queries_through_one_platform_match_the_oracle(self, monkeypatch, seed):
         rng = np.random.default_rng(8300 + seed)
@@ -798,6 +828,38 @@ class TestGolden:
             digest.update(json.dumps(record).encode("utf-8"))
             digest.update(b"\n")
         assert digest.hexdigest() == GOLDEN_MID_FRONT_SHA256
+
+    def test_measured_tail_fronts_match_recorded_digest(self):
+        digest = hashlib.sha256()
+        for n, p, seed in TAIL_INSTANCES:
+            front = _scan_front(*_tail_instance(n, p, seed))
+            record = [
+                front.period.tolist(),
+                front.latency.tolist(),
+                [mapping.signature() for mapping in front.mappings],
+                front.evaluated,
+            ]
+            digest.update(json.dumps(record).encode("utf-8"))
+            digest.update(b"\n")
+        assert digest.hexdigest() == GOLDEN_TAIL_FRONT_SHA256
+
+
+# (n, p, seed) of three instances from the slow tail of the scan's running
+# time, and the sha256 over their fronts, recorded as the mid-size digest is
+# with the scan whose bounds left out every link term (1.39 M, 2.74 M and
+# 435 k full mappings scored).
+TAIL_INSTANCES = ((13, 12, 1), (12, 12, 3), (12, 10, 2))
+GOLDEN_TAIL_FRONT_SHA256 = "22ef9a15bbd09cdf7b6d2e2ff1af6941b7617b787abcd40813938905cfdd08ef"
+
+
+def _tail_instance(n, p, seed):
+    """``w`` and ``delta`` from U(1, 100), then ``s`` and ``b`` from U(50, 200)."""
+    rng = np.random.default_rng([seed, 99, n, p])
+    w, delta = rng.uniform(1.0, 100.0, n), rng.uniform(1.0, 100.0, n + 1)
+    s, b = rng.uniform(50.0, 200.0, p), rng.uniform(50.0, 200.0, (p + 2, p + 2))
+    np.fill_diagonal(b, 0.0)
+    spec = PipelineSpec(tuple(f"s{k}" for k in range(1, n + 1)), w, delta)
+    return spec, Platform(s=s, b=b)
 
 
 def _keep_every_prefix(front_per, front_lat, period, latency):
@@ -880,6 +942,79 @@ class TestBranchAndBound:
             with monkeypatch.context() as patch:
                 patch.setattr(exact, "_dominated", _keep_every_prefix)
                 assert _front_key(_scan_front(spec, platform)) == _front_key(pruned)
+
+    def test_prefix_bounds_never_exceed_a_completion(self, monkeypatch):
+        """No prefix row's period or latency bound exceeds the exact metrics of
+        any full mapping that extends it.
+
+        With its bounds off and no processor classes, the scan's dominance
+        check sees every prefix of every partition once.  Each row's bounds
+        are compared with the lowest period and the lowest latency over its
+        completions, from ``evaluate_metrics``.
+        """
+        grown, prefixes = [], []
+        grow = exact._grow
+
+        def spy_grow(block, wsum, *rest):
+            grown.append((wsum.shape[1], grow(block, wsum, *rest)))
+            return grown[-1][1]
+
+        def spy_dominated(front_per, front_lat, period, latency):
+            m, (part, procs, *_) = grown[-1]
+            if procs.shape[1] < m:
+                prefixes.append((m, part, procs, period, latency))
+            return _keep_every_prefix(front_per, front_lat, period, latency)
+
+        monkeypatch.setattr(exact, "_grow", spy_grow)
+        monkeypatch.setattr(exact, "_dominated", spy_dominated)
+        rng = np.random.default_rng(7400)
+        instances = []
+        for _ in range(8):
+            spec, platform = random_instance(rng, n_range=(1, 6), p_range=(1, 5))
+            instances.append((with_zero_delta(rng, spec), platform))
+            instances.append(integer_instance(rng, (1, 6), (1, 5)))
+            # each kind of link on its own scale: a bound that divides one
+            # kind by another kind's widest link overshoots
+            b = platform.b.copy()
+            b[0] *= rng.choice([0.25, 4.0])
+            b[:, -1] *= rng.choice([0.25, 4.0])
+            instances.append((spec, Platform(s=platform.s, b=b)))
+        for n, p in ((5, 4), (6, 5), (4, 1), (1, 4)):
+            # identical processors (every bound term is exact), p = 1 (no
+            # link between two processors) and n = 1 (m = 1 only)
+            spec = PipelineSpec(
+                tuple(f"s{k}" for k in range(n)),
+                w=rng.integers(1, 4, n).astype(float),
+                delta=rng.integers(0, 3, n + 1).astype(float),
+            )
+            instances.append((spec, Platform(s=[2.0] * p, b=uniform_bandwidth(p))))
+        checked = tight = 0
+        for spec, platform in instances:
+            lowest = {}  # (intervals, processor prefix) -> (period, latency)
+            for mapping in enumerate_mappings(spec, platform):
+                metrics = evaluate_metrics(spec, platform, mapping)
+                for j in range(1, mapping.m):
+                    key = (mapping.intervals, mapping.assignees[:j])
+                    period, latency = lowest.get(key, (math.inf, math.inf))
+                    lowest[key] = (min(period, metrics.period), min(latency, metrics.latency))
+            prefixes.clear()
+            _scan_front(spec, _without_classes(platform))
+            rows = 0
+            for m, part, procs, periods, latencies in prefixes:
+                for row, prefix, period, latency in zip(
+                    _partitions(spec.n, m)[part].tolist(),
+                    procs.tolist(),
+                    periods.tolist(),
+                    latencies.tolist(),
+                ):
+                    intervals = tuple((d + 1, e) for d, e in zip(row, row[1:]))
+                    low = lowest[intervals, tuple(prefix)]
+                    assert period <= low[0] and latency <= low[1]
+                    tight += (period, latency) == low
+                    rows += 1
+            assert rows == len(lowest)
+            checked += rows
+        assert checked > 5_000 and tight > 0
 
     def test_counters_add_up(self):
         spec = jpeg_preset()

@@ -459,13 +459,12 @@ class TestSplitCandidates:
     def test_every_candidate_matches_evaluate_metrics(self):
         """Array latency and party cycles equal a full evaluation, bit for bit, in itertools order."""
         for spec, platform, mapping, unused in _split_states(31, 24):
-            costs = np.array(spec._costs)
             for jidx in range(mapping.m):
                 d, e = mapping.intervals[jidx]
                 for k in (2, 3):
                     recipients = tuple(unused[: k - 1])
                     cuts, placements, latency, cycles = heuristics._split_candidates(
-                        spec, platform, mapping, jidx, recipients, costs
+                        spec, platform, mapping, jidx, recipients
                     )
                     assert cuts == list(itertools.combinations(range(d, e), k - 1))
                     assert placements == list(
@@ -516,7 +515,6 @@ class TestSplitCandidates:
         widest = 0
         for spec, platform, mapping, unused in _large_split_states(43, 6):
             metrics = evaluate_metrics(spec, platform, mapping)
-            costs = np.array(spec._costs)
             for three_way in (False, True):
                 for cap in (None, metrics.latency, 1.02 * metrics.latency):
                     expected = _reference_best_split(
@@ -524,12 +522,12 @@ class TestSplitCandidates:
                     )
                     got = heuristics._best_split(
                         spec, platform, mapping, metrics, unused, three_way, ratio_rule,
-                        math.inf if cap is None else padded_threshold(cap), costs,
+                        math.inf if cap is None else padded_threshold(cap),
                     )
                     assert got == expected
             jidx = metrics.per_processor_period.index(metrics.period)
             _, _, latency, _ = heuristics._split_candidates(
-                spec, platform, mapping, jidx, tuple(unused[:2]), costs
+                spec, platform, mapping, jidx, tuple(unused[:2])
             )
             widest = max(widest, latency.size)
         assert widest == 6 * math.comb(23, 2) == 1518
@@ -540,7 +538,7 @@ class TestSplitCandidates:
             metrics = evaluate_metrics(spec, platform, mapping)
             jidx = metrics.per_processor_period.index(metrics.period)
             _, _, latency, _ = heuristics._split_candidates(
-                spec, platform, mapping, jidx, tuple(unused[:1]), np.array(spec._costs)
+                spec, platform, mapping, jidx, tuple(unused[:1])
             )
             lowest = latency.min().item()
             cap = _cap_padding_to(lowest)
@@ -575,7 +573,7 @@ class TestSplitCandidates:
         metrics = evaluate_metrics(spec, platform, mapping)
         unused = [1, 2, 4, 5]
         cuts, placements, latency, cycles = heuristics._split_candidates(
-            spec, platform, mapping, 0, tuple(unused[: k - 1]), np.array(spec._costs)
+            spec, platform, mapping, 0, tuple(unused[: k - 1])
         )
         assert (latency == metrics.latency).all() and latency.size > 1
         got = heuristics._best_split(

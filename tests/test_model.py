@@ -224,6 +224,18 @@ class TestStageCostTable:
         fresh = jpeg_preset()
         assert (repr(spec), hash(spec)) == (repr(fresh), hash(fresh)) and spec == fresh
 
+    def test_array_view_is_the_table_built_once_and_read_only(self):
+        spec = jpeg_preset()
+        costs = spec._cost_array
+        assert costs.dtype == np.float64 and costs.shape == (spec.n + 1, spec.n + 1)
+        assert costs.tolist() == [list(row) for row in spec._costs]
+        assert spec._cost_array is costs
+        with pytest.raises(ValueError):
+            costs[1, 1] = 0.0
+        assert "_cost_array" not in {f.name for f in dataclasses.fields(PipelineSpec)}
+        fresh = jpeg_preset()
+        assert (repr(spec), hash(spec)) == (repr(fresh), hash(fresh)) and spec == fresh
+
 
 def _seeded_instances(seed):
     """Random and integer instances, each also with one zero data volume."""
