@@ -30,12 +30,7 @@ from .exact import (
     pareto_front,
     solve,
 )
-from .heuristics import (
-    HEURISTIC_NAMES,
-    BinarySearchConfig,
-    HeuristicOutcome,
-    run_heuristic,
-)
+from .heuristics import HEURISTIC_NAMES, HeuristicOutcome, run_heuristic
 from .ilp import IlpInstance, assignment_from_mapping, build_instance, export_ilp, write_lp
 from .simulator import compare_with_analytic, simulate, write_event_log
 from .workbench import (
@@ -53,7 +48,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BicriteriaQuery",
-    "BinarySearchConfig",
     "CampaignPlatform",
     "CampaignResult",
     "EPS_CMP",

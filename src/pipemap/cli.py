@@ -16,12 +16,7 @@ import numpy as np
 
 from . import files
 from .exact import solve
-from .heuristics import (
-    HEURISTIC_NAMES,
-    BinarySearchConfig,
-    fixed_criterion_of,
-    run_heuristic,
-)
+from .heuristics import HEURISTIC_NAMES, fixed_criterion_of, run_heuristic
 from .ilp import write_lp
 from .model import BicriteriaQuery, PipelineSpec, jpeg_preset
 from .simulator import compare_with_analytic, simulate, write_event_log
@@ -169,14 +164,7 @@ def _cmd_heuristic(args) -> int:
     objective, given = _threshold_flag(args)
     if objective == needed:  # the flag bounds the criterion the heuristic minimizes
         raise ValueError(f"heuristic {name} requires --{needed} (and only that flag)")
-    search = None
-    if name == "h2":
-        search = BinarySearchConfig(
-            lower=args.h2_lower,
-            upper_factor=args.h2_upper_factor,
-            iterations=args.h2_iterations,
-        )
-    outcome = run_heuristic(name, spec, platform, given, search=search)
+    outcome = run_heuristic(name, spec, platform, given)
     print(f"heuristic: {name} (fixed {needed} <= {given})")
     print(f"mapping: {outcome.mapping.signature()}")
     print(f"period: {outcome.metrics.period!r}")
@@ -309,9 +297,10 @@ def _cmd_export_lp(args) -> int:
     platform = files.read_platform(args.platform)
     query = _query_from_args(args)
     instance = write_lp(spec, platform, query, args.out)
+    rows = sum(len(family.names) for block in instance.blocks for family in block)
     print(
         f"wrote program with {len(instance.variables)} variables and "
-        f"{len(instance.rows)} rows to {args.out}"
+        f"{rows} rows to {args.out}"
     )
     return 0
 
@@ -342,9 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_instance_flags(sub)
     sub.add_argument("--heuristic", required=True, choices=list(HEURISTIC_NAMES))
     _add_threshold_flags(sub)
-    sub.add_argument("--h2-iterations", type=int, default=BinarySearchConfig.iterations)
-    sub.add_argument("--h2-upper-factor", type=float, default=BinarySearchConfig.upper_factor)
-    sub.add_argument("--h2-lower", type=float, default=BinarySearchConfig.lower)
     sub.add_argument("--out", help="also write the outcome as JSON")
     sub.set_defaults(func=_cmd_heuristic)
 

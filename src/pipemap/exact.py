@@ -73,6 +73,7 @@ from .model import (
     MappingMetrics,
     PipelineSpec,
     Platform,
+    _fold_numerators,
     evaluate_metrics,
     padded_threshold,
 )
@@ -272,9 +273,10 @@ def _pipeline_tables(spec: PipelineSpec, m: int) -> tuple[np.ndarray, np.ndarray
 
     ``(spans, terms)``, one entry per partition of :func:`_partitions`, in its
     order: ``spans[i]`` holds each interval's first and last stage, and column
-    ``i`` of ``terms`` the numerators of ``evaluate_metrics``' fold, ``2m + 1``
-    rows: ``delta`` entering interval 0, its cost, ``delta`` crossing the next
-    boundary, and so on to ``delta`` leaving interval ``m - 1``.  Neither
+    ``i`` of ``terms`` the numerators of ``evaluate_metrics``' fold from
+    :func:`pipemap.model._fold_numerators`, ``2m + 1`` rows: ``delta``
+    entering interval 0, its cost, ``delta`` crossing the next boundary, and
+    so on to ``delta`` leaving interval ``m - 1``.  Neither
     depends on a platform, so the pipeline keeps them, one read-only pair per
     ``m``; ``==`` and ``hash`` ignore them as they ignore ``PipelineSpec._costs``.
     """
@@ -283,9 +285,7 @@ def _pipeline_tables(spec: PipelineSpec, m: int) -> tuple[np.ndarray, np.ndarray
         bounds = _partitions(spec.n, m)
         first, last = bounds[:, :-1] + 1, bounds[:, 1:]
         spans = np.stack((first, last), axis=-1)
-        terms = np.empty((2 * m + 1, len(bounds)))
-        terms[::2] = spec.delta[bounds.T]
-        terms[1::2] = spec._cost_array[first.T, last.T]
+        terms = _fold_numerators(spec, bounds.T)
         spans.setflags(write=False)
         terms.setflags(write=False)
         held[m] = spans, terms

@@ -20,7 +20,12 @@ The variants differ along the columns of the ``_VARIANTS`` table:
   below the old bottleneck;
 * *three-way split* -- ``h3``/``h4`` split the bottleneck three ways when its
   interval has at least three stages and two unused processors remain,
-  falling back to a two-way split otherwise.
+  falling back to a two-way split otherwise;
+* *latency search* -- ``h2`` alone wraps the loop in a binary search over
+  the latency increase authorized on top of the start state's latency, on
+  the fixed range ``[0, 4 * start latency]``: it tries the upper bound
+  first, then bisects for 20 rounds (``_H2_SEARCH``), and returns the
+  outcome of the smallest authorized increase that reaches the fixed period.
 
 One enumerator serves every split width: a ``k``-way split of the
 bottleneck's interval tries every ``k - 1`` cut points and every placement
@@ -41,13 +46,11 @@ mapping built.  Only the winner of each split leaves numpy, as Python
 numbers; it becomes an :class:`IntervalMapping` and runs through
 :func:`evaluate_metrics`.
 
-:func:`run_heuristic` is the single entry point.  For ``h2`` it also runs a
-binary search over the latency increase authorized on top of the start
-state's latency, returning the outcome of the smallest authorized increase
-that reaches the fixed period.  The trials share their split decisions: a
-split an earlier trial chose under a larger latency cap is reused when its
-winner meets the smaller cap, since a smaller cap only drops candidates and
-no score depends on the cap.  Every trial equals a fresh run bit for bit.
+:func:`run_heuristic` is the single entry point.  The trials of ``h2``'s
+search share their split decisions: a split an earlier trial chose under a
+larger latency cap is reused when its winner meets the smaller cap, since a
+smaller cap only drops candidates and no score depends on the cap.  Every
+trial equals a fresh run bit for bit.
 """
 
 from __future__ import annotations
@@ -66,6 +69,7 @@ from .model import (
     PipelineSpec,
     Platform,
     _chain_terms,
+    _fold_numerators,
     evaluate_metrics,
     meets_threshold,
     padded_threshold,
@@ -83,14 +87,31 @@ __all__ = [
     "run_heuristic",
 ]
 
-# name -> (fixed criterion, ratio rule, three-way split)
-_VARIANTS: dict[str, tuple[str, bool, bool]] = {
-    "h1": ("period", False, False),
-    "h2": ("period", True, False),
-    "h3": ("period", False, True),
-    "h4": ("period", True, True),
-    "h5": ("latency", False, False),
-    "h6": ("latency", True, False),
+
+@dataclass(frozen=True)
+class BinarySearchConfig:
+    """The bounds of ``h2``'s search over the authorized latency increase.
+
+    The search runs on ``[lower, upper_factor * L]`` where ``L`` is the
+    latency of the start state, trying the upper bound first and then
+    bisecting for ``iterations`` rounds.  Its one value is ``_H2_SEARCH``.
+    """
+
+    lower: float
+    upper_factor: float
+    iterations: int
+
+
+_H2_SEARCH = BinarySearchConfig(lower=0.0, upper_factor=4.0, iterations=20)
+
+# name -> (fixed criterion, ratio rule, three-way split, latency search)
+_VARIANTS: dict[str, tuple[str, bool, bool, BinarySearchConfig | None]] = {
+    "h1": ("period", False, False, None),
+    "h2": ("period", True, False, _H2_SEARCH),
+    "h3": ("period", False, True, None),
+    "h4": ("period", True, True, None),
+    "h5": ("latency", False, False, None),
+    "h6": ("latency", True, False, None),
 }
 
 HEURISTIC_NAMES = tuple(_VARIANTS)
@@ -102,28 +123,6 @@ def fixed_criterion_of(name: str) -> str:
         return _VARIANTS[name][0]
     except KeyError:
         raise ValueError(f"unknown heuristic {name!r}, expected one of {HEURISTIC_NAMES}")
-
-
-@dataclass(frozen=True)
-class BinarySearchConfig:
-    """Knobs of ``h2``'s search over the authorized latency increase.
-
-    The search runs on ``[lower, upper_factor * L]`` where ``L`` is the
-    latency of the start state, trying the upper bound first and then
-    bisecting for ``iterations`` rounds.
-    """
-
-    lower: float = 0.0
-    upper_factor: float = 4.0
-    iterations: int = 20
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.lower) and self.lower >= 0):
-            raise ValueError("lower bound of the search must be finite and >= 0")
-        if not (math.isfinite(self.upper_factor) and self.upper_factor > 0):
-            raise ValueError("upper_factor must be finite and positive")
-        if self.iterations < 0:
-            raise ValueError("iterations must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -176,7 +175,7 @@ class H2SearchTrial:
 
 @dataclass(frozen=True)
 class H2SearchReport:
-    """Everything ``h2`` tried: configuration, bounds and per-trial results."""
+    """Everything ``h2`` tried: its search's bounds (``_H2_SEARCH``) and per-trial results."""
 
     config: BinarySearchConfig
     base_latency: float
@@ -285,9 +284,7 @@ def _split_candidates(
     ).reshape(k + 1, len(cuts))
     # the new terms t_in_0, comp_0, t_out_0, ..., comp_{k-1}, t_out_{k-1}:
     # term r of cut row i and placement j is sizes[r, i] / rates[r, j]
-    sizes = np.empty((2 * k + 1, len(cuts)))
-    sizes[::2] = spec.delta[bounds]
-    sizes[1::2] = spec._cost_array[bounds[:-1] + 1, bounds[1:]]
+    sizes = _fold_numerators(spec, bounds)
     s, b = platform._s, platform._b
     rows = []
     for placement in placements:
@@ -449,14 +446,9 @@ def _check_threshold(threshold: float, what: str) -> float:
 
 
 def run_heuristic(
-    name: str,
-    spec: PipelineSpec,
-    platform: Platform,
-    threshold: float,
-    *,
-    search: BinarySearchConfig | None = None,
+    name: str, spec: PipelineSpec, platform: Platform, threshold: float
 ) -> HeuristicOutcome:
-    """Run one heuristic by name; ``search`` only applies to ``h2``.
+    """Run one heuristic by name, as its row of ``_VARIANTS`` sets it.
 
     The greedy loops of one call share their split decisions (see
     :func:`_run_greedy`); each ``h2`` trial still equals a fresh run.  Each
@@ -464,14 +456,10 @@ def run_heuristic(
     Under a fixed period the run is feasible when its final period meets the
     threshold (for ``h2``: when some authorized increase reaches it).  Under
     a fixed latency it is infeasible exactly when the start state already
-    violates the threshold.  Passing ``search`` to any other heuristic, or an
-    ``h2`` search whose ``lower`` bound exceeds ``upper_factor`` times the
-    start latency, raises ``ValueError``.
+    violates the threshold.
     """
     fixed_criterion = fixed_criterion_of(name)
-    if search is not None and name != "h2":
-        raise ValueError(f"search applies only to h2, not to {name}")
-    _, ratio_rule, three_way = _VARIANTS[name]
+    _, ratio_rule, three_way, search = _VARIANTS[name]
     threshold = _check_threshold(threshold, f"fixed_{fixed_criterion}")
     query = BicriteriaQuery("period" if fixed_criterion == "latency" else "latency", threshold)
     order = _speed_order(platform)  # sorted once: every h2 trial starts from it
@@ -487,7 +475,7 @@ def run_heuristic(
     if fixed_criterion == "latency":
         mapping, metrics, trace = greedy(cap=padded_threshold(threshold))
         feasible = meets_threshold(base_latency, threshold)
-    elif name != "h2":
+    elif search is None:
         mapping, metrics, trace = greedy(period_goal=threshold)
         feasible = meets_threshold(metrics.period, threshold)
     else:
@@ -495,16 +483,10 @@ def run_heuristic(
         # start state's: the upper bound runs first and, when it fails, its
         # run is the outcome; else every trial that reaches the period
         # replaces the outcome and lowers the bound.
-        cfg = search if search is not None else BinarySearchConfig()
-        upper = cfg.upper_factor * base_latency
-        if cfg.lower > upper:
-            raise ValueError(
-                f"h2 search lower bound {cfg.lower!r} exceeds its upper bound "
-                f"{upper!r} (upper_factor * start latency)"
-            )
-        lo, hi, chosen = cfg.lower, upper, None
+        upper = search.upper_factor * base_latency
+        lo, hi, chosen = search.lower, upper, None
         trials: list[H2SearchTrial] = []
-        for step in range(cfg.iterations + 1):
+        for step in range(search.iterations + 1):
             allowance = hi if step == 0 else (lo + hi) / 2.0
             run = greedy(
                 cap=padded_threshold(base_latency + allowance), period_goal=threshold
@@ -527,7 +509,7 @@ def run_heuristic(
             else:
                 lo = allowance
         report = H2SearchReport(
-            config=cfg,
+            config=search,
             base_latency=base_latency,
             upper_bound=upper,
             chosen_increase=chosen,

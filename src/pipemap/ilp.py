@@ -48,7 +48,6 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
-from operator import itemgetter
 from typing import Callable, NamedTuple
 
 from .model import (
@@ -108,12 +107,6 @@ class RowFamily(NamedTuple):
     columns: tuple[tuple[tuple[float, str], ...], ...]  # one term column per coefficient
     sense: str
     rhs: float
-
-    @classmethod
-    def of(cls, row: Row) -> RowFamily:
-        """``row`` as a family of one."""
-        coefs = tuple(map(itemgetter(0), row.terms))
-        return cls((row.name,), coefs, tuple(zip(row.terms)), row.sense, row.rhs)
 
     def _rows(self) -> Iterator[Row]:
         terms = zip(*self.columns) if self.columns else repeat((), len(self.names))
@@ -341,12 +334,13 @@ def build_instance(
     # RHS, so they are simply not emitted.
     for criterion, name, terms in cost_rows:
         if criterion == query.objective:
-            row = Row(name, tuple(terms) + ((-1.0, "Topt"),), "<=", 0.0)
+            terms, rhs = terms + [(-1.0, "Topt")], 0.0
         elif math.isfinite(query.threshold):
-            row = Row(name, tuple(terms), "<=", query.threshold)
+            rhs = query.threshold
         else:
             continue
-        blocks.append((RowFamily.of(row),))
+        coefs = tuple(coef for coef, _ in terms)
+        blocks.append((RowFamily((name,), coefs, tuple(zip(terms)), "<=", rhs),))
 
     # Boundary pins: the virtual stages sit on the gateways, real stages never
     # do, and gateway hand-offs or out-of-order gateway crossings cannot occur:

@@ -461,6 +461,22 @@ def _chain_terms(
     return terms
 
 
+def _fold_numerators(spec: PipelineSpec, bounds: np.ndarray) -> np.ndarray:
+    """The numerators of :func:`_chain_terms` for interval chains given as boundary rows.
+
+    Column ``i`` of the ``(m + 1, k)`` integer array ``bounds`` is a chain of
+    ``m`` intervals: interval ``j`` covers stages ``bounds[j, i] + 1`` to
+    ``bounds[j + 1, i]``.  Column ``i`` of the ``(2m + 1, k)`` result holds
+    its terms' numerators in fold order: ``delta`` at each boundary in the
+    even rows and each interval's cost, from :attr:`PipelineSpec._cost_array`,
+    in the odd rows.
+    """
+    numerators = np.empty((2 * len(bounds) - 1, bounds.shape[1]))
+    numerators[::2] = spec.delta[bounds]
+    numerators[1::2] = spec._cost_array[bounds[:-1] + 1, bounds[1:]]
+    return numerators
+
+
 def evaluate_metrics(
     spec: PipelineSpec, platform: Platform, mapping: IntervalMapping
 ) -> MappingMetrics:

@@ -5,8 +5,9 @@ import sys
 
 import pytest
 
+from pipemap import BicriteriaQuery, build_instance
 from pipemap.cli import main
-from pipemap.files import write_pipeline, write_platform
+from pipemap.files import read_pipeline, read_platform, write_pipeline, write_platform
 
 
 @pytest.fixture
@@ -265,11 +266,9 @@ class TestHeuristic:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
-    @pytest.mark.parametrize(
-        "flag, value, field",
-        [("--h2-upper-factor", "nan", "upper_factor"), ("--h2-lower", "inf", "lower")],
-    )
-    def test_non_finite_search_bound_exit_one(self, tiny_files, capsys, flag, value, field):
+    @pytest.mark.parametrize("flag", ["--h2-lower", "--h2-upper-factor", "--h2-iterations"])
+    def test_h2_search_flags_unrecognized(self, tiny_files, capsys, flag):
+        # h2 searches on fixed bounds; nothing on the command line sets them
         pipeline, platform = tiny_files
         code = main(
             [
@@ -283,33 +282,13 @@ class TestHeuristic:
                 "--period",
                 "7",
                 flag,
-                value,
-            ]
-        )
-        assert code == 1
-        assert field in capsys.readouterr().err
-
-    def test_search_lower_above_upper_exit_one(self, tiny_files, capsys):
-        pipeline, platform = tiny_files
-        code = main(
-            [
-                "heuristic",
-                "--heuristic",
-                "h2",
-                "--pipeline",
-                pipeline,
-                "--platform",
-                platform,
-                "--period",
-                "7",
-                "--h2-lower",
-                "40",
+                "1",
             ]
         )
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
-        assert "40.0" in captured.err and "32.0" in captured.err
+        assert captured.err == f"error: unrecognized arguments: {flag} 1\n"
 
     def test_infeasible_exit_two(self, tiny_files, capsys):
         pipeline, platform = tiny_files
@@ -681,7 +660,13 @@ class TestExportLp:
         )
         out = capsys.readouterr().out
         assert code == 0
-        assert "variables" in out and "rows" in out
+        instance = build_instance(
+            read_pipeline(pipeline), read_platform(platform), BicriteriaQuery("latency", 7.0)
+        )
+        assert out == (
+            f"wrote program with {len(instance.variables)} variables and "
+            f"{len(instance.rows)} rows to {out_path}\n"
+        )
         import lp_grammar
 
         parsed = lp_grammar.parse_lp(out_path.read_text())

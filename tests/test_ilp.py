@@ -441,12 +441,12 @@ class TestRowRendering:
         instance = build_instance(tiny_spec, tiny_platform, _tiny_query())
         # The body is the name and 47 more characters.
         name = "c" * (length - 47)
-        row = ilp.Row(name, ((1.0, "x_1_p1"), (-0.1, "z_0_in_p1")), "<=", 3.0)
-        block = (ilp.RowFamily.of(row),)
+        terms = ((1.0, "x_1_p1"), (-0.1, "z_0_in_p1"))
+        block = (ilp.RowFamily((name,), (1.0, -0.1), tuple(zip(terms)), "<=", 3.0),)
         rendered = _constraint_lines(dataclasses.replace(instance, blocks=(block,)))
         assert len(f"{name}: 1 x_1_p1 - 0.10000000000000001 z_0_in_p1 <= 3") == length
         assert len(rendered) == lines
-        assert rendered == _reference_row_lines(row)
+        assert rendered == _reference_row_lines(ilp.Row(name, terms, "<=", 3.0))
 
 
 def _reference_build(spec, platform, query):
