@@ -9,15 +9,23 @@ send it on, then receive item ``i+1``.  The input gateway is eager (item
 ``i-1``) and the output gateway is always ready to receive.
 
 Under these rules the start of item ``i``'s receive at interval ``j`` is
-``max(compute end at j-1, send end of item i-1 at j)``, which the simulator
-iterates directly.  The measured steady-state output gap matches the analytic
-period (largest cycle time) and the first item's completion time matches the
+``max(compute end at j-1, send end of item i-1 at j)``.  The chain is a
+max-plus linear system, so after a short transient it turns periodic around
+its bottleneck, the interval with the largest cycle.  The simulator steps the
+first ``2m + 2`` items through a loop on Python floats, then computes blocks
+of items with numpy in that periodic pattern, checking every ``max`` the loop
+would have taken.  Where a check fails the loop resumes, for a chunk that
+doubles on each failure, before the next block is tried; a pattern that never
+settles thus finishes in the loop.  Each output time is the loop's, bit for
+bit.  The measured steady-state output gap matches the analytic period
+(largest cycle time) and the first item's completion time matches the
 analytic latency.
 """
 
 from __future__ import annotations
 
 import csv
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -41,6 +49,10 @@ __all__ = [
     "simulate",
     "write_event_log",
 ]
+
+# Items per block of the periodic extension: a block holds a few float64
+# arrays of this length whatever the run's length.
+_BLOCK_ITEMS = 2048
 
 
 class SimEvent(NamedTuple):
@@ -105,17 +117,18 @@ def simulate(
 
     ``warmup`` items are excluded from the period measurement; ``items`` must
     exceed ``warmup`` and ``warmup`` must be at least 1, so at least one
-    steady-state gap is measured.
+    steady-state gap is measured.  Both are integer counts: a float, a string
+    or a bool raises :class:`TypeError`.
 
-    One loop steps each item through the ``m`` intervals on Python floats
-    (the link and compute times of ``model``'s chain terms) and collects the
-    output times, which become one float64 array at the end.
-    ``record_events`` only adds the event records inside that loop, so the
-    output times are the same bits with or without it.
+    The loop, :func:`_step`, runs the first ``2m + 2`` items on ``model``'s
+    chain terms; :func:`_extend` takes the periodic regime in checked blocks,
+    handing back to the loop, for a chunk that doubles each time, wherever a
+    check fails.  ``record_events`` runs every item through the loop, which
+    records the events, so the output times are the same bits either way.
     """
     require_valid(spec, platform, mapping)
-    items = int(items)
-    warmup = int(warmup)
+    items = _count("items", items)
+    warmup = _count("warmup", warmup)
     if warmup < 1:
         raise ValueError(f"warmup must be >= 1, got {warmup}")
     if items <= warmup:
@@ -123,18 +136,67 @@ def simulate(
 
     terms = _chain_terms(spec, platform, mapping)
     m = mapping.m
-    labels = [f"p{u}" for u in mapping.assignees]
-
     # port_free[j]: when interval j's processor finished sending its latest
     # item.  Interval 0 receives from the input gateway, which is always
     # ready, so its "sender" slot is the spare port_free[m], never read.
     port_free = [0.0] * (m + 1)
+    times = np.empty(items)
+    if record_events:
+        events = []
+        _step(terms, port_free, times, 0, items, events, [f"p{u}" for u in mapping.assignees])
+    else:
+        events = None
+        done = chunk = min(items, 2 * m + 2)
+        _step(terms, port_free, times, 0, done)
+        while done < items:
+            done = _extend(terms, port_free, times, done)
+            if done < items:
+                chunk *= 2
+                stop = min(items, done + chunk)
+                _step(terms, port_free, times, done, stop)
+                done = stop
+
+    measured_period = float((times[items - 1] - times[warmup - 1]) / (items - warmup))
+    return SimulationReport(
+        mapping=mapping,
+        items=items,
+        warmup=warmup,
+        item_output_times=times,
+        measured_period=measured_period,
+        measured_first_latency=float(times[0]),
+        events=None if events is None else tuple(events),
+    )
+
+
+def _count(name: str, value) -> int:
+    """``value`` as an int, or :class:`TypeError` naming ``name`` if it is no integer."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
+
+
+def _step(
+    terms: list[float],
+    port_free: list[float],
+    times: np.ndarray,
+    i0: int,
+    i1: int,
+    events: list[SimEvent] | None = None,
+    labels: list[str] | None = None,
+) -> None:
+    """Step items ``i0..i1 - 1`` through the chain from the ``port_free`` state.
+
+    Writes each output time into ``times`` and leaves ``port_free`` as the
+    last item left it.  With an ``events`` list, also records the events.
+    """
+    m = len(port_free) - 1
     chain = list(zip(range(m), terms[0::2], terms[1::2]))
     out_link = terms[-1]
-    outputs = []
-    events: list[SimEvent] = []
-
-    for i in range(items):
+    record = events is not None
+    for i in range(i0, i1):
         avail = 0.0
         for j, link, comp in chain:
             # The same choice as max(avail, free), without the call.
@@ -144,7 +206,7 @@ def simulate(
             comp_end = recv_end + comp
             # The sender's port stays busy for the whole rendezvous window.
             port_free[j - 1] = recv_end
-            if record_events:
+            if record:
                 if j > 0:
                     events.append(SimEvent(start, recv_end, labels[j - 1], i, "send"))
                 events.append(SimEvent(start, recv_end, labels[j], i, "recv"))
@@ -152,21 +214,76 @@ def simulate(
             avail = comp_end
         out = avail + out_link
         port_free[m - 1] = out
-        if record_events:
+        if record:
             events.append(SimEvent(avail, out, labels[m - 1], i, "send"))
-        outputs.append(out)
+        times[i] = out
 
-    times = np.array(outputs, dtype=np.float64)
-    measured_period = float((times[items - 1] - times[warmup - 1]) / (items - warmup))
-    return SimulationReport(
-        mapping=mapping,
-        items=items,
-        warmup=warmup,
-        item_output_times=times,
-        measured_period=measured_period,
-        measured_first_latency=outputs[0],
-        events=tuple(events) if record_events else None,
-    )
+
+def _extend(
+    terms: list[float], port_free: list[float], times: np.ndarray, start: int
+) -> int:
+    """Extend the run from item ``start`` in blocks of the periodic pattern.
+
+    The pattern runs around the bottleneck ``b``, the first interval with the
+    largest cycle ``(t_in + comp) + t_out``:
+
+    * ``b`` is blocked by its own last send, so its receive starts and ends
+      are one left fold, ``np.add.accumulate`` over its start and then
+      ``t_in_b, comp_b, t_out_b`` per item, which rounds as the loop does;
+    * every later interval is starved: it receives an item as soon as the
+      interval before it has computed it;
+    * every earlier interval is blocked: it receives an item as soon as its
+      own send of the item before has ended.
+
+    Each block then checks, for every item and every interval ``j >= 1``,
+    that the loop's ``max`` of the two starts picks the one the pattern
+    assumes (either, on a tie); interval 0's input gateway is always ready,
+    so it always waits for its own port.  The items before the first failed
+    check are the loop's, bit for bit: their output times go into ``times``
+    and the last one's state into ``port_free``.  Returns the index of the
+    first item not taken.
+    """
+    m = len(port_free) - 1
+    items = len(times)
+    links = np.array(terms[0::2])  # t_in_0, ..., t_in_{m-1}, t_out
+    comps = np.array(terms[1::2])
+    cycles = [(terms[2 * j] + terms[2 * j + 1]) + terms[2 * j + 2] for j in range(m)]
+    b = cycles.index(max(cycles))
+    # Row j of recv_block: interval j's receive end of the item before the
+    # block, then of each item of the block (row m: the output times).
+    recv_block = np.empty((m + 1, _BLOCK_ITEMS + 1))
+    comp_block = np.empty((m, _BLOCK_ITEMS))
+    # b's fold runs over steps[2:], whose first slot takes each block's start.
+    steps = np.tile(np.array(terms[2 * b : 2 * b + 3]), _BLOCK_ITEMS + 1)
+    fold = np.empty(3 * _BLOCK_ITEMS + 1)
+    while start < items:
+        k = min(_BLOCK_ITEMS, items - start)
+        recv, comp = recv_block[:, : k + 1], comp_block[:, :k]
+        recv[1:, 0] = port_free[:m]
+        steps[2] = port_free[b]
+        b_fold = np.add.accumulate(steps[2 : 3 * k + 3], out=fold[: 3 * k + 1])
+        recv[b, 1:] = b_fold[1::3]
+        comp[b] = b_fold[2::3]
+        for j in range(b + 1, m):
+            np.add(comp[j - 1], links[j], out=recv[j, 1:])
+            np.add(recv[j, 1:], comps[j], out=comp[j])
+        np.add(comp[m - 1], links[m], out=recv[m, 1:])
+        for j in range(b - 1, -1, -1):
+            np.add(recv[j + 1, :-1], links[j], out=recv[j, 1:])
+        np.add(recv[:b, 1:], comps[:b, None], out=comp[:b])
+        # Interval j >= 1 may start an item when interval j - 1 has computed
+        # it (avail) or when its own send of the item before ends (free); b's
+        # fold takes the latter to be its own compute end plus t_out_b, which
+        # the check on interval b + 1 confirms.
+        free, avail = recv[2:, :-1], comp[:-1]
+        failed = (avail[:b] > free[:b]).any(axis=0) | (free[b:] > avail[b:]).any(axis=0)
+        taken = int(failed.argmax()) if failed.any() else k
+        times[start : start + taken] = recv[m, 1 : taken + 1]
+        port_free[:m] = recv[1:, taken].tolist()
+        start += taken
+        if taken < k:
+            break
+    return start
 
 
 def compare_with_analytic(
