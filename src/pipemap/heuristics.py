@@ -438,13 +438,6 @@ def _run_greedy(
     return mapping, metrics, tuple(trace)
 
 
-def _check_threshold(threshold: float, what: str) -> float:
-    value = float(threshold)
-    if not value > 0:
-        raise ValueError(f"{what} must be positive, got {threshold!r}")
-    return value
-
-
 def run_heuristic(
     name: str, spec: PipelineSpec, platform: Platform, threshold: float
 ) -> HeuristicOutcome:
@@ -460,8 +453,8 @@ def run_heuristic(
     """
     fixed_criterion = fixed_criterion_of(name)
     _, ratio_rule, three_way, search = _VARIANTS[name]
-    threshold = _check_threshold(threshold, f"fixed_{fixed_criterion}")
     query = BicriteriaQuery("period" if fixed_criterion == "latency" else "latency", threshold)
+    threshold = query.threshold
     order = _speed_order(platform)  # sorted once: every h2 trial starts from it
     first = IntervalMapping.single_interval(spec.n, order[0])
     start = (first, evaluate_metrics(spec, platform, first))

@@ -25,9 +25,12 @@ when the threshold is infinite.
 The constraints are row families (:class:`RowFamily`), each a name column,
 one coefficient vector, one column of ``(coef, var)`` terms per coefficient,
 a sense and a right-hand side; row and variable names are LP identifiers,
-without spaces.  :func:`build_instance` builds each family in bulk, with no
-Python step per row: names by prefix concatenation, term columns by zipping a
-coefficient with variable names.  Each term that several rows hold, such as
+without spaces.  Every variable name comes from one builder,
+``_name_tables``, which :func:`assignment_from_mapping` reads too, and every
+cost term divides ``model``'s float views and stage-cost table.
+:func:`build_instance` builds each family in bulk, with no Python step per
+row: names by prefix concatenation, term columns by zipping a coefficient
+with variable names.  Each term that several rows hold, such as
 ``(1.0, x_k_u)``, ``(1.0, first_u)`` or a cost term ``(delta / b,
 z_k_u_v)``, is one shared pair.  ``firstb``/``lastb`` and ``cutl``/``cutf``
 are one block of two families per stage, whose rows alternate, and each cost
@@ -195,8 +198,29 @@ class IlpInstance:
         return "\n".join(out) + "\n"
 
 
-def _labels(p: int) -> list[str]:
-    return ["in"] + [f"p{u}" for u in range(1, p + 1)] + ["out"]
+def _name_tables(n: int, p: int) -> tuple:
+    """The program's names: ``label, links, pairs, at, x, y, z, first, last, objective``.
+
+    Nodes are indexed 0 (in), 1..p, p+1 (out), and ``label[u]`` names node
+    ``u``.  No traffic ever flows towards the input gateway or out of the
+    output gateway, so only ``links`` carry z variables: link ``i`` is the
+    pair ``links[i]``, named ``pairs[i]``, and ``at[u][v]`` is its index.
+    ``x[k][u]``, ``y[k][u]``, ``first[u]`` and ``last[u]`` are indexed by
+    node and ``z[k][i]`` by link; each name is formatted once.
+    """
+    label = ["in"] + [f"p{u}" for u in range(1, p + 1)] + ["out"]
+    nodes = range(p + 2)
+    links = [(u, v) for u in nodes for v in nodes if u != v and u != p + 1 and v != 0]
+    pairs = [f"{label[u]}_{label[v]}" for u, v in links]
+    at = [[None] * (p + 2) for _ in nodes]
+    for i, (u, v) in enumerate(links):
+        at[u][v] = i
+    x = [list(map(f"x_{k}_".__add__, label)) for k in range(n + 2)]
+    y = [list(map(f"y_{k}_".__add__, label)) for k in range(n + 1)]
+    z = [list(map(f"z_{k}_".__add__, pairs)) for k in range(n + 1)]
+    first = list(map("first_".__add__, label))
+    last = list(map("last_".__add__, label))
+    return label, links, pairs, at, x, y, z, first, last, "Topt"
 
 
 def _names(prefix: str, keys) -> tuple[str, ...]:
@@ -211,32 +235,15 @@ def build_instance(
     spec: PipelineSpec, platform: Platform, query: BicriteriaQuery
 ) -> IlpInstance:
     n, p = spec.n, platform.p
-    w, delta = spec.w.tolist(), spec._delta
+    costs, delta = spec._costs, spec._delta
     s, b = platform._s, platform._b
-    label = _labels(p)
+    label, links, pairs, at, x, y, z, first, last, topt = _name_tables(n, p)
     out = p + 1
-    nodes = range(p + 2)
     procs = range(1, out)
     plabel = label[1:out]
-    # Nodes are indexed 0 (in), 1..p, p+1 (out).  No traffic ever flows
-    # towards the input gateway or out of the output gateway, so only these
-    # links carry z variables; at[u][v] is the index of link (u, v).
-    links = [(u, v) for u in nodes for v in nodes if u != v and u != out and v != 0]
-    pairs = [f"{label[u]}_{label[v]}" for u, v in links]
-    at = [[None] * (p + 2) for _ in nodes]
-    for i, (u, v) in enumerate(links):
-        at[u][v] = i
     # The links between two processors, by index and by name.
     inner = [i for i, (u, v) in enumerate(links) if u != 0 and v != out]
     inner_pairs = [pairs[i] for i in inner]
-
-    # Every variable name is formatted once: x[k][u], y[k][u], z[k][i] for
-    # link i, first[u] and last[u].
-    x = [list(map(f"x_{k}_".__add__, label)) for k in range(n + 2)]
-    y = [list(map(f"y_{k}_".__add__, label)) for k in range(n + 1)]
-    z = [list(map(f"z_{k}_".__add__, pairs)) for k in range(n + 1)]
-    first = list(map("first_".__add__, label))
-    last = list(map("last_".__add__, label))
 
     binaries = [*chain.from_iterable(x), *chain.from_iterable(z), *chain.from_iterable(y)]
     generals = first[1:out] + last[1:out]
@@ -302,9 +309,10 @@ def build_instance(
         ))
 
     # Cost rows.  Stage k received on u costs delta[k-1]/b[t][u] over the
-    # incoming link and w[k-1]/s[u] to compute; the final boundary leaves the
-    # last processor towards the output gateway.  A period row also charges u
-    # for every boundary it sends.  Each term is computed once, as
+    # incoming link and costs[k][k]/s[u] to compute (costs[k][k] is w[k-1]);
+    # the final boundary leaves the last processor towards the output gateway.
+    # A period row also charges u for every boundary it sends.  Each term is
+    # computed once, as
     # cross[k][i] for the crossing of link i after stage k and as
     # receive[k-1][u-1] for stage k received and computed on u, and shared by
     # the latency row and the period rows.
@@ -316,7 +324,7 @@ def build_instance(
     receive = []
     for k in range(1, n + 1):
         gather = cross[k - 1].__getitem__
-        compute = zip(map(w[k - 1].__truediv__, s), x[k][1:out])
+        compute = zip(map(costs[k][k].__truediv__, s), x[k][1:out])
         receive.append([[*map(gather, into), c] for into, c in zip(incoming, compute)])
 
     latency = [*chain.from_iterable(chain.from_iterable(receive))]
@@ -334,7 +342,7 @@ def build_instance(
     # RHS, so they are simply not emitted.
     for criterion, name, terms in cost_rows:
         if criterion == query.objective:
-            terms, rhs = terms + [(-1.0, "Topt")], 0.0
+            terms, rhs = terms + [(-1.0, topt)], 0.0
         elif math.isfinite(query.threshold):
             rhs = query.threshold
         else:
@@ -365,7 +373,7 @@ def build_instance(
         generals=tuple(generals),
         blocks=tuple(blocks),
         pins=tuple(pins),
-        objective_var="Topt",
+        objective_var=topt,
     )
 
 
@@ -440,32 +448,22 @@ def assignment_from_mapping(
     """
     require_valid(spec, platform, mapping)
     n, p = spec.n, platform.p
-    assign: dict[str, float] = {}
-
-    node_of_stage: dict[int, str] = {0: "in", n + 1: "out"}
+    _, _, _, at, x, y, z, first, last, topt = _name_tables(n, p)
+    # node[k]: the node stage k runs on; the virtual stages sit on the gateways.
+    node = [0] * (n + 1) + [p + 1]
     for (d, e), u in zip(mapping.intervals, mapping.assignees):
-        for k in range(d, e + 1):
-            node_of_stage[k] = f"p{u}"
-    assign["x_0_in"] = 1.0
-    assign[f"x_{n + 1}_out"] = 1.0
-    for k in range(1, n + 1):
-        assign[f"x_{k}_{node_of_stage[k]}"] = 1.0
-    for k in range(0, n + 1):
-        u, v = node_of_stage[k], node_of_stage[k + 1]
+        node[d : e + 1] = [u] * (e - d + 1)
+    assign = {x[k][u]: 1.0 for k, u in enumerate(node)}
+    for k, (u, v) in enumerate(zip(node, node[1:])):
         if u == v:
-            assign[f"y_{k}_{u}"] = 1.0
+            assign[y[k][u]] = 1.0
         else:
-            assign[f"z_{k}_{u}_{v}"] = 1.0
-    used = set(mapping.assignees)
+            assign[z[k][at[u][v]]] = 1.0
+    spans = dict(zip(mapping.assignees, mapping.intervals))
     for u in range(1, p + 1):
-        if u in used:
-            j = mapping.assignees.index(u)
-            d, e = mapping.intervals[j]
-            assign[f"first_p{u}"] = float(d)
-            assign[f"last_p{u}"] = float(e)
-        else:
-            assign[f"first_p{u}"] = 1.0
-            assign[f"last_p{u}"] = float(n)
+        d, e = spans.get(u, (1, n))
+        assign[first[u]] = float(d)
+        assign[last[u]] = float(e)
     metrics = evaluate_metrics(spec, platform, mapping)
-    assign["Topt"] = metrics.period if query is None else query.objective_of(metrics)
+    assign[topt] = metrics.period if query is None else query.objective_of(metrics)
     return assign

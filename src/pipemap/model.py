@@ -17,8 +17,8 @@ along the chain, plus the final transfer out of the last processor.
 
 The metric evaluator, the heuristics, the simulator and the LP exporter agree
 bit for bit because this module owns their float terms: each instance's
-Python-float views and stage-cost table, built once, and :func:`_chain_terms`,
-a mapping's terms in :func:`evaluate_metrics`' fold order.
+Python-float views and stage-cost table, built once, a mapping's terms in
+fold order (:func:`_chain_terms`) and its cycles (:func:`_cycles`).
 
 Every engine answers one question, a :class:`BicriteriaQuery`: minimize one
 criterion subject to a bound on the other.  The query, and the rule that
@@ -477,13 +477,18 @@ def _fold_numerators(spec: PipelineSpec, bounds: np.ndarray) -> np.ndarray:
     return numerators
 
 
+def _cycles(terms: list[float]) -> tuple[float, ...]:
+    """Each interval's cycle ``(t_in + comp) + t_out``, from :func:`_chain_terms`' list."""
+    return tuple(terms[j] + terms[j + 1] + terms[j + 2] for j in range(0, len(terms) - 1, 2))
+
+
 def evaluate_metrics(
     spec: PipelineSpec, platform: Platform, mapping: IntervalMapping
 ) -> MappingMetrics:
     """Period and latency of a mapping in one pass."""
     require_valid(spec, platform, mapping)
     terms = _chain_terms(spec, platform, mapping)
-    cycles = tuple(terms[j] + terms[j + 1] + terms[j + 2] for j in range(0, 2 * mapping.m, 2))
+    cycles = _cycles(terms)
     latency = 0.0
     for term in terms:
         latency += term

@@ -19,7 +19,8 @@ doubles on each failure, before the next block is tried; a pattern that never
 settles thus finishes in the loop.  Each output time is the loop's, bit for
 bit.  The measured steady-state output gap matches the analytic period
 (largest cycle time) and the first item's completion time matches the
-analytic latency.
+analytic latency; the bottleneck and that period come from one cycle fold,
+:func:`pipemap.model._cycles`.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .model import (
     PipelineSpec,
     Platform,
     _chain_terms,
+    _cycles,
     evaluate_metrics,
     require_valid,
 )
@@ -225,7 +227,7 @@ def _extend(
     """Extend the run from item ``start`` in blocks of the periodic pattern.
 
     The pattern runs around the bottleneck ``b``, the first interval with the
-    largest cycle ``(t_in + comp) + t_out``:
+    largest cycle ``(t_in + comp) + t_out`` (:func:`pipemap.model._cycles`):
 
     * ``b`` is blocked by its own last send, so its receive starts and ends
       are one left fold, ``np.add.accumulate`` over its start and then
@@ -247,7 +249,7 @@ def _extend(
     items = len(times)
     links = np.array(terms[0::2])  # t_in_0, ..., t_in_{m-1}, t_out
     comps = np.array(terms[1::2])
-    cycles = [(terms[2 * j] + terms[2 * j + 1]) + terms[2 * j + 2] for j in range(m)]
+    cycles = _cycles(terms)
     b = cycles.index(max(cycles))
     # Row j of recv_block: interval j's receive end of the item before the
     # block, then of each item of the block (row m: the output times).

@@ -243,7 +243,9 @@ class TestHeuristic:
         "flag, value, message",
         [
             ("--period", "7", "heuristic h5 requires --latency (and only that flag)"),
-            ("--latency", "-1", "fixed_latency must be positive, got -1.0"),
+            ("--latency", "-1", "threshold must be positive, got -1.0"),
+            ("--latency", "0", "threshold must be positive, got 0.0"),
+            ("--latency", "nan", "threshold must be positive, got nan"),
         ],
     )
     def test_flag_error_messages(self, tiny_files, capsys, flag, value, message):

@@ -164,6 +164,9 @@ class TestAssignmentEncoding:
         for mapping in enumerate_mappings(spec, platform):
             metrics = evaluate_metrics(spec, platform, mapping)
             assignment = assignment_from_mapping(spec, platform, mapping, query)
+            # Row.evaluate reads a missing variable as 0.0, so a misnamed one
+            # would otherwise pass silently
+            assert set(assignment) <= set(inst.variables)
             ok = all(row.satisfied(assignment) for row in inst.rows)
             # mappings become infeasible points exactly when they break the
             # fixed-criterion bound
@@ -457,7 +460,7 @@ def _reference_build(spec, platform, query):
     n, p = spec.n, platform.p
     w, delta = spec.w.tolist(), spec.delta.tolist()
     s, b = platform.s.tolist(), platform.b.tolist()
-    label = ilp._labels(p)
+    label = ["in"] + [f"p{u}" for u in range(1, p + 1)] + ["out"]
     out = p + 1
     nodes = range(p + 2)
     procs = range(1, out)
