@@ -46,11 +46,10 @@ mapping built.  Only the winner of each split leaves numpy, as Python
 numbers; it becomes an :class:`IntervalMapping` and runs through
 :func:`evaluate_metrics`.
 
-:func:`run_heuristic` is the single entry point.  The trials of ``h2``'s
-search share their split decisions: a split an earlier trial chose under a
-larger latency cap is reused when its winner meets the smaller cap, since a
-smaller cap only drops candidates and no score depends on the cap.  Every
-trial equals a fresh run bit for bit.
+:func:`run_heuristic` is the single entry point.  Its greedy loops score
+each mapping's splits once, in a table no latency cap enters
+(:func:`_split_table`), and each step picks from it at its own cap, so
+every ``h2`` trial equals a fresh run bit for bit.
 """
 
 from __future__ import annotations
@@ -237,10 +236,6 @@ def _speed_order(platform: Platform) -> list[int]:
     return sorted(range(1, platform.p + 1), key=lambda u: (-s[u - 1], u))
 
 
-# a split's choice, the mapping it makes and that mapping's metrics
-_Split = tuple[SplitChoice, IntervalMapping, MappingMetrics]
-
-
 def _split_candidates(
     spec: PipelineSpec,
     platform: Platform,
@@ -306,7 +301,7 @@ def _split_candidates(
     return cuts, placements, latency, cycles
 
 
-def _best_split(
+def _split_table(
     spec: PipelineSpec,
     platform: Platform,
     mapping: IntervalMapping,
@@ -314,72 +309,88 @@ def _best_split(
     unused: list[int],
     three_way: bool,
     ratio_rule: bool,
-    cap: float,
-) -> _Split | None:
-    """The first lowest-scoring split of the bottleneck's interval, or ``None``.
+) -> tuple | None:
+    """Every split of the bottleneck's interval, scored for any latency cap, or ``None``.
 
     The interval splits into ``k`` parts: three when ``three_way`` holds, it
-    has at least three stages and two processors are unused, else two.  All
-    candidates of :func:`_split_candidates` are scored at once from their
-    latency and party cycles, with no mapping built: a candidate whose
-    latency exceeds ``cap``, an already padded latency cap, is dropped, and
-    the first lowest score among the rest wins, in (cuts, placement) order.
-    Only the winner leaves numpy, as Python numbers; it becomes an
-    :class:`IntervalMapping`, and its metrics come from one
-    :func:`evaluate_metrics` call.
+    has at least three stages and two processors are unused, else two.  The
+    table is ``(jidx, recipients, cuts, placements, latencies, scores,
+    party_cycles, winners)``: every candidate of :func:`_split_candidates`
+    scored at once with no mapping built (``inf`` where the ratio rule drops
+    it), and :func:`_best_split`'s winners by flat index.
     """
-    cycles = metrics.per_processor_period
-    jidx = cycles.index(max(cycles))
+    jidx = metrics.per_processor_period.index(metrics.period)
     d, e = mapping.intervals[jidx]
     if d == e or not unused:
         return None
     k = 3 if three_way and e - d >= 2 and len(unused) >= 2 else 2
     recipients = tuple(unused[: k - 1])
-    all_cuts, placements, latencies, party_cycles = _split_candidates(
+    cuts, placements, latencies, party_cycles = _split_candidates(
         spec, platform, mapping, jidx, recipients
     )
-    period, base = metrics.period, metrics.latency
-    keep = latencies <= cap
+    values = party_cycles
     if ratio_rule:
-        # a party whose cycle does not fall below the old bottleneck's drops
-        # the candidate: period - c <= 0 exactly when c >= period
-        keep &= np.maximum.reduce(party_cycles) < period
-    kept = keep.ravel().nonzero()[0]
-    if not kept.size:
-        return None
-    values = party_cycles.reshape(k, -1).take(kept, axis=1)
-    if ratio_rule:
-        # delta_latency / delta_period for every party
-        values = (latencies.take(kept) - base) / (period - values)
+        # delta_latency / delta_period for every party; a party whose cycle
+        # does not fall below the old bottleneck's drops the candidate
+        gain = metrics.period - party_cycles
+        values = np.divide(
+            latencies - metrics.latency, gain, out=np.full_like(gain, np.inf), where=gain > 0
+        )
     # the max over the parties in party order; no value is NaN or -0.0, so
     # it is the builtin max's
     scores = np.maximum.reduce(values)
-    best = int(scores.argmin())
-    i, j = divmod(int(kept[best]), len(placements))
-    cuts, placement = all_cuts[i], placements[j]
-    latency = latencies[i, j].item()
-    bounds = (d - 1, *cuts, e)
-    parts = tuple((lo + 1, hi) for lo, hi in zip(bounds, bounds[1:]))
-    winner = IntervalMapping(
-        intervals=mapping.intervals[:jidx] + parts + mapping.intervals[jidx + 1 :],
-        assignees=mapping.assignees[:jidx] + placement + mapping.assignees[jidx + 1 :],
-    )
-    choice = SplitChoice(
-        target=mapping.assignees[jidx],
-        recipients=recipients,
-        cuts=cuts,
-        placement=placement,
-        score=scores[best].item(),
-        delta_latency=latency - base,
-        delta_period=tuple(period - c for c in party_cycles[:, i, j].tolist()),
-    )
-    return choice, winner, evaluate_metrics(spec, platform, winner)
+    return jidx, recipients, cuts, placements, latencies, scores, party_cycles, {}
+
+
+def _best_split(
+    spec: PipelineSpec,
+    platform: Platform,
+    mapping: IntervalMapping,
+    metrics: MappingMetrics,
+    table: tuple | None,
+    cap: float,
+) -> tuple[SplitChoice, IntervalMapping, MappingMetrics] | None:
+    """The first lowest-scoring split in ``mapping``'s ``table`` under ``cap``, or ``None``.
+
+    A candidate whose latency exceeds ``cap``, an already padded latency cap,
+    scores ``inf``; the first lowest finite score wins, in (cuts, placement)
+    order.  The winner leaves numpy as Python numbers, once per table: it
+    becomes an :class:`IntervalMapping` with one :func:`evaluate_metrics` call.
+    """
+    if table is None:
+        return None
+    jidx, recipients, all_cuts, placements, latencies, scores, party_cycles, winners = table
+    capped = np.where(latencies <= cap, scores, np.inf)
+    best = int(capped.argmin())
+    if capped.item(best) == math.inf:
+        return None
+    if best not in winners:
+        i, j = divmod(best, len(placements))
+        cuts, placement = all_cuts[i], placements[j]
+        d, e = mapping.intervals[jidx]
+        bounds = (d - 1, *cuts, e)
+        parts = tuple((lo + 1, hi) for lo, hi in zip(bounds, bounds[1:]))
+        winner = IntervalMapping(
+            intervals=mapping.intervals[:jidx] + parts + mapping.intervals[jidx + 1 :],
+            assignees=mapping.assignees[:jidx] + placement + mapping.assignees[jidx + 1 :],
+        )
+        choice = SplitChoice(
+            target=mapping.assignees[jidx],
+            recipients=recipients,
+            cuts=cuts,
+            placement=placement,
+            score=scores.item(best),
+            delta_latency=latencies.item(best) - metrics.latency,
+            delta_period=tuple(metrics.period - c for c in party_cycles[:, i, j].tolist()),
+        )
+        winners[best] = choice, winner, evaluate_metrics(spec, platform, winner)
+    return winners[best]
 
 
 def _run_greedy(
     spec: PipelineSpec,
     platform: Platform,
-    decisions: dict[IntervalMapping, tuple[float, _Split | None]],
+    decisions: dict[IntervalMapping, tuple | None],
     start: tuple[IntervalMapping, MappingMetrics],
     *,
     ratio_rule: bool,
@@ -390,16 +401,11 @@ def _run_greedy(
 ) -> tuple[IntervalMapping, MappingMetrics, tuple[SplitEvent, ...]]:
     """Run the splitting loop from ``start``; returns (mapping, metrics, trace).
 
-    ``start`` runs on ``order[0]``.
-    ``cap`` is the already padded latency cap every split must meet.  Every
-    loop of one run shares ``decisions``, which keeps, for each mapping
-    split so far, the largest padded cap it was searched under and
-    the :func:`_best_split` result.  A mapping fixes the unused processors,
-    and one run fixes the split rule, so only the cap can change that
-    result.  A smaller cap only drops candidates, and no score depends on
-    the cap, so the stored winner stays the first lowest-scoring candidate
-    as long as its latency still meets the smaller cap; a stored ``None``
-    stays ``None``.  Such decisions are reused; any other is searched again.
+    ``start`` runs on ``order[0]``.  ``cap`` is the already padded latency
+    cap every split must meet.  The loops sharing ``decisions`` share the
+    split rule, and a mapping fixes the unused processors, so ``decisions``
+    keeps one :func:`_split_table` per mapping, built when first met, and
+    every step picks from it at its own cap; a table answers caps in any order.
     """
     mapping, metrics = start
     unused = order[1:]
@@ -407,17 +413,11 @@ def _run_greedy(
     while True:
         if period_goal is not None and meets_threshold(metrics.period, period_goal):
             break
-        stored = decisions.get(mapping)
-        if stored is not None and cap <= stored[0] and (
-            stored[1] is None or stored[1][2].latency <= cap
-        ):
-            best = stored[1]
-        else:
-            best = _best_split(
-                spec, platform, mapping, metrics, unused, three_way, ratio_rule, cap
+        if mapping not in decisions:
+            decisions[mapping] = _split_table(
+                spec, platform, mapping, metrics, unused, three_way, ratio_rule
             )
-            if stored is None or cap > stored[0]:
-                decisions[mapping] = (cap, best)
+        best = _best_split(spec, platform, mapping, metrics, decisions[mapping], cap)
         if best is None:
             break
         choice, best_mapping, best_metrics = best
@@ -443,13 +443,12 @@ def run_heuristic(
 ) -> HeuristicOutcome:
     """Run one heuristic by name, as its row of ``_VARIANTS`` sets it.
 
-    The greedy loops of one call share their split decisions (see
-    :func:`_run_greedy`); each ``h2`` trial still equals a fresh run.  Each
-    latency cap is padded here, once, with :func:`padded_threshold`.
-    Under a fixed period the run is feasible when its final period meets the
-    threshold (for ``h2``: when some authorized increase reaches it).  Under
-    a fixed latency it is infeasible exactly when the start state already
-    violates the threshold.
+    The greedy loops of one call share one split table per mapping (see
+    :func:`_run_greedy`).  Each latency cap is padded here, once, with
+    :func:`padded_threshold`.  Under a fixed period the run is feasible when
+    its final period meets the threshold (for ``h2``: when some authorized
+    increase reaches it).  Under a fixed latency it is infeasible exactly
+    when the start state already violates the threshold.
     """
     fixed_criterion = fixed_criterion_of(name)
     _, ratio_rule, three_way, search = _VARIANTS[name]

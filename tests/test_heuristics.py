@@ -453,7 +453,10 @@ class TestSplitCandidates:
                 calls.clear()
                 monkeypatch.setattr(heuristics, "evaluate_metrics", counting)
                 got = heuristics._best_split(
-                    spec, platform, mapping, metrics, unused, three_way, ratio_rule,
+                    spec, platform, mapping, metrics,
+                    heuristics._split_table(
+                        spec, platform, mapping, metrics, unused, three_way, ratio_rule
+                    ),
                     math.inf if cap is None else padded_threshold(cap),
                 )
                 monkeypatch.setattr(heuristics, "evaluate_metrics", evaluate)
@@ -472,7 +475,10 @@ class TestSplitCandidates:
                         spec, platform, mapping, metrics, unused, three_way, ratio_rule, cap
                     )
                     got = heuristics._best_split(
-                        spec, platform, mapping, metrics, unused, three_way, ratio_rule,
+                        spec, platform, mapping, metrics,
+                        heuristics._split_table(
+                            spec, platform, mapping, metrics, unused, three_way, ratio_rule
+                        ),
                         math.inf if cap is None else padded_threshold(cap),
                     )
                     assert got == expected
@@ -495,14 +501,18 @@ class TestSplitCandidates:
             cap = _cap_padding_to(lowest)
             assert cap is not None and meets_threshold(lowest, cap)
             got = heuristics._best_split(
-                spec, platform, mapping, metrics, unused, False, False, padded_threshold(cap)
+                spec, platform, mapping, metrics,
+                heuristics._split_table(spec, platform, mapping, metrics, unused, False, False),
+                padded_threshold(cap),
             )
             assert got is not None and got[2].latency == lowest
             below = cap
             while padded_threshold(below) >= lowest:
                 below = math.nextafter(below, -math.inf)
             assert heuristics._best_split(
-                spec, platform, mapping, metrics, unused, False, False, padded_threshold(below)
+                spec, platform, mapping, metrics,
+                heuristics._split_table(spec, platform, mapping, metrics, unused, False, False),
+                padded_threshold(below),
             ) is None
 
     @pytest.mark.parametrize("three_way", [False, True])
@@ -528,7 +538,9 @@ class TestSplitCandidates:
         )
         assert (latency == metrics.latency).all() and latency.size > 1
         got = heuristics._best_split(
-            spec, platform, mapping, metrics, unused, three_way, ratio_rule, math.inf
+            spec, platform, mapping, metrics,
+            heuristics._split_table(spec, platform, mapping, metrics, unused, three_way, ratio_rule),
+            math.inf,
         )
         assert got == _reference_best_split(
             spec, platform, mapping, metrics, unused, three_way, ratio_rule, None
@@ -594,22 +606,23 @@ def _start(spec, platform):
     return first, evaluate_metrics(spec, platform, first)
 
 
-def _spy_searches(monkeypatch):
-    """Record the mapping of every ``_best_split`` call from now on."""
-    searched = []
-    best_split = heuristics._best_split
+def _spy(monkeypatch, name):
+    """Record ``(mapping, result)`` for every call of ``heuristics.<name>`` from now on."""
+    calls = []
+    wrapped = getattr(heuristics, name)
 
     def spy(spec, platform, mapping, *args):
-        searched.append(mapping)
-        return best_split(spec, platform, mapping, *args)
+        result = wrapped(spec, platform, mapping, *args)
+        calls.append((mapping, result))
+        return result
 
-    monkeypatch.setattr(heuristics, "_best_split", spy)
-    return searched
+    monkeypatch.setattr(heuristics, name, spy)
+    return calls
 
 
-# ``_best_split`` calls of the pinned ``h2`` run below; its 21 trials take
-# 131 greedy steps, each a search without shared decisions
-SEARCHES_PINNED = 20
+# ``_split_table`` calls of the pinned ``h2`` run below: one per distinct
+# mapping its 21 trials split.  Fresh trials build one per greedy step, 131.
+TABLES_PINNED = 7
 
 
 class TestSharedDecisions:
@@ -681,17 +694,39 @@ class TestSharedDecisions:
                     assert greedy(decisions, cap=cap) == greedy({}, cap=cap)
 
     @pytest.mark.parametrize("ratio_rule", [False, True])
-    def test_reuse_rule_at_its_edges(self, monkeypatch, ratio_rule):
-        searched = _spy_searches(monkeypatch)
+    def test_one_table_per_mapping_at_edge_caps(self, monkeypatch, ratio_rule):
+        """One ``decisions`` dict at caps around the start's winner and below the start."""
+        tables = _spy(monkeypatch, "_split_table")
+        picks = _spy(monkeypatch, "_best_split")
         rng = np.random.default_rng(1718)
         for _ in range(10):
             spec, platform = integer_instance(rng, (6, 12), (3, 8))
             spec = with_zero_delta(rng, spec)
             start = _start(spec, platform)
-            decisions = {}
+            order = heuristics._speed_order(platform)
 
-            def run(cap):
-                searched.clear()
+            def reference(cap):
+                return _reference_best_split(
+                    spec, platform, *start, order[1:], False, ratio_rule, cap
+                )
+
+            winner_latency = reference(None)[2].latency
+            # the winner's exact padded cap, and one step below it
+            exact = _cap_padding_to(winner_latency)
+            assert exact is not None
+            below = exact
+            while padded_threshold(below) >= winner_latency:
+                below = math.nextafter(below, -math.inf)
+            # below the start latency, and one step above that
+            low = start[1].latency / 2
+            above = low
+            while padded_threshold(above) <= padded_threshold(low):
+                above = math.nextafter(above, math.inf)
+            tables.clear()
+            decisions = {}
+            first = []
+            for cap in (None, exact, below, low, above):
+                picks.clear()
                 heuristics._run_greedy(
                     spec,
                     platform,
@@ -699,51 +734,28 @@ class TestSharedDecisions:
                     start,
                     ratio_rule=ratio_rule,
                     three_way=False,
-                    order=heuristics._speed_order(platform),
+                    order=order,
                     cap=math.inf if cap is None else padded_threshold(cap),
                 )
-                return start[0] in searched
-
-            assert run(None)
-            stored = decisions[start[0]]
-            assert stored[0] == math.inf and stored[1] is not None
-            winner_latency = stored[1][2].latency
-            exact = _cap_padding_to(winner_latency)
-            assert exact is not None
-            # the stored winner meets the smaller padded cap exactly: reused
-            assert not run(exact)
-            below = exact
-            while padded_threshold(below) >= winner_latency:
-                below = math.nextafter(below, -math.inf)
-            # one step below, it might not be the winner: searched again, and
-            # the decision under the larger cap is kept
-            assert run(below)
-            assert decisions[start[0]] == stored
-
-            # no split meets a cap below the start latency: a stored None
-            decisions.clear()
-            low = start[1].latency / 2
-            assert run(low)
-            assert decisions[start[0]] == (padded_threshold(low), None)
-            assert not run(low) and not run(low / 2)
-            above = low
-            while padded_threshold(above) <= padded_threshold(low):
-                above = math.nextafter(above, math.inf)
-            assert run(above)
-            assert decisions[start[0]] == (padded_threshold(above), None)
+                assert picks[0] == (start[0], reference(cap))
+                first.append(picks[0][1])
+            # the same winner at both caps, built once
+            assert first[1] is first[0]
+            assert reference(low) is None and reference(above) is None
+            built = [mapping for mapping, _ in tables]
+            assert built.count(start[0]) == 1 and len(built) == len(set(built))
 
     def test_h2_search_count_is_pinned(self, monkeypatch):
-        """One default ``h2`` run at a large-instance size: searches counted exactly."""
+        """One default ``h2`` run at a large-instance size: tables counted exactly."""
         spec, platform = random_instance(np.random.default_rng(20), (20, 20), (12, 12))
         start = _start(spec, platform)
         threshold = 0.3 * start[1].period
-        searched = _spy_searches(monkeypatch)
+        tables = _spy(monkeypatch, "_split_table")
         outcome = run_heuristic("h2", spec, platform, threshold)
-        searches = len(searched)
+        built = len(tables)
         trials = outcome.search.trials
-        steps = 0
+        tables.clear()
         for trial in trials:
-            searched.clear()
             heuristics._run_greedy(
                 spec,
                 platform,
@@ -755,10 +767,11 @@ class TestSharedDecisions:
                 cap=padded_threshold(start[1].latency + trial.authorized_increase),
                 period_goal=threshold,
             )
-            steps += len(searched)
+        fresh = [mapping for mapping, _ in tables]
         assert (len(trials), outcome.search.chosen_increase is not None) == (21, True)
-        # every trial's greedy steps would be searched without shared decisions
-        assert searches == SEARCHES_PINNED < steps
+        # one table per distinct mapping the fresh trials split, where every
+        # fresh trial builds one per greedy step
+        assert built == TABLES_PINNED == len(set(fresh)) < len(fresh)
 
     def test_processors_sorted_once_per_run(self, monkeypatch):
         """All 21 trials of the pinned ``h2`` run share one speed order."""
