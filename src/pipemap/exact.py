@@ -46,8 +46,9 @@ metrics bit for bit, and the canonically first takes a class in index order.
 
 Interval costs are read from the pipeline's one stage-cost table,
 ``PipelineSpec._costs`` in :mod:`pipemap.model`, into partition tables that
-the pipeline keeps for every platform it is scanned on, one per ``m``;
-prefix values and bounds are summed in the order of
+the pipeline keeps for every platform it is scanned on, one per ``m``
+(a scan whose tables would exceed ``_TABLE_BYTES_LIMIT`` fails first, with a
+``ValueError``); prefix values and bounds are summed in the order of
 :func:`pipemap.model.evaluate_metrics`, and rounded ``+``, ``/`` and ``max``
 are monotone, so no bound exceeds the exact float value of any completion,
 and a full row's values are ``evaluate_metrics``' own.  Every front point is
@@ -268,6 +269,21 @@ def _grow(
     return (part, ext, *metrics)
 
 
+# Bytes of partition tables a scan may have its pipeline keep, summed over
+# ``m`` (:func:`_table_bytes`): ``n=22, p=14`` keeps 656 MiB and runs,
+# ``n=24, p=14`` would keep 2.4 GiB and is refused before any table is built.
+_TABLE_BYTES_LIMIT = 1 << 30
+
+
+def _table_bytes(n: int, m: int) -> int:
+    """The bytes of :func:`_pipeline_tables`' pair for ``m`` intervals, before it exists.
+
+    Each of the ``C(n-1, m-1)`` partitions holds ``2m`` span ends and
+    ``2m + 1`` numerators, eight bytes each.
+    """
+    return math.comb(n - 1, m - 1) * (4 * m + 1) * 8
+
+
 def _pipeline_tables(spec: PipelineSpec, m: int) -> tuple[np.ndarray, np.ndarray]:
     """The partitions into ``m`` intervals, kept on the pipeline for every platform it meets.
 
@@ -296,8 +312,17 @@ def _scan_front(spec: PipelineSpec, platform: Platform) -> ParetoFront:
     """Build the Pareto front, completing only the prefixes it cannot yet beat.
 
     The raw scan: it runs every time.  :func:`pareto_front` keeps its result.
+    A pipeline whose partition tables would outgrow ``_TABLE_BYTES_LIMIT`` is
+    refused with a ``ValueError`` before any table is built.
     """
     n, p = spec.n, platform.p
+    kept = sum(_table_bytes(n, m) for m in range(1, min(n, p) + 1))
+    if kept > _TABLE_BYTES_LIMIT:
+        raise ValueError(
+            f"an exact scan of n={n} stages on p={p} processors would keep"
+            f" {kept / 2**20:,.0f} MiB of partition tables, over the"
+            f" {_TABLE_BYTES_LIMIT >> 20:,} MiB limit"
+        )
     s, b, lead = platform.s, platform.b, platform._lead
     # The fastest processor and the widest link of each kind a bound reads:
     # between two processors (the diagonal is never read; with p = 1 there is

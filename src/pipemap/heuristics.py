@@ -49,7 +49,9 @@ numbers; it becomes an :class:`IntervalMapping` and runs through
 :func:`run_heuristic` is the single entry point.  Its greedy loops score
 each mapping's splits once, in a table no latency cap enters
 (:func:`_split_table`), and each step picks from it at its own cap, so
-every ``h2`` trial equals a fresh run bit for bit.
+every ``h2`` trial equals a fresh run bit for bit.  The table is the step's
+only state: the mapping fixes the unused processors, and each winner's
+:class:`SplitEvent` is built once and shared by every trace that takes it.
 """
 
 from __future__ import annotations
@@ -306,21 +308,24 @@ def _split_table(
     platform: Platform,
     mapping: IntervalMapping,
     metrics: MappingMetrics,
-    unused: list[int],
+    order: list[int],
     three_way: bool,
     ratio_rule: bool,
 ) -> tuple | None:
     """Every split of the bottleneck's interval, scored for any latency cap, or ``None``.
 
-    The interval splits into ``k`` parts: three when ``three_way`` holds, it
-    has at least three stages and two processors are unused, else two.  The
-    table is ``(jidx, recipients, cuts, placements, latencies, scores,
-    party_cycles, winners)``: every candidate of :func:`_split_candidates`
-    scored at once with no mapping built (``inf`` where the ratio rule drops
-    it), and :func:`_best_split`'s winners by flat index.
+    The processors of the speed ``order`` that ``mapping`` leaves unused are
+    the recipients, fastest first.  The interval splits into ``k`` parts:
+    three when ``three_way`` holds, it has at least three stages and two
+    processors are unused, else two.  The table is ``(mapping, metrics,
+    jidx, recipients, cuts, placements, latencies, scores, party_cycles,
+    winners)``: every candidate of :func:`_split_candidates` scored at once
+    with no mapping built (``inf`` where the ratio rule drops it), and
+    :func:`_best_split`'s winners by flat index.
     """
     jidx = metrics.per_processor_period.index(metrics.period)
     d, e = mapping.intervals[jidx]
+    unused = [u for u in order if u not in mapping.assignees]
     if d == e or not unused:
         return None
     k = 3 if three_way and e - d >= 2 and len(unused) >= 2 else 2
@@ -339,27 +344,26 @@ def _split_table(
     # the max over the parties in party order; no value is NaN or -0.0, so
     # it is the builtin max's
     scores = np.maximum.reduce(values)
-    return jidx, recipients, cuts, placements, latencies, scores, party_cycles, {}
+    return (mapping, metrics, jidx, recipients, cuts, placements, latencies, scores,
+            party_cycles, {})
 
 
 def _best_split(
-    spec: PipelineSpec,
-    platform: Platform,
-    mapping: IntervalMapping,
-    metrics: MappingMetrics,
-    table: tuple | None,
-    cap: float,
-) -> tuple[SplitChoice, IntervalMapping, MappingMetrics] | None:
-    """The first lowest-scoring split in ``mapping``'s ``table`` under ``cap``, or ``None``.
+    spec: PipelineSpec, platform: Platform, table: tuple | None, cap: float
+) -> tuple[SplitEvent, IntervalMapping] | None:
+    """The first lowest-scoring split in a :func:`_split_table` under ``cap``, or ``None``.
 
     A candidate whose latency exceeds ``cap``, an already padded latency cap,
     scores ``inf``; the first lowest finite score wins, in (cuts, placement)
     order.  The winner leaves numpy as Python numbers, once per table: it
-    becomes an :class:`IntervalMapping` with one :func:`evaluate_metrics` call.
+    becomes an :class:`IntervalMapping` with one :func:`evaluate_metrics`
+    call and a finished :class:`SplitEvent`, returned as ``(event,
+    mapping)`` to every pick that finds it.
     """
     if table is None:
         return None
-    jidx, recipients, all_cuts, placements, latencies, scores, party_cycles, winners = table
+    (mapping, metrics, jidx, recipients, all_cuts, placements, latencies, scores,
+     party_cycles, winners) = table
     capped = np.where(latencies <= cap, scores, np.inf)
     best = int(capped.argmin())
     if capped.item(best) == math.inf:
@@ -383,7 +387,9 @@ def _best_split(
             delta_latency=latencies.item(best) - metrics.latency,
             delta_period=tuple(metrics.period - c for c in party_cycles[:, i, j].tolist()),
         )
-        winners[best] = choice, winner, evaluate_metrics(spec, platform, winner)
+        after = evaluate_metrics(spec, platform, winner)
+        event = SplitEvent(choice, metrics.period, metrics.latency, after, winner.signature())
+        winners[best] = event, winner
     return winners[best]
 
 
@@ -401,40 +407,26 @@ def _run_greedy(
 ) -> tuple[IntervalMapping, MappingMetrics, tuple[SplitEvent, ...]]:
     """Run the splitting loop from ``start``; returns (mapping, metrics, trace).
 
-    ``start`` runs on ``order[0]``.  ``cap`` is the already padded latency
-    cap every split must meet.  The loops sharing ``decisions`` share the
-    split rule, and a mapping fixes the unused processors, so ``decisions``
-    keeps one :func:`_split_table` per mapping, built when first met, and
-    every step picks from it at its own cap; a table answers caps in any order.
+    ``cap`` is the already padded latency cap every split must meet.  A
+    mapping and the speed ``order`` fix its split table, so the loops sharing
+    ``decisions`` keep one :func:`_split_table` per mapping, built when first
+    met, and every step picks from it at its own cap; a table answers caps in
+    any order.  A step keeps its winner's event, so loops that take the same
+    split share one :class:`SplitEvent`.
     """
     mapping, metrics = start
-    unused = order[1:]
     trace: list[SplitEvent] = []
-    while True:
-        if period_goal is not None and meets_threshold(metrics.period, period_goal):
-            break
+    while period_goal is None or not meets_threshold(metrics.period, period_goal):
         if mapping not in decisions:
             decisions[mapping] = _split_table(
-                spec, platform, mapping, metrics, unused, three_way, ratio_rule
+                spec, platform, mapping, metrics, order, three_way, ratio_rule
             )
-        best = _best_split(spec, platform, mapping, metrics, decisions[mapping], cap)
-        if best is None:
+        best = _best_split(spec, platform, decisions[mapping], cap)
+        if best is None or not best[0].metrics_after.period < metrics.period:
             break
-        choice, best_mapping, best_metrics = best
-        if not best_metrics.period < metrics.period:
-            break
-        trace.append(
-            SplitEvent(
-                choice=choice,
-                period_before=metrics.period,
-                latency_before=metrics.latency,
-                metrics_after=best_metrics,
-                signature_after=best_mapping.signature(),
-            )
-        )
-        for u in choice.recipients:
-            unused.remove(u)
-        mapping, metrics = best_mapping, best_metrics
+        event, mapping = best
+        metrics = event.metrics_after
+        trace.append(event)
     return mapping, metrics, tuple(trace)
 
 

@@ -29,11 +29,13 @@ from pipemap import (
     run_sweep_report,
     solve,
 )
+from pipemap.cli import main
 from pipemap.exact import (
     _extend_perms,
     _partitions,
     _scan_front,
 )
+from pipemap.files import write_pipeline, write_platform
 
 import oracle
 from conftest import uniform_bandwidth
@@ -748,6 +750,7 @@ class TestFrontCache:
         for m in range(1, 7):
             spans, terms = exact._pipeline_tables(spec, m)
             assert not spans.flags.writeable and not terms.flags.writeable
+            assert exact._table_bytes(spec.n, m) == spans.nbytes + terms.nbytes
             rows = partitions(spec.n, m).tolist()
             assert spans.tolist() == [
                 [[d + 1, e] for d, e in zip(row, row[1:])] for row in rows
@@ -1139,6 +1142,38 @@ class TestIdenticalProcessors:
     def test_front_is_the_partition_filter_at_larger_sizes(self, n, p):
         """All processors form one class, so these sizes scan in milliseconds."""
         self.test_front_is_the_partition_filter(n, p)
+
+    def test_oversize_scan_fails_before_any_table(self, monkeypatch, tmp_path, capsys):
+        """``n=24, p=14`` would keep 2.4 GiB of partition tables: a
+        ``ValueError`` before the first is built, and CLI exit 1.  The limit
+        still lets ``n=22, p=14`` scan, with 656 MiB of tables."""
+
+        def kept(n, p):
+            return sum(exact._table_bytes(n, m) for m in range(1, min(n, p) + 1))
+
+        assert round(kept(22, 14) / 2**20) == 656
+        assert kept(22, 14) <= exact._TABLE_BYTES_LIMIT < kept(24, 14)
+
+        def refuse(n, m):
+            raise AssertionError(f"_partitions({n}, {m}) called")
+
+        monkeypatch.setattr(exact, "_partitions", refuse)
+        spec, platform = _shape_only(24, 14)
+        message = (
+            "an exact scan of n=24 stages on p=14 processors would keep 2,429 MiB"
+            " of partition tables, over the 1,024 MiB limit"
+        )
+        with pytest.raises(ValueError) as err:
+            solve(spec, platform, BicriteriaQuery.minimize_period())
+        assert str(err.value) == message
+        assert "_scan_tables" not in spec.__dict__
+        write_pipeline(spec, str(tmp_path / "p24.json"))
+        write_platform(platform, str(tmp_path / "same14.json"))
+        code = main(
+            ["solve", "--pipeline", str(tmp_path / "p24.json"),
+             "--platform", str(tmp_path / "same14.json"), "--period", "1e9"]
+        )
+        assert (code, capsys.readouterr().err) == (1, f"error: {message}\n")
 
 
 class TestProcessorClasses:

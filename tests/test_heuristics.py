@@ -373,7 +373,10 @@ def _candidate_mapping(mapping, jidx, cuts, placement):
 
 
 def _reference_best_split(spec, platform, mapping, metrics, unused, three_way, ratio_rule, cap):
-    """``_best_split`` with every candidate mapping built and evaluated in full."""
+    """``_best_split`` with every candidate mapping built and evaluated in full.
+
+    Returns the winner as ``_best_split`` does, ``(event, mapping)``.
+    """
     cycles = metrics.per_processor_period
     jidx = cycles.index(max(cycles))
     d, e = mapping.intervals[jidx]
@@ -403,7 +406,17 @@ def _reference_best_split(spec, platform, mapping, metrics, unused, three_way, r
                     score, delta_latency, delta_period,
                 )
                 best = (choice, cand, after)
-    return best
+    if best is None:
+        return None
+    choice, cand, after = best
+    return heuristics.SplitEvent(
+        choice, metrics.period, metrics.latency, after, cand.signature()
+    ), cand
+
+
+def _order(mapping, unused):
+    """A processor order in which ``mapping`` leaves exactly ``unused`` unused, in order."""
+    return [*mapping.assignees, *unused]
 
 
 class TestSplitCandidates:
@@ -453,9 +466,10 @@ class TestSplitCandidates:
                 calls.clear()
                 monkeypatch.setattr(heuristics, "evaluate_metrics", counting)
                 got = heuristics._best_split(
-                    spec, platform, mapping, metrics,
+                    spec, platform,
                     heuristics._split_table(
-                        spec, platform, mapping, metrics, unused, three_way, ratio_rule
+                        spec, platform, mapping, metrics, _order(mapping, unused),
+                        three_way, ratio_rule,
                     ),
                     math.inf if cap is None else padded_threshold(cap),
                 )
@@ -475,9 +489,10 @@ class TestSplitCandidates:
                         spec, platform, mapping, metrics, unused, three_way, ratio_rule, cap
                     )
                     got = heuristics._best_split(
-                        spec, platform, mapping, metrics,
+                        spec, platform,
                         heuristics._split_table(
-                            spec, platform, mapping, metrics, unused, three_way, ratio_rule
+                            spec, platform, mapping, metrics, _order(mapping, unused),
+                            three_way, ratio_rule,
                         ),
                         math.inf if cap is None else padded_threshold(cap),
                     )
@@ -500,18 +515,19 @@ class TestSplitCandidates:
             lowest = latency.min().item()
             cap = _cap_padding_to(lowest)
             assert cap is not None and meets_threshold(lowest, cap)
-            got = heuristics._best_split(
-                spec, platform, mapping, metrics,
-                heuristics._split_table(spec, platform, mapping, metrics, unused, False, False),
-                padded_threshold(cap),
+            table = heuristics._split_table(
+                spec, platform, mapping, metrics, _order(mapping, unused), False, False
             )
-            assert got is not None and got[2].latency == lowest
+            got = heuristics._best_split(spec, platform, table, padded_threshold(cap))
+            assert got is not None and got[0].metrics_after.latency == lowest
             below = cap
             while padded_threshold(below) >= lowest:
                 below = math.nextafter(below, -math.inf)
             assert heuristics._best_split(
-                spec, platform, mapping, metrics,
-                heuristics._split_table(spec, platform, mapping, metrics, unused, False, False),
+                spec, platform,
+                heuristics._split_table(
+                    spec, platform, mapping, metrics, _order(mapping, unused), False, False
+                ),
                 padded_threshold(below),
             ) is None
 
@@ -538,15 +554,19 @@ class TestSplitCandidates:
         )
         assert (latency == metrics.latency).all() and latency.size > 1
         got = heuristics._best_split(
-            spec, platform, mapping, metrics,
-            heuristics._split_table(spec, platform, mapping, metrics, unused, three_way, ratio_rule),
+            spec, platform,
+            heuristics._split_table(
+                spec, platform, mapping, metrics, _order(mapping, unused), three_way, ratio_rule
+            ),
             math.inf,
         )
         assert got == _reference_best_split(
             spec, platform, mapping, metrics, unused, three_way, ratio_rule, None
         )
-        assert (got[0].cuts, got[0].placement) == (cuts[0], placements[0])
-        assert (got[0].cuts, got[0].placement) == (tuple(range(1, k)), (3, *unused[: k - 1]))
+        assert (got[0].choice.cuts, got[0].choice.placement) == (cuts[0], placements[0])
+        assert (got[0].choice.cuts, got[0].choice.placement) == (
+            tuple(range(1, k)), (3, *unused[: k - 1])
+        )
 
     def test_split_choices_hold_python_numbers(self):
         """No numpy scalar reaches a ``SplitChoice``, ``to_dict()`` or the JSON."""
@@ -607,13 +627,18 @@ def _start(spec, platform):
 
 
 def _spy(monkeypatch, name):
-    """Record ``(mapping, result)`` for every call of ``heuristics.<name>`` from now on."""
+    """Record ``(first, result)`` for every call of ``heuristics.<name>`` from now on.
+
+    ``first`` is the argument after the platform: the mapping of
+    ``_split_table`` and ``evaluate_metrics``, the table of ``_best_split``
+    (its first entry is its mapping) and the ``decisions`` of ``_run_greedy``.
+    """
     calls = []
     wrapped = getattr(heuristics, name)
 
-    def spy(spec, platform, mapping, *args):
-        result = wrapped(spec, platform, mapping, *args)
-        calls.append((mapping, result))
+    def spy(spec, platform, first, *args, **kwargs):
+        result = wrapped(spec, platform, first, *args, **kwargs)
+        calls.append((first, result))
         return result
 
     monkeypatch.setattr(heuristics, name, spy)
@@ -710,7 +735,7 @@ class TestSharedDecisions:
                     spec, platform, *start, order[1:], False, ratio_rule, cap
                 )
 
-            winner_latency = reference(None)[2].latency
+            winner_latency = reference(None)[0].metrics_after.latency
             # the winner's exact padded cap, and one step below it
             exact = _cap_padding_to(winner_latency)
             assert exact is not None
@@ -737,8 +762,9 @@ class TestSharedDecisions:
                     order=order,
                     cap=math.inf if cap is None else padded_threshold(cap),
                 )
-                assert picks[0] == (start[0], reference(cap))
-                first.append(picks[0][1])
+                table, pick = picks[0]
+                assert (table[0], pick) == (start[0], reference(cap))
+                first.append(pick)
             # the same winner at both caps, built once
             assert first[1] is first[0]
             assert reference(low) is None and reference(above) is None
@@ -746,14 +772,24 @@ class TestSharedDecisions:
             assert built.count(start[0]) == 1 and len(built) == len(set(built))
 
     def test_h2_search_count_is_pinned(self, monkeypatch):
-        """One default ``h2`` run at a large-instance size: tables counted exactly."""
+        """One default ``h2`` run at a large-instance size: tables and winners counted exactly."""
         spec, platform = random_instance(np.random.default_rng(20), (20, 20), (12, 12))
         start = _start(spec, platform)
         threshold = 0.3 * start[1].period
         tables = _spy(monkeypatch, "_split_table")
+        runs = _spy(monkeypatch, "_run_greedy")
+        evaluated = _spy(monkeypatch, "evaluate_metrics")
         outcome = run_heuristic("h2", spec, platform, threshold)
         built = len(tables)
         trials = outcome.search.trials
+        # the 21 trials' traces hold 123 entries but share one event per
+        # winner, 7 in all, and each winner is evaluated once, after the start
+        events = [event for _, (_, _, trace) in runs for event in trace]
+        winners = list({id(event): event for event in events}.values())
+        assert (len(runs), len(events), len(winners)) == (21, 123, 7)
+        assert [mapping for mapping, _ in evaluated] == [start[0]] + [
+            IntervalMapping.from_signature(event.signature_after) for event in winners
+        ]
         tables.clear()
         for trial in trials:
             heuristics._run_greedy(
