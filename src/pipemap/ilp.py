@@ -23,25 +23,25 @@ rows get the query threshold as a constant right-hand side, and are dropped
 when the threshold is infinite.
 
 The constraints are row families (:class:`RowFamily`), each a name column,
-one coefficient vector, one column of ``(coef, var)`` terms per coefficient,
-a sense and a right-hand side; row and variable names are LP identifiers,
-without spaces.  Every variable name comes from one builder,
-``_name_tables``, which :func:`assignment_from_mapping` reads too, and every
-cost term divides ``model``'s float views and stage-cost table.
-:func:`build_instance` builds each family in bulk, with no Python step per
-row: names by prefix concatenation, term columns by zipping a coefficient
-with variable names.  Each term that several rows hold, such as
-``(1.0, x_k_u)``, ``(1.0, first_u)`` or a cost term ``(delta / b,
-z_k_u_v)``, is one shared pair.  ``firstb``/``lastb`` and ``cutl``/``cutf``
-are one block of two families per stage, whose rows alternate, and each cost
-row is a family of one.  :meth:`IlpInstance.to_lp_text` renders a family
-through one ``str.format`` template made from its coefficients, formatting
-each distinct number once per call.  A line holds at most 72 characters after
-its leading space; longer rows, and the ``Binary`` and ``General`` lists, go
-through one line breaker that breaks at the last space that fits, so only the
-``assign``, ``route`` and cost rows wrap at scale.  :attr:`IlpInstance.rows`
-lists the constraints as :class:`Row` named tuples, derived from the families
-on first use, so an export builds none.
+one coefficient vector, one column of variable names per coefficient, a
+sense and a right-hand side, so a family holds each coefficient once; row
+and variable names are LP identifiers, without spaces.  Every variable name
+comes from one builder, ``_name_tables``, which :func:`assignment_from_mapping`
+reads too, and every cost term divides ``model``'s float views and
+stage-cost table.  :func:`build_instance` builds each family in bulk, with no
+Python step per row: names by prefix concatenation, and columns straight
+from ``_name_tables``' name tuples where a family's rows follow them.
+``firstb``/``lastb`` and ``cutl``/``cutf`` are one block of two families per
+stage, whose rows alternate, and each cost row is a family of one.
+:meth:`IlpInstance.to_lp_text` renders a family through one ``str.format``
+template made from its coefficients, formatting each distinct number once per
+call.  A line holds at most 72 characters after its leading space; longer
+rows, and the ``Binary`` and ``General`` lists, go through one line breaker
+that breaks at the last space that fits, so only the ``assign``, ``route``
+and cost rows wrap at scale.  :attr:`IlpInstance.rows` lists the constraints
+as :class:`Row` named tuples, derived from the families on first use, so an
+export builds none; it interns their ``(coef, var)`` terms, so each distinct
+term is one pair object, whichever rows hold it.
 """
 
 from __future__ import annotations
@@ -59,7 +59,6 @@ from .model import (
     PipelineSpec,
     Platform,
     evaluate_metrics,
-    require_valid,
 )
 
 __all__ = [
@@ -100,27 +99,34 @@ class Row(NamedTuple):
 class RowFamily(NamedTuple):
     """Rows of one shape, held by column.
 
-    Row ``i`` is named ``names[i]`` and its ``j``-th term is
-    ``columns[j][i]``, a ``(coef, var)`` pair whose coefficient is
-    ``coefs[j]``; every row has the same sense and right-hand side.
+    Row ``i`` is named ``names[i]`` and its ``j``-th term is ``(coefs[j],
+    columns[j][i])``: a column holds variable names only, so a family holds
+    each coefficient once.  Every row has the same sense and right-hand side.
     """
 
     names: tuple[str, ...]
     coefs: tuple[float, ...]
-    columns: tuple[tuple[tuple[float, str], ...], ...]  # one term column per coefficient
+    columns: tuple[tuple[str, ...], ...]  # one variable-name column per coefficient
     sense: str
     rhs: float
 
-    def _rows(self) -> Iterator[Row]:
-        terms = zip(*self.columns) if self.columns else repeat((), len(self.names))
-        rows = zip(self.names, terms, repeat(self.sense), repeat(self.rhs))
+    def _rows(self, pairs: dict) -> Iterator[Row]:
+        """The rows as :class:`Row` tuples, each term interned in ``pairs``."""
+        count = len(self.names)
+        coefs = chain.from_iterable(map(repeat, self.coefs, repeat(count)))
+        made = list(zip(coefs, chain.from_iterable(self.columns)))
+        # A term already in ``pairs`` becomes the stored pair; a new one is stored.
+        terms = list(map(pairs.setdefault, made, made))
+        # The terms run column by column, so row i's are every count-th from i.
+        strides = map(terms.__getitem__, map(slice, range(count), repeat(None), repeat(count)))
+        rows = zip(self.names, map(tuple, strides), repeat(self.sense), repeat(self.rhs))
         return map(tuple.__new__, repeat(Row), rows)
 
     def _lines(self, term: _Memo, plain: _Memo) -> list[str]:
         """Each row as LP text; a row that wraps is one string of several lines.
 
-        ``term`` maps a coefficient to its ``"+ c {[1]}"`` template piece,
-        which formats a term's variable, and ``plain`` a number to its text.
+        ``term`` maps a coefficient to its ``"+ c {}"`` template piece, which
+        formats a variable name, and ``plain`` a number to its text.
         """
         head = " ".join(map(term.__getitem__, self.coefs)).removeprefix("+ ")
         template = f" {{}}: {head} {self.sense} {plain[self.rhs]}"
@@ -155,10 +161,15 @@ class IlpInstance:
 
     @cached_property
     def rows(self) -> tuple[Row, ...]:
-        """Every constraint as a :class:`Row`, in emission order."""
+        """Every constraint as a :class:`Row`, in emission order.
+
+        One dict interns the terms, so each distinct ``(coef, var)`` term is
+        one pair object, whichever rows hold it.
+        """
+        pairs: dict = {}
         return tuple(
             chain.from_iterable(
-                chain.from_iterable(zip(*[family._rows() for family in block], strict=True))
+                chain.from_iterable(zip(*[family._rows(pairs) for family in block], strict=True))
                 for block in self.blocks
             )
         )
@@ -180,9 +191,8 @@ class IlpInstance:
             "Subject To",
         ]
         # Each distinct number is formatted once: ``term`` maps a coefficient
-        # to its "+ c {[1]}" / "- c {[1]}" template piece, ``plain`` a value
-        # to text.
-        term = _Memo(lambda coef: ("- " if coef < 0 else "+ ") + _fmt(abs(coef)) + " {[1]}")
+        # to its "+ c {}" / "- c {}" template piece, ``plain`` a value to text.
+        term = _Memo(lambda coef: ("- " if coef < 0 else "+ ") + _fmt(abs(coef)) + " {}")
         plain = _Memo(_fmt)
         for block in self.blocks:
             lines = [family._lines(term, plain) for family in block]
@@ -206,7 +216,8 @@ def _name_tables(n: int, p: int) -> tuple:
     output gateway, so only ``links`` carry z variables: link ``i`` is the
     pair ``links[i]``, named ``pairs[i]``, and ``at[u][v]`` is its index.
     ``x[k][u]``, ``y[k][u]``, ``first[u]`` and ``last[u]`` are indexed by
-    node and ``z[k][i]`` by link; each name is formatted once.
+    node and ``z[k][i]`` by link; each name is formatted once, and each of
+    these rows is a tuple, so a family can hold it as a column.
     """
     label = ["in"] + [f"p{u}" for u in range(1, p + 1)] + ["out"]
     nodes = range(p + 2)
@@ -215,20 +226,15 @@ def _name_tables(n: int, p: int) -> tuple:
     at = [[None] * (p + 2) for _ in nodes]
     for i, (u, v) in enumerate(links):
         at[u][v] = i
-    x = [list(map(f"x_{k}_".__add__, label)) for k in range(n + 2)]
-    y = [list(map(f"y_{k}_".__add__, label)) for k in range(n + 1)]
-    z = [list(map(f"z_{k}_".__add__, pairs)) for k in range(n + 1)]
-    first = list(map("first_".__add__, label))
-    last = list(map("last_".__add__, label))
+    x = [_names(f"x_{k}_", label) for k in range(n + 2)]
+    y = [_names(f"y_{k}_", label) for k in range(n + 1)]
+    z = [_names(f"z_{k}_", pairs) for k in range(n + 1)]
+    first, last = _names("first_", label), _names("last_", label)
     return label, links, pairs, at, x, y, z, first, last, "Topt"
 
 
 def _names(prefix: str, keys) -> tuple[str, ...]:
     return tuple(map(prefix.__add__, keys))
-
-
-def _terms(coef: float, variables) -> tuple[tuple[float, str], ...]:
-    return tuple(zip(repeat(coef), variables))
 
 
 def build_instance(
@@ -246,24 +252,19 @@ def build_instance(
     inner_pairs = [pairs[i] for i in inner]
 
     binaries = [*chain.from_iterable(x), *chain.from_iterable(z), *chain.from_iterable(y)]
-    generals = first[1:out] + last[1:out]
-
-    # Each (1.0, var) term is made once and shared by every row it is in.
-    one_x = [_terms(1.0, xk) for xk in x]
-    one_first = _terms(1.0, first)
-    one_last = _terms(1.0, last)
-    cut_last = tuple(one_last[links[i][0]] for i in inner)
-    cut_first = tuple(one_first[links[i][1]] for i in inner)
+    proc_first, proc_last = first[1:out], last[1:out]
+    generals = proc_first + proc_last
+    cut_last = tuple(last[links[i][0]] for i in inner)
+    cut_first = tuple(first[links[i][1]] for i in inner)
 
     # Every stage, virtual gateways included, runs on exactly one node.
     assign = RowFamily(
-        _names("assign_", map(str, range(n + 2))), (1.0,) * (p + 2), tuple(zip(*one_x)), "=", 1.0
+        _names("assign_", map(str, range(n + 2))), (1.0,) * (p + 2), tuple(zip(*x)), "=", 1.0
     )
     # Every stage boundary is either one link crossing or one hand-off.
-    route_terms = [_terms(1.0, z[k] + y[k]) for k in range(n + 1)]
     route = RowFamily(
         _names("route_", map(str, range(n + 1))), (1.0,) * (len(links) + p + 2),
-        tuple(zip(*route_terms)), "=", 1.0,
+        tuple(zip(*map(tuple.__add__, z, y))), "=", 1.0,
     )
     blocks = [(assign,), (route,)]
 
@@ -271,16 +272,14 @@ def build_instance(
     tails, heads = zip(*links)
     for k in range(n + 1):
         columns = (
-            tuple(map(one_x[k].__getitem__, tails)),
-            tuple(map(one_x[k + 1].__getitem__, heads)),
-            _terms(-1.0, z[k]),
+            tuple(map(x[k].__getitem__, tails)), tuple(map(x[k + 1].__getitem__, heads)), z[k]
         )
         link = RowFamily(_names(f"link_{k}_", pairs), (1.0, 1.0, -1.0), columns, "<=", 1.0)
         blocks.append((link,))
 
     # x -> y: placing consecutive stages on the same node forces the hand-off.
     for k in range(n + 1):
-        columns = (one_x[k], one_x[k + 1], _terms(-1.0, y[k]))
+        columns = (x[k], x[k + 1], y[k])
         same = RowFamily(_names(f"same_{k}_", label), (1.0, 1.0, -1.0), columns, "<=", 1.0)
         blocks.append((same,))
 
@@ -289,10 +288,10 @@ def build_instance(
     for k in range(1, n + 1):
         xk = x[k][1:out]
         if n - k:
-            firstb = (1.0, float(n - k)), (one_first[1:out], _terms(float(n - k), xk))
+            firstb = (1.0, float(n - k)), (proc_first, xk)
         else:
-            firstb = (1.0,), (one_first[1:out],)
-        lastb = (1.0, -float(k)), (one_last[1:out], _terms(-float(k), xk))
+            firstb = (1.0,), (proc_first,)
+        lastb = (1.0, -float(k)), (proc_last, xk)
         blocks.append((
             RowFamily(_names(f"firstb_{k}_", plabel), *firstb, "<=", float(n)),
             RowFamily(_names(f"lastb_{k}_", plabel), *lastb, ">=", 0.0),
@@ -300,9 +299,9 @@ def build_instance(
 
     # A crossing after stage k closes u's interval and opens v's.
     for k in range(1, n):
-        zk = list(map(z[k].__getitem__, inner))
-        cutl = (1.0, float(n - k)), (cut_last, _terms(float(n - k), zk))
-        cutf = (1.0, -float(k + 1)), (cut_first, _terms(-float(k + 1), zk))
+        zk = tuple(map(z[k].__getitem__, inner))
+        cutl = (1.0, float(n - k)), (cut_last, zk)
+        cutf = (1.0, -float(k + 1)), (cut_first, zk)
         blocks.append((
             RowFamily(_names(f"cutl_{k}_", inner_pairs), *cutl, "<=", float(n)),
             RowFamily(_names(f"cutf_{k}_", inner_pairs), *cutf, ">=", 0.0),
@@ -347,8 +346,8 @@ def build_instance(
             rhs = query.threshold
         else:
             continue
-        coefs = tuple(coef for coef, _ in terms)
-        blocks.append((RowFamily((name,), coefs, tuple(zip(terms)), "<=", rhs),))
+        coefs, names = zip(*terms)
+        blocks.append((RowFamily((name,), coefs, tuple(zip(names)), "<=", rhs),))
 
     # Boundary pins: the virtual stages sit on the gateways, real stages never
     # do, and gateway hand-offs or out-of-order gateway crossings cannot occur:
@@ -446,7 +445,7 @@ def assignment_from_mapping(
     is feasible for them); ``Topt`` is set to the minimized criterion's value
     when ``query`` is given, else to the period.
     """
-    require_valid(spec, platform, mapping)
+    metrics = evaluate_metrics(spec, platform, mapping)  # validates the mapping first
     n, p = spec.n, platform.p
     _, _, _, at, x, y, z, first, last, topt = _name_tables(n, p)
     # node[k]: the node stage k runs on; the virtual stages sit on the gateways.
@@ -464,6 +463,5 @@ def assignment_from_mapping(
         d, e = spans.get(u, (1, n))
         assign[first[u]] = float(d)
         assign[last[u]] = float(e)
-    metrics = evaluate_metrics(spec, platform, mapping)
     assign[topt] = metrics.period if query is None else query.objective_of(metrics)
     return assign

@@ -3,6 +3,7 @@ import gc
 import hashlib
 import math
 import tracemalloc
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from pipemap import (
     BicriteriaQuery,
     IntervalMapping,
+    InvalidMappingError,
     PipelineSpec,
     Platform,
     assignment_from_mapping,
@@ -186,6 +188,21 @@ class TestAssignmentEncoding:
                 topt = assignment_from_mapping(spec, platform, mapping, query)["Topt"]
                 assert topt == query.objective_of(metrics) == getattr(metrics, query.objective)
             assert assignment_from_mapping(spec, platform, mapping)["Topt"] == metrics.period
+
+    @pytest.mark.parametrize("signature", ["1-2@p1;3-3@p3", "1-1@p1;3-3@p2"], ids=["p+1", "gap"])
+    def test_invalid_mapping_raises_before_any_name_lookup(
+        self, tiny_spec, tiny_platform, monkeypatch, signature
+    ):
+        # Processor p + 1 would read the output gateway's names and a gap
+        # would leave stage 2 on the input gateway, so neither would fail
+        # a name lookup by itself.
+        def no_names(n, p):
+            raise AssertionError("names looked up for an invalid mapping")
+
+        monkeypatch.setattr(ilp, "_name_tables", no_names)
+        mapping = IntervalMapping.from_signature(signature)
+        with pytest.raises(InvalidMappingError):
+            assignment_from_mapping(tiny_spec, tiny_platform, mapping)
 
 
 class TestLpRendering:
@@ -445,7 +462,8 @@ class TestRowRendering:
         # The body is the name and 47 more characters.
         name = "c" * (length - 47)
         terms = ((1.0, "x_1_p1"), (-0.1, "z_0_in_p1"))
-        block = (ilp.RowFamily((name,), (1.0, -0.1), tuple(zip(terms)), "<=", 3.0),)
+        columns = (("x_1_p1",), ("z_0_in_p1",))
+        block = (ilp.RowFamily((name,), (1.0, -0.1), columns, "<=", 3.0),)
         rendered = _constraint_lines(dataclasses.replace(instance, blocks=(block,)))
         assert len(f"{name}: 1 x_1_p1 - 0.10000000000000001 z_0_in_p1 <= 3") == length
         assert len(rendered) == lines
@@ -584,6 +602,9 @@ class TestReferenceBuilder:
             assert instance.pins == pins
             assert instance.binaries == binaries
             assert instance.generals == generals
+            for family in chain.from_iterable(instance.blocks):
+                assert len(family.coefs) == len(family.columns)
+                assert all(type(var) is str for column in family.columns for var in column)
             for row in instance.rows:
                 assert type(row) is ilp.Row
                 assert type(row.rhs) is float
