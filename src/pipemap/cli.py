@@ -18,7 +18,7 @@ from . import files
 from .exact import solve
 from .heuristics import HEURISTIC_NAMES, fixed_criterion_of, run_heuristic
 from .ilp import write_lp
-from .model import BicriteriaQuery, PipelineSpec, jpeg_preset
+from .model import BicriteriaQuery, PipelineSpec, Platform, jpeg_preset
 from .simulator import compare_with_analytic, simulate, write_event_log
 from .workbench import (
     DEFAULT_RANGE,
@@ -83,6 +83,11 @@ def _load_pipeline(args) -> PipelineSpec:
     return files.read_pipeline(args.pipeline)
 
 
+def _load_instance(args) -> tuple[PipelineSpec, Platform]:
+    """The ``--pipeline`` (default: the bundled preset) and the ``--platform`` file."""
+    return _load_pipeline(args), files.read_platform(args.platform)
+
+
 def _threshold_flag(args) -> tuple[str, float | str]:
     """The objective and raw value of the one given ``--period``/``--latency``.
 
@@ -133,8 +138,7 @@ def _cmd_gen_platform(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    spec = _load_pipeline(args)
-    platform = files.read_platform(args.platform)
+    spec, platform = _load_instance(args)
     query = _query_from_args(args)
     result = solve(spec, platform, query)
     print(f"objective: minimize {query.objective} ({query.fixed_criterion} <= {query.threshold})")
@@ -157,8 +161,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_heuristic(args) -> int:
-    spec = _load_pipeline(args)
-    platform = files.read_platform(args.platform)
+    spec, platform = _load_instance(args)
     name = args.heuristic
     needed = fixed_criterion_of(name)
     objective, given = _threshold_flag(args)
@@ -175,7 +178,7 @@ def _cmd_heuristic(args) -> int:
         choice = event.choice
         print(
             f"  split p{choice.target} at {choice.cuts} -> "
-            f"{event.signature_after} (period {event.metrics_after.period!r})"
+            f"{event.mapping_after.signature()} (period {event.metrics_after.period!r})"
         )
     if outcome.search is not None:
         chosen = outcome.search.chosen_increase
@@ -189,8 +192,7 @@ def _cmd_heuristic(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    spec = _load_pipeline(args)
-    platform = files.read_platform(args.platform)
+    spec, platform = _load_instance(args)
     mapping = files.read_mapping(args.mapping)
     report = simulate(
         spec,
@@ -223,8 +225,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    spec = _load_pipeline(args)
-    platform = files.read_platform(args.platform)
+    spec, platform = _load_instance(args)
     objective, text = _threshold_flag(args)
     thresholds = _parse_thresholds(text)
     query = BicriteriaQuery(objective=objective, threshold=thresholds[0])
@@ -293,8 +294,7 @@ def _cmd_campaign(args) -> int:
 
 
 def _cmd_export_lp(args) -> int:
-    spec = _load_pipeline(args)
-    platform = files.read_platform(args.platform)
+    spec, platform = _load_instance(args)
     query = _query_from_args(args)
     instance = write_lp(spec, platform, query, args.out)
     rows = sum(len(family.names) for block in instance.blocks for family in block)

@@ -25,7 +25,8 @@ The variants differ along the columns of the ``_VARIANTS`` table:
   the latency increase authorized on top of the start state's latency, on
   the fixed range ``[0, 4 * start latency]``: it tries the upper bound
   first, then bisects for 20 rounds (``_H2_SEARCH``), and returns the
-  outcome of the smallest authorized increase that reaches the fixed period.
+  outcome of the smallest authorized increase that reaches the fixed period
+  (no increase, after one trial, when the start state already reaches it).
 
 One enumerator serves every split width: a ``k``-way split of the
 bottleneck's interval tries every ``k - 1`` cut points and every placement
@@ -51,7 +52,8 @@ each mapping's splits once, in a table no latency cap enters
 (:func:`_split_table`), and each step picks from it at its own cap, so
 every ``h2`` trial equals a fresh run bit for bit.  The table is the step's
 only state: the mapping fixes the unused processors, and each winner's
-:class:`SplitEvent` is built once and shared by every trace that takes it.
+:class:`SplitEvent`, which carries the mapping it leads to, is built once and
+shared by every trace that takes it.
 """
 
 from __future__ import annotations
@@ -69,6 +71,7 @@ from .model import (
     MappingMetrics,
     PipelineSpec,
     Platform,
+    _bottleneck,
     _chain_terms,
     _fold_numerators,
     evaluate_metrics,
@@ -147,13 +150,13 @@ class SplitChoice:
 
 @dataclass(frozen=True)
 class SplitEvent:
-    """An accepted split, as recorded in an outcome's trace."""
+    """An accepted split, as recorded in an outcome's trace, with the state it leads to."""
 
     choice: SplitChoice
     period_before: float
     latency_before: float
     metrics_after: MappingMetrics
-    signature_after: str
+    mapping_after: IntervalMapping
 
     def to_dict(self) -> dict:
         return {
@@ -162,7 +165,7 @@ class SplitEvent:
             "latency_before": self.latency_before,
             "period_after": self.metrics_after.period,
             "latency_after": self.metrics_after.latency,
-            "mapping_after": self.signature_after,
+            "mapping_after": self.mapping_after.signature(),
         }
 
 
@@ -323,7 +326,7 @@ def _split_table(
     with no mapping built (``inf`` where the ratio rule drops it), and
     :func:`_best_split`'s winners by flat index.
     """
-    jidx = metrics.per_processor_period.index(metrics.period)
+    jidx = _bottleneck(metrics.per_processor_period)
     d, e = mapping.intervals[jidx]
     unused = [u for u in order if u not in mapping.assignees]
     if d == e or not unused:
@@ -350,15 +353,15 @@ def _split_table(
 
 def _best_split(
     spec: PipelineSpec, platform: Platform, table: tuple | None, cap: float
-) -> tuple[SplitEvent, IntervalMapping] | None:
+) -> SplitEvent | None:
     """The first lowest-scoring split in a :func:`_split_table` under ``cap``, or ``None``.
 
     A candidate whose latency exceeds ``cap``, an already padded latency cap,
     scores ``inf``; the first lowest finite score wins, in (cuts, placement)
     order.  The winner leaves numpy as Python numbers, once per table: it
     becomes an :class:`IntervalMapping` with one :func:`evaluate_metrics`
-    call and a finished :class:`SplitEvent`, returned as ``(event,
-    mapping)`` to every pick that finds it.
+    call and a finished :class:`SplitEvent`, returned to every pick that
+    finds it.
     """
     if table is None:
         return None
@@ -388,8 +391,7 @@ def _best_split(
             delta_period=tuple(metrics.period - c for c in party_cycles[:, i, j].tolist()),
         )
         after = evaluate_metrics(spec, platform, winner)
-        event = SplitEvent(choice, metrics.period, metrics.latency, after, winner.signature())
-        winners[best] = event, winner
+        winners[best] = SplitEvent(choice, metrics.period, metrics.latency, after, winner)
     return winners[best]
 
 
@@ -421,11 +423,10 @@ def _run_greedy(
             decisions[mapping] = _split_table(
                 spec, platform, mapping, metrics, order, three_way, ratio_rule
             )
-        best = _best_split(spec, platform, decisions[mapping], cap)
-        if best is None or not best[0].metrics_after.period < metrics.period:
+        event = _best_split(spec, platform, decisions[mapping], cap)
+        if event is None or not event.metrics_after.period < metrics.period:
             break
-        event, mapping = best
-        metrics = event.metrics_after
+        mapping, metrics = event.mapping_after, event.metrics_after
         trace.append(event)
     return mapping, metrics, tuple(trace)
 
@@ -438,9 +439,9 @@ def run_heuristic(
     The greedy loops of one call share one split table per mapping (see
     :func:`_run_greedy`).  Each latency cap is padded here, once, with
     :func:`padded_threshold`.  Under a fixed period the run is feasible when
-    its final period meets the threshold (for ``h2``: when some authorized
-    increase reaches it).  Under a fixed latency it is infeasible exactly
-    when the start state already violates the threshold.
+    its final period meets the threshold, for ``h2`` as for the others.
+    Under a fixed latency it is infeasible exactly when the start state
+    already violates the threshold.
     """
     fixed_criterion = fixed_criterion_of(name)
     _, ratio_rule, three_way, search = _VARIANTS[name]
@@ -458,54 +459,42 @@ def run_heuristic(
     report = None
     if fixed_criterion == "latency":
         mapping, metrics, trace = greedy(cap=padded_threshold(threshold))
-        feasible = meets_threshold(base_latency, threshold)
     elif search is None:
         mapping, metrics, trace = greedy(period_goal=threshold)
-        feasible = meets_threshold(metrics.period, threshold)
     else:
         # Binary search over the latency increase authorized on top of the
         # start state's: the upper bound runs first and, when it fails, its
         # run is the outcome; else every trial that reaches the period
-        # replaces the outcome and lowers the bound.
+        # replaces the outcome and lowers the bound.  A trial that reaches it
+        # with no split means the start state does, so no increase is needed
+        # and the search stops at its lower bound.
         upper = search.upper_factor * base_latency
         lo, hi, chosen = search.lower, upper, None
         trials: list[H2SearchTrial] = []
         for step in range(search.iterations + 1):
             allowance = hi if step == 0 else (lo + hi) / 2.0
-            run = greedy(
-                cap=padded_threshold(base_latency + allowance), period_goal=threshold
-            )
+            run = greedy(cap=padded_threshold(base_latency + allowance), period_goal=threshold)
             ok = meets_threshold(run[1].period, threshold)
-            trials.append(
-                H2SearchTrial(
-                    authorized_increase=allowance,
-                    feasible=ok,
-                    period=run[1].period,
-                    latency=run[1].latency,
-                )
-            )
+            trials.append(H2SearchTrial(allowance, ok, run[1].period, run[1].latency))
             if ok or step == 0:
                 mapping, metrics, trace = run
+            if ok and not trace:
+                chosen = search.lower
+                break
             if ok:
                 hi = chosen = allowance
             elif chosen is None:
                 break
             else:
                 lo = allowance
-        report = H2SearchReport(
-            config=search,
-            base_latency=base_latency,
-            upper_bound=upper,
-            chosen_increase=chosen,
-            trials=tuple(trials),
-        )
-        feasible = chosen is not None
+        report = H2SearchReport(search, base_latency, upper, chosen, tuple(trials))
+    judged = base_latency if fixed_criterion == "latency" else metrics.period
     return HeuristicOutcome(
         heuristic=name,
         query=query,
         mapping=mapping,
         metrics=metrics,
-        feasible=feasible,
+        feasible=meets_threshold(judged, threshold),
         trace=trace,
         search=report,
     )

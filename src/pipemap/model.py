@@ -482,6 +482,11 @@ def _cycles(terms: list[float]) -> tuple[float, ...]:
     return tuple(terms[j] + terms[j + 1] + terms[j + 2] for j in range(0, len(terms) - 1, 2))
 
 
+def _bottleneck(cycles: tuple[float, ...]) -> int:
+    """The bottleneck's index: the first interval with the largest cycle."""
+    return cycles.index(max(cycles))
+
+
 def evaluate_metrics(
     spec: PipelineSpec, platform: Platform, mapping: IntervalMapping
 ) -> MappingMetrics:

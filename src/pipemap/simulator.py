@@ -37,6 +37,7 @@ from .model import (
     MappingMetrics,
     PipelineSpec,
     Platform,
+    _bottleneck,
     _chain_terms,
     _cycles,
     evaluate_metrics,
@@ -227,7 +228,8 @@ def _extend(
     """Extend the run from item ``start`` in blocks of the periodic pattern.
 
     The pattern runs around the bottleneck ``b``, the first interval with the
-    largest cycle ``(t_in + comp) + t_out`` (:func:`pipemap.model._cycles`):
+    largest cycle ``(t_in + comp) + t_out`` (:func:`pipemap.model._cycles`,
+    :func:`pipemap.model._bottleneck`):
 
     * ``b`` is blocked by its own last send, so its receive starts and ends
       are one left fold, ``np.add.accumulate`` over its start and then
@@ -249,8 +251,7 @@ def _extend(
     items = len(times)
     links = np.array(terms[0::2])  # t_in_0, ..., t_in_{m-1}, t_out
     comps = np.array(terms[1::2])
-    cycles = _cycles(terms)
-    b = cycles.index(max(cycles))
+    b = _bottleneck(_cycles(terms))
     # Row j of recv_block: interval j's receive end of the item before the
     # block, then of each item of the block (row m: the output times).
     recv_block = np.empty((m + 1, _BLOCK_ITEMS + 1))

@@ -373,6 +373,13 @@ class TestChainTerms:
                 )
         assert seen_zero
 
+    def test_one_bottleneck_rule(self):
+        """The first interval with the largest cycle, for the heuristics and the simulator."""
+        from pipemap import heuristics, simulator
+
+        assert pipemap.model._bottleneck((1.0, 3.0, 2.0, 3.0)) == 1
+        assert heuristics._bottleneck is simulator._bottleneck is pipemap.model._bottleneck
+
 
 class TestThreshold:
     def test_meets_threshold_pads_relative(self):
