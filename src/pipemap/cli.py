@@ -285,7 +285,7 @@ def _cmd_campaign(args) -> int:
         )
         print(
             f"  {name}: matched the optimum on {summary.matches}/{summary.compared} "
-            f"platforms, mean relative excess {excess}"
+            f"platforms, failed on {summary.failed}, mean relative excess {excess}"
         )
     if args.out:
         write_campaign_csv(result, args.out)

@@ -53,7 +53,11 @@ each mapping's splits once, in a table no latency cap enters
 every ``h2`` trial equals a fresh run bit for bit.  The table is the step's
 only state: the mapping fixes the unused processors, and each winner's
 :class:`SplitEvent`, which carries the mapping it leads to, is built once and
-shared by every trace that takes it.
+shared by every trace that takes it.  The platform keeps the tables of the
+last pipeline run on it, by ratio rule and three-way split, as it keeps that
+pipeline's Pareto front (:func:`pipemap.exact.pareto_front`): one entry, no
+option.  So ``h1`` and ``h5`` share tables, as do ``h2`` and ``h6``, and a
+run at a second threshold replays the first run's picks from its tables.
 """
 
 from __future__ import annotations
@@ -321,10 +325,11 @@ def _split_table(
     the recipients, fastest first.  The interval splits into ``k`` parts:
     three when ``three_way`` holds, it has at least three stages and two
     processors are unused, else two.  The table is ``(mapping, metrics,
-    jidx, recipients, cuts, placements, latencies, scores, party_cycles,
-    winners)``: every candidate of :func:`_split_candidates` scored at once
-    with no mapping built (``inf`` where the ratio rule drops it), and
-    :func:`_best_split`'s winners by flat index.
+    jidx, recipients, cuts, placements, latencies, scores, winners)``: every
+    candidate of :func:`_split_candidates` scored at once with no mapping
+    built (``inf`` where the ratio rule drops it), and :func:`_best_split`'s
+    winners by flat index.  The party cycles are not kept: a platform keeps
+    its tables, and a winner's cycles are its own metrics'.
     """
     jidx = _bottleneck(metrics.per_processor_period)
     d, e = mapping.intervals[jidx]
@@ -347,8 +352,7 @@ def _split_table(
     # the max over the parties in party order; no value is NaN or -0.0, so
     # it is the builtin max's
     scores = np.maximum.reduce(values)
-    return (mapping, metrics, jidx, recipients, cuts, placements, latencies, scores,
-            party_cycles, {})
+    return (mapping, metrics, jidx, recipients, cuts, placements, latencies, scores, {})
 
 
 def _best_split(
@@ -360,13 +364,13 @@ def _best_split(
     scores ``inf``; the first lowest finite score wins, in (cuts, placement)
     order.  The winner leaves numpy as Python numbers, once per table: it
     becomes an :class:`IntervalMapping` with one :func:`evaluate_metrics`
-    call and a finished :class:`SplitEvent`, returned to every pick that
-    finds it.
+    call, whose cycles of the split's parts are the candidate's party
+    cycles bit for bit, and a finished :class:`SplitEvent`, returned to
+    every pick that finds it.
     """
     if table is None:
         return None
-    (mapping, metrics, jidx, recipients, all_cuts, placements, latencies, scores,
-     party_cycles, winners) = table
+    mapping, metrics, jidx, recipients, all_cuts, placements, latencies, scores, winners = table
     capped = np.where(latencies <= cap, scores, np.inf)
     best = int(capped.argmin())
     if capped.item(best) == math.inf:
@@ -381,6 +385,8 @@ def _best_split(
             intervals=mapping.intervals[:jidx] + parts + mapping.intervals[jidx + 1 :],
             assignees=mapping.assignees[:jidx] + placement + mapping.assignees[jidx + 1 :],
         )
+        after = evaluate_metrics(spec, platform, winner)
+        parts_cycles = after.per_processor_period[jidx : jidx + len(placement)]
         choice = SplitChoice(
             target=mapping.assignees[jidx],
             recipients=recipients,
@@ -388,9 +394,8 @@ def _best_split(
             placement=placement,
             score=scores.item(best),
             delta_latency=latencies.item(best) - metrics.latency,
-            delta_period=tuple(metrics.period - c for c in party_cycles[:, i, j].tolist()),
+            delta_period=tuple(metrics.period - c for c in parts_cycles),
         )
-        after = evaluate_metrics(spec, platform, winner)
         winners[best] = SplitEvent(choice, metrics.period, metrics.latency, after, winner)
     return winners[best]
 
@@ -413,8 +418,9 @@ def _run_greedy(
     mapping and the speed ``order`` fix its split table, so the loops sharing
     ``decisions`` keep one :func:`_split_table` per mapping, built when first
     met, and every step picks from it at its own cap; a table answers caps in
-    any order.  A step keeps its winner's event, so loops that take the same
-    split share one :class:`SplitEvent`.
+    any order, and so any period goal, and any run of the same two table
+    rules on the same pipeline and platform.  A step keeps its winner's
+    event, so loops that take the same split share one :class:`SplitEvent`.
     """
     mapping, metrics = start
     trace: list[SplitEvent] = []
@@ -431,13 +437,31 @@ def _run_greedy(
     return mapping, metrics, tuple(trace)
 
 
+def _kept_decisions(
+    spec: PipelineSpec, platform: Platform, ratio_rule: bool, three_way: bool
+) -> dict[IntervalMapping, tuple | None]:
+    """The split tables kept on ``platform`` for ``spec`` and one pair of table rules.
+
+    The platform keeps the tables of the last pipeline run on it, by ratio
+    rule and three-way split, the two rules a table depends on beside its
+    mapping; a call with that pipeline, the same object or an equal one,
+    returns the kept dict, and any other pipeline replaces them all.
+    """
+    held = platform.__dict__.get("_splits")
+    if held is None or not (held[0] is spec or held[0] == spec):
+        held = platform.__dict__["_splits"] = (spec, {})
+    return held[1].setdefault((ratio_rule, three_way), {})
+
+
 def run_heuristic(
     name: str, spec: PipelineSpec, platform: Platform, threshold: float
 ) -> HeuristicOutcome:
     """Run one heuristic by name, as its row of ``_VARIANTS`` sets it.
 
-    The greedy loops of one call share one split table per mapping (see
-    :func:`_run_greedy`).  Each latency cap is padded here, once, with
+    The greedy loops share one split table per mapping (see
+    :func:`_run_greedy`) with every run of the same ratio rule and three-way
+    split on this pipeline and platform, kept on the platform by
+    :func:`_kept_decisions`.  Each latency cap is padded here, once, with
     :func:`padded_threshold`.  Under a fixed period the run is feasible when
     its final period meets the threshold, for ``h2`` as for the others.
     Under a fixed latency it is infeasible exactly when the start state
@@ -453,7 +477,7 @@ def run_heuristic(
     base_latency = start[1].latency
 
     greedy = functools.partial(
-        _run_greedy, spec, platform, {}, start,
+        _run_greedy, spec, platform, _kept_decisions(spec, platform, ratio_rule, three_way), start,
         ratio_rule=ratio_rule, three_way=three_way, order=order,
     )
     report = None

@@ -23,16 +23,19 @@ rows get the query threshold as a constant right-hand side, and are dropped
 when the threshold is infinite.
 
 The constraints are row families (:class:`RowFamily`), each a name column,
-one coefficient vector, one column of variable names per coefficient, a
-sense and a right-hand side, so a family holds each coefficient once; row
-and variable names are LP identifiers, without spaces.  Every variable name
-comes from one builder, ``_name_tables``, which :func:`assignment_from_mapping`
-reads too, and every cost term divides ``model``'s float views and
-stage-cost table.  :func:`build_instance` builds each family in bulk, with no
-Python step per row: names by prefix concatenation, and columns straight
-from ``_name_tables``' name tuples where a family's rows follow them.
+one coefficient vector, one flat tuple of variable names holding one column
+per coefficient after another, a sense and a right-hand side, so a family
+holds each coefficient once and no tuple per column; row and variable names
+are LP identifiers, without spaces.  Every variable name comes from one
+builder, ``_name_tables``, which :func:`assignment_from_mapping` reads too,
+and every cost term divides ``model``'s float views and stage-cost table.
+:func:`build_instance` builds each family in bulk, with no Python step per
+row or per term: names by prefix concatenation, and columns by joining
+``_name_tables``' name tuples where a family's rows follow them.
 ``firstb``/``lastb`` and ``cutl``/``cutf`` are one block of two families per
-stage, whose rows alternate, and each cost row is a family of one.
+stage, whose rows alternate, and each cost row is a family of one, gathered
+from per-stage lists of coefficients and of names with no ``(coef, var)``
+pair, so a build makes few objects for the garbage collector to track.
 :meth:`IlpInstance.to_lp_text` renders a family through one ``str.format``
 template made from its coefficients, formatting each distinct number once per
 call.  A line holds at most 72 characters after its leading space; longer
@@ -51,6 +54,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
+from operator import itemgetter
 from typing import Callable, NamedTuple
 
 from .model import (
@@ -100,13 +104,15 @@ class RowFamily(NamedTuple):
     """Rows of one shape, held by column.
 
     Row ``i`` is named ``names[i]`` and its ``j``-th term is ``(coefs[j],
-    columns[j][i])``: a column holds variable names only, so a family holds
-    each coefficient once.  Every row has the same sense and right-hand side.
+    columns[j * len(names) + i])``: ``columns`` holds variable names only,
+    one column per coefficient after another in one flat tuple, so a family
+    holds each coefficient once and makes no tuple per column.  Every row has
+    the same sense and right-hand side.
     """
 
     names: tuple[str, ...]
     coefs: tuple[float, ...]
-    columns: tuple[tuple[str, ...], ...]  # one variable-name column per coefficient
+    columns: tuple[str, ...]  # the variable-name columns, one after another
     sense: str
     rhs: float
 
@@ -114,7 +120,7 @@ class RowFamily(NamedTuple):
         """The rows as :class:`Row` tuples, each term interned in ``pairs``."""
         count = len(self.names)
         coefs = chain.from_iterable(map(repeat, self.coefs, repeat(count)))
-        made = list(zip(coefs, chain.from_iterable(self.columns)))
+        made = list(zip(coefs, self.columns))
         # A term already in ``pairs`` becomes the stored pair; a new one is stored.
         terms = list(map(pairs.setdefault, made, made))
         # The terms run column by column, so row i's are every count-th from i.
@@ -130,7 +136,12 @@ class RowFamily(NamedTuple):
         """
         head = " ".join(map(term.__getitem__, self.coefs)).removeprefix("+ ")
         template = f" {{}}: {head} {self.sense} {plain[self.rhs]}"
-        lines = list(map(template.format, self.names, *self.columns))
+        count = len(self.names)
+        if count == 1:  # the cost rows: one line, and no one-name column per term
+            lines = [template.format(*self.names, *self.columns)]
+        else:
+            columns = [self.columns[j * count : (j + 1) * count] for j in range(len(self.coefs))]
+            lines = list(map(template.format, self.names, *columns))
         # A line is its leading space and at most 72 more characters.
         if max(map(len, lines), default=0) > 73:
             lines = ["\n".join(_wrap(line[1:])) for line in lines]
@@ -217,7 +228,7 @@ def _name_tables(n: int, p: int) -> tuple:
     pair ``links[i]``, named ``pairs[i]``, and ``at[u][v]`` is its index.
     ``x[k][u]``, ``y[k][u]``, ``first[u]`` and ``last[u]`` are indexed by
     node and ``z[k][i]`` by link; each name is formatted once, and each of
-    these rows is a tuple, so a family can hold it as a column.
+    these rows is a tuple, so a family's columns join them.
     """
     label = ["in"] + [f"p{u}" for u in range(1, p + 1)] + ["out"]
     nodes = range(p + 2)
@@ -259,27 +270,26 @@ def build_instance(
 
     # Every stage, virtual gateways included, runs on exactly one node.
     assign = RowFamily(
-        _names("assign_", map(str, range(n + 2))), (1.0,) * (p + 2), tuple(zip(*x)), "=", 1.0
+        _names("assign_", map(str, range(n + 2))), (1.0,) * (p + 2),
+        tuple(chain.from_iterable(zip(*x))), "=", 1.0,
     )
     # Every stage boundary is either one link crossing or one hand-off.
     route = RowFamily(
         _names("route_", map(str, range(n + 1))), (1.0,) * (len(links) + p + 2),
-        tuple(zip(*map(tuple.__add__, z, y))), "=", 1.0,
+        tuple(chain.from_iterable(zip(*map(tuple.__add__, z, y)))), "=", 1.0,
     )
     blocks = [(assign,), (route,)]
 
     # x -> z: placing consecutive stages on linked nodes forces the crossing.
     tails, heads = zip(*links)
     for k in range(n + 1):
-        columns = (
-            tuple(map(x[k].__getitem__, tails)), tuple(map(x[k + 1].__getitem__, heads)), z[k]
-        )
+        columns = (*map(x[k].__getitem__, tails), *map(x[k + 1].__getitem__, heads), *z[k])
         link = RowFamily(_names(f"link_{k}_", pairs), (1.0, 1.0, -1.0), columns, "<=", 1.0)
         blocks.append((link,))
 
     # x -> y: placing consecutive stages on the same node forces the hand-off.
     for k in range(n + 1):
-        columns = (x[k], x[k + 1], y[k])
+        columns = x[k] + x[k + 1] + y[k]
         same = RowFamily(_names(f"same_{k}_", label), (1.0, 1.0, -1.0), columns, "<=", 1.0)
         blocks.append((same,))
 
@@ -288,10 +298,10 @@ def build_instance(
     for k in range(1, n + 1):
         xk = x[k][1:out]
         if n - k:
-            firstb = (1.0, float(n - k)), (proc_first, xk)
+            firstb = (1.0, float(n - k)), proc_first + xk
         else:
-            firstb = (1.0,), (proc_first,)
-        lastb = (1.0, -float(k)), (proc_last, xk)
+            firstb = (1.0,), proc_first
+        lastb = (1.0, -float(k)), proc_last + xk
         blocks.append((
             RowFamily(_names(f"firstb_{k}_", plabel), *firstb, "<=", float(n)),
             RowFamily(_names(f"lastb_{k}_", plabel), *lastb, ">=", 0.0),
@@ -300,8 +310,8 @@ def build_instance(
     # A crossing after stage k closes u's interval and opens v's.
     for k in range(1, n):
         zk = tuple(map(z[k].__getitem__, inner))
-        cutl = (1.0, float(n - k)), (cut_last, zk)
-        cutf = (1.0, -float(k + 1)), (cut_first, zk)
+        cutl = (1.0, float(n - k)), cut_last + zk
+        cutf = (1.0, -float(k + 1)), cut_first + zk
         blocks.append((
             RowFamily(_names(f"cutl_{k}_", inner_pairs), *cutl, "<=", float(n)),
             RowFamily(_names(f"cutf_{k}_", inner_pairs), *cutf, ">=", 0.0),
@@ -311,43 +321,42 @@ def build_instance(
     # incoming link and costs[k][k]/s[u] to compute (costs[k][k] is w[k-1]);
     # the final boundary leaves the last processor towards the output gateway.
     # A period row also charges u for every boundary it sends.  Each term is
-    # computed once, as
-    # cross[k][i] for the crossing of link i after stage k and as
-    # receive[k-1][u-1] for stage k received and computed on u, and shared by
-    # the latency row and the period rows.
+    # computed once, as cross[k][i] for the crossing of link i after stage k
+    # and as a compute term for stage k on u, and shared by the latency row
+    # and the period rows.  Stage k's terms are one list (crossings in,
+    # compute terms, crossings out) and their names another, so a cost row
+    # takes its stage-k terms from each with one itemgetter.
     bl = [b[u][v] for u, v in links]
-    cross = [list(zip(map(delta[k].__truediv__, bl), z[k])) for k in range(n + 1)]
-    incoming = [[at[t][u] for t in range(out) if t != u] for u in procs]
-    outgoing = [[at[u][v] for v in procs if v != u] for u in procs]
+    cross = [list(map(delta[k].__truediv__, bl)) for k in range(n + 1)]
+    stage_coefs = [
+        cross[k - 1] + list(map(costs[k][k].__truediv__, s)) + cross[k] for k in range(1, n + 1)
+    ]
+    stage_names = [z[k - 1] + x[k][1:out] + z[k] for k in range(1, n + 1)]
+    # receive[u-1]: stage k received and computed on u, as indices into stage k's terms.
+    receive = [[*(at[t][u] for t in range(out) if t != u), len(links) + u - 1] for u in procs]
     leaving = [at[u][out] for u in range(out)]
-    receive = []
-    for k in range(1, n + 1):
-        gather = cross[k - 1].__getitem__
-        compute = zip(map(costs[k][k].__truediv__, s), x[k][1:out])
-        receive.append([[*map(gather, into), c] for into, c in zip(incoming, compute)])
-
-    latency = [*chain.from_iterable(chain.from_iterable(receive))]
-    cost_rows = [("latency", "latency", latency + [cross[n][i] for i in leaving])]
+    # Every getter takes at least two indices (p >= 1), so it returns a tuple.
+    cost_rows = [("latency", "latency", itemgetter(*chain.from_iterable(receive)), leaving)]
     for u in procs:
-        terms = []
-        for k in range(1, n + 1):
-            terms += receive[k - 1][u - 1]
-            terms += map(cross[k].__getitem__, outgoing[u - 1])
-        cost_rows.append(("period", f"period_{label[u]}", terms + [cross[n][leaving[u]]]))
+        send = [len(links) + p + at[u][v] for v in procs if v != u]
+        cost_rows.append(
+            ("period", f"period_{label[u]}", itemgetter(*receive[u - 1], *send), [leaving[u]])
+        )
 
     # The minimized criterion's rows compare against Topt; the fixed
     # criterion's rows take the threshold as right-hand side.  An infinite
     # threshold makes those vacuous, and no LP format accepts an infinite
     # RHS, so they are simply not emitted.
-    for criterion, name, terms in cost_rows:
+    for criterion, name, gather, final in cost_rows:
+        coefs = (*chain(*map(gather, stage_coefs)), *map(cross[n].__getitem__, final))
+        names = (*chain(*map(gather, stage_names)), *map(z[n].__getitem__, final))
         if criterion == query.objective:
-            terms, rhs = terms + [(-1.0, topt)], 0.0
+            coefs, names, rhs = coefs + (-1.0,), names + (topt,), 0.0
         elif math.isfinite(query.threshold):
             rhs = query.threshold
         else:
             continue
-        coefs, names = zip(*terms)
-        blocks.append((RowFamily((name,), coefs, tuple(zip(names)), "<=", rhs),))
+        blocks.append((RowFamily((name,), coefs, names, "<=", rhs),))
 
     # Boundary pins: the virtual stages sit on the gateways, real stages never
     # do, and gateway hand-offs or out-of-order gateway crossings cannot occur:

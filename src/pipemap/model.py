@@ -189,8 +189,9 @@ class Platform:
     Like the float views :attr:`_s` and :attr:`_b`, built once, the class view
     :attr:`_lead` names the processors that are interchangeable, and the
     instance keeps the Pareto front of the last pipeline scanned on it
-    (:func:`pipemap.exact.pareto_front`); ``==`` and ``hash`` ignore all of
-    them.
+    (:func:`pipemap.exact.pareto_front`) and the split tables of the last
+    pipeline the heuristics ran on it (:func:`pipemap.heuristics.run_heuristic`);
+    ``==`` and ``hash`` ignore all of them.
     """
 
     s: np.ndarray

@@ -207,10 +207,15 @@ class CampaignRow:
 
 @dataclass(frozen=True)
 class HeuristicSummary:
+    """One heuristic over a campaign: ``compared`` rows where both the exhaustive
+    solver and the heuristic found feasible mappings, of which ``matches`` hit
+    the optimum, and ``failed`` rows where only the exhaustive solver did."""
+
     compared: int
     matches: int
     match_rate: float
     mean_rel_excess: float | None
+    failed: int
 
 
 @dataclass(frozen=True)
@@ -220,18 +225,22 @@ class CampaignResult:
     rows: tuple[CampaignRow, ...]
 
     def summary(self) -> dict[str, HeuristicSummary]:
-        """Per-heuristic optimum match rate and mean relative excess.
+        """Per-heuristic optimum match rate, mean relative excess and failures.
 
-        Recomputed from the rows on every call; only rows where both the
-        exhaustive solver and the heuristic found feasible mappings count.
+        Recomputed from the rows on every call; :class:`HeuristicSummary`
+        says which rows each count takes.
         """
         out: dict[str, HeuristicSummary] = {}
         for name in self.heuristics:
-            matches = 0
+            matches = failed = 0
             excesses: list[float] = []
             for row in self.rows:
                 cell = row.cells.get(name)
-                if cell is None or not cell.feasible:  # else the exact answer is feasible
+                if cell is None:
+                    continue
+                if not cell.feasible:  # else the exact answer is feasible too
+                    if row.exact_feasible:
+                        failed += 1
                     continue
                 if metrics_close(cell.objective, row.exact_objective):
                     matches += 1
@@ -244,6 +253,7 @@ class CampaignResult:
                 matches=matches,
                 match_rate=matches / compared if compared else 0.0,
                 mean_rel_excess=sum(excesses) / compared if compared else None,
+                failed=failed,
             )
         return out
 

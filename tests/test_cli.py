@@ -511,6 +511,15 @@ class TestCampaign:
         result = read_campaign_csv(str(out_path))
         assert len(result.rows) == 3
 
+    def test_summary_line_counts_failures(self, capsys):
+        args = ["campaign", "--seeds", "0:9", "--p", "20", "--period", "1.6115061687121595"]
+        assert main(args) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == (
+            "  h1: matched the optimum on 0/2 platforms, failed on 8, "
+            "mean relative excess 16.0713%"
+        )
+
     def test_platform_file_seed_recorded(self, tiny_files, tiny_platform, tmp_path):
         pipeline, plain = tiny_files
         generated = str(tmp_path / "plat4.json")

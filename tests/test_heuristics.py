@@ -1,9 +1,11 @@
 import dataclasses
 import functools
+import gc
 import hashlib
 import itertools
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -16,8 +18,10 @@ from pipemap import (
     PipelineSpec,
     Platform,
     evaluate_metrics,
+    jpeg_preset,
     meets_threshold,
     run_heuristic,
+    seeded_platforms,
     solve,
     validate,
 )
@@ -829,6 +833,103 @@ class TestSharedDecisions:
         )
         outcome = run_heuristic("h2", spec, platform, threshold)
         assert (len(outcome.search.trials), len(sorts)) == (21, 1)
+
+
+def _kept_instances():
+    """JPEG on the campaign seeds 0-9 at p 8-10, then the four large-instance sizes."""
+    for p in (8, 9, 10):
+        for entry in seeded_platforms(range(10), p):
+            yield jpeg_preset(), entry.platform
+    rng = np.random.default_rng(36)
+    for n, p in ((20, 12), (22, 13), (24, 14), (21, 12)):
+        yield random_instance(rng, (n, n), (p, p))
+
+
+def _fresh(platform):
+    """An equal platform built from the same arrays, with nothing kept on it."""
+    return Platform(s=platform.s.copy(), b=platform.b.copy())
+
+
+def _runs(spec, platform):
+    """Every heuristic at several thresholds around its start state."""
+    start = _start(spec, platform)[1]
+    factors = {"period": (0.15, 0.3, 0.7, 1.0), "latency": (1.0, 1.1, 1.5, math.inf)}
+    return [
+        (name, getattr(start, criterion) * factor)
+        for name in HEURISTIC_NAMES
+        for criterion in [fixed_criterion_of(name)]
+        for factor in factors[criterion]
+    ]
+
+
+def _spy_tables(monkeypatch, platform):
+    """Record ``(ratio_rule, three_way, mapping)`` for every table built on ``platform``."""
+    keys = []
+    split_table = heuristics._split_table
+
+    def spy(spec, on, mapping, metrics, order, three_way, ratio_rule):
+        if on is platform:
+            keys.append((ratio_rule, three_way, mapping))
+        return split_table(spec, on, mapping, metrics, order, three_way, ratio_rule)
+
+    monkeypatch.setattr(heuristics, "_split_table", spy)
+    return keys
+
+
+class TestKeptTables:
+    """The platform keeps the split tables of its last pipeline across runs."""
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["listed", "reversed"])
+    def test_runs_in_any_order_equal_fresh_runs(self, monkeypatch, reverse):
+        for spec, platform in _kept_instances():
+            runs = _runs(spec, platform)
+            expected = [run_heuristic(name, spec, _fresh(platform), t) for name, t in runs]
+            kept = _fresh(platform)
+            keys = _spy_tables(monkeypatch, kept)
+            outcomes = {
+                (name, t): run_heuristic(name, spec, kept, t)
+                for name, t in (runs[::-1] if reverse else runs)
+            }
+            # dataclass ==: mapping, metrics, verdict, trace and search report
+            assert [outcomes[run] for run in runs] == expected
+            assert keys and len(keys) == len(set(keys))
+            held_spec, tables = kept.__dict__["_splits"]
+            assert held_spec is spec
+            assert {(rule, three) for rule, three, _ in keys} == set(tables)
+            assert sum(map(len, tables.values())) == len(keys)
+
+    def test_another_pipeline_replaces_the_tables(self, monkeypatch):
+        rng = np.random.default_rng(3600)
+        spec_a, platform = random_instance(rng, (12, 12), (8, 8))
+        spec_b, _ = random_instance(rng, (10, 10), (8, 8))
+        equal_b = PipelineSpec(spec_b.stage_names, spec_b.w.copy(), spec_b.delta.copy())
+        keys = _spy_tables(monkeypatch, platform)
+        built, held = [], []
+        for spec in (spec_a, spec_b, equal_b, spec_a):
+            for name, t in _runs(spec, platform):
+                assert run_heuristic(name, spec, platform, t) == run_heuristic(
+                    name, spec, _fresh(platform), t
+                )
+            built.append(len(keys))
+            held.append(platform.__dict__["_splits"])
+            keys.clear()
+        # the equal pipeline reuses the tables kept for spec_b; spec_a then
+        # replaces them and builds its own again
+        assert built[0] > 0 and built[1] > 0 and built[2] == 0 and built[3] == built[0]
+        assert held[2] is held[1] and held[1][0] is spec_b
+        assert held[3] is not held[0] and held[3][0] is spec_a
+
+    def test_tables_live_and_die_with_their_platform(self):
+        spec, platform = random_instance(np.random.default_rng(3601), (12, 12), (8, 8))
+        outcome = run_heuristic("h2", spec, platform, 0.3 * _start(spec, platform)[1].period)
+        assert outcome.trace and "_splits" in platform.__dict__
+        ref = weakref.ref(platform)
+        gc.disable()
+        try:
+            del platform
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 # sha256 over every outcome and error message of ``_golden_records``; it pins

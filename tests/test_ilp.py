@@ -309,7 +309,8 @@ class TestGoldenLp:
 class TestMemory:
     def test_large_program_peak_stays_bounded(self):
         # Building, rendering and then listing the rows of an n=24, p=14
-        # program peaks at about 10 MiB.  The rows share their terms: a new
+        # program peaks at 7.1-7.8 MiB (7.4-8.4 MiB when the cost rows held
+        # a one-name column per term).  The rows share their terms: a new
         # pair per term would make about twice as many objects as there are
         # distinct terms.
         for name, spec, platform, query in _golden_queries():
@@ -327,6 +328,24 @@ class TestMemory:
             assert peak < 16 * 2**20, (name, peak)
             terms = [term for row in instance.rows for term in row.terms]
             assert len(set(map(id, terms))) < 1.1 * len(set(terms)), name
+
+    def test_large_build_makes_few_tracked_objects(self):
+        # Flat name columns and cost rows gathered with no (coef, var) pair
+        # keep the objects the garbage collector tracks to 1,189-1,537 for an
+        # n=24, p=14 program; a pair and a one-name column per cost term made
+        # over 16,000, and each collection pass walks them.
+        for name, spec, platform, query in _golden_queries():
+            if not name.startswith("n24p14"):
+                continue
+            gc.collect()
+            gc.disable()
+            try:
+                before = len(gc.get_objects())
+                instance = build_instance(spec, platform, query)
+                added = len(gc.get_objects()) - before
+            finally:
+                gc.enable()
+            assert instance.blocks and added < 4_000, (name, added)
 
 
 def _word_wrap(text, width=72, indent="   "):
@@ -462,7 +481,7 @@ class TestRowRendering:
         # The body is the name and 47 more characters.
         name = "c" * (length - 47)
         terms = ((1.0, "x_1_p1"), (-0.1, "z_0_in_p1"))
-        columns = (("x_1_p1",), ("z_0_in_p1",))
+        columns = ("x_1_p1", "z_0_in_p1")
         block = (ilp.RowFamily((name,), (1.0, -0.1), columns, "<=", 3.0),)
         rendered = _constraint_lines(dataclasses.replace(instance, blocks=(block,)))
         assert len(f"{name}: 1 x_1_p1 - 0.10000000000000001 z_0_in_p1 <= 3") == length
@@ -603,8 +622,8 @@ class TestReferenceBuilder:
             assert instance.binaries == binaries
             assert instance.generals == generals
             for family in chain.from_iterable(instance.blocks):
-                assert len(family.coefs) == len(family.columns)
-                assert all(type(var) is str for column in family.columns for var in column)
+                assert len(family.columns) == len(family.coefs) * len(family.names)
+                assert all(type(var) is str for var in family.columns)
             for row in instance.rows:
                 assert type(row) is ilp.Row
                 assert type(row.rhs) is float

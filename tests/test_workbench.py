@@ -261,6 +261,27 @@ class TestCampaign:
         assert summary["h1"].matches == 0
         assert summary["h1"].mean_rel_excess == pytest.approx(0.1)
 
+    def test_summary_counts_failures(self, tiny_spec, tiny_platform):
+        # the campaign `pipemap campaign --seeds 0:9 --p 20 --period ...` runs
+        query = BicriteriaQuery.minimize_latency(1.6115061687121595)
+        result = run_campaign(jpeg_preset(), seeded_platforms(range(10), 20), query, ["h1", "h3"])
+        summary = result.summary()
+        assert all(row.exact_feasible for row in result.rows)
+        for name, compared, failed in (("h1", 2, 8), ("h3", 1, 9)):
+            assert (summary[name].compared, summary[name].matches) == (compared, 0)
+            assert summary[name].failed == failed
+            assert failed == sum(not row.cells[name].feasible for row in result.rows)
+        assert summary["h1"].mean_rel_excess == pytest.approx(0.160713, abs=1e-6)
+        # no heuristic fails where no mapping meets the threshold
+        below = run_campaign(
+            tiny_spec,
+            _tiny_campaign_platforms(tiny_platform),
+            BicriteriaQuery.minimize_latency(1.0),
+            ["h1"],
+        )
+        assert not below.rows[0].exact_feasible and not below.rows[0].cells["h1"].feasible
+        assert below.summary()["h1"] == workbench.HeuristicSummary(0, 0, 0.0, None, 0)
+
     def test_heuristic_query_mismatch_rejected(self, tiny_spec, tiny_platform):
         with pytest.raises(ValueError, match="fixes the"):
             run_campaign(
