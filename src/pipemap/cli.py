@@ -297,10 +297,9 @@ def _cmd_export_lp(args) -> int:
     spec, platform = _load_instance(args)
     query = _query_from_args(args)
     instance = write_lp(spec, platform, query, args.out)
-    rows = sum(len(family.names) for block in instance.blocks for family in block)
     print(
         f"wrote program with {len(instance.variables)} variables and "
-        f"{rows} rows to {args.out}"
+        f"{len(instance.rows)} rows to {args.out}"
     )
     return 0
 

@@ -41,19 +41,17 @@ template made from its coefficients, formatting each distinct number once per
 call.  A line holds at most 72 characters after its leading space; longer
 rows, and the ``Binary`` and ``General`` lists, go through one line breaker
 that breaks at the last space that fits, so only the ``assign``, ``route``
-and cost rows wrap at scale.  :attr:`IlpInstance.rows` lists the constraints
-as :class:`Row` named tuples, derived from the families on first use, so an
-export builds none; it interns their ``(coef, var)`` terms, so each distinct
-term is one pair object, whichever rows hold it.
+and cost rows wrap at scale.  The families and that text are the program's
+only forms: :attr:`IlpInstance.rows` lists the constraint names in emission
+order, and a reader that wants a row's terms parses the text, which prints
+every coefficient with ``.17g`` so that it reads back bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain
 from operator import itemgetter
 from typing import Callable, NamedTuple
 
@@ -67,37 +65,12 @@ from .model import (
 
 __all__ = [
     "IlpInstance",
-    "Row",
     "RowFamily",
     "assignment_from_mapping",
     "build_instance",
     "export_ilp",
     "write_lp",
 ]
-
-
-class Row(NamedTuple):
-    """One linear constraint: ``sum(coef * var) [sense] rhs``."""
-
-    name: str
-    terms: tuple[tuple[float, str], ...]
-    sense: str  # "<=", "=" or ">="
-    rhs: float
-
-    def evaluate(self, assignment: dict[str, float]) -> float:
-        """Left-hand-side value under a (partial) variable assignment."""
-        total = 0.0
-        for coef, var in self.terms:
-            total += coef * assignment.get(var, 0.0)
-        return total
-
-    def satisfied(self, assignment: dict[str, float], tol: float = 1e-9) -> bool:
-        lhs = self.evaluate(assignment)
-        if self.sense == "<=":
-            return lhs <= self.rhs + tol
-        if self.sense == ">=":
-            return lhs >= self.rhs - tol
-        return abs(lhs - self.rhs) <= tol
 
 
 class RowFamily(NamedTuple):
@@ -115,18 +88,6 @@ class RowFamily(NamedTuple):
     columns: tuple[str, ...]  # the variable-name columns, one after another
     sense: str
     rhs: float
-
-    def _rows(self, pairs: dict) -> Iterator[Row]:
-        """The rows as :class:`Row` tuples, each term interned in ``pairs``."""
-        count = len(self.names)
-        coefs = chain.from_iterable(map(repeat, self.coefs, repeat(count)))
-        made = list(zip(coefs, self.columns))
-        # A term already in ``pairs`` becomes the stored pair; a new one is stored.
-        terms = list(map(pairs.setdefault, made, made))
-        # The terms run column by column, so row i's are every count-th from i.
-        strides = map(terms.__getitem__, map(slice, range(count), repeat(None), repeat(count)))
-        rows = zip(self.names, map(tuple, strides), repeat(self.sense), repeat(self.rhs))
-        return map(tuple.__new__, repeat(Row), rows)
 
     def _lines(self, term: _Memo, plain: _Memo) -> list[str]:
         """Each row as LP text; a row that wraps is one string of several lines.
@@ -154,7 +115,8 @@ class IlpInstance:
 
     Its constraints are ``blocks`` of row families.  A block is one family,
     or families of equal length whose rows interleave (``firstb``/``lastb``
-    and ``cutl``/``cutf``); ``rows`` lists every row in block order.
+    and ``cutl``/``cutf``); ``rows`` names every row in block order, as
+    :meth:`to_lp_text` emits them.
     """
 
     query: BicriteriaQuery
@@ -170,23 +132,15 @@ class IlpInstance:
     def variables(self) -> tuple[str, ...]:
         return self.binaries + self.generals + (self.objective_var,)
 
-    @cached_property
-    def rows(self) -> tuple[Row, ...]:
-        """Every constraint as a :class:`Row`, in emission order.
-
-        One dict interns the terms, so each distinct ``(coef, var)`` term is
-        one pair object, whichever rows hold it.
-        """
-        pairs: dict = {}
+    @property
+    def rows(self) -> tuple[str, ...]:
+        """Every constraint's name, in emission order."""
         return tuple(
             chain.from_iterable(
-                chain.from_iterable(zip(*[family._rows(pairs) for family in block], strict=True))
+                chain.from_iterable(zip(*[family.names for family in block], strict=True))
                 for block in self.blocks
             )
         )
-
-    def rows_named(self, prefix: str) -> list[Row]:
-        return [r for r in self.rows if r.name == prefix or r.name.startswith(prefix + "_")]
 
     def to_lp_text(self) -> str:
         query = self.query

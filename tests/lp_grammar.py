@@ -20,10 +20,30 @@ _NAME = re.compile(r"^[A-Za-z!\"#$%&()/,;?@_`'{}|~.][A-Za-z0-9!\"#$%&()/,;?@_`'{
 
 @dataclass
 class ParsedRow:
+    """One constraint, ``sum(coef * var) [sense] rhs``, its terms in row order."""
+
     name: str
     coefs: dict[str, float]
     sense: str
     rhs: float
+
+    def evaluate(self, assignment: dict[str, float]) -> float:
+        """Left-hand-side value under a (partial) variable assignment.
+
+        The terms are added in row order, and a missing variable reads as 0.
+        """
+        total = 0.0
+        for var, coef in self.coefs.items():
+            total += coef * assignment.get(var, 0.0)
+        return total
+
+    def satisfied(self, assignment: dict[str, float], tol: float = 1e-9) -> bool:
+        lhs = self.evaluate(assignment)
+        if self.sense == "<=":
+            return lhs <= self.rhs + tol
+        if self.sense == ">=":
+            return lhs >= self.rhs - tol
+        return abs(lhs - self.rhs) <= tol
 
 
 @dataclass

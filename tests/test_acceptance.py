@@ -18,7 +18,6 @@ from pipemap import (
     HEURISTIC_NAMES,
     BicriteriaQuery,
     PlatformGenSpec,
-    build_instance,
     evaluate_metrics,
     export_ilp,
     generate_platform,
@@ -304,12 +303,11 @@ class TestCriterion7IlpExport:
             text = export_ilp(spec, platform, query)
             parsed = lp_grammar.parse_lp(text)
             assert parsed.diagnostics == []
-            inst = build_instance(spec, platform, query)
             n, p = spec.n, platform.p
-            assert len(inst.rows_named("assign")) == n + 2
-            assert len(inst.rows_named("route")) == n + 1
-            assert len(inst.rows_named("period")) == p
-            assert len(inst.rows_named("latency")) == 1
+            assert len(parsed.rows_named("assign")) == n + 2
+            assert len(parsed.rows_named("route")) == n + 1
+            assert len(parsed.rows_named("period")) == p
+            assert len(parsed.rows_named("latency")) == 1
 
         scipy_spec = pytest.importorskip("scipy", exc_type=ImportError)
         solved = 0

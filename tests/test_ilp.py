@@ -32,6 +32,13 @@ def _tiny_query():
     return BicriteriaQuery.minimize_latency(7.0)
 
 
+def _parsed(instance):
+    """The program read back from its LP text, which must parse cleanly."""
+    parsed = lp_grammar.parse_lp(instance.to_lp_text())
+    assert parsed.diagnostics == []
+    return parsed
+
+
 class TestStructure:
     def test_variable_counts(self, tiny_spec, tiny_platform):
         inst = build_instance(tiny_spec, tiny_platform, _tiny_query())
@@ -59,42 +66,40 @@ class TestStructure:
             assert u != v
 
     def test_row_family_counts(self, tiny_spec, tiny_platform):
-        inst = build_instance(tiny_spec, tiny_platform, _tiny_query())
+        parsed = _parsed(build_instance(tiny_spec, tiny_platform, _tiny_query()))
         n, p = 3, 2
-        assert len(inst.rows_named("assign")) == n + 2
-        assert len(inst.rows_named("route")) == n + 1
-        assert len(inst.rows_named("period")) == p
-        assert len(inst.rows_named("latency")) == 1
-        assert len(inst.rows_named("firstb")) == n * p
-        assert len(inst.rows_named("lastb")) == n * p
-        assert len(inst.rows_named("cutl")) == (n - 1) * p * (p - 1)
-        assert len(inst.rows_named("cutf")) == (n - 1) * p * (p - 1)
+        assert len(parsed.rows_named("assign")) == n + 2
+        assert len(parsed.rows_named("route")) == n + 1
+        assert len(parsed.rows_named("period")) == p
+        assert len(parsed.rows_named("latency")) == 1
+        assert len(parsed.rows_named("firstb")) == n * p
+        assert len(parsed.rows_named("lastb")) == n * p
+        assert len(parsed.rows_named("cutl")) == (n - 1) * p * (p - 1)
+        assert len(parsed.rows_named("cutf")) == (n - 1) * p * (p - 1)
 
     def test_objective_variable_plumbing(self, tiny_spec, tiny_platform):
         # minimized criterion row carries -Topt; the fixed criterion row ends
         # in the threshold constant
         inst = build_instance(tiny_spec, tiny_platform, _tiny_query())
-        latency_row = inst.rows_named("latency")[0]
-        assert ("Topt" in [v for _, v in latency_row.terms]) == (
-            inst.query.objective == "latency"
-        )
-        coef = {v: c for c, v in latency_row.terms}["Topt"]
+        parsed = _parsed(inst)
+        latency_row = parsed.rows_named("latency")[0]
+        assert ("Topt" in latency_row.coefs) == (inst.query.objective == "latency")
+        coef = latency_row.coefs["Topt"]
         assert coef == -1.0
-        for row in inst.rows_named("period"):
-            assert all(v != "Topt" for _, v in row.terms)
+        for row in parsed.rows_named("period"):
+            assert all(v != "Topt" for v in row.coefs)
             assert row.rhs == 7.0
             assert row.sense == "<="
 
     def test_objective_swaps_with_query(self, tiny_spec, tiny_platform):
-        inst = build_instance(
-            tiny_spec, tiny_platform, BicriteriaQuery.minimize_period(10.0)
+        parsed = _parsed(
+            build_instance(tiny_spec, tiny_platform, BicriteriaQuery.minimize_period(10.0))
         )
-        latency_row = inst.rows_named("latency")[0]
-        assert all(v != "Topt" for _, v in latency_row.terms)
+        latency_row = parsed.rows_named("latency")[0]
+        assert all(v != "Topt" for v in latency_row.coefs)
         assert latency_row.rhs == 10.0
-        for row in inst.rows_named("period"):
-            names = [v for _, v in row.terms]
-            assert "Topt" in names
+        for row in parsed.rows_named("period"):
+            assert "Topt" in row.coefs
 
     def test_pins(self, tiny_spec, tiny_platform):
         inst = build_instance(tiny_spec, tiny_platform, _tiny_query())
@@ -114,13 +119,13 @@ class TestStructure:
         )
         # an unconstrained query must not emit an infinite RHS anywhere; the
         # vacuous fixed-criterion rows are dropped outright
-        assert inst.rows_named("period") == []
-        for row in inst.rows:
-            assert math.isfinite(row.rhs)
         text = inst.to_lp_text()
         assert "inf" not in text.lower()
         parsed = lp_grammar.parse_lp(text)
         assert parsed.diagnostics == []
+        assert parsed.rows_named("period") == []
+        for row in parsed.rows:
+            assert math.isfinite(row.rhs)
 
 
 class TestAssignmentEncoding:
@@ -130,7 +135,7 @@ class TestAssignmentEncoding:
         assignment = assignment_from_mapping(
             tiny_spec, tiny_platform, mapping, inst.query
         )
-        for row in inst.rows:
+        for row in _parsed(inst).rows:
             assert row.satisfied(assignment), row.name
 
     def test_latency_row_is_tight(self, tiny_spec, tiny_platform):
@@ -140,7 +145,7 @@ class TestAssignmentEncoding:
             tiny_spec, tiny_platform, mapping, inst.query
         )
         # Topt equals the latency, so the latency row's LHS is exactly zero
-        row = inst.rows_named("latency")[0]
+        row = _parsed(inst).rows_named("latency")[0]
         assert row.evaluate(assignment) == pytest.approx(0.0, abs=1e-12)
         assert assignment["Topt"] == 10.0
 
@@ -151,7 +156,7 @@ class TestAssignmentEncoding:
             tiny_spec, tiny_platform, mapping, inst.query
         )
         lhs = {
-            row.name: row.evaluate(assignment) for row in inst.rows_named("period")
+            row.name: row.evaluate(assignment) for row in _parsed(inst).rows_named("period")
         }
         assert lhs["period_p1"] == pytest.approx(7.0)
         assert lhs["period_p2"] == pytest.approx(4.0)
@@ -163,13 +168,14 @@ class TestAssignmentEncoding:
         free = solve(spec, platform, BicriteriaQuery.minimize_period())
         query = BicriteriaQuery.minimize_period(free.min_latency * 2.0)
         inst = build_instance(spec, platform, query)
+        rows = _parsed(inst).rows
         for mapping in enumerate_mappings(spec, platform):
             metrics = evaluate_metrics(spec, platform, mapping)
             assignment = assignment_from_mapping(spec, platform, mapping, query)
-            # Row.evaluate reads a missing variable as 0.0, so a misnamed one
-            # would otherwise pass silently
+            # ParsedRow.evaluate reads a missing variable as 0.0, so a
+            # misnamed one would otherwise pass silently
             assert set(assignment) <= set(inst.variables)
-            ok = all(row.satisfied(assignment) for row in inst.rows)
+            ok = all(row.satisfied(assignment) for row in rows)
             # mappings become infeasible points exactly when they break the
             # fixed-criterion bound
             assert ok == (metrics.latency <= free.min_latency * 2.0 + 1e-9)
@@ -308,11 +314,8 @@ class TestGoldenLp:
 
 class TestMemory:
     def test_large_program_peak_stays_bounded(self):
-        # Building, rendering and then listing the rows of an n=24, p=14
-        # program peaks at 7.1-7.8 MiB (7.4-8.4 MiB when the cost rows held
-        # a one-name column per term).  The rows share their terms: a new
-        # pair per term would make about twice as many objects as there are
-        # distinct terms.
+        # Building, rendering and then naming the rows of an n=24, p=14
+        # program peaks at 6.6-7.8 MiB, while the text is rendered.
         for name, spec, platform, query in _golden_queries():
             if not name.startswith("n24p14"):
                 continue
@@ -326,8 +329,6 @@ class TestMemory:
             finally:
                 tracemalloc.stop()
             assert peak < 16 * 2**20, (name, peak)
-            terms = [term for row in instance.rows for term in row.terms]
-            assert len(set(map(id, terms))) < 1.1 * len(set(terms)), name
 
     def test_large_build_makes_few_tracked_objects(self):
         # Flat name columns and cost rows gathered with no (coef, var) pair
@@ -391,12 +392,12 @@ def test_fmt_matches_reference_on_random_floats():
     assert [ilp._fmt(v) for v in values] == [_reference_fmt(v) for v in values]
 
 
-def _reference_row_lines(row):
+def _reference_row_lines(name, terms, sense, rhs):
     """A row rendered word by word through the reference wrap."""
     text = " ".join(
-        f"{'-' if coef < 0 else '+'} {_reference_fmt(abs(coef))} {var}" for coef, var in row.terms
+        f"{'-' if coef < 0 else '+'} {_reference_fmt(abs(coef))} {var}" for coef, var in terms
     )
-    body = f"{row.name}: {text.removeprefix('+ ')} {row.sense} {_reference_fmt(row.rhs)}"
+    body = f"{name}: {text.removeprefix('+ ')} {sense} {_reference_fmt(rhs)}"
     return [" " + line for line in _word_wrap(body)]
 
 
@@ -433,7 +434,8 @@ class TestRowRendering:
     def test_golden_rows_match_word_by_word_wrap(self):
         for _, spec, platform, query in _golden_queries():
             instance = build_instance(spec, platform, query)
-            expected = [line for row in instance.rows for line in _reference_row_lines(row)]
+            rows = _reference_build(spec, platform, query)[0]
+            expected = [line for row in rows for line in _reference_row_lines(*row)]
             assert _constraint_lines(instance) == expected
 
     def test_golden_variable_lists_match_word_by_word_wrap(self):
@@ -464,11 +466,11 @@ class TestRowRendering:
     @pytest.mark.parametrize("finite", [True, False], ids=["finite", "inf"])
     def test_reference_programs_match_word_by_word_wrap(self, objective, finite):
         for spec, platform in _reference_instances():
-            threshold = 2.5 * float(spec.w.sum()) if finite else math.inf
-            query = BicriteriaQuery(objective=objective, threshold=threshold)
+            query = _reference_query(spec, objective, finite)
             instance = build_instance(spec, platform, query)
             lines = instance.to_lp_text().splitlines()
-            expected = [line for row in instance.rows for line in _reference_row_lines(row)]
+            rows = _reference_build(spec, platform, query)[0]
+            expected = [line for row in rows for line in _reference_row_lines(*row)]
             assert _between(lines, "Subject To", "Bounds") == expected
             assert _between(lines, "Binary", "General") == _reference_list_lines(
                 instance.binaries
@@ -486,13 +488,15 @@ class TestRowRendering:
         rendered = _constraint_lines(dataclasses.replace(instance, blocks=(block,)))
         assert len(f"{name}: 1 x_1_p1 - 0.10000000000000001 z_0_in_p1 <= 3") == length
         assert len(rendered) == lines
-        assert rendered == _reference_row_lines(ilp.Row(name, terms, "<=", 3.0))
+        assert rendered == _reference_row_lines(name, terms, "<=", 3.0)
 
 
 def _reference_build(spec, platform, query):
     """``(rows, pins, binaries, generals)`` of a program built row by row.
 
-    The reference that the bulk ``build_instance`` must match exactly.
+    Each row is a ``(name, terms, sense, rhs)`` tuple whose terms are
+    ``(coef, var)`` pairs.  The reference that the bulk ``build_instance``
+    must match exactly.
     """
     n, p = spec.n, platform.p
     w, delta = spec.w.tolist(), spec.delta.tolist()
@@ -520,36 +524,35 @@ def _reference_build(spec, platform, query):
     binaries += [name for yk in y for name in yk]
     generals = [first[u] for u in procs] + [last[u] for u in procs]
 
-    Row = ilp.Row
     rows = []
     for k in range(n + 2):
-        rows.append(Row(f"assign_{k}", tuple((1.0, name) for name in x[k]), "=", 1.0))
+        rows.append((f"assign_{k}", tuple((1.0, name) for name in x[k]), "=", 1.0))
     for k in range(n + 1):
         terms = [(1.0, z[k][u][v]) for u, v in links] + [(1.0, name) for name in y[k]]
-        rows.append(Row(f"route_{k}", tuple(terms), "=", 1.0))
+        rows.append((f"route_{k}", tuple(terms), "=", 1.0))
     for k in range(n + 1):
         xk, xk1, zk = x[k], x[k + 1], z[k]
         for (u, v), uv in zip(links, pairs):
             terms = ((1.0, xk[u]), (1.0, xk1[v]), (-1.0, zk[u][v]))
-            rows.append(Row(f"link_{k}_{uv}", terms, "<=", 1.0))
+            rows.append((f"link_{k}_{uv}", terms, "<=", 1.0))
     for k in range(n + 1):
         for u in nodes:
             terms = ((1.0, x[k][u]), (1.0, x[k + 1][u]), (-1.0, y[k][u]))
-            rows.append(Row(f"same_{k}_{label[u]}", terms, "<=", 1.0))
+            rows.append((f"same_{k}_{label[u]}", terms, "<=", 1.0))
     for k in range(1, n + 1):
         for u in procs:
             terms = ((1.0, first[u]), (float(n - k), x[k][u])) if n - k else ((1.0, first[u]),)
-            rows.append(Row(f"firstb_{k}_{label[u]}", terms, "<=", float(n)))
+            rows.append((f"firstb_{k}_{label[u]}", terms, "<=", float(n)))
             terms = ((1.0, last[u]), (-float(k), x[k][u]))
-            rows.append(Row(f"lastb_{k}_{label[u]}", terms, ">=", 0.0))
+            rows.append((f"lastb_{k}_{label[u]}", terms, ">=", 0.0))
     proc_links = [(u, v, uv) for (u, v), uv in zip(links, pairs) if u != 0 and v != out]
     for k in range(1, n):
         zk = z[k]
         for u, v, uv in proc_links:
             terms = ((1.0, last[u]), (float(n - k), zk[u][v]))
-            rows.append(Row(f"cutl_{k}_{uv}", terms, "<=", float(n)))
+            rows.append((f"cutl_{k}_{uv}", terms, "<=", float(n)))
             terms = ((1.0, first[v]), (-float(k + 1), zk[u][v]))
-            rows.append(Row(f"cutf_{k}_{uv}", terms, ">=", 0.0))
+            rows.append((f"cutf_{k}_{uv}", terms, ">=", 0.0))
 
     cross = []
     for k in range(n + 1):
@@ -573,9 +576,9 @@ def _reference_build(spec, platform, query):
         cost_rows.append(("period", f"period_{label[u]}", terms + [cross[n][u][out]]))
     for criterion, name, terms in cost_rows:
         if criterion == query.objective:
-            rows.append(Row(name, tuple(terms) + ((-1.0, "Topt"),), "<=", 0.0))
+            rows.append((name, tuple(terms) + ((-1.0, "Topt"),), "<=", 0.0))
         elif math.isfinite(query.threshold):
-            rows.append(Row(name, tuple(terms), "<=", query.threshold))
+            rows.append((name, tuple(terms), "<=", query.threshold))
 
     pins = [(x[0][0], 1.0), (x[n + 1][out], 1.0)]
     pins += [(x[k][u], 0.0) for k in range(1, n + 1) for u in (0, out)]
@@ -588,6 +591,11 @@ def _reference_build(spec, platform, query):
         if (u == 0 and k != 0) or (v == out and k != n)
     ]
     return tuple(rows), tuple(pins), tuple(binaries), tuple(generals)
+
+
+def _reference_query(spec, objective, finite):
+    threshold = 2.5 * float(spec.w.sum()) if finite else math.inf
+    return BicriteriaQuery(objective=objective, threshold=threshold)
 
 
 def _reference_instances():
@@ -613,21 +621,34 @@ class TestReferenceBuilder:
     @pytest.mark.parametrize("finite", [True, False], ids=["finite", "inf"])
     def test_program_matches_row_by_row_build(self, objective, finite):
         for spec, platform in _reference_instances():
-            threshold = 2.5 * float(spec.w.sum()) if finite else math.inf
-            query = BicriteriaQuery(objective=objective, threshold=threshold)
+            query = _reference_query(spec, objective, finite)
             instance = build_instance(spec, platform, query)
             rows, pins, binaries, generals = _reference_build(spec, platform, query)
-            assert instance.rows == rows
+            # The text prints each coefficient with .17g, so it reads back exactly.
+            parsed = [
+                (r.name, tuple((coef, var) for var, coef in r.coefs.items()), r.sense, r.rhs)
+                for r in _parsed(instance).rows
+            ]
+            assert parsed == list(rows)
+            assert instance.rows == tuple(name for name, *_ in rows)
             assert instance.pins == pins
             assert instance.binaries == binaries
             assert instance.generals == generals
             for family in chain.from_iterable(instance.blocks):
                 assert len(family.columns) == len(family.coefs) * len(family.names)
                 assert all(type(var) is str for var in family.columns)
-            for row in instance.rows:
-                assert type(row) is ilp.Row
-                assert type(row.rhs) is float
-                assert all(type(coef) is float for coef, _ in row.terms)
+                assert type(family.rhs) is float
+                assert all(type(coef) is float for coef in family.coefs)
+
+    def test_rows_name_the_exported_constraints(self):
+        # ``rows`` names every constraint in the order the text emits it.
+        for objective in ("latency", "period"):
+            for finite in (True, False):
+                for spec, platform in _reference_instances():
+                    query = _reference_query(spec, objective, finite)
+                    instance = build_instance(spec, platform, query)
+                    parsed = lp_grammar.parse_lp(instance.to_lp_text())
+                    assert instance.rows == tuple(r.name for r in parsed.rows)
 
 
 def _milp_optimum(spec, platform, query):
