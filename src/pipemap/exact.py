@@ -9,13 +9,12 @@ used for tie-breaking and by :func:`enumerate_mappings`.
 
 One scan builds the (period, latency) Pareto front, a :class:`ParetoFront`;
 each query is a lookup on it that gives one :class:`SolveResult`.
-:func:`pareto_front` keeps the front on the platform object, one entry for
-the last pipeline scanned there, so a platform's first query scans and later
-:func:`solve` calls with the same pipeline, such as the thresholds of a
-sweep, are lookups.  The entry lives and dies with the platform.
-Ties are broken with exact float equality: among feasible mappings the
-smallest objective, then the smallest value of the other criterion, then the
-canonically first mapping.
+:func:`pareto_front` keeps the front in the platform's record
+(:meth:`pipemap.model.Platform._kept`), so a platform's first query with a
+pipeline scans and later :func:`solve` calls with it are lookups.  Ties are broken
+with exact float equality: among feasible mappings the smallest objective,
+then the smallest value of the other criterion, then the canonically first
+mapping.
 
 The scan is a branch and bound, one per interval count ``m``.  It searches
 all ``C(n-1, m-1)`` partitions into ``m`` intervals together, each a boundary
@@ -285,18 +284,16 @@ def _table_bytes(n: int, m: int) -> int:
 
 
 def _pipeline_tables(spec: PipelineSpec, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The partitions into ``m`` intervals, kept on the pipeline for every platform it meets.
+    """The partitions into ``m`` intervals, kept in ``spec._scan_tables`` for every platform.
 
     ``(spans, terms)``, one entry per partition of :func:`_partitions`, in its
     order: ``spans[i]`` holds each interval's first and last stage, and column
     ``i`` of ``terms`` the numerators of ``evaluate_metrics``' fold from
     :func:`pipemap.model._fold_numerators`, ``2m + 1`` rows: ``delta``
     entering interval 0, its cost, ``delta`` crossing the next boundary, and
-    so on to ``delta`` leaving interval ``m - 1``.  Neither
-    depends on a platform, so the pipeline keeps them, one read-only pair per
-    ``m``; ``==`` and ``hash`` ignore them as they ignore ``PipelineSpec._costs``.
+    so on to ``delta`` leaving interval ``m - 1``.  Both are read-only.
     """
-    held = spec.__dict__.setdefault("_scan_tables", {})
+    held = spec._scan_tables
     if m not in held:
         bounds = _partitions(spec.n, m)
         first, last = bounds[:, :-1] + 1, bounds[:, 1:]
@@ -415,18 +412,11 @@ def _scan_front(spec: PipelineSpec, platform: Platform) -> ParetoFront:
 
 
 def pareto_front(spec: PipelineSpec, platform: Platform) -> ParetoFront:
-    """The Pareto front of ``spec`` on ``platform``, scanned once per platform.
-
-    The platform keeps the front of the last pipeline scanned on it; a call
-    with that pipeline, the same object or an equal one, returns the kept
-    front, and any other pipeline is scanned and replaces it.
-    """
-    held = platform.__dict__.get("_front")
-    if held is not None and (held[0] is spec or held[0] == spec):
-        return held[1]
-    front = _scan_front(spec, platform)
-    platform.__dict__["_front"] = (spec, front)
-    return front
+    """The Pareto front of ``spec`` on ``platform``, kept in ``platform._kept(spec)``."""
+    record = platform._kept(spec)
+    if "front" not in record:
+        record["front"] = _scan_front(spec, platform)
+    return record["front"]
 
 
 def solve(

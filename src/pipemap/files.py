@@ -56,6 +56,14 @@ def _require(data: dict, key: str, what: str) -> Any:
     return data[key]
 
 
+def _check_items(values: list, kind: type | tuple[type, ...], key: str, what: str) -> None:
+    """Raise a :class:`SchemaError` naming ``key`` unless every entry is a ``kind``, not a bool."""
+    for value in values:
+        if isinstance(value, bool) or not isinstance(value, kind):
+            noun = "strings" if kind is str else "numbers"
+            raise SchemaError(f"{what} file rejected: {key} must hold {noun}, not {value!r}")
+
+
 def pipeline_from_json(text: str) -> PipelineSpec:
     data = _load(text, "pipeline")
     n = _require(data, "n", "pipeline")
@@ -76,6 +84,9 @@ def pipeline_from_json(text: str) -> PipelineSpec:
         raise SchemaError(
             f"pipeline 'delta' has {len(delta)} entries, expected n+1 = {n + 1}"
         )
+    _check_items(names, str, "stage_names", "pipeline")
+    _check_items(w, (int, float), "w", "pipeline")
+    _check_items(delta, (int, float), "delta", "pipeline")
     try:
         return PipelineSpec(stage_names=tuple(names), w=w, delta=delta)
     except ValueError as exc:
@@ -114,10 +125,13 @@ def _platform_from_data(data: dict) -> Platform:
             raise SchemaError(
                 f"platform 'b' must be {side} rows of {side} entries"
             )
+        b = [value for row in b for value in row]
     elif len(b) != side * side:
         raise SchemaError(
             f"platform 'b' has {len(b)} entries, expected (p+2)^2 = {side * side}"
         )
+    _check_items(s, (int, float), "s", "platform")
+    _check_items(b, (int, float), "b", "platform")
     try:
         return Platform(s=s, b=_readonly_f64(b, "b").reshape(side, side))
     except ValueError as exc:

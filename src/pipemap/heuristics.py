@@ -53,11 +53,10 @@ each mapping's splits once, in a table no latency cap enters
 every ``h2`` trial equals a fresh run bit for bit.  The table is the step's
 only state: the mapping fixes the unused processors, and each winner's
 :class:`SplitEvent`, which carries the mapping it leads to, is built once and
-shared by every trace that takes it.  The platform keeps the tables of the
-last pipeline run on it, by ratio rule and three-way split, as it keeps that
-pipeline's Pareto front (:func:`pipemap.exact.pareto_front`): one entry, no
-option.  So ``h1`` and ``h5`` share tables, as do ``h2`` and ``h6``, and a
-run at a second threshold replays the first run's picks from its tables.
+shared by every trace that takes it.  The tables are kept in the platform's
+record (:meth:`pipemap.model.Platform._kept`), by ratio rule and three-way
+split, so ``h1`` and ``h5`` share tables, as do ``h2`` and ``h6``, and a run
+at a second threshold replays the first run's picks from its tables.
 """
 
 from __future__ import annotations
@@ -239,12 +238,6 @@ class HeuristicOutcome:
         }
 
 
-def _speed_order(platform: Platform) -> list[int]:
-    """Processors by non-increasing speed, index-ascending on ties."""
-    s = platform._s
-    return sorted(range(1, platform.p + 1), key=lambda u: (-s[u - 1], u))
-
-
 def _split_candidates(
     spec: PipelineSpec,
     platform: Platform,
@@ -315,13 +308,12 @@ def _split_table(
     platform: Platform,
     mapping: IntervalMapping,
     metrics: MappingMetrics,
-    order: list[int],
     three_way: bool,
     ratio_rule: bool,
 ) -> tuple | None:
     """Every split of the bottleneck's interval, scored for any latency cap, or ``None``.
 
-    The processors of the speed ``order`` that ``mapping`` leaves unused are
+    The processors of ``Platform._order`` that ``mapping`` leaves unused are
     the recipients, fastest first.  The interval splits into ``k`` parts:
     three when ``three_way`` holds, it has at least three stages and two
     processors are unused, else two.  The table is ``(mapping, metrics,
@@ -333,7 +325,7 @@ def _split_table(
     """
     jidx = _bottleneck(metrics.per_processor_period)
     d, e = mapping.intervals[jidx]
-    unused = [u for u in order if u not in mapping.assignees]
+    unused = [u for u in platform._order if u not in mapping.assignees]
     if d == e or not unused:
         return None
     k = 3 if three_way and e - d >= 2 and len(unused) >= 2 else 2
@@ -408,18 +400,17 @@ def _run_greedy(
     *,
     ratio_rule: bool,
     three_way: bool,
-    order: list[int],
     cap: float = math.inf,
     period_goal: float | None = None,
 ) -> tuple[IntervalMapping, MappingMetrics, tuple[SplitEvent, ...]]:
     """Run the splitting loop from ``start``; returns (mapping, metrics, trace).
 
     ``cap`` is the already padded latency cap every split must meet.  A
-    mapping and the speed ``order`` fix its split table, so the loops sharing
-    ``decisions`` keep one :func:`_split_table` per mapping, built when first
-    met, and every step picks from it at its own cap; a table answers caps in
-    any order, and so any period goal, and any run of the same two table
-    rules on the same pipeline and platform.  A step keeps its winner's
+    mapping fixes its split table, so the loops sharing ``decisions`` keep
+    one :func:`_split_table` per mapping, built when first met, and every
+    step picks from it at its own cap; a table answers caps in any order,
+    and so any period goal, and any run of the same two table rules on the
+    same pipeline and platform.  A step keeps its winner's
     event, so loops that take the same split share one :class:`SplitEvent`.
     """
     mapping, metrics = start
@@ -427,7 +418,7 @@ def _run_greedy(
     while period_goal is None or not meets_threshold(metrics.period, period_goal):
         if mapping not in decisions:
             decisions[mapping] = _split_table(
-                spec, platform, mapping, metrics, order, three_way, ratio_rule
+                spec, platform, mapping, metrics, three_way, ratio_rule
             )
         event = _best_split(spec, platform, decisions[mapping], cap)
         if event is None or not event.metrics_after.period < metrics.period:
@@ -437,31 +428,14 @@ def _run_greedy(
     return mapping, metrics, tuple(trace)
 
 
-def _kept_decisions(
-    spec: PipelineSpec, platform: Platform, ratio_rule: bool, three_way: bool
-) -> dict[IntervalMapping, tuple | None]:
-    """The split tables kept on ``platform`` for ``spec`` and one pair of table rules.
-
-    The platform keeps the tables of the last pipeline run on it, by ratio
-    rule and three-way split, the two rules a table depends on beside its
-    mapping; a call with that pipeline, the same object or an equal one,
-    returns the kept dict, and any other pipeline replaces them all.
-    """
-    held = platform.__dict__.get("_splits")
-    if held is None or not (held[0] is spec or held[0] == spec):
-        held = platform.__dict__["_splits"] = (spec, {})
-    return held[1].setdefault((ratio_rule, three_way), {})
-
-
 def run_heuristic(
     name: str, spec: PipelineSpec, platform: Platform, threshold: float
 ) -> HeuristicOutcome:
     """Run one heuristic by name, as its row of ``_VARIANTS`` sets it.
 
-    The greedy loops share one split table per mapping (see
-    :func:`_run_greedy`) with every run of the same ratio rule and three-way
-    split on this pipeline and platform, kept on the platform by
-    :func:`_kept_decisions`.  Each latency cap is padded here, once, with
+    The greedy loops take their split tables (see :func:`_run_greedy`) from
+    the platform's record (:meth:`pipemap.model.Platform._kept`), under
+    ``(ratio_rule, three_way)``.  Each latency cap is padded here, once, with
     :func:`padded_threshold`.  Under a fixed period the run is feasible when
     its final period meets the threshold, for ``h2`` as for the others.
     Under a fixed latency it is infeasible exactly when the start state
@@ -471,14 +445,13 @@ def run_heuristic(
     _, ratio_rule, three_way, search = _VARIANTS[name]
     query = BicriteriaQuery("period" if fixed_criterion == "latency" else "latency", threshold)
     threshold = query.threshold
-    order = _speed_order(platform)  # sorted once: every h2 trial starts from it
-    first = IntervalMapping.single_interval(spec.n, order[0])
+    first = IntervalMapping.single_interval(spec.n, platform._order[0])
     start = (first, evaluate_metrics(spec, platform, first))
     base_latency = start[1].latency
 
+    decisions = platform._kept(spec).setdefault((ratio_rule, three_way), {})
     greedy = functools.partial(
-        _run_greedy, spec, platform, _kept_decisions(spec, platform, ratio_rule, three_way), start,
-        ratio_rule=ratio_rule, three_way=three_way, order=order,
+        _run_greedy, spec, platform, decisions, start, ratio_rule=ratio_rule, three_way=three_way
     )
     report = None
     if fixed_criterion == "latency":

@@ -101,8 +101,8 @@ class PipelineSpec:
     operations and writes ``delta[k]`` data units.  ``delta[0]`` enters from
     the input gateway and ``delta[n]`` leaves to the output gateway.  The
     instance keeps its views built once (:attr:`_costs`, :attr:`_cost_array`,
-    :attr:`_delta`) and the exact scan's partition tables
-    (:func:`pipemap.exact.pareto_front`); ``==`` and ``hash`` ignore all of them.
+    :attr:`_delta`) and the exact scan's partition tables (:attr:`_scan_tables`);
+    ``==`` and ``hash`` ignore all of them.
     """
 
     stage_names: tuple[str, ...]
@@ -164,6 +164,11 @@ class PipelineSpec:
         """``delta.tolist()`` as a tuple, built once like :attr:`_costs`."""
         return tuple(self.delta.tolist())
 
+    @cached_property
+    def _scan_tables(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+        """The exact scan's partition tables by ``m`` (:func:`pipemap.exact._pipeline_tables`)."""
+        return {}
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PipelineSpec):
             return NotImplemented
@@ -186,12 +191,10 @@ class Platform:
     ``[in, 1..p, out]``: row/column 0 is the input gateway and row/column
     ``p+1`` the output gateway.  Diagonal entries are unused, as are links
     *towards* the input and *from* the output; they are stored but never read.
-    Like the float views :attr:`_s` and :attr:`_b`, built once, the class view
-    :attr:`_lead` names the processors that are interchangeable, and the
-    instance keeps the Pareto front of the last pipeline scanned on it
-    (:func:`pipemap.exact.pareto_front`) and the split tables of the last
-    pipeline the heuristics ran on it (:func:`pipemap.heuristics.run_heuristic`);
-    ``==`` and ``hash`` ignore all of them.
+    Like the float views :attr:`_s` and :attr:`_b`, the processor views
+    :attr:`_order` and :attr:`_lead` are built once, and the instance keeps
+    one record for the last pipeline met on it (:meth:`_kept`); ``==`` and
+    ``hash`` ignore all of them.
     """
 
     s: np.ndarray
@@ -231,6 +234,12 @@ class Platform:
         return tuple(map(tuple, self.b.tolist()))
 
     @cached_property
+    def _order(self) -> tuple[int, ...]:
+        """Processors by non-increasing speed, index-ascending on ties, built once."""
+        s = self._s
+        return tuple(sorted(range(1, self.p + 1), key=lambda u: (-s[u - 1], u)))
+
+    @cached_property
     def _lead(self) -> np.ndarray:
         """The processor classes: ``_lead[v]`` is the previous member of ``v``'s class, or 0.
 
@@ -258,6 +267,17 @@ class Platform:
                     break
         lead.setflags(write=False)
         return lead
+
+    def _kept(self, spec: PipelineSpec) -> dict:
+        """The one dict the platform keeps for its last pipeline: the exact front, the split tables.
+
+        ``spec`` gets that dict if it is that pipeline or an equal one, else an
+        empty one that replaces it.
+        """
+        held = self.__dict__.get("_held")
+        if held is None or not (held[0] is spec or held[0] == spec):
+            held = self.__dict__["_held"] = (spec, {})
+        return held[1]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Platform):

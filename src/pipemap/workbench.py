@@ -3,10 +3,10 @@
 A *campaign* runs the exhaustive solver and a set of heuristics over a list
 of platforms for one query and tabulates the outcomes; a *sweep report*
 answers each threshold with one :func:`pipemap.exact.solve`, exposing the
-thresholds where the optimum changes.  The platform keeps the Pareto front of
-its last pipeline (:func:`pipemap.exact.pareto_front`): its first query with a
-pipeline scans, and later solves, sweep thresholds and campaign rows on it
-are lookups, whose ``exact_seconds`` is a lookup's.  Each table checks its own
+thresholds where the optimum changes.  A platform's record keeps the front
+(:meth:`pipemap.model.Platform._kept`): its first query with a pipeline
+scans, and later solves, sweep thresholds and campaign rows on it are
+lookups, whose ``exact_seconds`` is a lookup's.  Each table checks its own
 rules when built, by a runner or a CSV reader: a row's feasible flag agrees
 with its values, an error row holds no result, a sweep is a non-increasing
 step curve on a non-empty ascending grid of positive thresholds, and no
@@ -412,10 +412,10 @@ def run_sweep_report(
 
     ``query`` supplies the objective.  ``thresholds`` must be non-empty,
     positive and sorted ascending, or a ``ValueError`` is raised before any
-    scan.  Only the first solve scans; the rest are lookups on the front the
-    platform keeps.  Each row records the threshold asked; the
-    :class:`SweepReport` built from them raises :class:`WorkbenchError`
-    unless they form a step curve, an internal error.
+    scan.  Only the first solve scans (:meth:`pipemap.model.Platform._kept`).
+    Each row records the threshold asked; the :class:`SweepReport` built from
+    them raises :class:`WorkbenchError` unless they form a step curve, an
+    internal error.
     """
     rows = []
     for asked in _sweep_grid(query.objective, thresholds):  # all checked before any solve

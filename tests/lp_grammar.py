@@ -1,8 +1,9 @@
 """A small LP-format grammar checker and solver bridge for the tests.
 
-``parse_lp`` re-parses exported LP text from scratch: it tokenizes the whole
-file, walks the section grammar (Minimize / Subject To / Bounds / Binary /
-General / End) and records any violation as a diagnostic instead of raising,
+``parse_lp`` re-parses exported LP text from scratch: it splits the file at
+its section header lines (Minimize / Subject To / Bounds / Binary / General /
+End), tokenizes each section with one pattern, walks the section grammar and
+records any violation as a diagnostic instead of raising,
 so tests can assert an export produces *zero* diagnostics.  ``solve_parsed``
 feeds a parsed program to ``scipy.optimize.milp``, with a sparse constraint
 matrix.
@@ -66,20 +67,21 @@ class ParsedLP:
         return [r for r in self.rows if r.name == prefix or r.name.startswith(prefix + "_")]
 
 
-def _tokenize(text: str) -> list[str]:
-    tokens: list[str] = []
-    for line in text.splitlines():
-        stripped = line.strip()
-        if not stripped or stripped.startswith("\\"):
-            continue
-        # Make relational operators and signs their own tokens, but keep the
-        # sign of a scientific-notation exponent attached to its number.
-        stripped = re.sub(r"(<=|>=|=)", r" \1 ", stripped)
-        stripped = re.sub(r"(?<![eE])([+-])", r" \1 ", stripped)
-        tokens.extend(stripped.split())
-    return tokens
-
-
+# A comment line, whose first non-blank character is a backslash.
+_COMMENT = re.compile(r"^[ \t]*\\.*$", re.MULTILINE)
+# A run of anything but blanks, relational operators and signs (the sign of
+# a scientific-notation exponent stays with its number), a relational
+# operator or a sign.
+_TOKEN = re.compile(
+    r"(?:[^\s<>=+-]|[<>](?!=))(?:[^\s<>=+-]+|[<>](?!=)|(?<=[eE])[+-])*|<=|>=|=|[+-]"
+)
+# A section header: a line whose first token is a section keyword, case
+# ignored; the rest of its line belongs to the section.
+_HEADER = re.compile(
+    r"^\s*(minimize|subject\s+to|bounds|binary|general|end)(?![^\s<>=+-])",
+    re.IGNORECASE | re.MULTILINE,
+)
+# Each section's name by its keyword's first word, in the order they must come.
 _SECTIONS = {
     "minimize": "Minimize",
     "subject": "Subject To",
@@ -90,47 +92,24 @@ _SECTIONS = {
 }
 
 
-def _is_section_start(tokens: list[str], i: int) -> str | None:
-    word = tokens[i].lower()
-    if word == "subject" and i + 1 < len(tokens) and tokens[i + 1].lower() == "to":
-        return "Subject To"
-    if word in ("minimize", "bounds", "binary", "general", "end"):
-        return _SECTIONS[word]
-    return None
-
-
 def parse_lp(text: str) -> ParsedLP:
     out = ParsedLP()
-    tokens = _tokenize(text)
-    if not tokens:
+    # Split the text at its header lines: [before, keyword, body, keyword, ...]
+    parts = _HEADER.split(_COMMENT.sub("", text))
+    before = _TOKEN.findall(parts[0])
+    if before:
+        out.diagnostics.append(f"token {before[0]!r} before any section")
+        return out
+    if len(parts) == 1:
         out.diagnostics.append("empty file")
         return out
-
-    # Split the token stream into sections.
-    sections: list[tuple[str, list[str]]] = []
-    i = 0
-    current_name: str | None = None
-    current_tokens: list[str] = []
-    while i < len(tokens):
-        name = _is_section_start(tokens, i)
-        if name is not None:
-            if current_name is not None:
-                sections.append((current_name, current_tokens))
-            current_name = name
-            current_tokens = []
-            i += 2 if name == "Subject To" else 1
-            continue
-        if current_name is None:
-            out.diagnostics.append(f"token {tokens[i]!r} before any section")
-            return out
-        current_tokens.append(tokens[i])
-        i += 1
-    if current_name is not None:
-        sections.append((current_name, current_tokens))
+    sections = [
+        (_SECTIONS[keyword.split()[0].lower()], _TOKEN.findall(body))
+        for keyword, body in zip(parts[1::2], parts[2::2])
+    ]
 
     order = [name for name, _ in sections]
-    expected_order = ["Minimize", "Subject To", "Bounds", "Binary", "General", "End"]
-    filtered = [name for name in expected_order if name in order]
+    filtered = [name for name in _SECTIONS.values() if name in order]
     if order != filtered:
         out.diagnostics.append(f"sections out of order or repeated: {order}")
     for required in ("Minimize", "Subject To", "End"):

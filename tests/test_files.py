@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -176,4 +177,41 @@ class TestErrorMessages:
         )
         data[key] = [[{}] * 3] * 3 if key == "b" else [{}] * len(data[key])
         with pytest.raises(SchemaError, match=f"{key} must hold numbers"):
+            load(json.dumps(data))
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("w", "3"),
+            ("w", True),
+            ("delta", " 1e2 "),
+            ("delta", False),
+            ("s", "3"),
+            ("s", True),
+            ("b", "1"),
+            ("b", True),
+            ("b-nested", "1"),
+            ("b-nested", True),
+            ("stage_names", {"x": 1}),
+            ("stage_names", 7),
+        ],
+    )
+    def test_string_or_boolean_where_a_number_belongs(self, key, value):
+        # numpy would read "3" and " 1e2 " as numbers and true as 1.0
+        pipeline = {"n": 2, "w": [1.0, 2], "delta": [1, 0, 1.5], "stage_names": ["a", "b"]}
+        platform = {"p": 1, "s": [1.0], "b": [[0.0, 1.0, 1.0], [1.0, 0.0, 1], [1.0, 1.0, 0.0]]}
+        data, load = (pipeline, pipeline_from_json) if key in pipeline else (
+            platform, platform_from_json
+        )
+        name = key.partition("-")[0]
+        if key == "b":
+            data[name] = [entry for row in data[name] for entry in row]
+        load(json.dumps(data))  # ints and floats pass
+        if key == "b-nested":
+            data[name][1][2] = value
+        else:
+            data[name][-1] = value
+        noun = "strings" if name == "stage_names" else "numbers"
+        message = f"file rejected: {name} must hold {noun}, not {re.escape(repr(value))}$"
+        with pytest.raises(SchemaError, match=message):
             load(json.dumps(data))

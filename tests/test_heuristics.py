@@ -25,7 +25,7 @@ from pipemap import (
     solve,
     validate,
 )
-from pipemap import heuristics
+from pipemap import exact, heuristics
 from pipemap.heuristics import BinarySearchConfig, fixed_criterion_of
 from pipemap.model import padded_threshold
 
@@ -368,12 +368,17 @@ def _large_split_states(seed: int, count: int):
             spec = with_zero_delta(rng, spec)
         else:
             spec, platform = random_instance(rng, *sizes)
-        order = heuristics._speed_order(platform)
-        yield spec, platform, IntervalMapping.single_interval(spec.n, order[0]), order[1:]
+        first = IntervalMapping.single_interval(spec.n, platform._order[0])
+        yield spec, platform, first, _unused(platform, first)
         trace = run_heuristic("h3", spec, platform, 1e-6).trace  # unreachable goal
         for t in sorted({0, len(trace) // 2}):
             mapping = trace[t].mapping_after
-            yield spec, platform, mapping, [u for u in order if u not in mapping.assignees]
+            yield spec, platform, mapping, _unused(platform, mapping)
+
+
+def _unused(platform, mapping):
+    """The processors ``mapping`` leaves unused, in the platform's speed order."""
+    return [u for u in platform._order if u not in mapping.assignees]
 
 
 def _candidate_mapping(mapping, jidx, cuts, placement):
@@ -427,11 +432,6 @@ def _reference_best_split(spec, platform, mapping, metrics, unused, three_way, r
     return heuristics.SplitEvent(choice, metrics.period, metrics.latency, after, cand)
 
 
-def _order(mapping, unused):
-    """A processor order in which ``mapping`` leaves exactly ``unused`` unused, in order."""
-    return [*mapping.assignees, *unused]
-
-
 class TestSplitCandidates:
     def test_every_candidate_matches_evaluate_metrics(self):
         """Array latency and party cycles equal a full evaluation, bit for bit, in itertools order."""
@@ -470,7 +470,8 @@ class TestSplitCandidates:
             calls.append(mapping)
             return evaluate(spec, platform, mapping)
 
-        for spec, platform, mapping, unused in _split_states(37, 16):
+        for spec, platform, mapping, _ in _split_states(37, 16):
+            unused = _unused(platform, mapping)
             metrics = evaluate_metrics(spec, platform, mapping)
             for cap in (None, metrics.latency, 1.02 * metrics.latency, 1.3 * metrics.latency):
                 expected = _reference_best_split(
@@ -481,8 +482,7 @@ class TestSplitCandidates:
                 got = heuristics._best_split(
                     spec, platform,
                     heuristics._split_table(
-                        spec, platform, mapping, metrics, _order(mapping, unused),
-                        three_way, ratio_rule,
+                        spec, platform, mapping, metrics, three_way, ratio_rule
                     ),
                     math.inf if cap is None else padded_threshold(cap),
                 )
@@ -504,8 +504,7 @@ class TestSplitCandidates:
                     got = heuristics._best_split(
                         spec, platform,
                         heuristics._split_table(
-                            spec, platform, mapping, metrics, _order(mapping, unused),
-                            three_way, ratio_rule,
+                            spec, platform, mapping, metrics, three_way, ratio_rule
                         ),
                         math.inf if cap is None else padded_threshold(cap),
                     )
@@ -519,7 +518,8 @@ class TestSplitCandidates:
 
     def test_latency_exactly_at_padded_cap_is_kept(self):
         """A candidate whose latency equals the padded cap meets it, as in ``meets_threshold``."""
-        for spec, platform, mapping, unused in _split_states(41, 16):
+        for spec, platform, mapping, _ in _split_states(41, 16):
+            unused = _unused(platform, mapping)
             metrics = evaluate_metrics(spec, platform, mapping)
             jidx = metrics.per_processor_period.index(metrics.period)
             _, _, latency, _ = heuristics._split_candidates(
@@ -528,9 +528,7 @@ class TestSplitCandidates:
             lowest = latency.min().item()
             cap = _cap_padding_to(lowest)
             assert cap is not None and meets_threshold(lowest, cap)
-            table = heuristics._split_table(
-                spec, platform, mapping, metrics, _order(mapping, unused), False, False
-            )
+            table = heuristics._split_table(spec, platform, mapping, metrics, False, False)
             got = heuristics._best_split(spec, platform, table, padded_threshold(cap))
             assert got is not None and got.metrics_after.latency == lowest
             below = cap
@@ -538,9 +536,7 @@ class TestSplitCandidates:
                 below = math.nextafter(below, -math.inf)
             assert heuristics._best_split(
                 spec, platform,
-                heuristics._split_table(
-                    spec, platform, mapping, metrics, _order(mapping, unused), False, False
-                ),
+                heuristics._split_table(spec, platform, mapping, metrics, False, False),
                 padded_threshold(below),
             ) is None
 
@@ -568,9 +564,7 @@ class TestSplitCandidates:
         assert (latency == metrics.latency).all() and latency.size > 1
         got = heuristics._best_split(
             spec, platform,
-            heuristics._split_table(
-                spec, platform, mapping, metrics, _order(mapping, unused), three_way, ratio_rule
-            ),
+            heuristics._split_table(spec, platform, mapping, metrics, three_way, ratio_rule),
             math.inf,
         )
         assert got == _reference_best_split(
@@ -635,7 +629,7 @@ def _cap_padding_to(value: float) -> float | None:
 
 def _start(spec, platform):
     """The greedy start state: the whole chain on the fastest processor."""
-    first = IntervalMapping.single_interval(spec.n, heuristics._speed_order(platform)[0])
+    first = IntervalMapping.single_interval(spec.n, platform._order[0])
     return first, evaluate_metrics(spec, platform, first)
 
 
@@ -686,7 +680,6 @@ class TestSharedDecisions:
                         start,
                         ratio_rule=True,
                         three_way=False,
-                        order=heuristics._speed_order(platform),
                         cap=padded_threshold(base + allowance),
                         period_goal=threshold,
                     )
@@ -724,7 +717,6 @@ class TestSharedDecisions:
                     start=start,
                     ratio_rule=ratio_rule,
                     three_way=three_way,
-                    order=heuristics._speed_order(platform),
                     period_goal=goal,
                 )
                 decisions = {}
@@ -741,11 +733,10 @@ class TestSharedDecisions:
             spec, platform = integer_instance(rng, (6, 12), (3, 8))
             spec = with_zero_delta(rng, spec)
             start = _start(spec, platform)
-            order = heuristics._speed_order(platform)
 
             def reference(cap):
                 return _reference_best_split(
-                    spec, platform, *start, order[1:], False, ratio_rule, cap
+                    spec, platform, *start, _unused(platform, start[0]), False, ratio_rule, cap
                 )
 
             winner_latency = reference(None).metrics_after.latency
@@ -772,7 +763,6 @@ class TestSharedDecisions:
                     start,
                     ratio_rule=ratio_rule,
                     three_way=False,
-                    order=order,
                     cap=math.inf if cap is None else padded_threshold(cap),
                 )
                 table, pick = picks[0]
@@ -812,7 +802,6 @@ class TestSharedDecisions:
                 start,
                 ratio_rule=True,
                 three_way=False,
-                order=heuristics._speed_order(platform),
                 cap=padded_threshold(start[1].latency + trial.authorized_increase),
                 period_goal=threshold,
             )
@@ -822,17 +811,21 @@ class TestSharedDecisions:
         # fresh trial builds one per greedy step
         assert built == TABLES_PINNED == len(set(fresh)) < len(fresh)
 
-    def test_processors_sorted_once_per_run(self, monkeypatch):
-        """All 21 trials of the pinned ``h2`` run share one speed order."""
+    def test_processors_sorted_once_per_platform(self, monkeypatch):
+        """The 21 trials of the pinned ``h2`` run and all six heuristics share one speed order."""
         spec, platform = random_instance(np.random.default_rng(20), (20, 20), (12, 12))
-        threshold = 0.3 * _start(spec, platform)[1].period
+        start = _start(spec, _fresh(platform))[1]
         sorts = []
-        speed_order = heuristics._speed_order
+        speed_order = Platform._order.func
         monkeypatch.setattr(
-            heuristics, "_speed_order", lambda p: sorts.append(p) or speed_order(p)
+            Platform._order, "func", lambda p: sorts.append(p) or speed_order(p)
         )
-        outcome = run_heuristic("h2", spec, platform, threshold)
+        outcome = run_heuristic("h2", spec, platform, 0.3 * start.period)
         assert (len(outcome.search.trials), len(sorts)) == (21, 1)
+        for name in HEURISTIC_NAMES:
+            criterion = fixed_criterion_of(name)
+            run_heuristic(name, spec, platform, 0.3 * getattr(start, criterion))
+        assert len(sorts) == 1 and sorts[0] is platform
 
 
 def _kept_instances():
@@ -862,22 +855,27 @@ def _runs(spec, platform):
     ]
 
 
+def _held(platform):
+    """``(pipeline, record)``: the one record ``platform`` keeps and the pipeline it is for."""
+    return platform.__dict__["_held"]
+
+
 def _spy_tables(monkeypatch, platform):
     """Record ``(ratio_rule, three_way, mapping)`` for every table built on ``platform``."""
     keys = []
     split_table = heuristics._split_table
 
-    def spy(spec, on, mapping, metrics, order, three_way, ratio_rule):
+    def spy(spec, on, mapping, metrics, three_way, ratio_rule):
         if on is platform:
             keys.append((ratio_rule, three_way, mapping))
-        return split_table(spec, on, mapping, metrics, order, three_way, ratio_rule)
+        return split_table(spec, on, mapping, metrics, three_way, ratio_rule)
 
     monkeypatch.setattr(heuristics, "_split_table", spy)
     return keys
 
 
 class TestKeptTables:
-    """The platform keeps the split tables of its last pipeline across runs."""
+    """The platform's record keeps the split tables of its last pipeline across runs."""
 
     @pytest.mark.parametrize("reverse", [False, True], ids=["listed", "reversed"])
     def test_runs_in_any_order_equal_fresh_runs(self, monkeypatch, reverse):
@@ -893,7 +891,7 @@ class TestKeptTables:
             # dataclass ==: mapping, metrics, verdict, trace and search report
             assert [outcomes[run] for run in runs] == expected
             assert keys and len(keys) == len(set(keys))
-            held_spec, tables = kept.__dict__["_splits"]
+            held_spec, tables = _held(kept)
             assert held_spec is spec
             assert {(rule, three) for rule, three, _ in keys} == set(tables)
             assert sum(map(len, tables.values())) == len(keys)
@@ -911,7 +909,7 @@ class TestKeptTables:
                     name, spec, _fresh(platform), t
                 )
             built.append(len(keys))
-            held.append(platform.__dict__["_splits"])
+            held.append(_held(platform))
             keys.clear()
         # the equal pipeline reuses the tables kept for spec_b; spec_a then
         # replaces them and builds its own again
@@ -922,7 +920,7 @@ class TestKeptTables:
     def test_tables_live_and_die_with_their_platform(self):
         spec, platform = random_instance(np.random.default_rng(3601), (12, 12), (8, 8))
         outcome = run_heuristic("h2", spec, platform, 0.3 * _start(spec, platform)[1].period)
-        assert outcome.trace and "_splits" in platform.__dict__
+        assert outcome.trace and _held(platform)[1]
         ref = weakref.ref(platform)
         gc.disable()
         try:
@@ -930,6 +928,81 @@ class TestKeptTables:
             assert ref() is None
         finally:
             gc.enable()
+
+
+def _spy_scans(monkeypatch, platform):
+    """Record the pipeline of every exact scan on ``platform``."""
+    scans = []
+    scan_front = exact._scan_front
+
+    def spy(spec, on):
+        if on is platform:
+            scans.append(spec)
+        return scan_front(spec, on)
+
+    monkeypatch.setattr(exact, "_scan_front", spy)
+    return scans
+
+
+class TestOneRecord:
+    """``solve`` and ``run_heuristic`` keep their state in the platform's one record."""
+
+    QUERIES = (BicriteriaQuery.minimize_latency(), BicriteriaQuery.minimize_period())
+
+    def _answers_equal_fresh_runs(self, spec, platform):
+        """Solve, then run every heuristic, as a campaign row does; each equals a fresh run."""
+        for query in self.QUERIES:
+            assert solve(spec, platform, query) == solve(spec, _fresh(platform), query)
+        self._heuristics_equal_fresh_runs(spec, platform)
+
+    @staticmethod
+    def _heuristics_equal_fresh_runs(spec, platform):
+        for name, t in _runs(spec, platform):
+            assert run_heuristic(name, spec, platform, t) == run_heuristic(
+                name, spec, _fresh(platform), t
+            )
+
+    def test_solve_and_heuristics_share_one_record(self, monkeypatch):
+        (entry,) = seeded_platforms([3], 8)
+        platform, spec_a = entry.platform, jpeg_preset()
+        spec_b, _ = random_instance(np.random.default_rng(3800), (6, 6), (8, 8))
+        equal_b = PipelineSpec(spec_b.stage_names, spec_b.w.copy(), spec_b.delta.copy())
+        scans = _spy_scans(monkeypatch, platform)
+        keys = _spy_tables(monkeypatch, platform)
+        held, scanned, built = [], [], []
+        for spec in (spec_a, spec_b, equal_b, spec_a):
+            self._answers_equal_fresh_runs(spec, platform)
+            held.append(_held(platform))
+            scanned.append(len(scans))
+            built.append(len(keys))
+            scans.clear()
+            keys.clear()
+            # the front and one table dict per (ratio rule, three-way split)
+            rules = itertools.product((False, True), (False, True))
+            assert set(held[-1][1]) == {"front", *rules}
+        # the equal pipeline reuses spec_b's front and tables; spec_a then
+        # replaces both and scans and builds its own again
+        assert scanned == [1, 1, 0, 1]
+        assert built[0] > 0 and built[1] > 0 and built[2] == 0 and built[3] == built[0]
+        assert held[2] is held[1] and held[1][0] is spec_b
+        assert held[3] is not held[0] and held[3][0] is spec_a
+
+    def test_a_scan_replaces_the_tables(self, monkeypatch):
+        (entry,) = seeded_platforms([4], 8)
+        platform, spec_a = entry.platform, jpeg_preset()
+        spec_b, _ = random_instance(np.random.default_rng(3801), (6, 6), (8, 8))
+        scans = _spy_scans(monkeypatch, platform)
+        keys = _spy_tables(monkeypatch, platform)
+        self._heuristics_equal_fresh_runs(spec_a, platform)
+        first = len(keys)
+        # a scan alone with another pipeline leaves no table of spec_a
+        assert solve(spec_b, platform, self.QUERIES[0]) == solve(
+            spec_b, _fresh(platform), self.QUERIES[0]
+        )
+        assert _held(platform)[0] is spec_b and set(_held(platform)[1]) == {"front"}
+        keys.clear()
+        self._answers_equal_fresh_runs(spec_a, platform)
+        assert first > 0 and len(keys) == first and scans == [spec_b, spec_a]
 
 
 # sha256 over every outcome and error message of ``_golden_records``; it pins

@@ -559,3 +559,23 @@ def test_engines_import_no_sibling_but_model(name):
             else:  # ``from . import x``
                 siblings.update(alias.name for alias in node.names)
     assert siblings == _ENGINE_SIBLINGS[name]
+
+
+def _names_dict(node: ast.AST) -> bool:
+    """True if ``node`` is ``x.__dict__``, a bare ``__dict__`` or the string ``"__dict__"``."""
+    return (
+        (isinstance(node, ast.Attribute) and node.attr == "__dict__")
+        or (isinstance(node, ast.Name) and node.id == "__dict__")
+        or (isinstance(node, ast.Constant) and node.value == "__dict__")
+    )
+
+
+def test_no_module_but_model_names_an_instance_dict():
+    """``model`` owns the state an instance keeps: its views and a platform's one record."""
+    package = Path(pipemap.__file__).parent
+    naming = {
+        str(path.relative_to(package))
+        for path in package.rglob("*.py")
+        if any(map(_names_dict, ast.walk(ast.parse(path.read_text(encoding="utf-8")))))
+    }
+    assert naming == {"model.py"}
