@@ -299,7 +299,8 @@ def _split_candidates(
     # (t_in + comp) + t_out, as evaluate_metrics adds them
     cycles = fold[1 : 2 * k : 2] + fold[2 : 2 * k + 1 : 2]
     cycles += fold[3 : 2 * k + 2 : 2]
-    latency = np.add.accumulate(fold, out=fold)[-1]
+    # along axis 0 numpy adds one row at a time, in order: the left fold
+    latency = np.add.reduce(fold, axis=0)
     return cuts, placements, latency, cycles
 
 

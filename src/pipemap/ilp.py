@@ -22,29 +22,33 @@ minimized criterion's rows compare against ``Topt``; the fixed criterion's
 rows get the query threshold as a constant right-hand side, and are dropped
 when the threshold is infinite.
 
-The constraints are row families (:class:`RowFamily`), each a name column,
-one coefficient vector, one flat tuple of variable names holding one column
-per coefficient after another, a sense and a right-hand side, so a family
-holds each coefficient once and no tuple per column; row and variable names
-are LP identifiers, without spaces.  Every variable name comes from one
-builder, ``_name_tables``, which :func:`assignment_from_mapping` reads too,
-and every cost term divides ``model``'s float views and stage-cost table.
-:func:`build_instance` builds each family in bulk, with no Python step per
-row or per term: names by prefix concatenation, and columns by joining
-``_name_tables``' name tuples where a family's rows follow them.
-``firstb``/``lastb`` and ``cutl``/``cutf`` are one block of two families per
-stage, whose rows alternate, and each cost row is a family of one, gathered
-from per-stage lists of coefficients and of names with no ``(coef, var)``
-pair, so a build makes few objects for the garbage collector to track.
-:meth:`IlpInstance.to_lp_text` renders a family through one ``str.format``
-template made from its coefficients, formatting each distinct number once per
-call.  A line holds at most 72 characters after its leading space; longer
-rows, and the ``Binary`` and ``General`` lists, go through one line breaker
-that breaks at the last space that fits, so only the ``assign``, ``route``
-and cost rows wrap at scale.  The families and that text are the program's
-only forms: :attr:`IlpInstance.rows` lists the constraint names in emission
-order, and a reader that wants a row's terms parses the text, which prints
-every coefficient with ``.17g`` so that it reads back bit for bit.
+The constraints are row families (:class:`RowFamily`), each a name prefix
+and a key column, one coefficient vector, one flat tuple of variable names
+holding one column per coefficient after another, a sense and a right-hand
+side, so a family holds each coefficient once and no tuple per column; row
+and variable names are LP identifiers, without spaces.  Every variable name
+comes from one builder, ``_name_tables``, which :func:`assignment_from_mapping`
+reads too, and every cost term divides ``model``'s float views and
+stage-cost table.  :func:`build_instance` builds each family in bulk, with no
+Python step per row or per term and no row-name string: a family's keys are
+tuples ``_name_tables`` already holds, and its columns join that builder's
+name tuples where a family's rows follow them.  ``firstb``/``lastb`` and
+``cutl``/``cutf`` are one block of two families per stage, whose rows
+alternate, and each cost row is a family of one, gathered from per-stage
+lists of coefficients and of names with no ``(coef, var)`` pair, so a build
+makes few objects for the garbage collector to track.
+:meth:`IlpInstance.to_lp_text` renders a family of several rows with one
+``str.join`` that interleaves its key and variable columns with the constant
+pieces of one template made from its coefficients, and a cost row with
+``str.format``; the coefficients an export has not met yet are formatted in
+one ``%`` call per sign.  A line holds at most 72 characters after its
+leading space; longer rows, and the ``Binary`` and ``General`` lists, go
+through one line breaker that breaks at the last space that fits, so only
+the ``assign``, ``route`` and cost rows wrap at scale.  The families and that
+text are the program's only forms: :attr:`IlpInstance.rows` joins each row's
+prefix and key into the constraint names, in emission order, and a reader
+that wants a row's terms parses the text, which prints every coefficient
+with ``.17g`` so that it reads back bit for bit.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ import math
 from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .model import (
     BicriteriaQuery,
@@ -76,36 +80,54 @@ __all__ = [
 class RowFamily(NamedTuple):
     """Rows of one shape, held by column.
 
-    Row ``i`` is named ``names[i]`` and its ``j``-th term is ``(coefs[j],
-    columns[j * len(names) + i])``: ``columns`` holds variable names only,
-    one column per coefficient after another in one flat tuple, so a family
-    holds each coefficient once and makes no tuple per column.  Every row has
-    the same sense and right-hand side.
+    Row ``i`` is named ``prefix + keys[i]`` and its ``j``-th term is
+    ``(coefs[j], columns[j * len(keys) + i])``: ``keys`` are name tuples that
+    ``_name_tables`` already holds, so a build makes no row-name string, and
+    ``columns`` holds variable names only, one column per coefficient after
+    another in one flat tuple, so a family holds each coefficient once and
+    makes no tuple per column.  Every row has the same sense and right-hand
+    side.
     """
 
-    names: tuple[str, ...]
+    prefix: str
+    keys: tuple[str, ...]
     coefs: tuple[float, ...]
     columns: tuple[str, ...]  # the variable-name columns, one after another
     sense: str
     rhs: float
 
-    def _lines(self, term: _Memo, plain: _Memo) -> list[str]:
+    def _lines(self, term: dict[float, str]) -> list[str]:
         """Each row as LP text; a row that wraps is one string of several lines.
 
         ``term`` maps a coefficient to its ``"+ c {}"`` template piece, which
-        formats a variable name, and ``plain`` a number to its text.
+        formats a variable name; the pieces of coefficients it lacks are added.
         """
+        count = len(self.keys)
+        if not count:  # the cut rows of a single processor
+            return []
+        _add_terms(term, self.coefs)
         head = " ".join(map(term.__getitem__, self.coefs)).removeprefix("+ ")
-        template = f" {{}}: {head} {self.sense} {plain[self.rhs]}"
-        count = len(self.names)
+        template = f" {self.prefix}{{}}: {head} {self.sense} {_fmt(self.rhs)}"
         if count == 1:  # the cost rows: one line, and no one-name column per term
-            lines = [template.format(*self.names, *self.columns)]
+            lines = [template.format(*self.keys, *self.columns)]
         else:
-            columns = [self.columns[j * count : (j + 1) * count] for j in range(len(self.coefs))]
-            lines = list(map(template.format, self.names, *columns))
+            # One join over the rows: each row's key, columns and the
+            # template's constant pieces, interleaved; a row's last piece
+            # carries the line break and the next row's first piece.
+            pieces = template.split("{}")
+            row = [None] * (2 * len(pieces) - 2)
+            row[1::2] = pieces[1:]
+            row[-1] += "\n" + pieces[0]
+            width = len(row)
+            flat = row * count
+            flat[::width] = self.keys
+            for j in range(len(self.coefs)):
+                flat[2 * j + 2 :: width] = self.columns[j * count : (j + 1) * count]
+            flat[-1] = pieces[-1]
+            lines = (pieces[0] + "".join(flat)).split("\n")
         # A line is its leading space and at most 72 more characters.
-        if max(map(len, lines), default=0) > 73:
-            lines = ["\n".join(_wrap(line[1:])) for line in lines]
+        if max(map(len, lines)) > 73:
+            lines = [_wrap(line[1:]) for line in lines]
         return lines
 
 
@@ -137,7 +159,9 @@ class IlpInstance:
         """Every constraint's name, in emission order."""
         return tuple(
             chain.from_iterable(
-                chain.from_iterable(zip(*[family.names for family in block], strict=True))
+                chain.from_iterable(
+                    zip(*[map(family.prefix.__add__, family.keys) for family in block], strict=True)
+                )
                 for block in self.blocks
             )
         )
@@ -155,20 +179,20 @@ class IlpInstance:
             f" obj: {self.objective_var}",
             "Subject To",
         ]
-        # Each distinct number is formatted once: ``term`` maps a coefficient
-        # to its "+ c {}" / "- c {}" template piece, ``plain`` a value to text.
-        term = _Memo(lambda coef: ("- " if coef < 0 else "+ ") + _fmt(abs(coef)) + " {}")
-        plain = _Memo(_fmt)
+        # Each distinct coefficient is formatted once: ``term`` maps it to its
+        # "+ c {}" / "- c {}" template piece.
+        term: dict[float, str] = {}
         for block in self.blocks:
-            lines = [family._lines(term, plain) for family in block]
+            lines = [family._lines(term) for family in block]
             out += chain.from_iterable(zip(*lines, strict=True))
         out.append("Bounds")
+        plain = {value: _fmt(value) for value in {value for _, value in self.pins}}
         out += [f" {var} = {plain[value]}" for var, value in self.pins]
         out += [f" 1 <= {var} <= {self.n}" for var in self.generals]
         out += [f" {self.objective_var} >= 0", "Binary"]
-        out += _wrap(" ".join(self.binaries), indent=" ")
+        out.append(_wrap(" ".join(self.binaries), indent=" "))
         out.append("General")
-        out += _wrap(" ".join(self.generals), indent=" ")
+        out.append(_wrap(" ".join(self.generals), indent=" "))
         out.append("End")
         return "\n".join(out) + "\n"
 
@@ -184,10 +208,10 @@ def _name_tables(n: int, p: int) -> tuple:
     node and ``z[k][i]`` by link; each name is formatted once, and each of
     these rows is a tuple, so a family's columns join them.
     """
-    label = ["in"] + [f"p{u}" for u in range(1, p + 1)] + ["out"]
+    label = ("in", *(f"p{u}" for u in range(1, p + 1)), "out")
     nodes = range(p + 2)
     links = [(u, v) for u in nodes for v in nodes if u != v and u != p + 1 and v != 0]
-    pairs = [f"{label[u]}_{label[v]}" for u, v in links]
+    pairs = tuple(f"{label[u]}_{label[v]}" for u, v in links)
     at = [[None] * (p + 2) for _ in nodes]
     for i, (u, v) in enumerate(links):
         at[u][v] = i
@@ -214,7 +238,7 @@ def build_instance(
     plabel = label[1:out]
     # The links between two processors, by index and by name.
     inner = [i for i, (u, v) in enumerate(links) if u != 0 and v != out]
-    inner_pairs = [pairs[i] for i in inner]
+    inner_pairs = tuple(pairs[i] for i in inner)
 
     binaries = [*chain.from_iterable(x), *chain.from_iterable(z), *chain.from_iterable(y)]
     proc_first, proc_last = first[1:out], last[1:out]
@@ -224,12 +248,12 @@ def build_instance(
 
     # Every stage, virtual gateways included, runs on exactly one node.
     assign = RowFamily(
-        _names("assign_", map(str, range(n + 2))), (1.0,) * (p + 2),
+        "assign_", tuple(map(str, range(n + 2))), (1.0,) * (p + 2),
         tuple(chain.from_iterable(zip(*x))), "=", 1.0,
     )
     # Every stage boundary is either one link crossing or one hand-off.
     route = RowFamily(
-        _names("route_", map(str, range(n + 1))), (1.0,) * (len(links) + p + 2),
+        "route_", tuple(map(str, range(n + 1))), (1.0,) * (len(links) + p + 2),
         tuple(chain.from_iterable(zip(*map(tuple.__add__, z, y)))), "=", 1.0,
     )
     blocks = [(assign,), (route,)]
@@ -238,13 +262,13 @@ def build_instance(
     tails, heads = zip(*links)
     for k in range(n + 1):
         columns = (*map(x[k].__getitem__, tails), *map(x[k + 1].__getitem__, heads), *z[k])
-        link = RowFamily(_names(f"link_{k}_", pairs), (1.0, 1.0, -1.0), columns, "<=", 1.0)
+        link = RowFamily(f"link_{k}_", pairs, (1.0, 1.0, -1.0), columns, "<=", 1.0)
         blocks.append((link,))
 
     # x -> y: placing consecutive stages on the same node forces the hand-off.
     for k in range(n + 1):
         columns = x[k] + x[k + 1] + y[k]
-        same = RowFamily(_names(f"same_{k}_", label), (1.0, 1.0, -1.0), columns, "<=", 1.0)
+        same = RowFamily(f"same_{k}_", label, (1.0, 1.0, -1.0), columns, "<=", 1.0)
         blocks.append((same,))
 
     # Interval bounds: first_u <= k and last_u >= k for every stage k on u,
@@ -257,8 +281,8 @@ def build_instance(
             firstb = (1.0,), proc_first
         lastb = (1.0, -float(k)), proc_last + xk
         blocks.append((
-            RowFamily(_names(f"firstb_{k}_", plabel), *firstb, "<=", float(n)),
-            RowFamily(_names(f"lastb_{k}_", plabel), *lastb, ">=", 0.0),
+            RowFamily(f"firstb_{k}_", plabel, *firstb, "<=", float(n)),
+            RowFamily(f"lastb_{k}_", plabel, *lastb, ">=", 0.0),
         ))
 
     # A crossing after stage k closes u's interval and opens v's.
@@ -267,8 +291,8 @@ def build_instance(
         cutl = (1.0, float(n - k)), cut_last + zk
         cutf = (1.0, -float(k + 1)), cut_first + zk
         blocks.append((
-            RowFamily(_names(f"cutl_{k}_", inner_pairs), *cutl, "<=", float(n)),
-            RowFamily(_names(f"cutf_{k}_", inner_pairs), *cutf, ">=", 0.0),
+            RowFamily(f"cutl_{k}_", inner_pairs, *cutl, "<=", float(n)),
+            RowFamily(f"cutf_{k}_", inner_pairs, *cutf, ">=", 0.0),
         ))
 
     # Cost rows.  Stage k received on u costs delta[k-1]/b[t][u] over the
@@ -290,18 +314,18 @@ def build_instance(
     receive = [[*(at[t][u] for t in range(out) if t != u), len(links) + u - 1] for u in procs]
     leaving = [at[u][out] for u in range(out)]
     # Every getter takes at least two indices (p >= 1), so it returns a tuple.
-    cost_rows = [("latency", "latency", itemgetter(*chain.from_iterable(receive)), leaving)]
+    cost_rows = [("latency", "", "latency", itemgetter(*chain.from_iterable(receive)), leaving)]
     for u in procs:
         send = [len(links) + p + at[u][v] for v in procs if v != u]
         cost_rows.append(
-            ("period", f"period_{label[u]}", itemgetter(*receive[u - 1], *send), [leaving[u]])
+            ("period", "period_", label[u], itemgetter(*receive[u - 1], *send), [leaving[u]])
         )
 
     # The minimized criterion's rows compare against Topt; the fixed
     # criterion's rows take the threshold as right-hand side.  An infinite
     # threshold makes those vacuous, and no LP format accepts an infinite
     # RHS, so they are simply not emitted.
-    for criterion, name, gather, final in cost_rows:
+    for criterion, prefix, key, gather, final in cost_rows:
         coefs = (*chain(*map(gather, stage_coefs)), *map(cross[n].__getitem__, final))
         names = (*chain(*map(gather, stage_names)), *map(z[n].__getitem__, final))
         if criterion == query.objective:
@@ -310,7 +334,7 @@ def build_instance(
             rhs = query.threshold
         else:
             continue
-        blocks.append((RowFamily((name,), coefs, names, "<=", rhs),))
+        blocks.append((RowFamily(prefix, (key,), coefs, names, "<=", rhs),))
 
     # Boundary pins: the virtual stages sit on the gateways, real stages never
     # do, and gateway hand-offs or out-of-order gateway crossings cannot occur:
@@ -345,38 +369,41 @@ def _fmt(value: float) -> str:
     return format(value + 0.0, ".17g")
 
 
-class _Memo(dict):
-    """``fn(key)`` for each key, computed on first lookup."""
+def _add_terms(term: dict[float, str], coefs: tuple[float, ...]) -> None:
+    """Add the ``"+ c {}"`` / ``"- c {}"`` piece of each of ``coefs`` that ``term`` lacks.
 
-    def __init__(self, fn: Callable[[float], str]) -> None:
-        super().__init__()
-        self.fn = fn
+    The new coefficients of each sign are formatted with one ``%`` call, each
+    as its absolute value with ``.17g``, as :func:`_fmt` prints it.
+    """
+    new = [coef for coef in dict.fromkeys(coefs) if coef not in term]
+    if new:
+        for sign, group in (("+", [c for c in new if not c < 0]), ("-", [c for c in new if c < 0])):
+            text = f"{sign} %.17g {{}}\0" * len(group) % tuple(map(abs, group))
+            term.update(zip(group, text.split("\0")))
 
-    def __missing__(self, key: float) -> str:
-        self[key] = text = self.fn(key)
-        return text
 
-
-def _wrap(text: str, indent: str = "    ") -> list[str]:
-    """``text`` as LP lines: a leading space, then at most 72 characters.
+def _wrap(text: str, indent: str = "    ") -> str:
+    """``text`` as LP lines, joined: a leading space, then at most 72 characters.
 
     Continuation lines start with ``indent`` in place of the single space.
     Each line breaks at the last space that keeps it within the width; a word
-    longer than a whole line stays whole and breaks at the next space.
+    longer than a whole line stays whole and breaks at the next space.  The
+    line slices are collected and joined once.
     """
-    lines: list[str] = []
-    prefix, start = " ", 0
-    # ``room``: how much of ``text`` fits after ``prefix`` on a line of 1 + 72
-    while len(text) - start > (room := 73 - len(prefix)):
-        cut = text.rfind(" ", start, start + room + 1)
+    rfind, find = text.rfind, text.find
+    parts: list[str] = []
+    start, room = 0, 72
+    # ``room``: how much of ``text`` fits after the line's prefix on a line of 1 + 72
+    while len(text) - start > room:
+        cut = rfind(" ", start, start + room + 1)
         if cut < 0:
-            cut = text.find(" ", start)
+            cut = find(" ", start)
             if cut < 0:
                 break
-        lines.append(prefix + text[start:cut])
-        prefix, start = indent, cut + 1
-    lines.append(prefix + text[start:])
-    return lines
+        parts.append(text[start:cut])
+        start, room = cut + 1, 73 - len(indent)
+    parts.append(text[start:])
+    return " " + ("\n" + indent).join(parts)
 
 
 def export_ilp(

@@ -459,6 +459,18 @@ class TestSplitCandidates:
                             full.per_processor_period[jidx : jidx + k]
                         )
 
+    def test_reduce_along_the_first_axis_is_an_in_order_fold(self):
+        """``np.add.reduce(axis=0)``, which takes a candidate's latency, adds row after row."""
+        rng = np.random.default_rng(302)
+        for shape in itertools.product((6, 7, 9, 17, 64, 200), (1, 2, 3, 28), (2, 6)):
+            for _ in range(5):
+                # magnitudes 1e-8 to 1e8, so that any other order rounds differently
+                fold = rng.uniform(0.5, 1.0, shape) * 10.0 ** rng.integers(-8, 9, shape)
+                expected = fold[0].copy()
+                for row in fold[1:]:
+                    expected += row
+                assert np.add.reduce(fold, axis=0).tobytes() == expected.tobytes(), shape
+
     @pytest.mark.parametrize("three_way", [False, True])
     @pytest.mark.parametrize("ratio_rule", [False, True])
     def test_best_split_matches_full_evaluation(self, monkeypatch, three_way, ratio_rule):

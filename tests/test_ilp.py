@@ -315,7 +315,7 @@ class TestGoldenLp:
 class TestMemory:
     def test_large_program_peak_stays_bounded(self):
         # Building, rendering and then naming the rows of an n=24, p=14
-        # program peaks at 6.6-7.8 MiB, while the text is rendered.
+        # program peaks at 5.6-6.8 MiB, while the text is rendered.
         for name, spec, platform, query in _golden_queries():
             if not name.startswith("n24p14"):
                 continue
@@ -381,14 +381,19 @@ def test_fmt_matches_reference(value):
     assert ilp._fmt(value) == _reference_fmt(value)
 
 
-def test_fmt_matches_reference_on_random_floats():
+def _random_floats():
+    """Fractions, integers up to 2e15 and magnitudes from 1e-304 to 1e304, of both signs."""
     rng = np.random.default_rng(18)
-    values = np.concatenate([
+    return np.concatenate([
         rng.uniform(-1e3, 1e3, 2000),
         np.round(rng.uniform(-2e15, 2e15, 2000)),
         rng.integers(-100, 100, 2000).astype(float),
         np.exp(rng.uniform(-700, 700, 2000)),
     ]).tolist()
+
+
+def test_fmt_matches_reference_on_random_floats():
+    values = _random_floats()
     assert [ilp._fmt(v) for v in values] == [_reference_fmt(v) for v in values]
 
 
@@ -455,8 +460,8 @@ class TestRowRendering:
             words = _random_words(rng)
             text = " ".join(words)
             expected = [" " + line for line in _word_wrap(text)]
-            assert ilp._wrap(text) == expected
-            assert ilp._wrap(text, indent=" ") == _reference_list_lines(words)
+            assert ilp._wrap(text) == "\n".join(expected)
+            assert ilp._wrap(text, indent=" ") == "\n".join(_reference_list_lines(words))
             long_first += len(words[0]) > 72
             long_continued += any(len(line) > 76 for line in expected[1:])
         # both places a too-long word can sit are exercised
@@ -484,11 +489,31 @@ class TestRowRendering:
         name = "c" * (length - 47)
         terms = ((1.0, "x_1_p1"), (-0.1, "z_0_in_p1"))
         columns = ("x_1_p1", "z_0_in_p1")
-        block = (ilp.RowFamily((name,), (1.0, -0.1), columns, "<=", 3.0),)
+        block = (ilp.RowFamily(name[:1], (name[1:],), (1.0, -0.1), columns, "<=", 3.0),)
         rendered = _constraint_lines(dataclasses.replace(instance, blocks=(block,)))
         assert len(f"{name}: 1 x_1_p1 - 0.10000000000000001 z_0_in_p1 <= 3") == length
         assert len(rendered) == lines
         assert rendered == _reference_row_lines(name, terms, "<=", 3.0)
+
+    def test_batch_formatted_coefficients_match_reference(self, tiny_spec, tiny_platform):
+        # New coefficients are formatted in one call per sign.  A family of
+        # three rows holds both signs, repeats, both zeros, the smallest
+        # subnormal, 1e300, integers from 1e15 and the random floats; a
+        # second family repeats some of them among new ones.
+        instance = build_instance(tiny_spec, tiny_platform, _tiny_query())
+        edge = [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1e15, -1e15, 2.0**53 + 2, -(2.0**60)]
+        first = (*edge, *_random_floats(), *edge, -1.0, 1.0, 1.0)
+        second = (0.5, *first[::-97], -0.25, -0.0, 0.0)
+        families, expected = [], []
+        for prefix, coefs, sense, rhs in (("r_", first, "<=", 3.0), ("s", second, ">=", -0.5)):
+            keys = ("a", "b2", "c")
+            columns = tuple(f"v{j}_{key}" for j in range(len(coefs)) for key in keys)
+            families.append(ilp.RowFamily(prefix, keys, coefs, columns, sense, rhs))
+            for i, key in enumerate(keys):
+                terms = [(coef, columns[j * len(keys) + i]) for j, coef in enumerate(coefs)]
+                expected += _reference_row_lines(prefix + key, terms, sense, rhs)
+        blocks = tuple((family,) for family in families)
+        assert _constraint_lines(dataclasses.replace(instance, blocks=blocks)) == expected
 
 
 def _reference_build(spec, platform, query):
@@ -625,30 +650,25 @@ class TestReferenceBuilder:
             instance = build_instance(spec, platform, query)
             rows, pins, binaries, generals = _reference_build(spec, platform, query)
             # The text prints each coefficient with .17g, so it reads back exactly.
+            parsed_rows = _parsed(instance).rows
             parsed = [
                 (r.name, tuple((coef, var) for var, coef in r.coefs.items()), r.sense, r.rhs)
-                for r in _parsed(instance).rows
+                for r in parsed_rows
             ]
             assert parsed == list(rows)
+            # ``rows`` names every constraint in the order the text emits it.
+            assert instance.rows == tuple(r.name for r in parsed_rows)
             assert instance.rows == tuple(name for name, *_ in rows)
             assert instance.pins == pins
             assert instance.binaries == binaries
             assert instance.generals == generals
             for family in chain.from_iterable(instance.blocks):
-                assert len(family.columns) == len(family.coefs) * len(family.names)
+                assert len(family.columns) == len(family.coefs) * len(family.keys)
+                assert type(family.prefix) is str
+                assert all(type(key) is str for key in family.keys)
                 assert all(type(var) is str for var in family.columns)
                 assert type(family.rhs) is float
                 assert all(type(coef) is float for coef in family.coefs)
-
-    def test_rows_name_the_exported_constraints(self):
-        # ``rows`` names every constraint in the order the text emits it.
-        for objective in ("latency", "period"):
-            for finite in (True, False):
-                for spec, platform in _reference_instances():
-                    query = _reference_query(spec, objective, finite)
-                    instance = build_instance(spec, platform, query)
-                    parsed = lp_grammar.parse_lp(instance.to_lp_text())
-                    assert instance.rows == tuple(r.name for r in parsed.rows)
 
 
 def _milp_optimum(spec, platform, query):
